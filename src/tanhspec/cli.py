@@ -113,10 +113,15 @@ def parse_function(spec: str | None, path: str | None):
         if name not in _BUILTINS:
             raise ValueError(f"unknown builtin {name!r}; choices: {', '.join(sorted(_BUILTINS))}")
         args = [float(p) for p in argstr.split(",")] if argstr else []
-        return _BUILTINS[name](*args)
+        try:
+            return _BUILTINS[name](*args)
+        except TypeError:
+            raise ValueError(f"builtin {name!r} takes at most one parameter (got {len(args)})") from None
     rows = read_table(path, ("x", "value"))
     xs = np.array([r["x"] for r in rows])
     vals = np.array([r["value"] for r in rows])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vals))):
+        raise ValueError(f"sample file {path!r} holds a non-finite x or value")
     if xs.size < 2 or np.any(np.diff(xs) <= 0):
         raise ValueError("sample files need at least two strictly increasing x values")
     return _barycentric(xs, vals)
@@ -424,3 +429,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

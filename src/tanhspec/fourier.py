@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .basis import DiffOp, Expansion, diff_coeffs
 from .special import JacobiParams, log_gamma_complex
@@ -47,11 +46,12 @@ class FourierRep:
     diff: DiffOp
 
 
-def _log_density_unnormalised(params: JacobiParams, xi: float) -> float:
-    # log |Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2)|^2
-    z1 = complex(0.5 * (params.alpha + 1.0), 0.5 * xi)
-    z2 = complex(0.5 * (params.beta + 1.0), -0.5 * xi)
-    return 2.0 * (log_gamma_complex(z1).real + log_gamma_complex(z2).real)
+def _log_gamma_pair(params: JacobiParams, xi) -> np.ndarray:
+    # ln Gamma((a+1)/2 + i xi/2) + ln Gamma((b+1)/2 - i xi/2), elementwise
+    half = 0.5j * np.asarray(xi, dtype=float)
+    return log_gamma_complex(0.5 * (params.alpha + 1.0) + half) + log_gamma_complex(
+        0.5 * (params.beta + 1.0) - half
+    )
 
 
 def _decay_cutoff(params: JacobiParams) -> float:
@@ -61,56 +61,57 @@ def _decay_cutoff(params: JacobiParams) -> float:
 
 
 def normalisation_constant(params: JacobiParams) -> float:
-    """C > 0 with C^2 int |Gamma Gamma|^2 dxi = 1, by adaptive quadrature.
+    """C > 0 with C^2 int |Gamma Gamma|^2 dxi = 1, in closed form.
 
-    Raises
-    ------
-    RuntimeError
-        If the quadrature does not converge.
+    Barnes' first lemma (DLMF 5.13.3) gives the unnormalised mass
+    int |Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2)|^2 dxi
+        = 4 pi Gamma(a+1) Gamma(b+1) Gamma((a+b)/2+1)^2 / Gamma(a+b+2).
     """
-    integrand = lambda xi: math.exp(_log_density_unnormalised(params, xi))
-    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=300)
-    total = 2.0 * val
-    if not math.isfinite(total) or total <= 0.0 or err > 1e-9 * val + 1e-13:
-        raise RuntimeError(
-            f"normalisation quadrature did not converge (value {total}, error estimate {err})"
-        )
-    return 1.0 / math.sqrt(total)
+    a, b = params.alpha, params.beta
+    log_mass = (
+        math.log(4.0 * math.pi)
+        + math.lgamma(a + 1.0)
+        + math.lgamma(b + 1.0)
+        + 2.0 * math.lgamma(0.5 * (a + b) + 1.0)
+        - math.lgamma(a + b + 2.0)
+    )
+    return math.exp(-0.5 * log_mass)
 
 
-def _panel_mass(rep: FourierRep) -> float:
-    # independent check of the unit mass: fixed Gauss-Legendre panels
+def _panel_mass(params: JacobiParams, C: float) -> float:
+    # independent check of the unit mass: fixed Gauss-Legendre panels, graded
+    # geometrically toward the peak at xi = 0, whose width shrinks to
+    # min(a, b) + 1 as a or b approaches -1
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    cutoff = _decay_cutoff(rep.params)
-    edges = np.linspace(0.0, cutoff, 64)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-        vals = [measure_density(rep, x) for x in xs]
-        total += 0.5 * (hi - lo) * float(weights @ vals)
-    return 2.0 * total
+    uniform = np.linspace(0.0, _decay_cutoff(params), 64)
+    width = min(params.alpha, params.beta) + 1.0
+    edges = np.concatenate(([0.0], np.geomspace(1e-3 * width, uniform[1], 24), uniform[2:]))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    density = C * C * np.exp(2.0 * _log_gamma_pair(params, xs).real)
+    return 2.0 * float(np.sum((0.5 * (hi - lo) * density) @ weights))
 
 
 @lru_cache(maxsize=32)
-def _cached_rep(alpha: float, beta: float, count: int) -> FourierRep:
-    params = JacobiParams(alpha, beta)
+def _checked_normalisation(params: JacobiParams) -> float:
     C = normalisation_constant(params)
-    rep = FourierRep(params=params, normalisation=C, diff=diff_coeffs(params, count))
-    mass = _panel_mass(rep)
+    mass = _panel_mass(params, C)
     if abs(mass - 1.0) > 1e-10:
         raise RuntimeError(f"Fourier measure mass check failed: got {mass!r}, expected 1")
-    return rep
+    return C
 
 
 def fourier_rep(params: JacobiParams, count: int = 128) -> FourierRep:
-    """Build (and cache) the Fourier-space representation.
+    """Fourier-space representation with the first `count` couplings.
 
-    The unit-mass invariant is verified at construction with a quadrature
-    scheme independent of the one that computed the constant.
+    The normalisation depends only on (alpha, beta) and is cached on them.
+    Its unit-mass invariant is verified once per pair, with a quadrature
+    independent of the closed form that computed the constant.
     """
     if count < 1:
         raise ValueError(f"count must be positive (got {count})")
-    return _cached_rep(params.alpha, params.beta, count)
+    C = _checked_normalisation(params)
+    return FourierRep(params=params, normalisation=C, diff=diff_coeffs(params, count))
 
 
 def g_weight(rep: FourierRep, xi):
@@ -119,29 +120,14 @@ def g_weight(rep: FourierRep, xi):
     Has even real part and odd imaginary part in xi; real and even when
     alpha = beta.
     """
-    a, b = rep.params.alpha, rep.params.beta
-
-    def one(x: float) -> complex:
-        lg = log_gamma_complex(complex(0.5 * (a + 1.0), 0.5 * x)) + log_gamma_complex(
-            complex(0.5 * (b + 1.0), -0.5 * x)
-        )
-        return rep.normalisation * complex(math.exp(lg.real) * math.cos(lg.imag),
-                                           math.exp(lg.real) * math.sin(lg.imag))
-
-    if np.ndim(xi) == 0:
-        return one(float(xi))
-    return np.array([one(float(x)) for x in np.asarray(xi, dtype=float)])
+    out = rep.normalisation * np.exp(_log_gamma_pair(rep.params, xi))
+    return complex(out) if np.ndim(xi) == 0 else out
 
 
 def measure_density(rep: FourierRep, xi):
     """|g(xi)|^2, the density of the unit-mass orthogonality measure."""
-
-    def one(x: float) -> float:
-        return rep.normalisation**2 * math.exp(_log_density_unnormalised(rep.params, x))
-
-    if np.ndim(xi) == 0:
-        return one(float(xi))
-    return np.array([one(float(x)) for x in np.asarray(xi, dtype=float)])
+    out = rep.normalisation**2 * np.exp(2.0 * _log_gamma_pair(rep.params, xi).real)
+    return float(out) if np.ndim(xi) == 0 else out
 
 
 def _couplings(rep: FourierRep, count: int) -> np.ndarray:
@@ -181,16 +167,29 @@ def fourier_transform(e: Expansion, xi_points, count: int | None = None) -> np.n
         raise ValueError("Fourier transform is defined for full-mode expansions")
     n = len(e)
     rep = fourier_rep(e.spec.params, count=max(n + 1, 2))
-    b = _couplings(rep, n + 1)
+    b = rep.diff.b
     xi = np.atleast_1d(np.asarray(xi_points, dtype=float))
     d = (1j) ** np.arange(n) * e.coeffs
     u1 = np.zeros(xi.size, dtype=complex)
     u2 = np.zeros(xi.size, dtype=complex)
+    # At large |xi| the sum overflows while g underflows.  The state is kept
+    # as (u1, u2) * exp(exponent), rescaled whenever |u| passes 1e150 (one
+    # step grows it by ~|xi| / b_k, so it stays far from overflow), and the
+    # exponent is folded into ln g at the end.
+    exponent = np.zeros(xi.size)
+    shrink = np.ones(xi.size)
     for k in range(n - 1, -1, -1):
-        u = d[k] + (xi / b[k]) * u1
+        u = d[k] * shrink + (xi / b[k]) * u1
         if k + 1 < n:
             u = u - (b[k] / b[k + 1]) * u2
+        big = np.abs(u) > 1e150
+        if big.any():
+            s = np.abs(u[big])
+            u[big] /= s
+            u1[big] /= s
+            shrink[big] /= s
+            exponent[big] += np.log(s)
         u2 = u1
         u1 = u
-    out = g_weight(rep, xi) * u1
+    out = rep.normalisation * np.exp(_log_gamma_pair(rep.params, xi) + exponent) * u1
     return complex(out[0]) if np.ndim(xi_points) == 0 else out

@@ -5,9 +5,11 @@ Everything that can overflow for large degree or large weight exponents
 exponentiated as late as possible.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import loggamma
 
 __all__ = [
     "JacobiParams",
@@ -19,28 +21,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos rational approximation, g = 607/128 with 15 terms (Godfrey's
-# double-precision set); relative error below 1e-13 on Re(z) >= 1/2.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
 
 
 @dataclass(frozen=True)
@@ -74,46 +54,23 @@ def log_gamma_real(x: float) -> float:
     return math.lgamma(x)
 
 
-def _lanczos_log_gamma(z: complex) -> complex:
-    # Principal branch on Re(z) >= 1/2: the log(t) term has Re(t) > 0
-    # throughout, so no unwinding is ever needed.
-    zm1 = z - 1.0
-    s = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (zm1 + k)
-    t = zm1 + _LANCZOS_G + 0.5
-    return (zm1 + 0.5) * cmath.log(t) - t + _HALF_LOG_TWO_PI + cmath.log(s)
+def log_gamma_complex(z):
+    """Principal-branch ln Gamma(z), elementwise on arrays (scipy.special.loggamma).
 
-
-def _log_sin_pi(z: complex) -> complex:
-    # log(sin(pi z)) for Im(z) >= 0, safe against e^{pi Im z} overflow.
-    if z.imag < 20.0:
-        return cmath.log(cmath.sin(math.pi * z))
-    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}),  |e^{2 i pi z}| << 1
-    return cmath.log(0.5j) - 1j * math.pi * z + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch ln Gamma(z).
-
-    Lanczos approximation on Re(z) >= 1/2, reflection formula
-    Gamma(z)Gamma(1-z) = pi/sin(pi z) otherwise.  Conjugate symmetry
-    ln Gamma(conj z) = conj ln Gamma(z) holds bit-exactly because the lower
-    half plane is evaluated by conjugation.
+    A scalar argument gives a Python complex.  Conjugate symmetry
+    ln Gamma(conj z) = conj ln Gamma(z) holds bit-exactly.
 
     Raises
     ------
     ValueError
-        At the poles (z a non-positive real integer).
+        At the poles (z a non-positive real integer), where scipy returns NaN.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise ValueError(f"log_gamma_complex pole at z = {z.real}")
-    if z.imag < 0.0:
-        return log_gamma_complex(z.conjugate()).conjugate()
-    if z.real >= 0.5:
-        return _lanczos_log_gamma(z)
-    return math.log(math.pi) - _log_sin_pi(z) - _lanczos_log_gamma(1.0 - z)
+    z = np.asarray(z, dtype=complex)
+    poles = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if np.any(poles):
+        raise ValueError(f"log_gamma_complex pole at z = {z.real[poles][0]}")
+    out = loggamma(z)
+    return complex(out) if out.ndim == 0 else out
 
 
 def log_jacobi_norm(params: JacobiParams, m: int) -> float:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tanhspec
 from tanhspec.cli import main, parse_points, read_coefficients, read_table, write_table
 
 from oracles import fd_derivative
@@ -13,6 +17,12 @@ from oracles import fd_derivative
 
 def run(*argv):
     return main(list(argv))
+
+
+def _python(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tanhspec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 def _expand_sech(tmp_path, fmt="csv", mode="full", alpha="-0.5", beta="-0.5", n="64"):
@@ -54,6 +64,38 @@ class TestExpand:
         )
         assert code == 2
         assert "unknown builtin" in capsys.readouterr().err
+
+    def test_builtin_extra_parameter(self, tmp_path, capsys):
+        code = run(
+            "expand", "--fn", "gaussian:1,2", "--alpha", "0.0", "--beta", "0.0",
+            "--n", "8", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at most one parameter" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("column", ["x", "value"])
+    def test_samples_must_be_finite(self, tmp_path, capsys, column):
+        rows = [{"x": float(x), "value": 1.0 / math.cosh(x)} for x in range(-4, 5)]
+        rows[3][column] = math.nan
+        sf = tmp_path / "nan.csv"
+        write_table(str(sf), ("x", "value"), rows, "csv")
+        code = run(
+            "expand", "--in", str(sf), "--alpha", "0.0", "--beta", "0.0",
+            "--n", "8", "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        assert "non-finite x or value" in capsys.readouterr().err
+
+    def test_module_form_runs(self, tmp_path):
+        out = tmp_path / "c.csv"
+        p = _python(
+            "-m", "tanhspec.cli", "expand", "--fn", "sech", "--alpha", "-0.5", "--beta", "-0.5",
+            "--n", "16", "--out", str(out),
+        )
+        assert p.returncode == 0, p.stderr
+        assert read_coefficients(str(out)).size == 16
 
     def test_samples_input_exact_on_low_degree(self, tmp_path):
         # the rational barycentric scheme reproduces cubics in x exactly
@@ -162,6 +204,18 @@ class TestFourierCommand:
         ratios = [r["re"] * math.cosh(math.pi * r["xi"] / 2.0) for r in rows]
         assert max(ratios) - min(ratios) <= 1e-12
         assert all(abs(r["im"]) <= 1e-14 for r in rows)
+
+    def test_large_xi_rows_are_finite(self, tmp_path):
+        _, cf = _expand_sech(tmp_path, n="256")
+        out = tmp_path / "ft.csv"
+        code = run(
+            "ft", "--in", str(cf), "--alpha", "-0.5", "--beta", "-0.5",
+            "--points=-1e6,600,1e6", "--out", str(out),
+        )
+        assert code == 0
+        for row in read_table(str(out), ("xi", "re", "im")):
+            assert math.isfinite(row["re"]) and math.isfinite(row["im"])
+            assert math.hypot(row["re"], row["im"]) < 1e-6
 
     def test_half_mode_rejected(self, tmp_path, capsys):
         cf = tmp_path / "c.csv"
@@ -305,6 +359,11 @@ class TestTablesAndDeterminism:
         )
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_import_leaves_out_scipy_integrate(self):
+        p = _python("-c", "import sys, tanhspec.cli; print('scipy.integrate' in sys.modules)")
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.strip() == "False"
 
     def test_parse_points(self):
         assert np.allclose(parse_points("lin:0:1:3"), [0.0, 0.5, 1.0])

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from tanhspec import (
     log_gamma_complex,
     measure_density,
     normalisation_constant,
+    analyze_full,
     synthesize,
 )
+from tanhspec import fourier as fourier_mod
 
 from oracles import direct_fourier, gauss_panels
 
@@ -120,6 +124,37 @@ class TestNormalisation:
             npts=20,
         )
         assert abs(mass - 1.0) <= 1e-10
+
+
+    @pytest.mark.parametrize("a,b", [(-0.99, -0.99), (1.3, 0.2), (5.0, 3.0), (80.0, 80.0)])
+    def test_against_mpmath_quadrature(self, a, b):
+        # 30-digit quadrature of |Gamma Gamma|^2, independent of Barnes' lemma;
+        # the density is even in xi and peaks at 0 with width min(a, b) + 1
+        with mpmath.workdps(30):
+            p, q = mpmath.mpf(a + 1.0) / 2, mpmath.mpf(b + 1.0) / 2
+            dens = lambda x: abs(mpmath.gamma(mpmath.mpc(p, x / 2)) * mpmath.gamma(mpmath.mpc(q, -x / 2))) ** 2
+            w = min(a, b) + 1.0
+            mass = 2 * mpmath.quad(dens, [0, w, 10 * w, 1, 10, 40, mpmath.inf])
+            want = float(1 / mpmath.sqrt(mass))
+        assert math.isclose(normalisation_constant(JacobiParams(a, b)), want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("a,b", [(-0.9, -0.9), (-0.99, -0.99), (-0.999, -0.999), (80.0, 80.0)])
+    def test_mass_check_near_pole_and_large(self, a, b):
+        # the runtime unit-mass check (tolerance 1e-10) must resolve the peak
+        # at xi = 0, which narrows to width min(a, b) + 1 near a, b = -1
+        rep = _rep(a, b)
+        assert abs(fourier_mod._panel_mass(rep.params, rep.normalisation) - 1.0) <= 1e-13
+
+    def test_cache_keyed_on_params(self, monkeypatch):
+        norm = mock.Mock(wraps=fourier_mod.normalisation_constant)
+        mass = mock.Mock(wraps=fourier_mod._panel_mass)
+        monkeypatch.setattr(fourier_mod, "normalisation_constant", norm)
+        monkeypatch.setattr(fourier_mod, "_panel_mass", mass)
+        spec = BasisSpec(JacobiParams(0.37, 1.91))  # a pair no other test uses
+        for n in range(1, 21):
+            vals = fourier_transform(Expansion(spec, np.ones(n)), [0.0, 1.5])
+            assert np.all(np.isfinite(vals))
+        assert norm.call_count == 1 and mass.call_count == 1
 
 
 def _tail_cut(s):
@@ -233,6 +268,13 @@ class TestFourierTransform:
             got = direct_fourier(f, xi, halfwidth=90.0)
             want = math.sqrt(2.0 / math.pi) * gamma_sq(xi)
             assert abs(got - want) <= 1e-8
+
+    def test_large_xi_underflows_to_zero(self):
+        # the Clenshaw sum overflows where g underflows; F[sech] ~ e^{-pi |xi|/2}
+        e = analyze_full(BasisSpec(JacobiParams(-0.5, -0.5)), lambda x: 1.0 / np.cosh(x), 512)
+        vals = fourier_transform(e, np.array([-1e3, 600.0, 1e3, 1e6]))
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals)) < 1e-6
 
     def test_half_mode_rejected(self):
         spec = BasisSpec(JacobiParams(0.5, 0.5), "half")

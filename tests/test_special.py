@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -68,10 +69,28 @@ class TestLogGammaComplex:
                 ref = complex(scipy_loggamma(z))
                 assert abs(mine - ref) <= 1e-13 * (1.0 + abs(ref))
 
+    def test_against_mpmath(self):
+        # 30-digit oracle on both sides of Re z = 1/2, compared through exp
+        # so that the choice of branch does not matter
+        with mpmath.workdps(30):
+            for re in (-3.7, -0.3, 0.1, 0.45, 0.55, 1.0, 3.0, 20.0):
+                for im in (-30.0, -1.0, 0.0, 0.5, 7.0, 40.0):
+                    ref = complex(mpmath.loggamma(mpmath.mpc(re, im)))
+                    mine = log_gamma_complex(complex(re, im))
+                    assert abs(cmath.exp(mine - ref) - 1.0) <= 4e-15 * (1.0 + abs(ref))
+
+    def test_array_matches_scalar_calls(self):
+        z = np.array([[0.3 + 2.0j, -2.5 - 1.0j], [7.0 + 0.0j, 0.5 - 40.0j]])
+        got = log_gamma_complex(z)
+        assert got.shape == z.shape
+        assert all(got[ij] == log_gamma_complex(complex(z[ij])) for ij in np.ndindex(z.shape))
+
     def test_poles(self):
         for bad in (0.0, -1.0, -2.0, -17.0):
             with pytest.raises(ValueError):
                 log_gamma_complex(complex(bad, 0.0))
+        with pytest.raises(ValueError, match="pole at z = -2.0"):
+            log_gamma_complex(np.array([1.5 + 0.0j, -2.0 + 0.0j]))
 
 
 class TestJacobiParams:
