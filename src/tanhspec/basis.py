@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import jacobi_eval_batch, recurrence_coefficients
-from .special import JacobiParams, log_jacobi_norm, norm_ratio
+from .jacobi import couplings, jacobi_eval_batch, jacobi_matrix
+from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
     "BasisSpec",
@@ -113,25 +113,8 @@ class DiffOp:
 
 
 def diff_coeffs(params: JacobiParams, count: int) -> DiffOp:
-    """First `count` differentiation couplings.
-
-    b_m = sqrt[(m+1)(a+m+1)(b+m+1)(a+b+m+1) / ((a+b+2m+1)(a+b+2m+3))].
-
-    The factor (a+b+m+1)/(a+b+2m+1) equals 1 identically at m = 0, which
-    resolves the removable 0/0 at a+b = -1 and yields
-    b_0 = sqrt((a+1)(b+1)/(a+b+3)) there (e.g. b_0 = sqrt(2)/4 for the
-    Chebyshev-T pair, where the naive closed form breaks down).
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive (got {count})")
-    a, b = params.alpha, params.beta
-    s = a + b
-    m = np.arange(count, dtype=float)
-    factor = np.empty(count)
-    factor[0] = 1.0
-    factor[1:] = (s + m[1:] + 1.0) / (s + 2.0 * m[1:] + 1.0)
-    bsq = (m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor
-    return DiffOp(b=np.sqrt(bsq), params=params)
+    """First `count` differentiation couplings (closed form: jacobi.couplings)."""
+    return DiffOp(b=couplings(params, count), params=params)
 
 
 def _as_points(x):
@@ -224,16 +207,14 @@ def clenshaw_eval(e: Expansion, x):
     n = len(e)
     pts, scalar = _as_points(x)
     t = np.tanh(pts)
-    rec = recurrence_coefficients(params, n)
-    # signed orthonormal recurrence q~_{m+1} = alpha_m(t) q~_m + beta_m q~_{m-1}
-    c_hat = np.array([rec.C[m] * norm_ratio(params, m, +1) for m in range(n)])
+    # signed orthonormal recurrence q~_{m+1} = ((B_m - t) q~_m - e_{m-1} q~_{m-1}) / e_m
+    B, off = jacobi_matrix(params, n)
     beta = np.zeros(n)
-    for m in range(1, n):
-        beta[m] = -rec.A[m] * norm_ratio(params, m, -1) / c_hat[m]
+    beta[1:] = -off[:-1] / off[1:]
     u1 = np.zeros_like(t)
     u2 = np.zeros_like(t)
     for k in range(n - 1, -1, -1):
-        u = e.coeffs[k] + (rec.B[k] - t) / c_hat[k] * u1
+        u = e.coeffs[k] + (B[k] - t) / off[k] * u1
         if k + 1 < n:
             u = u + beta[k + 1] * u2
         u2 = u1

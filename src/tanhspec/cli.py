@@ -220,7 +220,8 @@ def sniff_table(path: str) -> str:
 
 
 def parse_points(spec: str) -> np.ndarray:
-    """Point grids: 'lin:LO:HI:COUNT' or a comma-separated list."""
+    """Point grids: 'lin:LO:HI:COUNT' or a comma-separated list, all finite."""
+    not_finite = f"bad points spec {spec!r}: points must be finite"
     if spec.startswith("lin:"):
         parts = spec.split(":")
         if len(parts) != 4:
@@ -228,11 +229,16 @@ def parse_points(spec: str) -> np.ndarray:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
         if count < 1:
             raise ValueError("point count must be positive")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(not_finite)
         return np.linspace(lo, hi, count)
     try:
-        return np.array([float(p) for p in spec.split(",") if p.strip()])
+        pts = np.array([float(p) for p in spec.split(",") if p.strip()])
     except ValueError as exc:
         raise ValueError(f"bad points spec {spec!r}: {exc}") from exc
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(not_finite)
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +315,11 @@ def cmd_solve(args) -> int:
         a_coeffs = a_coeffs[: args.bandwidth + 1]
     else:
         a_coeffs = analyze_unweighted(parse_function(args.a_fn, args.a_in), args.bandwidth)
+    # mult_op is the multiplication operator of the Chebyshev-T pair only; a
+    # constant a (a_m = 0 for m >= 1, up to rounding) is (a_0/sqrt 2) I in any basis
+    varies = np.any(np.abs(a_coeffs[1:]) > 1e-14 * np.max(np.abs(a_coeffs)))
+    if varies and (args.alpha, args.beta) != (-0.5, -0.5):
+        raise ValueError("a variable coefficient a(x) needs --alpha -0.5 --beta -0.5 (Chebyshev-T pair)")
     mult = mult_op(a_coeffs, args.bandwidth, args.n)
     if args.f_in is not None and sniff_table(args.f_in) == "coeffs":
         coeffs = read_coefficients(args.f_in)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .special import JacobiParams, jacobi_norm, log_jacobi_norm, norm_ratio
+from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
     "Recurrence",
@@ -19,6 +19,9 @@ __all__ = [
     "jacobi_eval",
     "jacobi_eval_batch",
     "orthonormal_eval_batch",
+    "couplings",
+    "jacobi_matrix",
+    "orthonormal_rows",
     "chebyshev_eval",
     "gauss_jacobi",
 ]
@@ -73,6 +76,54 @@ def recurrence_coefficients(params: JacobiParams, count: int) -> Recurrence:
         B[1:] = (b - a) * (b + a) / ((s + 2.0 * mm) * (s + 2.0 * mm + 2.0))
         C[1:] = 2.0 * (mm + 1.0) * (s + mm + 1.0) / ((s + 2.0 * mm + 1.0) * (s + 2.0 * mm + 2.0))
     return Recurrence(A=A, B=B, C=C, params=params)
+
+
+def couplings(params: JacobiParams, count: int) -> np.ndarray:
+    """First `count` differentiation couplings b_0, b_1, ...
+
+    b_m = sqrt[(m+1)(a+m+1)(b+m+1)(a+b+m+1) / ((a+b+2m+1)(a+b+2m+3))].
+
+    The factor (a+b+m+1)/(a+b+2m+1) equals 1 identically at m = 0, which
+    resolves the removable 0/0 at a+b = -1 and yields
+    b_0 = sqrt((a+1)(b+1)/(a+b+3)) there (e.g. b_0 = sqrt(2)/4 for the
+    Chebyshev-T pair, where the naive closed form breaks down).
+    """
+    if count < 1:
+        raise ValueError(f"count must be positive (got {count})")
+    a, b = params.alpha, params.beta
+    s = a + b
+    m = np.arange(count, dtype=float)
+    factor = np.empty(count)
+    factor[0] = 1.0
+    factor[1:] = (s + m[1:] + 1.0) / (s + 2.0 * m[1:] + 1.0)
+    return np.sqrt((m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor)
+
+
+def jacobi_matrix(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal B_m and off-diagonal e_m, m < count, of the orthonormal Jacobi matrix.
+
+    The orthonormal polynomials satisfy t q_m = e_{m-1} q_{m-1} + B_m q_m
+    + e_m q_{m+1} with e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2),
+    b_m the differentiation couplings.
+    """
+    m = np.arange(count, dtype=float)
+    e = 2.0 * couplings(params, count) / (params.alpha + params.beta + 2.0 * m + 2.0)
+    return recurrence_coefficients(params, count).B, e
+
+
+def orthonormal_rows(params: JacobiParams, count: int, points):
+    """Yield q_0(t), ..., q_{count-1}(t) at `points`, one row at a time.
+
+    Same values as the rows of orthonormal_eval_batch, in O(len(points))
+    memory: the symmetric recurrence of jacobi_matrix keeps two rows.
+    """
+    t = np.asarray(points, dtype=float)
+    B, e = jacobi_matrix(params, count)
+    prev, q = np.zeros_like(t), np.full_like(t, math.exp(-0.5 * log_jacobi_norm(params, 0)))
+    yield q
+    for m in range(count - 1):
+        prev, q = q, ((t - B[m]) * q - (e[m - 1] if m else 0.0) * prev) / e[m]
+        yield q
 
 
 def jacobi_eval_batch(params: JacobiParams, m_max: int, points) -> np.ndarray:
@@ -152,17 +203,14 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     """
     if n < 1:
         raise ValueError(f"rule size must be positive (got {n})")
-    rec = recurrence_coefficients(params, n)
-    # symmetrised off-diagonal: C_m sqrt(g_{m+1}/g_m)
-    off = np.array([rec.C[m] * norm_ratio(params, m, +1) for m in range(n - 1)])
+    B, e = jacobi_matrix(params, n)
     try:
-        nodes = eigh_tridiagonal(rec.B, off, eigvals_only=True, lapack_driver="stev")
+        nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Gauss-Jacobi eigensolver failed to converge: {exc}") from exc
     # The eigenvector of node t_k is proportional to (q_0(t_k),..,q_{n-1}(t_k)),
     # where q_m is the orthonormal recurrence; evaluating it directly keeps the
     # first-component weight formula g_0 v_{0k}^2 = 1/sum_m q_m(t_k)^2 accurate
     # to machine precision, where accumulated QL rotations lose several digits.
-    Q = orthonormal_eval_batch(params, n - 1, nodes)
-    weights = 1.0 / np.sum(Q * Q, axis=0)
+    weights = 1.0 / sum(q * q for q in orthonormal_rows(params, n, nodes))
     return QuadratureRule(nodes=nodes, weights=weights, params=params)

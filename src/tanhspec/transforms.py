@@ -12,12 +12,13 @@ band-limited inputs and converge together otherwise.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as _sfft
 
 from .basis import BasisSpec, Expansion, clenshaw_eval
-from .jacobi import gauss_jacobi, orthonormal_eval_batch
+from .jacobi import QuadratureRule, gauss_jacobi, orthonormal_rows
 from .special import JacobiParams
 
 __all__ = [
@@ -29,9 +30,6 @@ __all__ = [
     "analyze_unweighted",
     "synthesize",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 #: transform kinds with their defining sums (x of length N, m = 0..N-1):
 #:   DCT-I : y_m = x_0/2 + (-1)^m x_{N-1}/2 + sum_{n=1}^{N-2} x_n cos(pi m n / (N-1))
@@ -77,37 +75,48 @@ class SampleGrid:
     size: int
 
 
-@lru_cache(maxsize=64)
-def _full_grid(n: int):
-    k = np.arange(n)
-    theta = (2.0 * k + 1.0) * math.pi / (2.0 * n)
-    t = np.cos(theta)
-    x = np.arctanh(t)
-    half = 0.5 * theta
-    return theta, t, x, np.sin(half), np.cos(half), np.sin(theta)
+class _Nodes(NamedTuple):
+    """Sample nodes of one transform: the fast Chebyshev grid or a Gauss-Jacobi rule.
+
+    The grid carries theta and the kernel premultipliers, a rule its weights.
+    """
+
+    x: np.ndarray
+    one_minus: np.ndarray  # 1 - t
+    one_plus: np.ndarray  # 1 + t
+    theta: np.ndarray | None = None
+    pre: dict | None = None
+    rule: QuadratureRule | None = None
+
+
+def _to_x(mode: str, t: np.ndarray) -> np.ndarray:
+    # full: t = tanh x; half: t = 1 - 2 sech^2 x, sampled on x > 0
+    return np.arctanh(t) if mode == "full" else np.arctanh(np.sqrt(0.5 * (1.0 + t)))
 
 
 @lru_cache(maxsize=64)
-def _half_grid(n: int):
-    k = np.arange(n)
-    theta = (2.0 * k + 1.0) * math.pi / (2.0 * n)
-    t = np.cos(theta)
-    x = np.arctanh(np.sqrt(0.5 * (1.0 + t)))
-    half = 0.5 * theta
-    return theta, t, x, np.sin(half), np.cos(half), np.sin(theta)
+def _grid(mode: str, n: int) -> _Nodes:
+    theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
+    sin_h, cos_h = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    # (1-t) = 2 sin^2(theta/2), (1+t) = 2 cos^2(theta/2): no endpoint cancellation
+    pre = {"1": 1.0, "sin_h": sin_h, "cos_h": cos_h, "sin_t": np.sin(theta)}
+    return _Nodes(_to_x(mode, np.cos(theta)), 2.0 * sin_h**2, 2.0 * cos_h**2, theta, pre)
+
+
+def _rule_nodes(params: JacobiParams, mode: str, n: int) -> _Nodes:
+    rule = gauss_jacobi(params, n)
+    t = rule.nodes
+    return _Nodes(_to_x(mode, t), 1.0 - t, 1.0 + t, rule=rule)
 
 
 def sample_grid(mode: str, n: int) -> SampleGrid:
     """The sampling grid used by the fast paths (no endpoint samples)."""
     if n < 1:
         raise ValueError(f"grid size must be positive (got {n})")
-    if mode == "full":
-        theta, _, x, _, _, _ = _full_grid(n)
-    elif mode == "half":
-        theta, _, x, _, _, _ = _half_grid(n)
-    else:
+    if mode not in ("full", "half"):
         raise ValueError(f"mode must be 'full' or 'half' (got {mode!r})")
-    return SampleGrid(theta=theta, x=x, size=n)
+    g = _grid(mode, n)
+    return SampleGrid(theta=g.theta, x=g.x, size=n)
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:
@@ -132,51 +141,42 @@ def _is_half_integer_pair(params: JacobiParams) -> bool:
     return abs(params.alpha) == 0.5 and abs(params.beta) == 0.5
 
 
-def _alternate_signs(c: np.ndarray) -> np.ndarray:
-    c[1::2] *= -1.0
-    return c
+#: (a, b) -> (kind, premultiplier, scale of c_0, scale, halve top): the
+#: orthonormal (a, b) coefficients of F on the N-point grid are
+#: (pi/N) scale * kind(F * premultiplier), with c_0 scaled separately.
+_SQRT_PI = math.sqrt(math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_KERNEL_TABLE = {
+    (-0.5, -0.5): ("DCT-II", "1", 1.0 / _SQRT_PI, _SQRT_2_OVER_PI, False),
+    (0.5, 0.5): ("DST-II", "sin_t", _SQRT_2_OVER_PI, _SQRT_2_OVER_PI, True),
+    (0.5, -0.5): ("DST-IV", "sin_h", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
+    (-0.5, 0.5): ("DCT-IV", "cos_h", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
+}
 
 
-def _fast_full(params: JacobiParams, f, n: int) -> np.ndarray:
-    a, b = params.alpha, params.beta
-    theta, t, x, sin_h, cos_h, sin_t = _full_grid(n)
-    fx = _sample(f, x)
-    # modified function F = f(x) / [(1-t)^{(a+1)/2} (1+t)^{(b+1)/2}],
-    # written in theta to avoid endpoint cancellation:
-    # (1-t) = 2 sin^2(theta/2), (1+t) = 2 cos^2(theta/2)
-    w = 2.0 ** (0.5 * (a + b + 2.0)) * sin_h ** (a + 1.0) * cos_h ** (b + 1.0)
-    F = fx / w
-    scale = math.pi / n
-    if (a, b) == (-0.5, -0.5):
-        y = dct("DCT-II", F)
-        c = scale * y
-        c[0] /= _SQRT_PI
-        c[1:] *= _SQRT_2_OVER_PI
-    elif (a, b) == (0.5, 0.5):
-        y = dct("DST-II", F * sin_t)
+def _modified(params: JacobiParams, mode: str, nodes: _Nodes, fx: np.ndarray) -> np.ndarray:
+    """F = fx / [(1-t)^{(a+1)/2} (1+t)^{(b+1)/2}] in full mode; the half-range
+    map contributes one factor (1+t)^{1/4} less."""
+    lift = 0.5 * (params.beta + 1.0) if mode == "full" else 0.5 * (params.beta + 0.5)
+    return fx / (nodes.one_minus ** (0.5 * (params.alpha + 1.0)) * nodes.one_plus**lift)
+
+
+def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
+    """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of F at the nodes."""
+    if nodes.rule is not None:
+        wF = nodes.rule.weights * F
+        return np.array([q @ wF for q in orthonormal_rows(params, F.size, nodes.rule.nodes)])
+    kind, pre, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
+    y = dct(kind, F * nodes.pre[pre])
+    if halve_top:
         # the m = N-1 integrand contains cos(2N theta), the one frequency the
         # first-kind midpoint rule aliases (onto the constant, doubling the
         # band-limited contribution); halving restores rule exactness
         y[-1] *= 0.5
-        c = scale * _SQRT_2_OVER_PI * y
-    elif (a, b) == (0.5, -0.5):
-        y = dct("DST-IV", F * sin_h)
-        c = (2.0 * scale / _SQRT_PI) * y
-    else:  # (-0.5, 0.5)
-        y = dct("DCT-IV", F * cos_h)
-        c = (2.0 * scale / _SQRT_PI) * y
-    return _alternate_signs(c)
-
-
-def _quadrature_full(params: JacobiParams, f, n: int) -> np.ndarray:
-    rule = gauss_jacobi(params, n)
-    t = rule.nodes
-    x = np.arctanh(t)
-    fx = _sample(f, x)
-    F = fx / ((1.0 - t) ** (0.5 * (params.alpha + 1.0)) * (1.0 + t) ** (0.5 * (params.beta + 1.0)))
-    Q = orthonormal_eval_batch(params, n - 1, t)
-    c = Q @ (rule.weights * F)
-    return _alternate_signs(c)
+    step = math.pi / F.size
+    c = step * scale * y
+    c[0] = step * scale0 * y[0]
+    return c
 
 
 def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
@@ -195,12 +195,11 @@ def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
     fast = _is_half_integer_pair(spec.params)
     if method == "fast" and not fast:
         raise ValueError("fast path requires alpha, beta in {-1/2, +1/2}")
-    if method == "auto":
-        method = "fast" if fast else "quadrature"
-    if method == "fast":
-        c = _fast_full(spec.params, f, n)
-    else:
-        c = _quadrature_full(spec.params, f, n)
+    if method == "quadrature":
+        fast = False
+    nodes = _grid("full", n) if fast else _rule_nodes(spec.params, "full", n)
+    c = _project(spec.params, nodes, _modified(spec.params, "full", nodes, _sample(f, nodes.x)))
+    c[1::2] *= -1.0
     return Expansion(spec=spec, coeffs=c)
 
 
@@ -219,58 +218,19 @@ def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
     if n < 2 or n % 2:
         raise ValueError(f"coefficient count must be even and >= 2 (got {n})")
     a = spec.params.alpha
-    nh = n // 2
-    root2 = math.sqrt(2.0)
-    quarter = 2.0 ** 0.25
-
-    if a in (-0.5, 0.5):
-        grid = _half_grid(nh)
-        theta, t, x, sin_h, cos_h, sin_t = grid
-        fp = _sample(f, x)
-        fm = _sample(f, -x)
-        fe = 0.5 * (fp + fm)
-        fo = 0.5 * (fp - fm)
-        # (1-t) = 2 sin^2(theta/2), (1+t) = 2 cos^2(theta/2)
-        wE = (2.0 * sin_h**2) ** (0.5 * (1.0 + a))
-        FE = fe / wE
-        FO = fo / (wE * root2 * cos_h)
-        scale = math.pi / nh
-        if a == -0.5:
-            y = dct("DCT-II", FE)
-            ce = scale * y
-            ce[0] /= _SQRT_PI
-            ce[1:] *= _SQRT_2_OVER_PI
-            yo = dct("DCT-IV", FO * cos_h)
-            co = (2.0 * scale / _SQRT_PI) * yo
-        else:
-            y = dct("DST-IV", FE * sin_h)
-            ce = (2.0 * scale / _SQRT_PI) * y
-            yo = dct("DST-II", FO * sin_t)
-            yo[-1] *= 0.5  # same top-frequency aliasing fix as the full U path
-            co = scale * _SQRT_2_OVER_PI * yo
-    else:
-        ce = _half_quadrature(JacobiParams(a, -0.5), f, nh, odd=False)
-        co = _half_quadrature(JacobiParams(a, 0.5), f, nh, odd=True)
-
+    fast = a in (-0.5, 0.5)
     c = np.empty(n)
-    c[0::2] = quarter * ce
-    c[1::2] = -quarter * co
+    samples = None
+    # b = -1/2: even part into c_0, c_2, ...; b = +1/2: odd part, negated
+    for b, out in ((-0.5, c[0::2]), (0.5, c[1::2])):
+        par = JacobiParams(a, b)
+        nodes = _grid("half", n // 2) if fast else _rule_nodes(par, "half", n // 2)
+        if samples is None or not fast:  # both fast transforms share one grid
+            samples = _sample(f, nodes.x), _sample(f, -nodes.x)
+        sign = -2.0 * b
+        F = _modified(par, "half", nodes, 0.5 * (samples[0] + sign * samples[1]))
+        out[:] = sign * 2.0**0.25 * _project(par, nodes, F)
     return Expansion(spec=spec, coeffs=c)
-
-
-def _half_quadrature(par: JacobiParams, f, nh: int, odd: bool) -> np.ndarray:
-    a = par.alpha
-    rule = gauss_jacobi(par, nh)
-    t = rule.nodes
-    x = np.arctanh(np.sqrt(0.5 * (1.0 + t)))
-    fp = _sample(f, x)
-    fm = _sample(f, -x)
-    if odd:
-        F = 0.5 * (fp - fm) / ((1.0 - t) ** (0.5 * (1.0 + a)) * np.sqrt(1.0 + t))
-    else:
-        F = 0.5 * (fp + fm) / (1.0 - t) ** (0.5 * (1.0 + a))
-    Q = orthonormal_eval_batch(par, nh - 1, t)
-    return Q @ (rule.weights * F)
 
 
 def analyze_unweighted(f, m_max: int, n: int | None = None) -> np.ndarray:
@@ -286,11 +246,9 @@ def analyze_unweighted(f, m_max: int, n: int | None = None) -> np.ndarray:
         n = max(32, 2 * (m_max + 1))
     if n <= m_max:
         raise ValueError("sample count must exceed m_max")
-    _, _, x, _, _, _ = _full_grid(n)
-    fx = _sample(f, x)
-    y = dct("DCT-II", fx)
-    coeffs = (2.0 / n) * y
-    coeffs[0] /= math.sqrt(2.0)
+    grid = _grid("full", n)
+    # T~_m = sqrt(pi/2) q_m of the Chebyshev-T pair
+    coeffs = _SQRT_2_OVER_PI * _project(JacobiParams(-0.5, -0.5), grid, _sample(f, grid.x))
     return coeffs[: m_max + 1]
 
 

@@ -190,6 +190,19 @@ class TestEvalAndDiff:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "ft"])
+@pytest.mark.parametrize("points", ["nan", "lin:0:inf:3", "inf,-inf", "0,nan"])
+def test_non_finite_points_rejected(tmp_path, capsys, command, points):
+    cf = tmp_path / "c.csv"
+    write_table(str(cf), ("m", "c"), [{"m": 0, "c": 1.0}], "csv")
+    out = tmp_path / "o.csv"
+    code = run(command, "--in", str(cf), "--alpha", "0.0", "--beta", "0.0", f"--points={points}", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestFourierCommand:
     def test_profile(self, tmp_path):
         cf = tmp_path / "c.csv"
@@ -295,6 +308,34 @@ class TestSolve:
         )
         assert code == 2
         assert "singular operator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (0.0, 0.0)])
+    def test_variable_coefficient_needs_chebyshev_t(self, tmp_path, capsys, a, b):
+        # mult_op is the multiplication operator of the (-1/2, -1/2) pair only;
+        # elsewhere the solve returned wrong coefficients with a small residual
+        out = tmp_path / "u.csv"
+        code = run(
+            "solve", "--alpha", str(a), "--beta", str(b), "--n", "256",
+            "--a-fn", "gaussian", "--f-fn", "sech", "--bandwidth", "2", "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Chebyshev-T" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.0, 0.0)])
+    def test_constant_coefficient_any_pair(self, tmp_path, a, b):
+        # a = 1 (gaussian:0) acts as the identity in every basis: u = phi_1
+        # solves u' + u = f for f = -b_0 phi_0 + phi_1 + b_1 phi_2
+        bm = tanhspec.diff_coeffs(tanhspec.JacobiParams(a, b), 2).b
+        f_in = tmp_path / "f.csv"
+        write_table(str(f_in), ("m", "c"), [{"m": 0, "c": -bm[0]}, {"m": 1, "c": 1.0}, {"m": 2, "c": bm[1]}], "csv")
+        out = tmp_path / "u.csv"
+        assert run(
+            "solve", "--alpha", str(a), "--beta", str(b), "--n", "32",
+            "--a-fn", "gaussian:0", "--f-in", str(f_in), "--bandwidth", "2", "--out", str(out),
+        ) == 0
+        assert np.allclose(read_coefficients(str(out)), np.eye(32)[1], atol=1e-12)
 
 
 class TestBasisCommand:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,9 +13,10 @@ from tanhspec import (
     jacobi_eval,
     jacobi_eval_batch,
     jacobi_norm,
+    norm_ratio,
     recurrence_coefficients,
 )
-from tanhspec.jacobi import orthonormal_eval_batch
+from tanhspec.jacobi import jacobi_matrix, orthonormal_eval_batch, orthonormal_rows
 
 from oracles import jacobi_explicit_sum
 
@@ -32,6 +34,27 @@ class TestRecurrence:
         rec = recurrence_coefficients(JacobiParams(0.3, 1.7), 1)
         assert math.isclose(rec.B[0], (1.7 - 0.3) / 4.0, rel_tol=1e-15)
         assert math.isclose(rec.C[0], 2.0 / 4.0, rel_tol=1e-15)
+
+
+class TestOrthonormalRecurrence:
+    @pytest.mark.parametrize("a,b", GRID_PAIRS + [(-0.99, 0.3), (80.0, 80.0)])
+    def test_off_diagonal_against_norm_ratio(self, a, b):
+        # closed form 2 b_m / (a+b+2m+2) against C_m sqrt(g_{m+1}/g_m)
+        p = JacobiParams(a, b)
+        B, off = jacobi_matrix(p, 3000)
+        rec = recurrence_coefficients(p, 3000)
+        want = np.array([rec.C[m] * norm_ratio(p, m, +1) for m in range(3000)])
+        assert np.array_equal(B, rec.B)
+        assert np.max(np.abs(off / want - 1.0)) <= 2e-15
+
+    @pytest.mark.parametrize("a,b", GRID_PAIRS)
+    def test_rows_match_batch(self, a, b):
+        p = JacobiParams(a, b)
+        t = np.linspace(-0.999, 0.999, 41)
+        Q = orthonormal_eval_batch(p, 39, t)
+        rows = np.array(list(orthonormal_rows(p, 40, t)))
+        assert rows.shape == Q.shape
+        assert np.max(np.abs(rows - Q)) <= 1e-12 * np.max(np.abs(Q))
 
 
 class TestJacobiEval:
@@ -140,3 +163,21 @@ class TestGaussJacobi:
             # strict interlacing: each small node sits between consecutive big ones
             for k in range(n):
                 assert big[k] < small[k] < big[k + 1]
+
+    @pytest.mark.parametrize("a,b", [(-0.99, 0.3), (-0.99, -0.99), (80.0, 80.0), (1.3, 0.2), (5.0, 3.0)])
+    def test_moments_against_mpmath(self, a, b):
+        # mu_j = int t^j (1-t)^a (1+t)^b dt, expanding t^j = ((1+t) - 1)^j;
+        # the alternating sum cancels, hence 100 digits
+        n = 40
+        rule = gauss_jacobi(JacobiParams(a, b), n)
+        with mpmath.workdps(100):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            # int (1-t)^a (1+t)^{b+i} dt = 2^{a+b+1+i} B(a+1, b+1+i)
+            shifted = [mpmath.mpf(2) ** (ma + mb + 1 + i) * mpmath.beta(ma + 1, mb + 1 + i) for i in range(2 * n)]
+            mu = [
+                float(mpmath.fsum(mpmath.binomial(j, i) * (-1) ** (j - i) * shifted[i] for i in range(j + 1)))
+                for j in range(2 * n)
+            ]
+        for j in range(2 * n):
+            got = float(np.sum(rule.weights * rule.nodes**j))
+            assert abs(got - mu[j]) <= 1e-12 * mu[0], (j, got, mu[j])

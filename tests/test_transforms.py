@@ -1,6 +1,7 @@
 """Coefficient transforms: kernels, fast/slow equivalence, round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,3 +259,19 @@ class TestAnalyzeUnweighted:
     def test_constant(self):
         got = analyze_unweighted(lambda x: np.ones_like(np.asarray(x)), 2)
         assert np.allclose(got, [math.sqrt(2.0), 0.0, 0.0], atol=1e-14)
+
+
+class TestQuadratureMemory:
+    @pytest.mark.parametrize("spec", [_full(1.3, 0.2), _half(1.3)], ids=["full", "half"])
+    def test_streamed_projection_stays_linear(self, spec):
+        # an n x n Vandermonde at n = 2048 is 32 MiB; the streamed recurrence keeps O(n)
+        analyze = analyze_full if spec.mode == "full" else analyze_half
+        f = lambda x: np.exp(-x * x)
+        analyze(spec, f, 2048)  # first call (grid cache, lazy imports) outside the measurement
+        tracemalloc.start()
+        try:
+            analyze(spec, f, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
