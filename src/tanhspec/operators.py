@@ -12,6 +12,11 @@ the Chebyshev-T basis is the symmetric, banded Toeplitz-plus-Hankel
 operator; its entries are the exact Gram integrals int a phi_i phi_j dx,
 which fixes the T~_0 = 1/sqrt 2 scaling on row/column 0 and a checkerboard
 sign carried over from the (-1)^m in the basis functions.
+
+Every operator is built from that closed form over index arrays: one entry
+rule fills the band diagonal by diagonal, band storage is read and applied
+one stored diagonal at a time, and the banded QR applies each Householder
+reflector to its whole band block as one rank-1 update.
 """
 
 import math
@@ -86,6 +91,24 @@ def dense_diff(d: DiffOp, n: int) -> np.ndarray:
     return out
 
 
+def _entries(a: np.ndarray, i, j):
+    """The MultOp entry rule over broadcast index arrays (i, j): a_k/sqrt 2
+    on row/column 0, a_0/sqrt 2 + a_{2i}/2 on the diagonal and
+    (a_|i-j| + a_{i+j})/2 elsewhere, times the checkerboard sign."""
+
+    def coeff(m):
+        return np.where(m < a.size, a[np.minimum(m, a.size - 1)], 0.0)
+
+    k, s = np.abs(i - j), i + j
+    a_k, a_s = coeff(k), coeff(s)
+    value = np.where(
+        np.minimum(i, j) == 0,
+        a_k * _SQRT1_2,
+        np.where(k == 0, a[0] * _SQRT1_2 + 0.5 * a_s, 0.5 * (a_k + a_s)),
+    )
+    return np.where(s % 2, -value, value)
+
+
 class MultOp:
     """Multiplication by a(x) = sum_{m<=M} a_m T~_m(tanh x) in coefficient space.
 
@@ -113,58 +136,37 @@ class MultOp:
         self.size = size
         self.bandwidth = a.size - 1
 
-    def _a(self, k: int) -> float:
-        return self.a_coeffs[k] if 0 <= k <= self.bandwidth else 0.0
-
     def entry(self, i: int, j: int) -> float:
         if i < 0 or j < 0:
             raise ValueError("indices must be nonnegative")
-        if i > j:
-            i, j = j, i
-        if i == 0:
-            if j == 0:
-                return self._a(0) * _SQRT1_2
-            sign = -1.0 if j % 2 else 1.0
-            return sign * self._a(j) * _SQRT1_2
-        if i == j:
-            return self._a(0) * _SQRT1_2 + 0.5 * self._a(2 * i)
-        sign = -1.0 if (i + j) % 2 else 1.0
-        return sign * 0.5 * (self._a(j - i) + self._a(i + j))
+        return float(_entries(self.a_coeffs, i, j))
+
+    def _band(self, rows: int, cols: int, bw: int) -> "BandedMatrix":
+        """The rows x cols window in band storage with bandwidth bw on both sides."""
+        band = BandedMatrix(rows, cols, bw, bw, np.zeros((2 * bw + 1, cols)))
+        for k, lo, hi in band._diagonals():
+            j = np.arange(lo, hi)
+            band.data[k + bw, lo:hi] = _entries(self.a_coeffs, j + k, j)
+        return band
 
     def apply(self, c) -> np.ndarray:
         """Exact banded action on a coefficient window (no truncation error
         for windows at least as long as the input support plus M)."""
         c = np.asarray(c, dtype=float)
-        n = c.size
-        M = self.bandwidth
-        out = np.zeros(n)
-        for i in range(n):
-            lo = max(0, i - M)
-            hi = min(n - 1, i + M)
-            out[i] = sum(self.entry(i, j) * c[j] for j in range(lo, hi + 1))
-        return out
+        return self._band(c.size, c.size, self.bandwidth).matvec(c)
 
     def dense(self, rows: int | None = None, cols: int | None = None) -> np.ndarray:
         rows = self.size if rows is None else rows
         cols = self.size if cols is None else cols
-        out = np.zeros((rows, cols))
-        for i in range(rows):
-            lo = max(0, i - self.bandwidth)
-            hi = min(cols - 1, i + self.bandwidth)
-            for j in range(lo, hi + 1):
-                out[i, j] = self.entry(i, j)
-        return out
+        return self._band(rows, cols, self.bandwidth).to_dense()
 
     def toeplitz_hankel_parts(self):
         """Sequences (t, h) with entry(i, j) = t_|i-j| + h_{i+j} on i, j >= 1."""
-        M = self.bandwidth
-        t = np.zeros(M + 1)
+        a, top = self.a_coeffs, min(2 * self.size, self.bandwidth + 1)
+        half = np.where(np.arange(a.size) % 2, -0.5, 0.5) * a
+        t = np.concatenate([[a[0] * _SQRT1_2], half[1:]])
         h = np.zeros(2 * self.size)
-        t[0] = self._a(0) * _SQRT1_2
-        for k in range(1, M + 1):
-            t[k] = (-1.0) ** k * 0.5 * self._a(k)
-        for s in range(2, min(2 * self.size, M + 1)):
-            h[s] = (-1.0) ** s * 0.5 * self._a(s)
+        h[2:top] = half[2:top]
         return t, h
 
 
@@ -222,13 +224,17 @@ class BandedMatrix:
             raise IndexError(f"({i}, {j}) lies outside the stored band")
         self.data[i - j + self.upper_bw, j] = value
 
+    def _diagonals(self):
+        """Each stored diagonal k = i - j that meets the matrix, with the
+        column range lo <= j < hi where it lies inside."""
+        for k in range(max(-self.upper_bw, 1 - self.cols), min(self.lower_bw, self.rows - 1) + 1):
+            yield k, max(0, -k), min(self.cols, self.rows - k)
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        for j in range(self.cols):
-            lo = max(0, j - self.upper_bw)
-            hi = min(self.rows - 1, j + self.lower_bw)
-            for i in range(lo, hi + 1):
-                out[i, j] = self.data[i - j + self.upper_bw, j]
+        for k, lo, hi in self._diagonals():
+            j = np.arange(lo, hi)
+            out[j + k, j] = self.data[k + self.upper_bw, lo:hi]
         return out
 
     def matvec(self, v) -> np.ndarray:
@@ -236,10 +242,8 @@ class BandedMatrix:
         if v.size != self.cols:
             raise ValueError(f"vector length {v.size} does not match {self.cols} columns")
         out = np.zeros(self.rows)
-        for j in range(self.cols):
-            lo = max(0, j - self.upper_bw)
-            hi = min(self.rows - 1, j + self.lower_bw)
-            out[lo : hi + 1] += self.data[lo - j + self.upper_bw : hi - j + self.upper_bw + 1, j] * v[j]
+        for k, lo, hi in self._diagonals():
+            out[lo + k : hi + k] += self.data[k + self.upper_bw, lo:hi] * v[lo:hi]
         return out
 
 
@@ -256,18 +260,9 @@ def assemble_first_order(d: DiffOp, mult: MultOp, n: int) -> BandedMatrix:
     rows = n + bw
     if len(d) < rows:
         raise ValueError(f"DiffOp holds {len(d)} couplings, need at least {rows}")
-    out = BandedMatrix.zeros(rows, n, lower_bw=bw, upper_bw=bw)
-    for j in range(n):
-        lo = max(0, j - bw)
-        hi = min(rows - 1, j + bw)
-        for i in range(lo, hi + 1):
-            v = mult.entry(i, j)
-            if i == j + 1:
-                v += d.b[j]
-            elif j == i + 1:
-                v -= d.b[i]
-            if v != 0.0:
-                out.set(i, j, v)
+    out = mult._band(rows, n, bw)
+    out.data[bw + 1, :] += d.b[:n]  # (j + 1, j): +b_j
+    out.data[bw - 1, 1:] -= d.b[: n - 1]  # (j - 1, j): -b_{j-1}
     return out
 
 
@@ -291,40 +286,36 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
         raise ValueError(f"rhs length {b.size} does not match {m} rows")
     lb, ub = mat.lower_bw, mat.upper_bw
     ubw = lb + ub  # upper bandwidth of R after fill-in
-    W = np.zeros((lb + ubw + 1, n))
-    for j in range(n):
-        lo = max(0, j - ub)
-        hi = min(m - 1, j + lb)
-        for i in range(lo, hi + 1):
-            W[i - j + ubw, j] = mat.data[i - j + mat.upper_bw, j]
+    # W[i - k + ubw, k] = A[i, k], padded with ubw zero columns so that the
+    # block A[j + r, j + c] (r <= lb, 1 <= c <= ubw) is W.flat[base[r, c] + j]
+    width = n + ubw
+    W = np.zeros((lb + ubw + 1, width))
+    W[lb:, :n] = mat.data
+    Wf = W.ravel()
+    r, c = np.ogrid[: lb + 1, 1 : ubw + 1]
+    base = (r - c + ubw) * width + c
 
     for j in range(n):
-        i_hi = min(j + lb, m - 1)
-        length = i_hi - j + 1
+        length = min(lb, m - 1 - j) + 1
         if length <= 1:
             continue
-        col = W[ubw : ubw + length, j].copy()
-        normx = math.sqrt(float(col @ col))
+        v = W[ubw : ubw + length, j].copy()
+        normx = math.sqrt(float(v @ v))
         if normx == 0.0:
             continue
-        alpha = -math.copysign(normx, col[0]) if col[0] != 0.0 else -normx
-        v = col
+        alpha = -math.copysign(normx, v[0]) if v[0] != 0.0 else -normx
         v[0] -= alpha
         vnorm2 = float(v @ v)
         if vnorm2 == 0.0:
             continue
         W[ubw, j] = alpha
-        W[ubw + 1 : ubw + length, j] = 0.0
-        for k in range(j + 1, min(j + ubw, n - 1) + 1):
-            off = j - k + ubw
-            y = W[off : off + length, k]
-            coef = 2.0 * float(v @ y) / vnorm2
-            y -= coef * v
+        block = base[:length] + j
+        y = Wf[block]
+        Wf[block] = y - np.outer(v, 2.0 * (v @ y) / vnorm2)
         yb = b[j : j + length]
-        coef = 2.0 * float(v @ yb) / vnorm2
-        yb -= coef * v
+        yb -= 2.0 * float(v @ yb) / vnorm2 * v
 
-    rdiag = np.abs(W[ubw, :])
+    rdiag = np.abs(W[ubw, :n])
     biggest = rdiag.max()
     if biggest == 0.0 or rdiag.min() < rank_tol * biggest:
         worst = int(rdiag.argmin())
@@ -332,14 +323,11 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
             f"rank-deficient system: |R[{worst},{worst}]| = {rdiag.min():.3e} "
             f"below {rank_tol:.1e} of max {biggest:.3e}"
         )
-    x = np.zeros(n)
+    x = np.zeros(width)
     for j in range(n - 1, -1, -1):
-        acc = b[j]
-        for k in range(j + 1, min(j + ubw, n - 1) + 1):
-            acc -= W[j - k + ubw, k] * x[k]
-        x[j] = acc / W[ubw, j]
+        x[j] = (b[j] - Wf[base[0] + j] @ x[j + 1 : j + ubw + 1]) / W[ubw, j]
     tail = b[n:]
-    return x, math.sqrt(float(tail @ tail))
+    return x[:n], math.sqrt(float(tail @ tail))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,8 +344,13 @@ def solve_first_order(d: DiffOp, mult: MultOp, rhs: Expansion, n: int) -> SolveR
     The rectangular banded truncation of L = D + A is factored by
     Householder QR; the reported residual is |L u - f| on the retained
     window.  A multiplication operator that is identically zero is
-    rejected (u' = f alone has no unique solution in L2).
+    rejected (u' = f alone has no unique solution in L2), and so is a
+    right-hand side that is not a full-mode expansion in the basis of d.
     """
+    if rhs.spec.mode != "full":
+        raise ValueError("the solver works on full-mode expansions")
+    if d.params != rhs.spec.params:
+        raise ValueError(f"DiffOp is for {d.params}, right-hand side is in {rhs.spec.params}")
     if not np.any(mult.a_coeffs != 0.0):
         raise ValueError("singular operator: a(x) = 0 leaves u' = f without a unique solution")
     mat = assemble_first_order(d, mult, n)

@@ -83,3 +83,28 @@ def direct_fourier(f, xi: float, halfwidth: float = 42.0) -> complex:
     width = min(1.0, math.pi / (1.0 + abs(xi)))
     val = gauss_panels(lambda x: f(x) * np.exp(-1j * xi * x), -halfwidth, halfwidth, width, npts=24)
     return complex(val) / math.sqrt(TWO_PI)
+
+
+def mult_op_dense(a, rows: int, cols: int) -> np.ndarray:
+    """Dense rows x cols window of multiplication by sum a_m T~_m(tanh x),
+    entry by entry from the formula in the MultOp docstring.
+
+    Each entry uses the same floating-point operations in the same order as
+    the formula states, so an array version of it must agree bitwise.
+    """
+    s = 1.0 / math.sqrt(2.0)
+
+    def coef(k):
+        return float(a[k]) if k < len(a) else 0.0
+
+    out = np.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            sign = -1.0 if (i + j) % 2 else 1.0
+            if i == 0 or j == 0:
+                out[i, j] = sign * coef(i + j) * s
+            elif i == j:
+                out[i, j] = coef(0) * s + 0.5 * coef(2 * i)
+            else:
+                out[i, j] = sign * 0.5 * (coef(abs(i - j)) + coef(i + j))
+    return out

@@ -40,6 +40,21 @@ class TestWeight:
             assert abs(val.imag) <= 1e-15 * abs(val)
             assert val.real > 0.0
 
+    @pytest.mark.parametrize("a,b", [(-0.99, 0.3), (-0.99, -0.99), (80.0, 80.0), (5.0, 3.0)])
+    def test_against_mpmath(self, a, b):
+        # 30-digit C Gamma Gamma, with C from Barnes' lemma (checked against
+        # quadrature in TestNormalisation)
+        xi = np.array([0.0, 0.3, -1.7, 5.0, -20.0, 60.0])
+        got = g_weight(_rep(a, b), xi)
+        with mpmath.workdps(30):
+            p, q = (mpmath.mpf(a) + 1) / 2, (mpmath.mpf(b) + 1) / 2
+            mass = 4 * mpmath.pi * mpmath.gamma(2 * p) * mpmath.gamma(2 * q) * mpmath.gamma(p + q) ** 2
+            mass /= mpmath.gamma(2 * (p + q))
+            for x, g in zip(xi, got):
+                ref = mpmath.gamma(mpmath.mpc(p, x / 2)) * mpmath.gamma(mpmath.mpc(q, -x / 2))
+                ref = complex(ref / mpmath.sqrt(mass))
+                assert abs(g - ref) <= 1e-12 * abs(ref)
+
     def test_parity(self):
         rep = _rep(1.3, 0.2)
         for xi in (0.4, 1.9, 6.0):

@@ -21,7 +21,7 @@ from tanhspec import (
 )
 from tanhspec.operators import BandedMatrix, banded_qr_lstsq
 
-from oracles import fd_derivative, fd_second_derivative
+from oracles import fd_derivative, fd_second_derivative, mult_op_dense
 
 T_PAIR = JacobiParams(-0.5, -0.5)
 T_SPEC = BasisSpec(T_PAIR, "full")
@@ -186,7 +186,61 @@ class TestMultOp:
         assert np.max(np.abs(ab_c - want)) <= 1e-8
 
 
+    @pytest.mark.parametrize("M", [0, 1, 3, 8])
+    @pytest.mark.parametrize("rows,cols", [(12, 12), (7, 15), (20, 5), (1, 4), (3, 1)])
+    def test_dense_matches_entry_oracle_bitwise(self, M, rows, cols):
+        a = np.random.default_rng(M).standard_normal(M + 1)
+        mo = mult_op(a, M, 12)
+        assert np.array_equal(mo.dense(rows, cols), mult_op_dense(a, rows, cols))
+        assert np.array_equal(mo.dense(), mult_op_dense(a, 12, 12))
+        for i, j in ((0, 0), (0, M), (M, 0), (2, 2), (3, 3 + M), (5, 1)):
+            assert mo.entry(i, j) == mult_op_dense(a, i + 1, j + 1)[i, j]
+
+    @pytest.mark.parametrize("M", [0, 1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 5, 24, 40])
+    def test_apply_matches_entry_oracle(self, M, n):
+        # the window length n need not equal the operator size
+        rng = np.random.default_rng(100 + M)
+        a = rng.standard_normal(M + 1)
+        c = rng.standard_normal(n)
+        want = mult_op_dense(a, n, n) @ c
+        got = mult_op(a, M, 24).apply(c)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestBandedMatrix:
+    @pytest.mark.parametrize("rows,cols,lb,ub", [(9, 7, 2, 1), (5, 8, 1, 3), (6, 6, 0, 0), (4, 4, 5, 5)])
+    def test_to_dense_and_matvec_agree_with_get(self, rows, cols, lb, ub):
+        rng = np.random.default_rng(rows * cols + lb)
+        mat = BandedMatrix.zeros(rows, cols, lb, ub)
+        # fill every stored slot, including those that fall outside the
+        # matrix, which to_dense and matvec must ignore
+        mat.data[:] = rng.standard_normal(mat.data.shape)
+        dense = mat.to_dense()
+        v = rng.standard_normal(cols)
+        got = mat.matvec(v)
+        for i in range(rows):
+            for j in range(cols):
+                assert dense[i, j] == mat.get(i, j)
+            want = math.fsum(mat.get(i, j) * v[j] for j in range(cols))
+            assert abs(got[i] - want) <= 1e-14 * max(1.0, np.abs(dense[i]) @ np.abs(v))
+
+
 class TestAssemble:
+    @pytest.mark.parametrize("M", [0, 1, 3, 8])
+    def test_matches_entry_oracle_bitwise(self, M):
+        n = 20
+        a = np.random.default_rng(50 + M).standard_normal(M + 1)
+        bw = max(1, M)
+        d = diff_coeffs(T_PAIR, n + bw)
+        want = mult_op_dense(a, n + bw, n)
+        j = np.arange(n)
+        want[j + 1, j] += d.b[:n]
+        want[j[1:] - 1, j[1:]] -= d.b[: n - 1]
+        L = assemble_first_order(d, mult_op(a, M, n), n)
+        assert (L.lower_bw, L.upper_bw) == (bw, bw)
+        assert np.array_equal(L.to_dense(), want)
+
     def test_pure_differentiation_band(self):
         d = diff_coeffs(T_PAIR, 10)
         zero_mult = mult_op([0.0], 0, 8)
@@ -219,10 +273,22 @@ class TestAssemble:
 
 
 class TestBandedQR:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_against_dense_lstsq(self, seed):
+    @pytest.mark.parametrize(
+        "seed,rows,cols,lb,ub",
+        [
+            pytest.param(0, 40, 36, 3, 2, id="0"),
+            pytest.param(1, 40, 36, 3, 2, id="1"),
+            pytest.param(2, 40, 36, 3, 2, id="2"),
+            pytest.param(3, 30, 30, 0, 3, id="lb0"),
+            pytest.param(4, 33, 30, 3, 0, id="ub0"),
+            pytest.param(5, 25, 25, 2, 2, id="square"),
+            pytest.param(6, 60, 50, 9, 7, id="wide-band"),
+            # rows < cols + lb: the last reflectors are cut off by the bottom
+            pytest.param(7, 32, 30, 5, 1, id="truncated-reflector"),
+        ],
+    )
+    def test_against_dense_lstsq(self, seed, rows, cols, lb, ub):
         rng = np.random.default_rng(seed)
-        rows, cols, lb, ub = 40, 36, 3, 2
         mat = BandedMatrix.zeros(rows, cols, lb, ub)
         for j in range(cols):
             for i in range(max(0, j - ub), min(rows, j + lb + 1)):
@@ -248,6 +314,18 @@ class TestSolveFirstOrder:
         rhs = Expansion(T_SPEC, np.zeros(16))
         with pytest.raises(ValueError, match="singular operator"):
             solve_first_order(d, mo, rhs, 16)
+
+    def test_basis_mismatch_rejected(self):
+        d = diff_coeffs(JacobiParams(0.5, 0.5), 20)
+        rhs = Expansion(T_SPEC, np.ones(16))
+        with pytest.raises(ValueError, match="DiffOp is for"):
+            solve_first_order(d, mult_op([1.0], 0, 16), rhs, 16)
+
+    def test_half_mode_rhs_rejected(self):
+        d = diff_coeffs(T_PAIR, 20)
+        rhs = Expansion(BasisSpec(T_PAIR, "half"), np.ones(16))
+        with pytest.raises(ValueError, match="full-mode"):
+            solve_first_order(d, mult_op([1.0], 0, 16), rhs, 16)
 
     def test_manufactured_solution(self):
         # u = sech^{1/2} x tanh x, a = 1, f = u' + u; u is exactly

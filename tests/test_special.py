@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import eval_jacobi, loggamma as scipy_loggamma
 
 from tanhspec import JacobiParams, jacobi_norm, log_gamma_complex, log_gamma_real, norm_ratio
+from tanhspec.special import log_jacobi_norm
 
 PARAM_GRID = [-0.9, -0.5, 0.0, 0.5, 2.0, 7.3]
 
@@ -131,6 +132,21 @@ class TestJacobiNorm:
         p = JacobiParams(a, b)
         for m in (0, 1, 2, 5, 9):
             assert math.isclose(jacobi_norm(p, m), _norm_quadrature(a, b, m), rel_tol=1e-8)
+
+    @pytest.mark.parametrize("a,b", [(-0.99, 0.3), (-0.99, -0.99), (80.0, 80.0), (5.0, 3.0)])
+    def test_against_mpmath(self, a, b):
+        # 30-digit Gamma closed form; math.lgamma near 280 is off by about
+        # 1e-13 absolute, which sets the tolerance
+        p = JacobiParams(a, b)
+        with mpmath.workdps(30):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            for m in (0, 1, 2, 7, 40, 200):
+                ref = (
+                    2 ** (ma + mb + 1) * mpmath.gamma(m + ma + 1) * mpmath.gamma(m + mb + 1)
+                    / (mpmath.factorial(m) * (2 * m + ma + mb + 1) * mpmath.gamma(m + ma + mb + 1))
+                )
+                assert abs(log_jacobi_norm(p, m) - float(mpmath.log(ref))) <= 1e-12
+                assert math.isclose(jacobi_norm(p, m), float(ref), rel_tol=1e-12)
 
     def test_positive_to_degree_200(self):
         for a in PARAM_GRID:
