@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .special import JacobiParams, log_jacobi_norm
 
@@ -186,6 +185,16 @@ def chebyshev_eval(kind: str, m: int, theta: float) -> float:
             return float((-1) ** m * (2 * m + 1))
         return math.cos((m + 0.5) * theta) / math.cos(0.5 * theta)
     raise ValueError(f"kind must be one of T, U, V, W (got {kind!r})")
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported at first call rather than with the package.
+
+    A module-level name, so that a profiler can time the eigensolve on its own.
+    """
+    from scipy import linalg
+
+    return linalg.eigh_tridiagonal(d, e, **kwargs)
 
 
 def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:

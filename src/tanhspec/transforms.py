@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as _sfft
 
 from .basis import BasisSpec, Expansion, clenshaw_eval
 from .jacobi import QuadratureRule, gauss_jacobi, orthonormal_rows
@@ -38,13 +37,14 @@ __all__ = [
 #:   DST-I : y_m = sum_n x_n sin(pi (m+1)(n+1) / (N+1))
 #:   DST-II: y_m = sum_n x_n sin(pi (m+1)(2n+1) / (2N))
 #:   DST-IV: y_m = sum_n x_n sin(pi (2m+1)(2n+1) / (4N))
+#: each mapped to the scipy.fft function and its type.
 _KERNELS = {
-    "DCT-I": (_sfft.dct, 1),
-    "DCT-II": (_sfft.dct, 2),
-    "DCT-IV": (_sfft.dct, 4),
-    "DST-I": (_sfft.dst, 1),
-    "DST-II": (_sfft.dst, 2),
-    "DST-IV": (_sfft.dst, 4),
+    "DCT-I": ("dct", 1),
+    "DCT-II": ("dct", 2),
+    "DCT-IV": ("dct", 4),
+    "DST-I": ("dst", 1),
+    "DST-II": ("dst", 2),
+    "DST-IV": ("dst", 4),
 }
 
 
@@ -53,6 +53,7 @@ def dct(kind: str, data) -> np.ndarray:
 
     The FFT backend is O(N log N) for every length (mixed radix); the
     backend's convention is exactly twice each sum, hence the 0.5 factor.
+    scipy.fft is imported here, at first use, not with the package.
     """
     key = kind.upper()
     if key not in _KERNELS:
@@ -62,8 +63,10 @@ def dct(kind: str, data) -> np.ndarray:
         raise ValueError("data must be a nonempty 1-d sequence")
     if key == "DCT-I" and x.size < 2:
         raise ValueError("DCT-I requires at least two samples")
-    fn, typ = _KERNELS[key]
-    return 0.5 * fn(x, type=typ)
+    from scipy import fft
+
+    name, typ = _KERNELS[key]
+    return 0.5 * getattr(fft, name)(x, type=typ)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,23 +97,40 @@ def _to_x(mode: str, t: np.ndarray) -> np.ndarray:
     return np.arctanh(t) if mode == "full" else np.arctanh(np.sqrt(0.5 * (1.0 + t)))
 
 
+def _read_only(nodes: _Nodes) -> _Nodes:
+    """Mark every array of a cached node set read-only: all callers share it."""
+    arrays = [nodes.x, nodes.one_minus, nodes.one_plus, nodes.theta, *(nodes.pre or {}).values()]
+    if nodes.rule is not None:
+        arrays += [nodes.rule.nodes, nodes.rule.weights]
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return nodes
+
+
 @lru_cache(maxsize=64)
 def _grid(mode: str, n: int) -> _Nodes:
     theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
     sin_h, cos_h = np.sin(0.5 * theta), np.cos(0.5 * theta)
     # (1-t) = 2 sin^2(theta/2), (1+t) = 2 cos^2(theta/2): no endpoint cancellation
     pre = {"1": 1.0, "sin_h": sin_h, "cos_h": cos_h, "sin_t": np.sin(theta)}
-    return _Nodes(_to_x(mode, np.cos(theta)), 2.0 * sin_h**2, 2.0 * cos_h**2, theta, pre)
+    return _read_only(_Nodes(_to_x(mode, np.cos(theta)), 2.0 * sin_h**2, 2.0 * cos_h**2, theta, pre))
 
 
+@lru_cache(maxsize=16)
 def _rule_nodes(params: JacobiParams, mode: str, n: int) -> _Nodes:
+    # one O(n^2) Golub-Welsch rule serves every function expanded at this
+    # (params, mode, n); an entry holds five length-n arrays (40 n bytes)
     rule = gauss_jacobi(params, n)
     t = rule.nodes
-    return _Nodes(_to_x(mode, t), 1.0 - t, 1.0 + t, rule=rule)
+    return _read_only(_Nodes(_to_x(mode, t), 1.0 - t, 1.0 + t, rule=rule))
 
 
 def sample_grid(mode: str, n: int) -> SampleGrid:
-    """The sampling grid used by the fast paths (no endpoint samples)."""
+    """The sampling grid used by the fast paths (no endpoint samples).
+
+    Its arrays are the transforms' cached ones and are read-only.
+    """
     if n < 1:
         raise ValueError(f"grid size must be positive (got {n})")
     if mode not in ("full", "half"):

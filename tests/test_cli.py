@@ -366,6 +366,50 @@ class TestBasisCommand:
             assert 1.0 - 1e-6 <= mass <= 1.0 + 1e-12
 
 
+# runs one CLI command, then prints the scipy modules the process loaded as its last stdout line
+_SCIPY_AFTER = (
+    "import json, sys; from tanhspec.cli import main; code = main(sys.argv[1:]); "
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); sys.exit(code)"
+)
+
+
+def _scipy_loaded_by(*argv, code=0):
+    p = _python("-c", _SCIPY_AFTER, *argv)
+    assert p.returncode == code, p.stderr
+    return set(json.loads(p.stdout.splitlines()[-1]))
+
+
+class TestScipyImportContract:
+    """scipy is imported by the code that uses it, so a run loads only what it needs."""
+
+    def test_import_loads_no_scipy(self):
+        p = _python("-c", "import sys, tanhspec.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv,code", [
+        ("eval --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-3:3:7", 0),
+        ("diff --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-3:3:7", 0),
+        ("basis --alpha -0.5 --beta -0.5 --m-list 0,1,4 --points lin:-3:3:7", 0),
+        ("ft --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-5:5:11", 0),
+        ("expand --alpha -1 --beta 0 --n 16 --fn sech", 2),
+    ], ids=["eval", "diff", "basis", "ft", "usage-error"])
+    def test_commands_without_scipy(self, tmp_path, argv, code):
+        _, coeffs = _expand_sech(tmp_path)
+        assert _scipy_loaded_by(*(a.format(coeffs=coeffs) for a in argv.split()), code=code) == set()
+
+    def test_fast_expand_loads_fft_not_linalg(self, tmp_path):
+        loaded = _scipy_loaded_by("expand", "--fn", "sech", "--alpha", "0.5", "--beta", "-0.5",
+                                  "--n", "64", "--out", str(tmp_path / "c.csv"))
+        assert "scipy.fft" in loaded
+        assert "scipy.linalg" not in loaded
+
+    def test_quadrature_expand_loads_linalg(self, tmp_path):
+        loaded = _scipy_loaded_by("expand", "--fn", "sech", "--alpha", "0", "--beta", "0",
+                                  "--n", "16", "--out", str(tmp_path / "c.csv"))
+        assert "scipy.linalg" in loaded
+
+
 class TestTablesAndDeterminism:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_roundtrip_exact(self, tmp_path, fmt):

@@ -80,6 +80,37 @@ class TestLogGammaComplex:
                     mine = log_gamma_complex(complex(re, im))
                     assert abs(cmath.exp(mine - ref) - 1.0) <= 4e-15 * (1.0 + abs(ref))
 
+    def test_against_scipy_on_every_branch(self):
+        # dense sample over the Stirling, Taylor (about 1 and 2), reflection
+        # and recurrence regions, in both half-planes and on the real axis
+        rng = np.random.default_rng(5)
+        disc = lambda c: c + 0.25 * (rng.uniform(-1.0, 1.0, 500) + 1j * rng.uniform(-1.0, 1.0, 500))
+        z = np.concatenate([
+            rng.uniform(-12.0, 14.0, 4000) + 1j * rng.uniform(-15.0, 15.0, 4000),
+            disc(1.0),
+            disc(2.0),
+            rng.uniform(-9.0, 12.0, 500) + 0j,
+        ])
+        z = z[~((z.imag == 0) & (z.real <= 0) & (z.real == np.floor(z.real)))]
+        ref = scipy_loggamma(z)
+        got = log_gamma_complex(z)
+        assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+        assert np.array_equal(log_gamma_complex(z.conjugate()), got.conjugate())
+
+    def test_signed_zero_picks_the_side_of_the_cut(self):
+        # on the negative real axis the sign of a zero imaginary part picks
+        # the limit from above or below, as in scipy
+        for x in (-0.3, -2.5, -7.25):
+            above, below = log_gamma_complex(complex(x, 0.0)), log_gamma_complex(complex(x, -0.0))
+            ref = complex(scipy_loggamma(complex(x, 0.0)))
+            assert abs(above - ref) <= 1e-13 * (1.0 + abs(ref))
+            assert below == above.conjugate() and above.imag != 0.0
+
+    def test_non_finite_gives_nan(self):
+        for bad in (complex(math.inf, 0.0), complex(1.0, math.nan), complex(-math.inf, 2.0)):
+            got = log_gamma_complex(bad)
+            assert math.isnan(got.real) and math.isnan(got.imag)
+
     def test_array_matches_scalar_calls(self):
         z = np.array([[0.3 + 2.0j, -2.5 - 1.0j], [7.0 + 0.0j, 0.5 - 40.0j]])
         got = log_gamma_complex(z)

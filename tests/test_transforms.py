@@ -20,6 +20,7 @@ from tanhspec import (
     sample_grid,
     synthesize,
 )
+from tanhspec import transforms as transforms_mod
 
 from oracles import naive_trig_transform
 
@@ -275,3 +276,69 @@ class TestQuadratureMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """Gauss-Jacobi rules built through the transforms, from an empty rule cache."""
+    calls = []
+
+    def counted(params, n):
+        calls.append((params.alpha, params.beta, n))
+        return gauss_jacobi(params, n)
+
+    transforms_mod._rule_nodes.cache_clear()
+    monkeypatch.setattr(transforms_mod, "gauss_jacobi", counted)
+    yield calls
+    transforms_mod._rule_nodes.cache_clear()
+
+
+class TestNodeCaches:
+    FUNCS = [lambda x: np.exp(-x * x), lambda x: 1.0 / np.cosh(x), lambda x: np.tanh(x) / np.cosh(2.0 * x)]
+
+    def test_one_rule_per_full_key(self, rule_calls):
+        for f in self.FUNCS:
+            analyze_full(_full(1.3, 0.2), f, 32)
+        assert rule_calls == [(1.3, 0.2, 32)]
+
+    def test_two_rules_per_half_key(self, rule_calls):
+        for f in self.FUNCS:
+            analyze_half(_half(1.3), f, 32)
+        assert sorted(rule_calls) == [(1.3, -0.5, 16), (1.3, 0.5, 16)]
+
+    def test_other_mode_size_or_pair_misses(self, rule_calls):
+        f = self.FUNCS[0]
+        analyze_full(_full(1.3, -0.5), f, 16)
+        analyze_half(_half(1.3), f, 32)  # (1.3, -1/2) at 16 nodes again, but half mode
+        analyze_full(_full(1.3, -0.5), f, 24)
+        analyze_full(_full(-0.5, 1.3), f, 16)
+        assert rule_calls == [(1.3, -0.5, 16), (1.3, -0.5, 16), (1.3, 0.5, 16), (1.3, -0.5, 24), (-0.5, 1.3, 16)]
+
+    @pytest.mark.parametrize("spec", [_full(1.3, 0.2), _half(1.3), _full(0.5, -0.5), _half(-0.5)],
+                             ids=["full-quad", "half-quad", "full-fast", "half-fast"])
+    def test_cached_run_bitwise_equals_cold_run(self, spec, rule_calls):
+        analyze = analyze_full if spec.mode == "full" else analyze_half
+        cold = []
+        for f in self.FUNCS:
+            transforms_mod._rule_nodes.cache_clear()
+            transforms_mod._grid.cache_clear()
+            cold.append(analyze(spec, f, 32).coeffs)
+        warm = [analyze(spec, f, 32).coeffs for f in self.FUNCS]  # one cached rule or grid serves all
+        for c, w in zip(cold, warm):
+            assert c.tobytes() == w.tobytes()
+
+    def test_cached_arrays_are_read_only(self, rule_calls):
+        spec = _full(-0.5, -0.5)
+        f = self.FUNCS[1]
+        before = analyze_full(spec, f, 16).coeffs
+        with pytest.raises(ValueError, match="read-only"):
+            sample_grid("full", 16).x[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sample_grid("half", 16).theta[0] = 0.0
+        assert analyze_full(spec, f, 16).coeffs.tobytes() == before.tobytes()
+        grid = transforms_mod._grid("full", 16)
+        rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), "full", 16)
+        arrays = [*grid[:4], *(v for v in grid.pre.values() if isinstance(v, np.ndarray)),
+                  *rule[:3], rule.rule.nodes, rule.rule.weights]
+        assert len(arrays) == 12
+        assert not any(a.flags.writeable for a in arrays)
