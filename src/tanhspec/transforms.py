@@ -2,7 +2,7 @@
 
 For the four half-integer parameter pairs the coefficient integrals reduce
 to cosine/sine sums over the first-kind Chebyshev angles
-theta_k = (2k+1) pi / (2N), evaluated with FFT-based kernels in
+theta_k = (2k+1) pi / (2N), evaluated with kernels on numpy.fft in
 O(N log N); every other parameter pair goes through an N-point
 Gauss-Jacobi rule in O(N^2).  Both routes approximate the same integrals
 (quadrature semantics, no endpoint samples), so they agree to rounding on
@@ -37,36 +37,77 @@ __all__ = [
 #:   DST-I : y_m = sum_n x_n sin(pi (m+1)(n+1) / (N+1))
 #:   DST-II: y_m = sum_n x_n sin(pi (m+1)(2n+1) / (2N))
 #:   DST-IV: y_m = sum_n x_n sin(pi (2m+1)(2n+1) / (4N))
-#: each mapped to the scipy.fft function and its type.
-_KERNELS = {
-    "DCT-I": ("dct", 1),
-    "DCT-II": ("dct", 2),
-    "DCT-IV": ("dct", 4),
-    "DST-I": ("dst", 1),
-    "DST-II": ("dst", 2),
-    "DST-IV": ("dst", 4),
-}
+_KINDS = ("DCT-I", "DCT-II", "DCT-IV", "DST-I", "DST-II", "DST-IV")
+
+
+@lru_cache(maxsize=64)
+def _twiddles(kind: str, n: int) -> tuple[np.ndarray, ...]:
+    """exp(-i pi p / (2n)), and for DCT-IV also exp(-i pi (2p+1) / (4n)), at the
+    positions p that one FFT serves: DCT-II's outputs 0..n/2; DCT-IV's even
+    positions for even n (half-length FFT), all of them for odd n."""
+    if kind == "DCT-II":
+        p = np.arange(n // 2 + 1)
+        tw = (np.exp(-0.5j * math.pi / n * p),)
+    else:
+        p = np.arange(0, n, 2) if n % 2 == 0 else np.arange(n)
+        tw = np.exp(-0.5j * math.pi / n * p), np.exp(-0.25j * math.pi / n * (2 * p + 1))
+    for a in tw:
+        a.flags.writeable = False
+    return tw
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    # Makhoul: reorder to [x0, x2, x4, ..., x5, x3, x1], one real FFT, twiddle;
+    # outputs above n/2 are minus the imaginary parts, in reverse
+    n = x.size
+    w = np.fft.rfft(np.concatenate((x[0::2], x[1::2][::-1]))) * _twiddles("DCT-II", n)[0]
+    y = np.empty(n)
+    y[: w.size] = w.real
+    y[w.size :] = -w.imag[n - w.size : 0 : -1]
+    return y
+
+
+def _dct4(x: np.ndarray) -> np.ndarray:
+    n = x.size
+    pre, post = _twiddles("DCT-IV", n)
+    if n % 2:
+        # one zero-padded FFT of length 2n: y_m = Re post_m sum_j pre_j x_j e^{-2 pi i mj/(2n)}
+        return (np.fft.fft(x * pre, 2 * n)[:n] * post).real
+    # x_{2j} + i x_{n-1-2j} in one FFT of length n/2 gives y_{2m} (real
+    # part) and y_{n-1-2m} (minus the imaginary part)
+    w = np.fft.fft((x[0::2] + 1j * x[::-1][0::2]) * pre) * post
+    y = np.empty(n)
+    y[0::2] = w.real
+    y[::-1][0::2] = -w.imag
+    return y
 
 
 def dct(kind: str, data) -> np.ndarray:
     """Trigonometric transform of `data` per the defining sums above.
 
-    The FFT backend is O(N log N) for every length (mixed radix); the
-    backend's convention is exactly twice each sum, hence the 0.5 factor.
-    scipy.fft is imported here, at first use, not with the package.
+    Each kind is one numpy FFT plus O(N) work, for every length.  DST-II and
+    DST-IV are the cosine kernels of the sign-alternated input, read in
+    reverse: DST-k(x)_m = DCT-k((-1)^j x_j)_{N-1-m}.  DCT-I and DST-I are
+    real FFTs of the even and odd extensions.
     """
     key = kind.upper()
-    if key not in _KERNELS:
+    if key not in _KINDS:
         raise ValueError(f"unknown transform kind {kind!r}")
     x = np.asarray(data, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("data must be a nonempty 1-d sequence")
-    if key == "DCT-I" and x.size < 2:
-        raise ValueError("DCT-I requires at least two samples")
-    from scipy import fft
-
-    name, typ = _KERNELS[key]
-    return 0.5 * getattr(fft, name)(x, type=typ)
+    if key == "DCT-I":
+        if x.size < 2:
+            raise ValueError("DCT-I requires at least two samples")
+        return 0.5 * np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
+    if key == "DST-I":
+        return -0.5 * np.fft.rfft(np.concatenate(([0.0], x, [0.0], -x[::-1])))[1:-1].imag
+    kernel = _dct2 if key.endswith("-II") else _dct4
+    if key.startswith("DCT"):
+        return kernel(x)
+    z = x.copy()
+    z[1::2] *= -1.0
+    return kernel(z)[::-1]
 
 
 @dataclass(frozen=True, eq=False)

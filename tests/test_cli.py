@@ -393,21 +393,20 @@ class TestScipyImportContract:
         ("basis --alpha -0.5 --beta -0.5 --m-list 0,1,4 --points lin:-3:3:7", 0),
         ("ft --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-5:5:11", 0),
         ("expand --alpha -1 --beta 0 --n 16 --fn sech", 2),
-    ], ids=["eval", "diff", "basis", "ft", "usage-error"])
+        ("expand --alpha 0.5 --beta -0.5 --n 64 --fn sech --out {out}", 0),
+        ("expand --alpha 0.5 --beta 0.5 --mode half --n 64 --fn sech --out {out}", 0),
+        ("solve --alpha -0.5 --beta -0.5 --n 64 --a-fn gaussian:0.5 --f-fn sech --bandwidth 4 --out {out}", 0),
+    ], ids=["eval", "diff", "basis", "ft", "usage-error", "expand-fast", "expand-half-fast", "solve-fast"])
     def test_commands_without_scipy(self, tmp_path, argv, code):
         _, coeffs = _expand_sech(tmp_path)
-        assert _scipy_loaded_by(*(a.format(coeffs=coeffs) for a in argv.split()), code=code) == set()
-
-    def test_fast_expand_loads_fft_not_linalg(self, tmp_path):
-        loaded = _scipy_loaded_by("expand", "--fn", "sech", "--alpha", "0.5", "--beta", "-0.5",
-                                  "--n", "64", "--out", str(tmp_path / "c.csv"))
-        assert "scipy.fft" in loaded
-        assert "scipy.linalg" not in loaded
+        argv = [a.format(coeffs=coeffs, out=tmp_path / "out.csv") for a in argv.split()]
+        assert _scipy_loaded_by(*argv, code=code) == set()
 
     def test_quadrature_expand_loads_linalg(self, tmp_path):
         loaded = _scipy_loaded_by("expand", "--fn", "sech", "--alpha", "0", "--beta", "0",
                                   "--n", "16", "--out", str(tmp_path / "c.csv"))
         assert "scipy.linalg" in loaded
+        assert "scipy.fft" not in loaded
 
 
 class TestTablesAndDeterminism:

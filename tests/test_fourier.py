@@ -190,14 +190,17 @@ class TestCarlitzPolynomials:
 
     def test_orthonormality_quadrature(self):
         rep = _rep(0.5, 0.5)
+        # the integrand takes the density of a whole panel in one array call;
+        # the scalar path must give the same values bit for bit
+        xi = np.linspace(-40.0, 40.0, 2001)
+        assert np.array_equal(measure_density(rep, xi), [measure_density(rep, float(x)) for x in xi])
         cut = _tail_cut(1.0)
         for i in range(0, 11, 2):
             for j in range(i, 11, 3):
 
                 def integrand(xi):
                     xi = np.atleast_1d(xi)
-                    dens = np.array([measure_density(rep, float(x)) for x in xi])
-                    return carlitz_eval(rep, i, xi) * carlitz_eval(rep, j, xi) * dens
+                    return carlitz_eval(rep, i, xi) * carlitz_eval(rep, j, xi) * measure_density(rep, xi)
 
                 val = gauss_panels(integrand, -cut, cut, 0.5, npts=20)
                 want = 1.0 if i == j else 0.0

@@ -49,14 +49,42 @@ class TestTrigKernels:
     def test_zero_vector(self):
         assert np.allclose(dct("DST-II", np.zeros(4)), 0.0)
 
+    # odd and even n take different DCT-IV routes (zero-padded length-2n FFT
+    # against a half-length one); 1, 2 and 127 also hit the edges of the
+    # DCT-II output split and of the DCT-I / DST-I extensions
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("n", [3, 64, 96])
+    @pytest.mark.parametrize("n", [3, 64, 96, 1, 2, 4, 5, 127])
     def test_naive_oracle(self, kind, n):
+        if kind == "DCT-I" and n == 1:
+            pytest.skip("DCT-I needs two samples (test_dct1_needs_two_samples)")
         rng = np.random.default_rng(hash(kind) % 2**32)
         x = rng.standard_normal(n)
         got = dct(kind, x)
         want = naive_trig_transform(kind, x)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+    def test_scipy_oracle_large(self, n):
+        from scipy import fft
+
+        x = np.random.default_rng(n).standard_normal(n)
+        for kind in ALL_KINDS:
+            name, typ = kind[:3].lower(), {"I": 1, "II": 2, "IV": 4}[kind[4:]]
+            want = 0.5 * getattr(fft, name)(x, type=typ)
+            got = dct(kind, x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kind
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_input_untouched_and_twiddles_read_only(self, n):
+        x = np.random.default_rng(7).standard_normal(n)
+        before = x.copy()
+        for kind in ALL_KINDS:
+            dct(kind, x)
+        assert np.array_equal(x, before)
+        for kind in ("DCT-II", "DCT-IV"):
+            for tw in transforms_mod._twiddles(kind, n):
+                with pytest.raises(ValueError):
+                    tw[0] = 0.0
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
