@@ -37,7 +37,7 @@ from .operators import (
     mult_op,
     solve_first_order,
 )
-from .special import JacobiParams, jacobi_norm, log_gamma_complex, log_gamma_real, norm_ratio
+from .special import JacobiParams, jacobi_norm, log_gamma_complex, norm_ratio
 from .transforms import SampleGrid, analyze_full, analyze_half, analyze_unweighted, dct, sample_grid, synthesize
 
 __version__ = "0.1.0"
@@ -75,7 +75,6 @@ __all__ = [
     "jacobi_eval_batch",
     "jacobi_norm",
     "log_gamma_complex",
-    "log_gamma_real",
     "measure_density",
     "mult_op",
     "norm_ratio",

@@ -118,14 +118,17 @@ def g_weight(rep: FourierRep, xi):
     """Complex weight g(xi) = C Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2).
 
     Has even real part and odd imaginary part in xi; real and even when
-    alpha = beta.
+    alpha = beta.  Raises ValueError if any xi is not finite.
     """
     out = rep.normalisation * np.exp(_log_gamma_pair(rep.params, xi))
     return complex(out) if np.ndim(xi) == 0 else out
 
 
 def measure_density(rep: FourierRep, xi):
-    """|g(xi)|^2, the density of the unit-mass orthogonality measure."""
+    """|g(xi)|^2, the density of the unit-mass orthogonality measure.
+
+    Raises ValueError if any xi is not finite.
+    """
     out = rep.normalisation**2 * np.exp(2.0 * _log_gamma_pair(rep.params, xi).real)
     return float(out) if np.ndim(xi) == 0 else out
 
@@ -161,7 +164,7 @@ def fourier_transform(e: Expansion, xi_points, count: int | None = None) -> np.n
     sum_m i^m c_m p_m(xi); the result is g(xi) times that sum under the
     e^{-i x xi} transform convention.  Only full-mode expansions are
     accepted (half-mode coefficients describe the same functions, convert
-    first).
+    first).  Raises ValueError if any xi is not finite.
     """
     if e.spec.mode != "full":
         raise ValueError("Fourier transform is defined for full-mode expansions")
