@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import couplings, jacobi_eval_batch, jacobi_matrix
+from .jacobi import couplings, jacobi_eval, jacobi_matrix
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
@@ -139,7 +139,7 @@ def phi_full(spec: BasisSpec, m: int, x):
         raise ValueError(f"degree must be nonnegative (got {m})")
     pts, scalar = _as_points(x)
     t = np.tanh(pts)
-    poly = jacobi_eval_batch(spec.params, m, t)[m]
+    poly = jacobi_eval(spec.params, m, t)
     logw = _log_weight_full(spec.params, pts) - 0.5 * log_jacobi_norm(spec.params, m)
     vals = poly * np.exp(logw)
     if m % 2:
@@ -166,13 +166,13 @@ def phi_half(spec: BasisSpec, m: int, x):
     if m % 2 == 0:
         k = m // 2
         par = JacobiParams(a, -0.5)
-        poly = jacobi_eval_batch(par, k, u)[k]
+        poly = jacobi_eval(par, k, u)
         log_amp = (0.25 * (2.0 * a + 1.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
         vals = poly * np.exp(log_amp)
     else:
         k = (m - 1) // 2
         par = JacobiParams(a, 0.5)
-        poly = jacobi_eval_batch(par, k, u)[k]
+        poly = jacobi_eval(par, k, u)
         log_amp = (0.25 * (2.0 * a + 3.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
         vals = -np.tanh(pts) * poly * np.exp(log_amp)
     return _ret(vals, scalar)
@@ -209,16 +209,22 @@ def clenshaw_eval(e: Expansion, x):
     t = np.tanh(pts)
     # signed orthonormal recurrence q~_{m+1} = ((B_m - t) q~_m - e_{m-1} q~_{m-1}) / e_m
     B, off = jacobi_matrix(params, n)
-    beta = np.zeros(n)
-    beta[1:] = -off[:-1] / off[1:]
+    ratio = (-off[:-1] / off[1:]).tolist()
+    B, off, c = B.tolist(), off.tolist(), e.coeffs.tolist()
+    # u_k = c_k + (B_k - t) / e_k u_{k+1} + ratio_k u_{k+2}, ratio_k = -e_k / e_{k+1};
+    # each step writes u_k into the spare array w, then the three rotate
     u1 = np.zeros_like(t)
     u2 = np.zeros_like(t)
+    w = np.empty_like(t)
     for k in range(n - 1, -1, -1):
-        u = e.coeffs[k] + (B[k] - t) / off[k] * u1
+        np.subtract(B[k], t, out=w)
+        w /= off[k]
+        w *= u1
+        w += c[k]
         if k + 1 < n:
-            u = u + beta[k + 1] * u2
-        u2 = u1
-        u1 = u
+            u2 *= ratio[k]
+            w += u2
+        u1, u2, w = w, u1, u2
     logw = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
     vals = u1 * np.exp(logw)
     return _ret(vals, scalar)

@@ -157,7 +157,7 @@ def carlitz_eval(rep: FourierRep, m: int, xi):
     return float(cur[0]) if np.ndim(xi) == 0 else cur
 
 
-def fourier_transform(e: Expansion, xi_points, count: int | None = None) -> np.ndarray:
+def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     """F[f](xi) of the expansion at the given frequencies.
 
     Clenshaw on the shared-coupling recurrence evaluates

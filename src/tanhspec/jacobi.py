@@ -20,7 +20,7 @@ __all__ = [
     "orthonormal_eval_batch",
     "couplings",
     "jacobi_matrix",
-    "orthonormal_rows",
+    "orthonormal_blocks",
     "chebyshev_eval",
     "gauss_jacobi",
 ]
@@ -110,19 +110,48 @@ def jacobi_matrix(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndar
     return recurrence_coefficients(params, count).B, e
 
 
-def orthonormal_rows(params: JacobiParams, count: int, points):
-    """Yield q_0(t), ..., q_{count-1}(t) at `points`, one row at a time.
+#: Byte budget of the (K+1)-row buffer of orthonormal_blocks; K is clamped
+#: to 8..64 rows, so small point sets still get long blocks and large ones
+#: stay within a few hundred KiB.
+_BLOCK_BYTES = 256 * 1024
 
-    Same values as the rows of orthonormal_eval_batch, in O(len(points))
-    memory: the symmetric recurrence of jacobi_matrix keeps two rows.
+
+def _block_rows(size: int) -> int:
+    """Rows K per block of orthonormal_blocks at `size` points."""
+    return min(64, max(8, _BLOCK_BYTES // (8 * max(size, 1)) - 1))
+
+
+def orthonormal_blocks(params: JacobiParams, count: int, points):
+    """Yield q_0(t), ..., q_{count-1}(t) at `points` as (K, len(points)) blocks.
+
+    Same values as the rows of orthonormal_eval_batch, in O(K len(points))
+    memory: the symmetric recurrence of jacobi_matrix runs in place in one
+    reused (K+1)-row buffer whose row 0 carries the row before the block.
+    Each block is a view of that buffer, overwritten by the next one; the
+    last block may be shorter.
     """
     t = np.asarray(points, dtype=float)
-    B, e = jacobi_matrix(params, count)
-    prev, q = np.zeros_like(t), np.full_like(t, math.exp(-0.5 * log_jacobi_norm(params, 0)))
-    yield q
+    k = _block_rows(t.size)
+    B, e = (a.tolist() for a in jacobi_matrix(params, count))
+    buf = np.empty((k + 1, t.size))
+    tmp = np.empty_like(t)
+    buf[1] = math.exp(-0.5 * log_jacobi_norm(params, 0))
+    prev, q, i = None, buf[1], 2
     for m in range(count - 1):
-        prev, q = q, ((t - B[m]) * q - (e[m - 1] if m else 0.0) * prev) / e[m]
-        yield q
+        if i > k:
+            yield buf[1:]
+            buf[0] = q
+            q, i = buf[0], 1
+        # q_{m+1} = ((t - B_m) q_m - e_{m-1} q_{m-1}) / e_m
+        row = buf[i]
+        np.subtract(t, B[m], out=row)
+        row *= q
+        if m:
+            np.multiply(prev, e[m - 1], out=tmp)
+            row -= tmp
+        row /= e[m]
+        prev, q, i = q, row, i + 1
+    yield buf[1:i]
 
 
 def jacobi_eval_batch(params: JacobiParams, m_max: int, points) -> np.ndarray:
@@ -144,9 +173,24 @@ def jacobi_eval_batch(params: JacobiParams, m_max: int, points) -> np.ndarray:
     return out
 
 
-def jacobi_eval(params: JacobiParams, m: int, t: float) -> float:
-    """P_m^(alpha,beta)(t) by forward recurrence (stable on [-1, 1])."""
-    return float(jacobi_eval_batch(params, m, [t])[m, 0])
+def jacobi_eval(params: JacobiParams, m: int, t):
+    """P_m^(alpha,beta)(t) by forward recurrence (stable on [-1, 1]).
+
+    t may be a scalar (a float is returned) or an array.  The recurrence is
+    that of jacobi_eval_batch, keeping two rows, so the values equal row m
+    of its table bitwise in O(len(t)) memory.
+    """
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative (got {m})")
+    x = np.atleast_1d(np.asarray(t, dtype=float))
+    p = np.ones_like(x)
+    if m >= 1:
+        rec = recurrence_coefficients(params, m)
+        A, B, C = rec.A.tolist(), rec.B.tolist(), rec.C.tolist()
+        prev, p = p, (x - B[0]) / C[0]
+        for k in range(1, m):
+            prev, p = p, ((x - B[k]) * p - A[k] * prev) / C[k]
+    return float(p[0]) if np.ndim(t) == 0 else p
 
 
 def orthonormal_eval_batch(params: JacobiParams, m_max: int, points) -> np.ndarray:
@@ -221,5 +265,8 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     # where q_m is the orthonormal recurrence; evaluating it directly keeps the
     # first-component weight formula g_0 v_{0k}^2 = 1/sum_m q_m(t_k)^2 accurate
     # to machine precision, where accumulated QL rotations lose several digits.
-    weights = 1.0 / sum(q * q for q in orthonormal_rows(params, n, nodes))
+    total = np.zeros(n)
+    for Q in orthonormal_blocks(params, n, nodes):
+        total += np.einsum("ij,ij->j", Q, Q)
+    weights = 1.0 / total
     return QuadratureRule(nodes=nodes, weights=weights, params=params)

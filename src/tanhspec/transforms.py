@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import BasisSpec, Expansion, clenshaw_eval
-from .jacobi import QuadratureRule, gauss_jacobi, orthonormal_rows
+from .jacobi import QuadratureRule, gauss_jacobi, orthonormal_blocks
 from .special import JacobiParams
 
 __all__ = [
@@ -226,7 +226,7 @@ def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
     """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of F at the nodes."""
     if nodes.rule is not None:
         wF = nodes.rule.weights * F
-        return np.array([q @ wF for q in orthonormal_rows(params, F.size, nodes.rule.nodes)])
+        return np.concatenate([Q @ wF for Q in orthonormal_blocks(params, F.size, nodes.rule.nodes)])
     kind, pre, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
     y = dct(kind, F * nodes.pre[pre])
     if halve_top:

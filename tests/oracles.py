@@ -9,6 +9,10 @@ import math
 
 import numpy as np
 
+from tanhspec.basis import _as_points, _log_weight_full
+from tanhspec.jacobi import jacobi_matrix
+from tanhspec.special import log_jacobi_norm
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -108,3 +112,56 @@ def mult_op_dense(a, rows: int, cols: int) -> np.ndarray:
             else:
                 out[i, j] = sign * 0.5 * (coef(abs(i - j)) + coef(i + j))
     return out
+
+
+# Row-at-a-time forms of the quadrature-path recurrences.  The library runs
+# the same arithmetic in place over blocks of rows; these loops are the
+# references it is checked against.
+
+
+def orthonormal_rows(params, count: int, points):
+    """Yield q_0(t), ..., q_{count-1}(t) at `points`, one fresh row at a time,
+    by the symmetric recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}."""
+    t = np.asarray(points, dtype=float)
+    B, e = jacobi_matrix(params, count)
+    prev, q = np.zeros_like(t), np.full_like(t, math.exp(-0.5 * log_jacobi_norm(params, 0)))
+    yield q
+    for m in range(count - 1):
+        prev, q = q, ((t - B[m]) * q - (e[m - 1] if m else 0.0) * prev) / e[m]
+        yield q
+
+
+def gauss_weights_rowwise(params, nodes) -> np.ndarray:
+    """Gauss weights 1 / sum_m q_m(t_k)^2 at the n nodes of an n-point rule."""
+    return 1.0 / sum(q * q for q in orthonormal_rows(params, len(nodes), nodes))
+
+
+def project_rowwise(params, rule, F) -> np.ndarray:
+    """Orthonormal coefficients sum_k w_k q_m(t_k) F_k, m < len(F), one dot per row."""
+    wF = rule.weights * F
+    return np.array([q @ wF for q in orthonormal_rows(params, F.size, rule.nodes)])
+
+
+def clenshaw_rowwise(e, x):
+    """Backward Clenshaw sum of a full-range expansion, allocating each step.
+
+    The boundary weight is the library's own, so that a comparison with
+    clenshaw_eval checks the recurrence bitwise.
+    """
+    params = e.spec.params
+    n = len(e)
+    pts, scalar = _as_points(x)
+    t = np.tanh(pts)
+    B, off = jacobi_matrix(params, n)
+    beta = np.zeros(n)
+    beta[1:] = -off[:-1] / off[1:]
+    u1 = np.zeros_like(t)
+    u2 = np.zeros_like(t)
+    for k in range(n - 1, -1, -1):
+        u = e.coeffs[k] + (B[k] - t) / off[k] * u1
+        if k + 1 < n:
+            u = u + beta[k + 1] * u2
+        u2 = u1
+        u1 = u
+    vals = u1 * np.exp(_log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0))
+    return float(vals[0]) if scalar else vals

@@ -1,6 +1,7 @@
 """Basis functions, differentiation couplings and Clenshaw evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tanhspec import (
 )
 from tanhspec.jacobi import orthonormal_eval_batch
 
-from oracles import fd_derivative
+from oracles import clenshaw_rowwise, fd_derivative
 
 GRID_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.0, 0.0), (1.3, 0.2)]
 
@@ -85,6 +86,22 @@ class TestPhiFull:
             left = phi_full(spec, m, -xs)
             right = (-1.0) ** m * phi_full(spec, m, xs)
             assert np.max(np.abs(left - right)) <= 1e-12
+
+
+class TestSingleDegreeMemory:
+    @pytest.mark.parametrize("spec", [_full(1.3, 0.2), _half(1.3)], ids=["full", "half"])
+    def test_one_degree_keeps_two_rows(self, spec):
+        # m = 2000 at 2000 points: a table of all degrees would be 30 MiB
+        phi = phi_full if spec.mode == "full" else phi_half
+        x = np.linspace(-8.0, 8.0, 2000)
+        phi(spec, 2, x)
+        tracemalloc.start()
+        try:
+            phi(spec, 2000, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPhiHalf:
@@ -209,6 +226,17 @@ class TestClenshaw:
         for x in (-2.2, 0.1, 3.0):
             naive = sum(coeffs[m] * phi_full(spec, m, x) for m in range(512))
             assert math.isclose(clenshaw_eval(e, x), naive, rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.9, -0.9), (2.0, 5.0), (80.0, 80.0), (-0.999, 3.0)])
+    def test_bitwise_equal_to_rowwise_loop(self, a, b):
+        spec = _full(a, b)
+        rng = np.random.default_rng(31)
+        x = np.linspace(-30.0, 30.0, 300)
+        for n in (1, 2, 3, 63, 64, 65, 2049):  # 64: the row block of the quadrature recurrences at 300 points
+            e = Expansion(spec, rng.standard_normal(n))
+            assert clenshaw_eval(e, x).tobytes() == clenshaw_rowwise(e, x).tobytes()
+            for xs in (-30.0, -0.7, 0.0, 4.2, 30.0):
+                assert clenshaw_eval(e, xs) == clenshaw_rowwise(e, xs)
 
     def test_half_mode_uses_identical_functions(self):
         spec_h = _half(0.5)

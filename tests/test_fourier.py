@@ -294,6 +294,12 @@ class TestFourierTransform:
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 1e-6
 
+    def test_count_argument_removed(self):
+        # the coupling count follows from the expansion length
+        e = Expansion(BasisSpec(JacobiParams(0.5, 0.5)), [1.0, 0.5])
+        with pytest.raises(TypeError):
+            fourier_transform(e, [0.0], count=5)
+
     def test_half_mode_rejected(self):
         spec = BasisSpec(JacobiParams(0.5, 0.5), "half")
         e = Expansion(spec, [1.0, 0.0])

@@ -1,6 +1,7 @@
 """Polynomial evaluation and Gauss-Jacobi rules against closed forms."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,9 +17,10 @@ from tanhspec import (
     norm_ratio,
     recurrence_coefficients,
 )
-from tanhspec.jacobi import jacobi_matrix, orthonormal_eval_batch, orthonormal_rows
+from tanhspec import jacobi as jacobi_mod
+from tanhspec.jacobi import jacobi_matrix, orthonormal_blocks, orthonormal_eval_batch
 
-from oracles import jacobi_explicit_sum
+from oracles import gauss_weights_rowwise, jacobi_explicit_sum
 
 GRID_PAIRS = [(-0.9, -0.9), (-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (2.0, 0.3), (7.3, -0.5), (1.3, 0.2), (-0.5, 0.5)]
 
@@ -49,12 +51,21 @@ class TestOrthonormalRecurrence:
 
     @pytest.mark.parametrize("a,b", GRID_PAIRS)
     def test_rows_match_batch(self, a, b):
+        # counts on both sides of the block boundaries K, 2K at 41 points
         p = JacobiParams(a, b)
         t = np.linspace(-0.999, 0.999, 41)
-        Q = orthonormal_eval_batch(p, 39, t)
-        rows = np.array(list(orthonormal_rows(p, 40, t)))
-        assert rows.shape == Q.shape
-        assert np.max(np.abs(rows - Q)) <= 1e-12 * np.max(np.abs(Q))
+        k = jacobi_mod._block_rows(t.size)
+        for count in (1, 2, k - 1, k, k + 1, 2 * k, 2 * k + 1):
+            Q = orthonormal_eval_batch(p, count - 1, t)
+            blocks = [blk.copy() for blk in orthonormal_blocks(p, count, t)]  # views of one buffer
+            assert [len(blk) for blk in blocks[:-1]] == [k] * (len(blocks) - 1)
+            rows = np.concatenate(blocks)
+            assert rows.shape == Q.shape
+            assert np.max(np.abs(rows - Q)) <= 1e-12 * np.max(np.abs(Q))
+
+    def test_block_rows_fit_the_budget(self):
+        for size, k in ((1, 64), (300, 64), (2048, 15), (4096, 8), (10**6, 8)):
+            assert jacobi_mod._block_rows(size) == k
 
 
 class TestJacobiEval:
@@ -70,6 +81,15 @@ class TestJacobiEval:
         oracle = jacobi_explicit_sum(0.3, 1.7, 5, 0.4)
         assert math.isclose(oracle, 0.51061775, rel_tol=1e-12)
         assert math.isclose(jacobi_eval(JacobiParams(0.3, 1.7), 5, 0.4), oracle, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.9, -0.9), (80.0, 80.0)])
+    def test_array_equals_batch_row_bitwise(self, a, b):
+        p = JacobiParams(a, b)
+        pts = np.linspace(-1.0, 1.0, 33)
+        table = jacobi_eval_batch(p, 300, pts)
+        for m in (0, 1, 2, 17, 300):
+            assert jacobi_eval(p, m, pts).tobytes() == table[m].tobytes()
+            assert jacobi_eval(p, m, float(pts[5])) == table[m, 5]
 
     def test_batch_matches_pointwise(self):
         p = JacobiParams(1.3, 0.2)
@@ -163,6 +183,28 @@ class TestGaussJacobi:
             # strict interlacing: each small node sits between consecutive big ones
             for k in range(n):
                 assert big[k] < small[k] < big[k + 1]
+
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.9, -0.9), (2.0, 5.0), (80.0, 80.0), (-0.999, 3.0)])
+    def test_weights_match_rowwise_sum(self, a, b):
+        # the blocked sum of q^2 reorders the additions, so a tolerance
+        # fixed in advance rather than bitwise equality
+        p = JacobiParams(a, b)
+        for n in (1, 7, 64, 65, 300, 2048):
+            rule = gauss_jacobi(p, n)
+            want = gauss_weights_rowwise(p, rule.nodes)
+            assert np.max(np.abs(rule.weights - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_cold_rule_memory(self):
+        # n = 4096: the block buffer is 9 x 32 KiB; an n x n table would be 128 MiB
+        p = JacobiParams(1.3, 0.2)
+        gauss_jacobi(p, 8)  # lazy SciPy import outside the measurement
+        tracemalloc.start()
+        try:
+            gauss_jacobi(p, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("a,b", [(-0.99, 0.3), (-0.99, -0.99), (80.0, 80.0), (1.3, 0.2), (5.0, 3.0)])
     def test_moments_against_mpmath(self, a, b):

@@ -22,7 +22,7 @@ from tanhspec import (
 )
 from tanhspec import transforms as transforms_mod
 
-from oracles import naive_trig_transform
+from oracles import naive_trig_transform, project_rowwise
 
 CHEB_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5)]
 ALL_KINDS = ["DCT-I", "DCT-II", "DCT-IV", "DST-I", "DST-II", "DST-IV"]
@@ -288,6 +288,20 @@ class TestAnalyzeUnweighted:
     def test_constant(self):
         got = analyze_unweighted(lambda x: np.ones_like(np.asarray(x)), 2)
         assert np.allclose(got, [math.sqrt(2.0), 0.0, 0.0], atol=1e-14)
+
+
+class TestQuadratureProjection:
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.9, -0.9), (2.0, 5.0), (80.0, 80.0), (-0.999, 3.0)])
+    def test_blocked_matches_rowwise(self, a, b):
+        # one matrix-vector product per block sums in another order than one
+        # dot per row: a tolerance fixed in advance
+        p = JacobiParams(a, b)
+        for n in (1, 7, 64, 65, 300, 2048):
+            nodes = transforms_mod._rule_nodes(p, "full", n)
+            F = np.exp(-0.5 * nodes.x**2) / np.cosh(nodes.x - 0.3)
+            got = transforms_mod._project(p, nodes, F)
+            want = project_rowwise(p, nodes.rule, F)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestQuadratureMemory:
