@@ -63,6 +63,30 @@ _BUILTINS = {
 }
 
 
+# entries of one (points x nodes) block of the barycentric sum, 2 MiB in float64
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _fh_weights(nodes: np.ndarray, d: int) -> np.ndarray:
+    """Floater-Hormann weights w_k = sum_i (-1)^i prod_{j=i..i+d, j!=k} 1/(x_k - x_j).
+
+    One array pass per (position in the window, partner) pair over all
+    windows i; the divisions (ascending j) and the sum over windows
+    (ascending i) run in the order of the textbook triple loop, so the
+    weights match it bit for bit.
+    """
+    starts = nodes.size - d
+    sign = np.where(np.arange(starts) % 2, -1.0, 1.0)
+    w = np.zeros(nodes.size)
+    for p in range(d, -1, -1):  # node k = i + p, so descending p is ascending i
+        prod = np.ones(starts)
+        for q in range(d + 1):
+            if q != p:
+                prod /= nodes[p : p + starts] - nodes[q : q + starts]
+        w[p : p + starts] += sign * prod
+    return w
+
+
 def _barycentric(x_samples: np.ndarray, values: np.ndarray, blend: int = 3):
     """Rational barycentric interpolant (Floater-Hormann, blend degree 3).
 
@@ -73,32 +97,19 @@ def _barycentric(x_samples: np.ndarray, values: np.ndarray, blend: int = 3):
     far into the tails, where decayed samples pin the interpolant).
     """
     nodes = np.asarray(x_samples, dtype=float)
-    n = nodes.size
-    d = min(blend, n - 1)
-    w = np.zeros(n)
-    for k in range(n):
-        for i in range(max(0, k - d), min(k, n - 1 - d) + 1):
-            prod = 1.0
-            for j in range(i, i + d + 1):
-                if j != k:
-                    prod /= nodes[k] - nodes[j]
-            w[k] += (-1.0) ** i * prod
+    w = _fh_weights(nodes, min(blend, nodes.size - 1))
+    block = max(1, _BLOCK_ENTRIES // nodes.size)  # points per block
 
     def f(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            if xi <= nodes[0]:
-                out[i] = values[0]
-            elif xi >= nodes[-1]:
-                out[i] = values[-1]
-            else:
-                hit = np.nonzero(nodes == xi)[0]
-                if hit.size:
-                    out[i] = values[hit[0]]
-                else:
-                    r = w / (xi - nodes)
-                    out[i] = float(r @ values / r.sum())
+        # the end sample beyond the window, a node's own sample on it, else the sum
+        k = np.minimum(np.searchsorted(nodes, xs), nodes.size - 1)
+        out = values[k]
+        (free,) = np.nonzero(~((xs <= nodes[0]) | (xs >= nodes[-1]) | (nodes[k] == xs)))
+        for s in range(0, free.size, block):
+            idx = free[s : s + block]
+            r = w / (xs[idx, None] - nodes)
+            out[idx] = (r @ values) / r.sum(axis=1)
         return out if np.ndim(x) else float(out[0])
 
     return f
@@ -108,18 +119,20 @@ def parse_function(spec: str | None, path: str | None):
     """Resolve --fn NAME[:p1,p2] or a samples file into a callable."""
     if (spec is None) == (path is None):
         raise ValueError("exactly one of a builtin name or a samples file is required")
-    if spec is not None:
-        name, _, argstr = spec.partition(":")
-        if name not in _BUILTINS:
-            raise ValueError(f"unknown builtin {name!r}; choices: {', '.join(sorted(_BUILTINS))}")
-        args = [float(p) for p in argstr.split(",")] if argstr else []
-        try:
-            return _BUILTINS[name](*args)
-        except TypeError:
-            raise ValueError(f"builtin {name!r} takes at most one parameter (got {len(args)})") from None
-    rows = read_table(path, ("x", "value"))
-    xs = np.array([r["x"] for r in rows])
-    vals = np.array([r["value"] for r in rows])
+    if spec is None:
+        return _interpolant(read_table(path), path)
+    name, _, argstr = spec.partition(":")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; choices: {', '.join(sorted(_BUILTINS))}")
+    args = [float(p) for p in argstr.split(",")] if argstr else []
+    try:
+        return _BUILTINS[name](*args)
+    except TypeError:
+        raise ValueError(f"builtin {name!r} takes at most one parameter (got {len(args)})") from None
+
+
+def _interpolant(table: dict, path: str):
+    xs, vals = _columns(table, path, ("x", "value"))
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vals))):
         raise ValueError(f"sample file {path!r} holds a non-finite x or value")
     if xs.size < 2 or np.any(np.diff(xs) <= 0):
@@ -128,23 +141,17 @@ def parse_function(spec: str | None, path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# tables:  coefficient (m, c) / value (x, value) / complex (xi, re, im)
+# tables: name -> column; coefficient (m, c) / value (x, value) / complex (xi, re, im)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def write_table(path: str | None, columns: tuple[str, ...], rows, fmt: str) -> None:
+def write_table(path: str | None, table: dict, fmt: str) -> None:
+    """Write equal-length columns as rows; integer columns print as integers."""
+    names = list(table)
+    rows = list(zip(*(np.asarray(col).tolist() for col in table.values())))
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(names)] + [",".join(map(repr, row)) for row in rows]) + "\n"
     elif fmt == "json":
-        payload = [{c: (int(row[c]) if c == "m" else float(row[c])) for c in columns} for row in rows]
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps([dict(zip(names, row)) for row in rows], indent=1) + "\n"
     else:
         raise ValueError(f"format must be csv or json (got {fmt!r})")
     if path is None:
@@ -154,69 +161,56 @@ def write_table(path: str | None, columns: tuple[str, ...], rows, fmt: str) -> N
             fh.write(text)
 
 
-def read_table(path: str, columns: tuple[str, ...]):
+def read_table(path: str) -> dict:
+    """Parse a CSV or JSON table file once into name -> float column."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
+    malformed = f"malformed table {path!r}"
+    if text.lstrip().startswith("["):
+        try:
+            rows = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{malformed}: {exc}") from None
+        if not all(isinstance(row, dict) for row in rows):
+            raise ValueError(f"{malformed}: every row must be an object")
+        names = list(rows[0]) if rows else []
+        try:
+            cells = [[row[c] for c in names] for row in rows]
+        except KeyError as exc:
+            raise ValueError(f"{malformed}: a row lacks column {exc}") from None
+    else:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        names = [h.strip() for h in lines[0].split(",")] if lines else []
+        cells = [ln.split(",") for ln in lines[1:]]
+        ragged = [ln for ln, row in zip(lines[1:], cells) if len(row) != len(names)]
+        if ragged:
+            raise ValueError(f"{malformed}: ragged row {ragged[0]!r}")
+    if not cells:
         raise ValueError(f"empty table file {path!r}")
-    if stripped.startswith("["):
-        rows = json.loads(text)
-        if not rows:
-            raise ValueError(f"empty table file {path!r}")
-        out = []
-        for row in rows:
-            missing = [c for c in columns if c not in row]
-            if missing:
-                raise ValueError(f"malformed table {path!r}: missing column(s) {missing}")
-            out.append({c: float(row[c]) for c in columns})
-        return out
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
-    missing = [c for c in columns if c not in header]
+    try:
+        data = np.array([[float(v) for v in row] for row in cells])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{malformed}: {exc}") from None
+    return dict(zip(names, data.T))
+
+
+def _columns(table: dict, path: str, names: tuple[str, ...]) -> list:
+    missing = [c for c in names if c not in table]
     if missing:
         raise ValueError(f"malformed table {path!r}: missing column(s) {missing}")
-    idx = {c: header.index(c) for c in columns}
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"malformed table {path!r}: ragged row {ln!r}")
-        try:
-            out.append({c: float(parts[idx[c]]) for c in columns})
-        except ValueError as exc:
-            raise ValueError(f"malformed table {path!r}: {exc}") from exc
-    if not out:
-        raise ValueError(f"empty table file {path!r}")
-    return out
+    return [table[c] for c in names]
+
+
+def _coefficients(table: dict, path: str) -> np.ndarray:
+    m, c = _columns(table, path, ("m", "c"))
+    order = np.argsort(m, kind="stable")
+    if not np.array_equal(m[order], np.arange(m.size)):
+        raise ValueError(f"malformed coefficient table {path!r}: indices must be the integers 0..N-1")
+    return c[order]
 
 
 def read_coefficients(path: str) -> np.ndarray:
-    rows = read_table(path, ("m", "c"))
-    rows.sort(key=lambda r: r["m"])
-    for want, row in enumerate(rows):
-        if int(row["m"]) != want:
-            raise ValueError(f"malformed coefficient table {path!r}: indices must be 0..N-1")
-    return np.array([r["c"] for r in rows])
-
-
-def sniff_table(path: str) -> str:
-    """'coeffs' for (m, c) tables, 'samples' for (x, value) tables."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError(f"empty table file {path!r}")
-    if stripped.startswith("["):
-        rows = json.loads(text)
-        keys = set(rows[0]) if rows else set()
-    else:
-        keys = {h.strip() for h in stripped.splitlines()[0].split(",")}
-    if {"m", "c"} <= keys:
-        return "coeffs"
-    if {"x", "value"} <= keys:
-        return "samples"
-    raise ValueError(f"table {path!r} is neither a coefficient nor a sample table")
+    return _coefficients(read_table(path), path)
 
 
 def parse_points(spec: str) -> np.ndarray:
@@ -249,94 +243,77 @@ def _basis_spec(args) -> BasisSpec:
     return BasisSpec(params=JacobiParams(args.alpha, args.beta), mode=args.mode)
 
 
+def _write_values(e: Expansion, points: str, path: str | None, fmt: str) -> None:
+    pts = parse_points(points)
+    write_table(path, {"x": pts, "value": synthesize(e, pts)}, fmt)
+
+
 def cmd_expand(args) -> int:
     spec = _basis_spec(args)
-    f = parse_function(args.fn, getattr(args, "infile", None))
-    if spec.mode == "half":
-        e = analyze_half(spec, f, args.n)
-    else:
-        e = analyze_full(spec, f, args.n)
-    rows = [{"m": m, "c": c} for m, c in enumerate(e.coeffs)]
-    write_table(args.out, ("m", "c"), rows, args.format)
+    f = parse_function(args.fn, args.infile)
+    e = (analyze_half if spec.mode == "half" else analyze_full)(spec, f, args.n)
+    write_table(args.out, {"m": np.arange(args.n), "c": e.coeffs}, args.format)
     print(f"tail |c_{args.n - 1}| = {abs(e.coeffs[-1]):.6e}", file=sys.stderr)
     return 0
 
 
 def cmd_eval(args) -> int:
-    spec = _basis_spec(args)
-    coeffs = read_coefficients(args.infile)
-    e = Expansion(spec=spec, coeffs=coeffs)
-    pts = parse_points(args.points)
-    vals = synthesize(e, pts)
-    rows = [{"x": x, "value": v} for x, v in zip(pts, vals)]
-    write_table(args.out, ("x", "value"), rows, args.format)
+    e = Expansion(_basis_spec(args), read_coefficients(args.infile))
+    _write_values(e, args.points, args.out, args.format)
     return 0
 
 
 def cmd_diff(args) -> int:
     spec = _basis_spec(args)
-    coeffs = read_coefficients(args.infile)
     # one-slot zero pad so the derivative window is exact
-    padded = np.concatenate([coeffs, [0.0]])
-    d = diff_coeffs(spec.params, padded.size)
-    derivative = Expansion(spec=spec, coeffs=diff_apply(d, padded))
-    pts = parse_points(args.points)
-    vals = synthesize(derivative, pts)
-    rows = [{"x": x, "value": v} for x, v in zip(pts, vals)]
-    write_table(args.out, ("x", "value"), rows, args.format)
+    padded = np.append(read_coefficients(args.infile), 0.0)
+    derivative = Expansion(spec, diff_apply(diff_coeffs(spec.params, padded.size), padded))
+    _write_values(derivative, args.points, args.out, args.format)
     return 0
 
 
 def cmd_ft(args) -> int:
-    spec = _basis_spec(args)
-    if spec.mode != "full":
-        raise ValueError("the Fourier transform command requires full-mode expansions")
-    coeffs = read_coefficients(args.infile)
-    e = Expansion(spec=spec, coeffs=coeffs)
+    e = Expansion(_basis_spec(args), read_coefficients(args.infile))
     xi = parse_points(args.points)
     vals = fourier_transform(e, xi)
-    rows = [{"xi": x, "re": v.real, "im": v.imag} for x, v in zip(xi, vals)]
-    write_table(args.out, ("xi", "re", "im"), rows, args.format)
+    write_table(args.out, {"xi": xi, "re": vals.real, "im": vals.imag}, args.format)
     return 0
+
+
+def _solve_input(fn: str | None, path: str | None):
+    """--X-fn as a callable, or the --X-in table read once: file inputs carry
+    either ready-made (m, c) coefficients (used verbatim) or (x, value)
+    samples (returned as their interpolant, for the caller to expand)."""
+    if path is None or fn is not None:
+        return parse_function(fn, path)
+    table = read_table(path)
+    return _coefficients(table, path) if {"m", "c"} <= table.keys() else _interpolant(table, path)
 
 
 def cmd_solve(args) -> int:
     spec = _basis_spec(args)
     if spec.mode != "full":
         raise ValueError("the solver works on full-mode expansions")
-    if args.bandwidth >= args.n:
-        raise ValueError(f"bandwidth must be smaller than n (got M={args.bandwidth}, n={args.n})")
-    # file inputs may carry either samples (expanded here) or ready-made
-    # coefficient tables (used verbatim)
-    if args.a_in is not None and sniff_table(args.a_in) == "coeffs":
-        a_coeffs = read_coefficients(args.a_in)
-        if a_coeffs.size > args.bandwidth + 1 and np.any(a_coeffs[args.bandwidth + 1 :] != 0.0):
-            raise ValueError("coefficients of a exceed the declared bandwidth")
-        a_coeffs = a_coeffs[: args.bandwidth + 1]
-    else:
-        a_coeffs = analyze_unweighted(parse_function(args.a_fn, args.a_in), args.bandwidth)
+    a = _solve_input(args.a_fn, args.a_in)
+    a_coeffs = a if isinstance(a, np.ndarray) else analyze_unweighted(a, args.bandwidth)
+    mult = mult_op(a_coeffs, args.bandwidth, args.n)
     # mult_op is the multiplication operator of the Chebyshev-T pair only; a
     # constant a (a_m = 0 for m >= 1, up to rounding) is (a_0/sqrt 2) I in any basis
     varies = np.any(np.abs(a_coeffs[1:]) > 1e-14 * np.max(np.abs(a_coeffs)))
     if varies and (args.alpha, args.beta) != (-0.5, -0.5):
         raise ValueError("a variable coefficient a(x) needs --alpha -0.5 --beta -0.5 (Chebyshev-T pair)")
-    mult = mult_op(a_coeffs, args.bandwidth, args.n)
-    if args.f_in is not None and sniff_table(args.f_in) == "coeffs":
-        coeffs = read_coefficients(args.f_in)
+    f = _solve_input(args.f_fn, args.f_in)
+    if isinstance(f, np.ndarray):
         padded = np.zeros(args.n)
-        padded[: min(coeffs.size, args.n)] = coeffs[: args.n]
+        padded[: f.size] = f[: args.n]
         rhs = Expansion(spec, padded)
     else:
-        rhs = analyze_full(spec, parse_function(args.f_fn, args.f_in), args.n)
+        rhs = analyze_full(spec, f, args.n)
     d = diff_coeffs(spec.params, args.n + max(1, args.bandwidth))
     result = solve_first_order(d, mult, rhs, args.n)
-    rows = [{"m": m, "c": c} for m, c in enumerate(result.expansion.coeffs)]
-    write_table(args.out, ("m", "c"), rows, args.format)
+    write_table(args.out, {"m": np.arange(args.n), "c": result.expansion.coeffs}, args.format)
     if args.points is not None:
-        pts = parse_points(args.points)
-        vals = synthesize(result.expansion, pts)
-        vrows = [{"x": x, "value": v} for x, v in zip(pts, vals)]
-        write_table(args.values_out, ("x", "value"), vrows, args.format)
+        _write_values(result.expansion, args.points, args.values_out, args.format)
     print(f"residual={result.residual!r}")
     return 0
 
@@ -350,15 +327,8 @@ def cmd_basis(args) -> int:
     if not ms or any(m < 0 for m in ms):
         raise ValueError("m list must hold nonnegative integers")
     pts = parse_points(args.points)
-    columns = ["x"] + [f"phi_{m}" for m in ms]
-    cols = {m: np.atleast_1d(phi_full(BasisSpec(spec.params, "full"), m, pts)) for m in ms}
-    rows = []
-    for i, x in enumerate(pts):
-        row = {"x": x}
-        for m in ms:
-            row[f"phi_{m}"] = cols[m][i]
-        rows.append(row)
-    write_table(args.out, tuple(columns), rows, args.format)
+    full = BasisSpec(spec.params, "full")
+    write_table(args.out, {"x": pts} | {f"phi_{m}": phi_full(full, m, pts) for m in ms}, args.format)
     return 0
 
 

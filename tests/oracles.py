@@ -165,3 +165,42 @@ def clenshaw_rowwise(e, x):
         u1 = u
     vals = u1 * np.exp(_log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0))
     return float(vals[0]) if scalar else vals
+
+
+def barycentric_rowwise(x_samples, values, blend: int = 3):
+    """Floater-Hormann weights by the textbook triple loop, and the
+    interpolant they define evaluated one point at a time.
+
+    Returns (weights, f); f is constant beyond the sampled window and takes
+    the sample itself on a node.
+    """
+    nodes = np.asarray(x_samples, dtype=float)
+    n = nodes.size
+    d = min(blend, n - 1)
+    w = np.zeros(n)
+    for k in range(n):
+        for i in range(max(0, k - d), min(k, n - 1 - d) + 1):
+            prod = 1.0
+            for j in range(i, i + d + 1):
+                if j != k:
+                    prod /= nodes[k] - nodes[j]
+            w[k] += (-1.0) ** i * prod
+
+    def f(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(xs)
+        for i, xi in enumerate(xs):
+            if xi <= nodes[0]:
+                out[i] = values[0]
+            elif xi >= nodes[-1]:
+                out[i] = values[-1]
+            else:
+                hit = np.nonzero(nodes == xi)[0]
+                if hit.size:
+                    out[i] = values[hit[0]]
+                else:
+                    r = w / (xi - nodes)
+                    out[i] = float(r @ values / r.sum())
+        return out if np.ndim(x) else float(out[0])
+
+    return w, f

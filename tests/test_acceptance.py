@@ -309,7 +309,8 @@ def test_criterion_9_figure_reproduction(tmp_path):
             ])
             assert code == 0
             cols = ("x", "phi_0", "phi_1", "phi_2", "phi_3", "phi_4")
-            rows = read_table(str(out), cols)
+            table = read_table(str(out))
+            rows = [dict(zip(cols, row)) for row in zip(*(table[c] for c in cols))]
             assert len(rows) == 101
             center = [r for r in rows if r["x"] == 0.0][0]
             for m in range(5):

@@ -10,9 +10,20 @@ import numpy as np
 import pytest
 
 import tanhspec
+import tanhspec.cli as cli
 from tanhspec.cli import main, parse_points, read_coefficients, read_table, write_table
 
-from oracles import fd_derivative
+from oracles import barycentric_rowwise, fd_derivative
+
+
+def _cols(rows):
+    """Row dicts as the name -> column mapping that write_table takes."""
+    return {c: [r[c] for r in rows] for c in rows[0]}
+
+
+def _rows(table):
+    """The name -> column mapping that read_table returns, as row dicts."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
 def run(*argv):
@@ -80,7 +91,7 @@ class TestExpand:
         rows = [{"x": float(x), "value": 1.0 / math.cosh(x)} for x in range(-4, 5)]
         rows[3][column] = math.nan
         sf = tmp_path / "nan.csv"
-        write_table(str(sf), ("x", "value"), rows, "csv")
+        write_table(str(sf), _cols(rows), "csv")
         code = run(
             "expand", "--in", str(sf), "--alpha", "0.0", "--beta", "0.0",
             "--n", "8", "--out", str(tmp_path / "c.csv"),
@@ -103,7 +114,7 @@ class TestExpand:
         xs = np.linspace(-8.0, 8.0, 33)
         rows = [{"x": x, "value": x**3 - 2.0 * x} for x in xs]
         sf = tmp_path / "samples.csv"
-        write_table(str(sf), ("x", "value"), rows, "csv")
+        write_table(str(sf), _cols(rows), "csv")
         out = tmp_path / "c.csv"
         code = run(
             "expand", "--in", str(sf), "--alpha", "-0.5", "--beta", "-0.5",
@@ -122,7 +133,7 @@ class TestExpand:
         xs = np.linspace(-10.0, 10.0, 161)
         rows = [{"x": x, "value": 1.0 / math.cosh(x)} for x in xs]
         sf = tmp_path / "samples.csv"
-        write_table(str(sf), ("x", "value"), rows, "csv")
+        write_table(str(sf), _cols(rows), "csv")
         out = tmp_path / "c.csv"
         assert run(
             "expand", "--in", str(sf), "--alpha", "-0.5", "--beta", "-0.5",
@@ -136,7 +147,7 @@ class TestExpand:
 
     def test_samples_must_increase(self, tmp_path, capsys):
         sf = tmp_path / "bad.csv"
-        write_table(str(sf), ("x", "value"), [{"x": 1.0, "value": 0.1}, {"x": 0.0, "value": 0.2}], "csv")
+        write_table(str(sf), _cols([{"x": 1.0, "value": 0.1}, {"x": 0.0, "value": 0.2}]), "csv")
         code = run(
             "expand", "--in", str(sf), "--alpha", "0.0", "--beta", "0.0",
             "--n", "8", "--out", str(tmp_path / "c.csv"),
@@ -148,14 +159,14 @@ class TestExpand:
 class TestEvalAndDiff:
     def test_eval_basis_vector(self, tmp_path):
         cf = tmp_path / "c.csv"
-        write_table(str(cf), ("m", "c"), [{"m": 0, "c": 1.0}], "csv")
+        write_table(str(cf), _cols([{"m": 0, "c": 1.0}]), "csv")
         out = tmp_path / "v.csv"
         code = run(
             "eval", "--in", str(cf), "--alpha", "-0.5", "--beta", "-0.5",
             "--points", "0", "--out", str(out),
         )
         assert code == 0
-        rows = read_table(str(out), ("x", "value"))
+        rows = _rows(read_table(str(out)))
         assert math.isclose(rows[0]["value"], 1.0 / math.sqrt(math.pi), rel_tol=1e-12)
 
     def test_diff_matches_finite_difference_of_eval(self, tmp_path):
@@ -166,7 +177,7 @@ class TestEvalAndDiff:
             "--points", "0.7", "--out", str(vout),
         )
         assert code == 0
-        deriv = read_table(str(vout), ("x", "value"))[0]["value"]
+        deriv = _rows(read_table(str(vout)))[0]["value"]
 
         def eval_at(x):
             out = tmp_path / "tmp_eval.csv"
@@ -174,7 +185,7 @@ class TestEvalAndDiff:
                 "eval", "--in", str(cf), "--alpha", "-0.5", "--beta", "-0.5",
                 "--points", repr(x), "--out", str(out),
             ) == 0
-            return read_table(str(out), ("x", "value"))[0]["value"]
+            return _rows(read_table(str(out)))[0]["value"]
 
         fd = fd_derivative(eval_at, 0.7, 1e-4)
         assert abs(deriv - fd) <= 1e-6
@@ -194,7 +205,7 @@ class TestEvalAndDiff:
 @pytest.mark.parametrize("points", ["nan", "lin:0:inf:3", "inf,-inf", "0,nan"])
 def test_non_finite_points_rejected(tmp_path, capsys, command, points):
     cf = tmp_path / "c.csv"
-    write_table(str(cf), ("m", "c"), [{"m": 0, "c": 1.0}], "csv")
+    write_table(str(cf), _cols([{"m": 0, "c": 1.0}]), "csv")
     out = tmp_path / "o.csv"
     code = run(command, "--in", str(cf), "--alpha", "0.0", "--beta", "0.0", f"--points={points}", "--out", str(out))
     assert code == 2
@@ -206,14 +217,14 @@ def test_non_finite_points_rejected(tmp_path, capsys, command, points):
 class TestFourierCommand:
     def test_profile(self, tmp_path):
         cf = tmp_path / "c.csv"
-        write_table(str(cf), ("m", "c"), [{"m": 0, "c": 1.0}], "csv")
+        write_table(str(cf), _cols([{"m": 0, "c": 1.0}]), "csv")
         out = tmp_path / "ft.csv"
         code = run(
             "ft", "--in", str(cf), "--alpha", "0.0", "--beta", "0.0",
             "--points", "0,1,2", "--out", str(out),
         )
         assert code == 0
-        rows = read_table(str(out), ("xi", "re", "im"))
+        rows = _rows(read_table(str(out)))
         ratios = [r["re"] * math.cosh(math.pi * r["xi"] / 2.0) for r in rows]
         assert max(ratios) - min(ratios) <= 1e-12
         assert all(abs(r["im"]) <= 1e-14 for r in rows)
@@ -226,13 +237,13 @@ class TestFourierCommand:
             "--points=-1e6,600,1e6", "--out", str(out),
         )
         assert code == 0
-        for row in read_table(str(out), ("xi", "re", "im")):
+        for row in _rows(read_table(str(out))):
             assert math.isfinite(row["re"]) and math.isfinite(row["im"])
             assert math.hypot(row["re"], row["im"]) < 1e-6
 
     def test_half_mode_rejected(self, tmp_path, capsys):
         cf = tmp_path / "c.csv"
-        write_table(str(cf), ("m", "c"), [{"m": 0, "c": 1.0}, {"m": 1, "c": 0.0}], "csv")
+        write_table(str(cf), _cols([{"m": 0, "c": 1.0}, {"m": 1, "c": 0.0}]), "csv")
         code = run(
             "ft", "--in", str(cf), "--alpha", "0.5", "--beta", "0.5",
             "--mode", "half", "--points", "0", "--out", str(tmp_path / "o.csv"),
@@ -252,7 +263,7 @@ class TestSolve:
             {"m": 2, "c": -s * 0.75},
         ]
         f_in = tmp_path / "f.csv"
-        write_table(str(f_in), ("m", "c"), f_rows, "csv")
+        write_table(str(f_in), _cols(f_rows), "csv")
         out = tmp_path / "u.json"
         vals = tmp_path / "uvals.json"
         code = run(
@@ -267,7 +278,7 @@ class TestSolve:
         assert float(line.split("=", 1)[1]) <= 1e-9
         coeffs = read_coefficients(str(out))
         assert math.isclose(coeffs[1], -s, rel_tol=1e-10)
-        vrows = read_table(str(vals), ("x", "value"))
+        vrows = _rows(read_table(str(vals)))
         for r in vrows:
             want = math.cosh(r["x"]) ** -0.5 * math.tanh(r["x"])
             assert abs(r["value"] - want) <= 1e-9
@@ -284,7 +295,7 @@ class TestSolve:
             "eval", "--in", str(out), "--alpha", "-0.5", "--beta", "-0.5",
             "--points", "lin:-1:1:3", "--out", str(vout), "--format", "json",
         ) == 0
-        rows = read_table(str(vout), ("x", "value"))
+        rows = _rows(read_table(str(vout)))
         assert len(rows) == 3 and all(np.isfinite(r["value"]) for r in rows)
 
     def test_bandwidth_too_large(self, tmp_path, capsys):
@@ -300,7 +311,7 @@ class TestSolve:
         # a = 0 builtin: gaussian scaled by zero is the constant 1, so use
         # a sampled file of zeros instead
         sf = tmp_path / "zeros.csv"
-        write_table(str(sf), ("x", "value"), [{"x": float(x), "value": 0.0} for x in range(-4, 5)], "csv")
+        write_table(str(sf), _cols([{"x": float(x), "value": 0.0} for x in range(-4, 5)]), "csv")
         code = run(
             "solve", "--alpha", "-0.5", "--beta", "-0.5", "--n", "16",
             "--a-in", str(sf), "--f-fn", "sech", "--bandwidth", "2",
@@ -329,7 +340,7 @@ class TestSolve:
         # solves u' + u = f for f = -b_0 phi_0 + phi_1 + b_1 phi_2
         bm = tanhspec.diff_coeffs(tanhspec.JacobiParams(a, b), 2).b
         f_in = tmp_path / "f.csv"
-        write_table(str(f_in), ("m", "c"), [{"m": 0, "c": -bm[0]}, {"m": 1, "c": 1.0}, {"m": 2, "c": bm[1]}], "csv")
+        write_table(str(f_in), _cols([{"m": 0, "c": -bm[0]}, {"m": 1, "c": 1.0}, {"m": 2, "c": bm[1]}]), "csv")
         out = tmp_path / "u.csv"
         assert run(
             "solve", "--alpha", str(a), "--beta", str(b), "--n", "32",
@@ -346,7 +357,7 @@ class TestBasisCommand:
             "--points", "lin:-5:5:11", "--out", str(out),
         )
         assert code == 0
-        rows = read_table(str(out), ("x", "phi_0", "phi_1", "phi_2", "phi_3", "phi_4"))
+        rows = _rows(read_table(str(out)))
         center = [r for r in rows if r["x"] == 0.0][0]
         assert math.isclose(center["phi_0"], 1.0 / math.sqrt(math.pi), rel_tol=1e-12)
         assert abs(center["phi_1"]) <= 1e-15
@@ -358,7 +369,7 @@ class TestBasisCommand:
             "basis", "--alpha", "-0.5", "--beta", "-0.5", "--m-list", "0,1,2,3,4",
             "--points", "lin:-30:30:1201", "--out", str(out),
         ) == 0
-        rows = read_table(str(out), ("x", "phi_0", "phi_1", "phi_2", "phi_3", "phi_4"))
+        rows = _rows(read_table(str(out)))
         xs = np.array([r["x"] for r in rows])
         for m in range(5):
             vals = np.array([r[f"phi_{m}"] for r in rows])
@@ -396,10 +407,18 @@ class TestScipyImportContract:
         ("expand --alpha 0.5 --beta -0.5 --n 64 --fn sech --out {out}", 0),
         ("expand --alpha 0.5 --beta 0.5 --mode half --n 64 --fn sech --out {out}", 0),
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-fn gaussian:0.5 --f-fn sech --bandwidth 4 --out {out}", 0),
-    ], ids=["eval", "diff", "basis", "ft", "usage-error", "expand-fast", "expand-half-fast", "solve-fast"])
+        ("expand --alpha -0.5 --beta -0.5 --mode half --n 64 --in {samples} --out {out}", 0),
+        ("solve --alpha -0.5 --beta -0.5 --n 64 --a-in {a_coeffs} --f-fn sech --bandwidth 4 --out {out}", 0),
+    ], ids=["eval", "diff", "basis", "ft", "usage-error", "expand-fast", "expand-half-fast", "solve-fast",
+            "expand-half-samples", "solve-a-coefficients"])
     def test_commands_without_scipy(self, tmp_path, argv, code):
         _, coeffs = _expand_sech(tmp_path)
-        argv = [a.format(coeffs=coeffs, out=tmp_path / "out.csv") for a in argv.split()]
+        samples, a_coeffs = tmp_path / "samples.csv", tmp_path / "a.csv"
+        xs = np.linspace(-8.0, 8.0, 161)
+        write_table(str(samples), {"x": xs, "value": 1.0 / np.cosh(xs)}, "csv")
+        write_table(str(a_coeffs), {"m": np.arange(3), "c": [2.0, 0.3, -0.1]}, "csv")
+        argv = [a.format(coeffs=coeffs, out=tmp_path / "out.csv", samples=samples, a_coeffs=a_coeffs)
+                for a in argv.split()]
         assert _scipy_loaded_by(*argv, code=code) == set()
 
     def test_quadrature_expand_loads_linalg(self, tmp_path):
@@ -415,8 +434,8 @@ class TestTablesAndDeterminism:
         rng = np.random.default_rng(0)
         rows = [{"m": m, "c": float(v)} for m, v in enumerate(rng.standard_normal(9))]
         path = tmp_path / f"t.{fmt}"
-        write_table(str(path), ("m", "c"), rows, fmt)
-        back = read_table(str(path), ("m", "c"))
+        write_table(str(path), _cols(rows), fmt)
+        back = _rows(read_table(str(path)))
         for a, b in zip(rows, back):
             assert a["c"] == b["c"] and float(a["m"]) == b["m"]
 
@@ -454,3 +473,104 @@ class TestTablesAndDeterminism:
         assert np.allclose(parse_points("1,2.5,-3"), [1.0, 2.5, -3.0])
         with pytest.raises(ValueError):
             parse_points("lin:0:1")
+
+
+# every command that takes a table file, with the bad table in the slot it reads
+_TABLE_SLOTS = {
+    "eval --in": "eval --alpha -0.5 --beta -0.5 --in {t} --points 0",
+    "expand --in": "expand --alpha -0.5 --beta -0.5 --n 16 --in {t}",
+    "solve --a-in": "solve --alpha -0.5 --beta -0.5 --n 16 --a-in {t} --f-fn sech --bandwidth 2",
+    "solve --f-in": "solve --alpha -0.5 --beta -0.5 --n 16 --a-fn gaussian:0 --f-in {t} --bandwidth 0",
+}
+
+
+def _run_slot(tmp_path, slot, text):
+    table = tmp_path / "t.json"
+    table.write_text(text)
+    return run(*_TABLE_SLOTS[slot].format(t=table).split(), "--out", str(tmp_path / "o.csv"))
+
+
+class TestTableInput:
+    @pytest.mark.parametrize("slot", list(_TABLE_SLOTS))
+    @pytest.mark.parametrize("text", [
+        '[{"m": 0, "c": null}]', "[1, 2]", "[null]", '[{"x": 0, "value": [1]}]',
+        '[{"x": 0, "value": 1}, {"x": 1}]', '[{"m": 0, "c": 1}', "[" * 100_000,
+    ], ids=["null-cell", "bare-numbers", "null-row", "list-cell", "short-row", "unterminated", "deep"])
+    def test_malformed_json_is_a_usage_error(self, tmp_path, capsys, slot, text):
+        assert _run_slot(tmp_path, slot, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed table") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("slot", ["eval --in", "solve --a-in", "solve --f-in"])
+    @pytest.mark.parametrize("m", [[0, 1.5, 2], [0, 1, 1], [1, 2, 3], [0, -1, 1]])
+    def test_indices_must_be_integers_from_zero(self, tmp_path, capsys, slot, m):
+        assert _run_slot(tmp_path, slot, json.dumps([{"m": k, "c": 1.0} for k in m])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed coefficient table") and "integers 0..N-1" in err
+
+    def test_indices_in_any_order(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"m": 2, "c": 3.0}, {"m": 0, "c": 1.0}, {"m": 1.0, "c": 2.0}]))
+        assert read_coefficients(str(path)).tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("slot", list(_TABLE_SLOTS))
+    @pytest.mark.parametrize("text", ["[]", " \n", "m,c\n"])
+    def test_empty_table_has_one_message(self, tmp_path, capsys, slot, text):
+        assert _run_slot(tmp_path, slot, text) == 2
+        assert capsys.readouterr().err.startswith("error: empty table file")
+
+    @pytest.mark.parametrize("a_kind,f_kind", [("coeffs", "samples"), ("samples", "coeffs")])
+    def test_solve_opens_each_table_once(self, tmp_path, monkeypatch, a_kind, f_kind):
+        xs = np.linspace(-8.0, 8.0, 161)
+        tables = {
+            "coeffs": {"m": np.arange(3), "c": [2.0, 0.3, -0.1]},
+            "samples": {"x": xs, "value": 2.0 + 1.0 / np.cosh(xs)},
+        }
+        a_in, f_in = str(tmp_path / "a.csv"), str(tmp_path / "f.csv")
+        write_table(a_in, tables[a_kind], "csv")
+        write_table(f_in, tables[f_kind], "csv")
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert run(
+            "solve", "--alpha", "-0.5", "--beta", "-0.5", "--n", "32", "--a-in", a_in, "--f-in", f_in,
+            "--bandwidth", "4", "--out", str(tmp_path / "u.csv"),
+        ) == 0
+        assert opened.count(a_in) == 1 and opened.count(f_in) == 1
+
+
+def _increasing_nodes(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.uniform(0.05, 1.0, n)) - 0.3 * n, rng.standard_normal(n)
+
+
+class TestBarycentric:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 33, 161, 1000])
+    def test_weights_bitwise_equal_to_rowwise_loop(self, n):
+        nodes, values = _increasing_nodes(n, seed=n)
+        want, _ = barycentric_rowwise(nodes, values)
+        got = cli._fh_weights(nodes, min(3, n - 1))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [2, 5, 33, 161, 1000])
+    def test_values_match_rowwise_evaluation(self, n):
+        nodes, values = _increasing_nodes(n, seed=n)
+        _, want = barycentric_rowwise(nodes, values)
+        got = cli._barycentric(nodes, values)
+        rng = np.random.default_rng(n)
+        # the nodes themselves, points beyond either end, and (from n = 33 on)
+        # more interior points than one block holds
+        inside = rng.uniform(nodes[0], nodes[-1], min(cli._BLOCK_ENTRIES // n, 20_000) + 7)
+        beyond = np.array([nodes[0] - 5.0, nodes[0] - 1e-9, nodes[-1] + 1e-9, nodes[-1] + 5.0])
+        pts = rng.permutation(np.concatenate([nodes, inside, beyond]))
+        a, b = want(pts), got(pts)
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+        assert np.array_equal(got(nodes), values)
+        x = float(inside[0])
+        assert isinstance(got(x), float) and abs(got(x) - want(x)) <= 1e-14 * np.max(np.abs(a))

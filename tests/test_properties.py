@@ -115,9 +115,10 @@ def test_table_round_trip_byte_for_byte(values, fmt):
     rows = [{"m": m, "c": v} for m, v in enumerate(values)]
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
-        write_table(first, ("m", "c"), rows, fmt)
-        back = read_table(first, ("m", "c"))
-        write_table(second, ("m", "c"), [{"m": int(r["m"]), "c": r["c"]} for r in back], fmt)
+        write_table(first, {"m": [r["m"] for r in rows], "c": [r["c"] for r in rows]}, fmt)
+        table = read_table(first)
+        back = [{"m": m, "c": c} for m, c in zip(table["m"].tolist(), table["c"].tolist())]
+        write_table(second, {"m": [int(r["m"]) for r in back], "c": [r["c"] for r in back]}, fmt)
         assert [r["c"].hex() for r in back] == [v.hex() for v in values]
         with open(first, "rb") as fh1, open(second, "rb") as fh2:
             assert fh1.read() == fh2.read()
