@@ -230,6 +230,8 @@ def parse_points(spec: str) -> np.ndarray:
         pts = np.array([float(p) for p in spec.split(",") if p.strip()])
     except ValueError as exc:
         raise ValueError(f"bad points spec {spec!r}: {exc}") from exc
+    if pts.size == 0:
+        raise ValueError(f"bad points spec {spec!r}: names no point")
     if not np.all(np.isfinite(pts)):
         raise ValueError(not_finite)
     return pts
@@ -243,8 +245,7 @@ def _basis_spec(args) -> BasisSpec:
     return BasisSpec(params=JacobiParams(args.alpha, args.beta), mode=args.mode)
 
 
-def _write_values(e: Expansion, points: str, path: str | None, fmt: str) -> None:
-    pts = parse_points(points)
+def _write_values(e: Expansion, pts: np.ndarray, path: str | None, fmt: str) -> None:
     write_table(path, {"x": pts, "value": synthesize(e, pts)}, fmt)
 
 
@@ -259,7 +260,7 @@ def cmd_expand(args) -> int:
 
 def cmd_eval(args) -> int:
     e = Expansion(_basis_spec(args), read_coefficients(args.infile))
-    _write_values(e, args.points, args.out, args.format)
+    _write_values(e, parse_points(args.points), args.out, args.format)
     return 0
 
 
@@ -268,7 +269,7 @@ def cmd_diff(args) -> int:
     # one-slot zero pad so the derivative window is exact
     padded = np.append(read_coefficients(args.infile), 0.0)
     derivative = Expansion(spec, diff_apply(diff_coeffs(spec.params, padded.size), padded))
-    _write_values(derivative, args.points, args.out, args.format)
+    _write_values(derivative, parse_points(args.points), args.out, args.format)
     return 0
 
 
@@ -294,6 +295,7 @@ def cmd_solve(args) -> int:
     spec = _basis_spec(args)
     if spec.mode != "full":
         raise ValueError("the solver works on full-mode expansions")
+    pts = None if args.points is None else parse_points(args.points)
     a = _solve_input(args.a_fn, args.a_in)
     a_coeffs = a if isinstance(a, np.ndarray) else analyze_unweighted(a, args.bandwidth)
     mult = mult_op(a_coeffs, args.bandwidth, args.n)
@@ -312,8 +314,8 @@ def cmd_solve(args) -> int:
     d = diff_coeffs(spec.params, args.n + max(1, args.bandwidth))
     result = solve_first_order(d, mult, rhs, args.n)
     write_table(args.out, {"m": np.arange(args.n), "c": result.expansion.coeffs}, args.format)
-    if args.points is not None:
-        _write_values(result.expansion, args.points, args.values_out, args.format)
+    if pts is not None:
+        _write_values(result.expansion, pts, args.values_out, args.format)
     print(f"residual={result.residual!r}")
     return 0
 

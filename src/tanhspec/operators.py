@@ -14,9 +14,10 @@ which fixes the T~_0 = 1/sqrt 2 scaling on row/column 0 and a checkerboard
 sign carried over from the (-1)^m in the basis functions.
 
 Every operator is built from that closed form over index arrays: one entry
-rule fills the band diagonal by diagonal, band storage is read and applied
-one stored diagonal at a time, and the banded QR applies each Householder
-reflector to its whole band block as one rank-1 update.
+rule fills the band diagonal by diagonal, and band storage is read and
+applied one stored diagonal at a time.  The banded QR hands LAPACK one
+dense panel of columns at a time (numpy.linalg.qr) and back-substitutes
+panel by panel, so no Python loop runs per column.
 """
 
 import math
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_PANEL = 32  # columns per QR panel of banded_qr_lstsq
 
 
 def diff_apply(d: DiffOp, c) -> np.ndarray:
@@ -267,11 +269,16 @@ def assemble_first_order(d: DiffOp, mult: MultOp, n: int) -> BandedMatrix:
 
 
 def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
-    """Least-squares solve of a banded rectangular system by Householder QR.
+    """Least-squares solve of a banded rectangular system by blocked QR.
 
-    Reflectors are applied column by column on the stored band with a
-    fill-in allowance of lower_bw extra superdiagonals.  Returns the
-    solution and the projected residual norm |Q^T b|_tail.
+    Columns are factored _PANEL at a time: the panel's dense block (its
+    rows down to lower_bw below it, its columns out to the fill-in width
+    lower_bw + upper_bw) is factored by numpy.linalg.qr, and Q^T is
+    applied to the rest of the block and to b.  The rows below the panel
+    carry into the next block; the panel's rows are finished rows of R,
+    kept for a back-substitution that solves one panel's triangle at a
+    time.  Returns the solution and the projected residual norm
+    |Q^T b|_tail.
 
     Raises
     ------
@@ -286,36 +293,23 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
         raise ValueError(f"rhs length {b.size} does not match {m} rows")
     lb, ub = mat.lower_bw, mat.upper_bw
     ubw = lb + ub  # upper bandwidth of R after fill-in
-    # W[i - k + ubw, k] = A[i, k], padded with ubw zero columns so that the
-    # block A[j + r, j + c] (r <= lb, 1 <= c <= ubw) is W.flat[base[r, c] + j]
-    width = n + ubw
-    W = np.zeros((lb + ubw + 1, width))
-    W[lb:, :n] = mat.data
-    Wf = W.ravel()
-    r, c = np.ogrid[: lb + 1, 1 : ubw + 1]
-    base = (r - c + ubw) * width + c
+    data = np.pad(mat.data, ((0, 0), (0, ubw)))
+    i, k = np.ogrid[: _PANEL + lb, : _PANEL + ubw]
+    d = i - k + ub  # row in mat.data of the block entry A[j + i, j + k]
+    inband, d = (d >= 0) & (d <= ubw), np.clip(d, 0, ubw)
+    panels, carry = [], np.zeros((0, ubw))
+    for j in range(0, n, _PANEL):
+        w = min(_PANEL, n - j)
+        h, cols = min(w + lb, m - j), w + ubw
+        block = np.where(inband[:h, :cols], data[d[:h, :cols], j + k[:, :cols]], 0.0)
+        block[: len(carry), :ubw] = carry
+        q, r = np.linalg.qr(block[:, :w], mode="complete")
+        rest = q.T @ np.column_stack([block[:, w:], b[j : j + h]])
+        b[j : j + h] = rest[:, -1]
+        panels.append((j, r[:w], rest[:w, :-1]))
+        carry = rest[w:, :-1]
 
-    for j in range(n):
-        length = min(lb, m - 1 - j) + 1
-        if length <= 1:
-            continue
-        v = W[ubw : ubw + length, j].copy()
-        normx = math.sqrt(float(v @ v))
-        if normx == 0.0:
-            continue
-        alpha = -math.copysign(normx, v[0]) if v[0] != 0.0 else -normx
-        v[0] -= alpha
-        vnorm2 = float(v @ v)
-        if vnorm2 == 0.0:
-            continue
-        W[ubw, j] = alpha
-        block = base[:length] + j
-        y = Wf[block]
-        Wf[block] = y - np.outer(v, 2.0 * (v @ y) / vnorm2)
-        yb = b[j : j + length]
-        yb -= 2.0 * float(v @ yb) / vnorm2 * v
-
-    rdiag = np.abs(W[ubw, :n])
+    rdiag = np.abs(np.concatenate([np.diag(r) for _, r, _ in panels]))
     biggest = rdiag.max()
     if biggest == 0.0 or rdiag.min() < rank_tol * biggest:
         worst = int(rdiag.argmin())
@@ -323,9 +317,10 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
             f"rank-deficient system: |R[{worst},{worst}]| = {rdiag.min():.3e} "
             f"below {rank_tol:.1e} of max {biggest:.3e}"
         )
-    x = np.zeros(width)
-    for j in range(n - 1, -1, -1):
-        x[j] = (b[j] - Wf[base[0] + j] @ x[j + 1 : j + ubw + 1]) / W[ubw, j]
+    x = np.zeros(n + ubw)
+    for j, r, c in reversed(panels):
+        e = j + len(r)
+        x[j:e] = np.linalg.solve(r, b[j:e] - c @ x[e : e + ubw])
     tail = b[n:]
     return x[:n], math.sqrt(float(tail @ tail))
 

@@ -214,6 +214,28 @@ def test_non_finite_points_rejected(tmp_path, capsys, command, points):
     assert not out.exists()
 
 
+_POINTS_COMMANDS = {
+    "eval": "eval --alpha 0.0 --beta 0.0 --in {c} --out {o}",
+    "diff": "diff --alpha 0.0 --beta 0.0 --in {c} --out {o}",
+    "ft": "ft --alpha 0.0 --beta 0.0 --in {c} --out {o}",
+    "basis": "basis --alpha 0.0 --beta 0.0 --m-list 0,1 --out {o}",
+    "solve": "solve --alpha -0.5 --beta -0.5 --n 16 --a-fn gaussian:0 --f-fn sech --bandwidth 0 --out {o} --values-out {o}",
+}
+
+
+@pytest.mark.parametrize("command", list(_POINTS_COMMANDS))
+@pytest.mark.parametrize("points", ["", ","], ids=["empty", "comma"])
+def test_points_spec_naming_no_point_rejected(tmp_path, capsys, command, points):
+    cf = tmp_path / "c.csv"
+    write_table(str(cf), _cols([{"m": 0, "c": 1.0}]), "csv")
+    out = tmp_path / "o.csv"
+    argv = _POINTS_COMMANDS[command].format(c=cf, o=out).split()
+    assert run(*argv, f"--points={points}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "names no point" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestFourierCommand:
     def test_profile(self, tmp_path):
         cf = tmp_path / "c.csv"

@@ -285,6 +285,11 @@ class TestBandedQR:
             pytest.param(6, 60, 50, 9, 7, id="wide-band"),
             # rows < cols + lb: the last reflectors are cut off by the bottom
             pytest.param(7, 32, 30, 5, 1, id="truncated-reflector"),
+            # the QR works on panels of _PANEL = 32 columns: several full
+            # panels and a ragged last one, with and without rows below
+            pytest.param(8, 130, 100, 4, 3, id="ragged-panels"),
+            pytest.param(9, 100, 100, 0, 3, id="lb0-panels"),
+            pytest.param(10, 72, 70, 5, 1, id="truncated-reflector-panels"),
         ],
     )
     def test_against_dense_lstsq(self, seed, rows, cols, lb, ub):
@@ -298,13 +303,17 @@ class TestBandedQR:
         want, *_ = np.linalg.lstsq(mat.to_dense(), rhs, rcond=None)
         assert np.max(np.abs(x - want)) <= 1e-10
 
-    def test_rank_deficiency_detected(self):
-        mat = BandedMatrix.zeros(5, 4, 1, 1)
-        for j in range(4):
-            if j != 2:
+    @pytest.mark.parametrize(
+        "rows,cols,zero",
+        [pytest.param(5, 4, 2, id="first-panel"), pytest.param(80, 75, 50, id="later-panel")],
+    )
+    def test_rank_deficiency_detected(self, rows, cols, zero):
+        mat = BandedMatrix.zeros(rows, cols, 1, 1)
+        for j in range(cols):
+            if j != zero:
                 mat.set(j, j, 1.0)
-        with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
-            banded_qr_lstsq(mat, np.ones(5))
+        with pytest.raises(np.linalg.LinAlgError, match=rf"rank-deficient system: \|R\[{zero},{zero}\]\|"):
+            banded_qr_lstsq(mat, np.ones(rows))
 
 
 class TestSolveFirstOrder:
@@ -361,3 +370,18 @@ class TestSolveFirstOrder:
         result = solve_first_order(d, mo, rhs, n)
         assert np.max(np.abs(result.expansion.coeffs[:12] - cu)) <= 1e-9
         assert result.residual <= 1e-9
+
+    def test_multi_panel_solve_matches_dense_lstsq(self):
+        # N = 300 spans ten QR panels of the banded solve
+        rng = np.random.default_rng(34)
+        n, m = 300, 8
+        a = np.concatenate([[3.0], rng.standard_normal(m) * 0.5 ** np.arange(1, m + 1)])
+        d = diff_coeffs(T_PAIR, n + m)
+        mo = mult_op(a, m, n)
+        rhs = Expansion(T_SPEC, rng.standard_normal(n) / (1.0 + np.arange(n)))
+        result = solve_first_order(d, mo, rhs, n)
+        mat = assemble_first_order(d, mo, n)
+        b = np.concatenate([rhs.coeffs, np.zeros(m)])
+        want, *_ = np.linalg.lstsq(mat.to_dense(), b, rcond=None)
+        assert np.max(np.abs(result.expansion.coeffs - want)) <= 1e-10
+        assert math.isclose(result.residual, np.linalg.norm(mat.to_dense() @ want - b), rel_tol=1e-10)
