@@ -23,7 +23,6 @@ from .jacobi import (
     chebyshev_eval,
     gauss_jacobi,
     jacobi_eval,
-    jacobi_eval_batch,
     recurrence_coefficients,
 )
 from .operators import (
@@ -72,7 +71,6 @@ __all__ = [
     "g_weight",
     "gauss_jacobi",
     "jacobi_eval",
-    "jacobi_eval_batch",
     "jacobi_norm",
     "log_gamma_complex",
     "measure_density",

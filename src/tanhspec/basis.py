@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import couplings, jacobi_eval, jacobi_matrix
+from .jacobi import couplings, jacobi_eval, orthonormal_blocks
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
@@ -196,35 +196,20 @@ def derivative_pointwise(spec: BasisSpec, m: int, x):
 
 
 def clenshaw_eval(e: Expansion, x):
-    """Evaluate sum_m c_m phi_m(x) by backward Clenshaw recurrence.
+    """Evaluate sum_m c_m phi_m(x) by the forward recurrence of jacobi.orthonormal_blocks.
 
-    Works in the mapped variable t = tanh x against the signed orthonormal
-    polynomials, so the boundary weight is evaluated exactly once per point.
-    Half-mode expansions use the identical full-range functions of the
-    (alpha, alpha) pair.
+    Works in the mapped variable t = tanh x: each block of rows p_m adds one
+    matrix-vector product (-1)^m c_m s_m p_m, and the boundary weight is
+    evaluated once per point.  Half-mode expansions use the identical
+    full-range functions of the (alpha, alpha) pair.
     """
     params = e.spec.params
-    n = len(e)
     pts, scalar = _as_points(x)
-    t = np.tanh(pts)
-    # signed orthonormal recurrence q~_{m+1} = ((B_m - t) q~_m - e_{m-1} q~_{m-1}) / e_m
-    B, off = jacobi_matrix(params, n)
-    ratio = (-off[:-1] / off[1:]).tolist()
-    B, off, c = B.tolist(), off.tolist(), e.coeffs.tolist()
-    # u_k = c_k + (B_k - t) / e_k u_{k+1} + ratio_k u_{k+2}, ratio_k = -e_k / e_{k+1};
-    # each step writes u_k into the spare array w, then the three rotate
-    u1 = np.zeros_like(t)
-    u2 = np.zeros_like(t)
-    w = np.empty_like(t)
-    for k in range(n - 1, -1, -1):
-        np.subtract(B[k], t, out=w)
-        w /= off[k]
-        w *= u1
-        w += c[k]
-        if k + 1 < n:
-            u2 *= ratio[k]
-            w += u2
-        u1, u2, w = w, u1, u2
-    logw = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
-    vals = u1 * np.exp(logw)
-    return _ret(vals, scalar)
+    v = e.coeffs.copy()
+    v[1::2] *= -1.0
+    acc = np.zeros(pts.size)
+    m = 0
+    for s, P in orthonormal_blocks(params, len(e), np.tanh(pts)):
+        acc += (v[m : m + len(s)] * s) @ P
+        m += len(s)
+    return _ret(acc * np.exp(_log_weight_full(params, pts)), scalar)

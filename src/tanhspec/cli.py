@@ -24,6 +24,9 @@ __all__ = ["main", "entrypoint"]
 
 _USAGE_ERROR = 2
 _NUMERICAL_ERROR = 3
+#: `solve` warns on stderr when |L u - f| / |f| exceeds this: the equation may
+#: have no L2 solution (say a(x) -> 0 at both ends), or N may be too small
+_RESIDUAL_WARNING = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +320,10 @@ def cmd_solve(args) -> int:
     if pts is not None:
         _write_values(result.expansion, pts, args.values_out, args.format)
     print(f"residual={result.residual!r}")
+    size = np.linalg.norm(rhs.coeffs)
+    if result.residual > _RESIDUAL_WARNING * size:
+        print(f"warning: relative residual {result.residual / size:.2g} > {_RESIDUAL_WARNING:g}: "
+              "the equation may have no L2 solution, or --n is too small to resolve it", file=sys.stderr)
     return 0
 
 

@@ -1,7 +1,12 @@
 """Jacobi and Chebyshev polynomial evaluation and Gauss-Jacobi quadrature.
 
-The quadrature rules double as the slow, fully general transform path and
-as the oracle against which the fast trigonometric paths are tested.
+One recurrence kernel, orthonormal_blocks, streams the orthonormal
+polynomials q_m in blocks of rescaled rows at one multiply and one subtract
+per degree and point.  The Gauss weights here, the quadrature projections
+(transforms) and the synthesis (basis.clenshaw_eval) each reduce a block
+with one product.  The quadrature rules double as the slow, fully general
+transform path and as the oracle against which the fast trigonometric
+paths are tested.
 """
 
 import math
@@ -16,8 +21,6 @@ __all__ = [
     "QuadratureRule",
     "recurrence_coefficients",
     "jacobi_eval",
-    "jacobi_eval_batch",
-    "orthonormal_eval_batch",
     "couplings",
     "jacobi_matrix",
     "orthonormal_blocks",
@@ -110,9 +113,9 @@ def jacobi_matrix(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndar
     return recurrence_coefficients(params, count).B, e
 
 
-#: Byte budget of the (K+1)-row buffer of orthonormal_blocks; K is clamped
-#: to 8..64 rows, so small point sets still get long blocks and large ones
-#: stay within a few hundred KiB.
+#: Byte budget of one K-row block of orthonormal_blocks; K is clamped to
+#: 8..64 rows, so small point sets still get long blocks and large ones stay
+#: within a few hundred KiB.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -122,63 +125,55 @@ def _block_rows(size: int) -> int:
 
 
 def orthonormal_blocks(params: JacobiParams, count: int, points):
-    """Yield q_0(t), ..., q_{count-1}(t) at `points` as (K, len(points)) blocks.
+    """Yield q_0(t), ..., q_{count-1}(t) at `points` as blocks (s, P): q_m = s_m p_m.
 
-    Same values as the rows of orthonormal_eval_batch, in O(K len(points))
-    memory: the symmetric recurrence of jacobi_matrix runs in place in one
-    reused (K+1)-row buffer whose row 0 carries the row before the block.
-    Each block is a view of that buffer, overwritten by the next one; the
-    last block may be shorter.
+    p_m = sigma_m q_m runs the recurrence of jacobi_matrix rescaled so that
+    each degree costs one multiply and one subtract,
+
+        p_{m+1} = g_m (t - B_m) p_m - p_{m-1},   g_m = sigma_{m+1} / (sigma_m e_m),
+
+    with sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}: products
+    of ratios of consecutive e_m -> 1/2, so they stay bounded.  One broadcast
+    per block of K rows writes the factors g_m (t - B_m) into the rows they
+    produce.  P is a (K, len(points)) view of one reused buffer, overwritten
+    by the next block, and the caller's to overwrite until then; the last
+    block may be shorter.  s = 1 / sigma are the block's scales.
     """
     t = np.asarray(points, dtype=float)
     k = _block_rows(t.size)
-    B, e = (a.tolist() for a in jacobi_matrix(params, count))
-    buf = np.empty((k + 1, t.size))
-    tmp = np.empty_like(t)
-    buf[1] = math.exp(-0.5 * log_jacobi_norm(params, 0))
-    prev, q, i = None, buf[1], 2
-    for m in range(count - 1):
-        if i > k:
-            yield buf[1:]
-            buf[0] = q
-            q, i = buf[0], 1
-        # q_{m+1} = ((t - B_m) q_m - e_{m-1} q_{m-1}) / e_m
-        row = buf[i]
-        np.subtract(t, B[m], out=row)
-        row *= q
-        if m:
-            np.multiply(prev, e[m - 1], out=tmp)
-            row -= tmp
-        row /= e[m]
-        prev, q, i = q, row, i + 1
-    yield buf[1:i]
-
-
-def jacobi_eval_batch(params: JacobiParams, m_max: int, points) -> np.ndarray:
-    """P_m^(alpha,beta) at `points` for all m = 0..m_max, by forward recurrence.
-
-    Returns an array of shape (m_max+1, len(points)); column j holds the
-    values at points[j].
-    """
-    if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative (got {m_max})")
-    t = np.atleast_1d(np.asarray(points, dtype=float))
-    out = np.empty((m_max + 1, t.size))
-    out[0] = 1.0
-    if m_max >= 1:
-        rec = recurrence_coefficients(params, m_max)
-        out[1] = (t - rec.B[0]) / rec.C[0]
-        for k in range(1, m_max):
-            out[k + 1] = ((t - rec.B[k]) * out[k] - rec.A[k] * out[k - 1]) / rec.C[k]
-    return out
+    B, e = jacobi_matrix(params, count)
+    sigma = np.ones(count + 1)
+    ratio = e[1:] / e[:-1]
+    sigma[2::2] = np.cumprod(ratio[0::2])
+    sigma[3::2] = np.cumprod(ratio[1::2])
+    g = sigma[1:] / (sigma[:-1] * e)
+    s = 1.0 / sigma[:count]
+    # rows[0], rows[1] carry p_{lo-2}, p_{lo-1} into the block of degrees
+    # lo..lo+size-1, which lives in rows[2:] = buf: the caller may overwrite it
+    carry = np.zeros((2, t.size))  # p_{-2} (unused), p_{-1} = 0
+    buf = np.empty((k, t.size))
+    rows = [*carry, *buf]
+    buf[0] = math.exp(-0.5 * log_jacobi_norm(params, 0))
+    for lo in range(0, count, k):
+        size = min(k, count - lo)
+        j = 1 if lo == 0 else 0  # p_0 is set, not computed
+        # each computed row p_m starts as g_{m-1} (t - B_{m-1})
+        new = buf[j:size]
+        np.subtract(t, B[lo + j - 1 : lo + size - 1, None], out=new)
+        new *= g[lo + j - 1 : lo + size - 1, None]
+        for i in range(j + 2, size + 2):
+            rows[i] *= rows[i - 1]
+            rows[i] -= rows[i - 2]
+        carry[0] = rows[size]
+        carry[1] = rows[size + 1]
+        yield s[lo : lo + size], buf[:size]
 
 
 def jacobi_eval(params: JacobiParams, m: int, t):
     """P_m^(alpha,beta)(t) by forward recurrence (stable on [-1, 1]).
 
-    t may be a scalar (a float is returned) or an array.  The recurrence is
-    that of jacobi_eval_batch, keeping two rows, so the values equal row m
-    of its table bitwise in O(len(t)) memory.
+    t may be a scalar (a float is returned) or an array; two rows are kept,
+    so the memory is O(len(t)).
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
@@ -191,13 +186,6 @@ def jacobi_eval(params: JacobiParams, m: int, t):
         for k in range(1, m):
             prev, p = p, ((x - B[k]) * p - A[k] * prev) / C[k]
     return float(p[0]) if np.ndim(t) == 0 else p
-
-
-def orthonormal_eval_batch(params: JacobiParams, m_max: int, points) -> np.ndarray:
-    """Rows of jacobi_eval_batch scaled to unit weighted L2 norm."""
-    vals = jacobi_eval_batch(params, m_max, points)
-    scale = np.exp([-0.5 * log_jacobi_norm(params, m) for m in range(m_max + 1)])
-    return vals * scale[:, None]
 
 
 def chebyshev_eval(kind: str, m: int, theta: float) -> float:
@@ -266,7 +254,7 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     # first-component weight formula g_0 v_{0k}^2 = 1/sum_m q_m(t_k)^2 accurate
     # to machine precision, where accumulated QL rotations lose several digits.
     total = np.zeros(n)
-    for Q in orthonormal_blocks(params, n, nodes):
-        total += np.einsum("ij,ij->j", Q, Q)
+    for s, P in orthonormal_blocks(params, n, nodes):
+        total += (s * s) @ np.square(P, out=P)
     weights = 1.0 / total
     return QuadratureRule(nodes=nodes, weights=weights, params=params)

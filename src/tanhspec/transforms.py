@@ -4,9 +4,10 @@ For the four half-integer parameter pairs the coefficient integrals reduce
 to cosine/sine sums over the first-kind Chebyshev angles
 theta_k = (2k+1) pi / (2N), evaluated with kernels on numpy.fft in
 O(N log N); every other parameter pair goes through an N-point
-Gauss-Jacobi rule in O(N^2).  Both routes approximate the same integrals
-(quadrature semantics, no endpoint samples), so they agree to rounding on
-band-limited inputs and converge together otherwise.
+Gauss-Jacobi rule in O(N^2), one matrix-vector product per block of the
+recurrence kernel jacobi.orthonormal_blocks.  Both routes approximate the
+same integrals (quadrature semantics, no endpoint samples), so they agree
+to rounding on band-limited inputs and converge together otherwise.
 """
 
 import math
@@ -226,7 +227,8 @@ def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
     """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of F at the nodes."""
     if nodes.rule is not None:
         wF = nodes.rule.weights * F
-        return np.concatenate([Q @ wF for Q in orthonormal_blocks(params, F.size, nodes.rule.nodes)])
+        blocks = orthonormal_blocks(params, F.size, nodes.rule.nodes)
+        return np.concatenate([s * (P @ wF) for s, P in blocks])
     kind, pre, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
     y = dct(kind, F * nodes.pre[pre])
     if halve_top:
@@ -314,6 +316,6 @@ def analyze_unweighted(f, m_max: int, n: int | None = None) -> np.ndarray:
 
 
 def synthesize(e: Expansion, points) -> np.ndarray:
-    """Evaluate the expansion at the given points (Clenshaw per point batch)."""
+    """Evaluate the expansion at the given points (basis.clenshaw_eval)."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     return np.asarray(clenshaw_eval(e, pts))

@@ -7,10 +7,11 @@ the routes under test never check themselves.
 
 import math
 
+import mpmath
 import numpy as np
 
 from tanhspec.basis import _as_points, _log_weight_full
-from tanhspec.jacobi import jacobi_matrix
+from tanhspec.jacobi import _block_rows, jacobi_matrix, recurrence_coefficients
 from tanhspec.special import log_jacobi_norm
 
 TWO_PI = 2.0 * math.pi
@@ -38,6 +39,30 @@ def naive_trig_transform(kind: str, x) -> np.ndarray:
     if kind == "DST-IV":
         return np.sin(np.pi * (2 * m + 1) * (2 * k + 1) / (4 * n)) @ x
     raise ValueError(kind)
+
+
+def jacobi_eval_batch(params, m_max: int, points) -> np.ndarray:
+    """P_m^(alpha,beta) at `points` for all m = 0..m_max, by forward recurrence.
+
+    Returns an array of shape (m_max+1, len(points)); column j holds the
+    values at points[j].  The arithmetic is that of jacobi_eval, so row m
+    equals jacobi_eval(params, m, points) bitwise.
+    """
+    t = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.empty((m_max + 1, t.size))
+    out[0] = 1.0
+    if m_max >= 1:
+        rec = recurrence_coefficients(params, m_max)
+        out[1] = (t - rec.B[0]) / rec.C[0]
+        for k in range(1, m_max):
+            out[k + 1] = ((t - rec.B[k]) * out[k] - rec.A[k] * out[k - 1]) / rec.C[k]
+    return out
+
+
+def orthonormal_eval_batch(params, m_max: int, points) -> np.ndarray:
+    """Rows of jacobi_eval_batch scaled to unit weighted L2 norm."""
+    scale = np.exp([-0.5 * log_jacobi_norm(params, m) for m in range(m_max + 1)])
+    return jacobi_eval_batch(params, m_max, points) * scale[:, None]
 
 
 def jacobi_explicit_sum(a: float, b: float, m: int, t: float) -> float:
@@ -114,57 +139,97 @@ def mult_op_dense(a, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-# Row-at-a-time forms of the quadrature-path recurrences.  The library runs
-# the same arithmetic in place over blocks of rows; these loops are the
-# references it is checked against.
+# Row-at-a-time forms of the recurrence kernel (jacobi.orthonormal_blocks).
+# The library runs the same arithmetic in place over blocks of rows; these
+# loops are the references it is checked against.
 
 
 def orthonormal_rows(params, count: int, points):
-    """Yield q_0(t), ..., q_{count-1}(t) at `points`, one fresh row at a time,
-    by the symmetric recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}."""
+    """Yield (s_m, p_m), m < count, with q_m(t) = s_m p_m(t), one fresh row at a time.
+
+    p_m = sigma_m q_m, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1},
+    runs p_{m+1} = g_m (t - B_m) p_m - p_{m-1} with g_m = sigma_{m+1} / (sigma_m e_m),
+    the symmetric recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1} rescaled.
+    """
     t = np.asarray(points, dtype=float)
     B, e = jacobi_matrix(params, count)
-    prev, q = np.zeros_like(t), np.full_like(t, math.exp(-0.5 * log_jacobi_norm(params, 0)))
-    yield q
+    sigma = [1.0, 1.0]
+    for m in range(1, count - 1):
+        sigma.append(sigma[m - 1] * (e[m] / e[m - 1]))
+    prev, p = np.zeros_like(t), np.full_like(t, math.exp(-0.5 * log_jacobi_norm(params, 0)))
+    yield 1.0 / sigma[0], p
     for m in range(count - 1):
-        prev, q = q, ((t - B[m]) * q - (e[m - 1] if m else 0.0) * prev) / e[m]
-        yield q
+        g = sigma[m + 1] / (sigma[m] * e[m])
+        prev, p = p, g * (t - B[m]) * p - prev
+        yield 1.0 / sigma[m + 1], p
 
 
 def gauss_weights_rowwise(params, nodes) -> np.ndarray:
     """Gauss weights 1 / sum_m q_m(t_k)^2 at the n nodes of an n-point rule."""
-    return 1.0 / sum(q * q for q in orthonormal_rows(params, len(nodes), nodes))
+    return 1.0 / sum((s * p) ** 2 for s, p in orthonormal_rows(params, len(nodes), nodes))
 
 
 def project_rowwise(params, rule, F) -> np.ndarray:
     """Orthonormal coefficients sum_k w_k q_m(t_k) F_k, m < len(F), one dot per row."""
     wF = rule.weights * F
-    return np.array([q @ wF for q in orthonormal_rows(params, F.size, rule.nodes)])
+    return np.array([s * (p @ wF) for s, p in orthonormal_rows(params, F.size, rule.nodes)])
 
 
 def clenshaw_rowwise(e, x):
-    """Backward Clenshaw sum of a full-range expansion, allocating each step.
+    """Forward sum of a full-range expansion over rows made one at a time.
 
-    The boundary weight is the library's own, so that a comparison with
-    clenshaw_eval checks the recurrence bitwise.
+    The rows are summed with one matrix-vector product per block of
+    jacobi._block_rows rows, and the boundary weight is the library's own,
+    so that a comparison with clenshaw_eval checks the kernel bitwise.
     """
     params = e.spec.params
-    n = len(e)
     pts, scalar = _as_points(x)
-    t = np.tanh(pts)
-    B, off = jacobi_matrix(params, n)
-    beta = np.zeros(n)
-    beta[1:] = -off[:-1] / off[1:]
-    u1 = np.zeros_like(t)
-    u2 = np.zeros_like(t)
-    for k in range(n - 1, -1, -1):
-        u = e.coeffs[k] + (B[k] - t) / off[k] * u1
-        if k + 1 < n:
-            u = u + beta[k + 1] * u2
-        u2 = u1
-        u1 = u
-    vals = u1 * np.exp(_log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0))
+    k = _block_rows(pts.size)
+    v = e.coeffs * (-1.0) ** np.arange(len(e))
+    acc = np.zeros(pts.size)
+    rows = list(orthonormal_rows(params, len(e), np.tanh(pts)))
+    for lo in range(0, len(rows), k):
+        block = rows[lo : lo + k]
+        s = np.array([r[0] for r in block])
+        acc += (v[lo : lo + k] * s) @ np.array([r[1] for r in block])
+    vals = acc * np.exp(_log_weight_full(params, pts))
     return float(vals[0]) if scalar else vals
+
+
+def orthonormal_mp(a: float, b: float, count: int, points, dps: int = 40) -> list:
+    """q_0..q_{count-1} at `points` in `dps`-digit arithmetic: a list of rows of mpf.
+
+    The recurrence coefficients come from their closed forms, evaluated in
+    mpmath from the binary values of a and b, so no library arithmetic enters:
+    t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}, q_0 = g_0^{-1/2},
+    B_m = (b^2 - a^2) / ((s+2m)(s+2m+2)), e_m = 2 b_m / (s+2m+2) with the
+    differentiation couplings b_m, s = a + b.
+    """
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        s = a + b
+        ts = [mpmath.mpf(float(x)) for x in points]
+
+        def diag(m):
+            return (b - a) / (s + 2) if m == 0 else (b * b - a * a) / ((s + 2 * m) * (s + 2 * m + 2))
+
+        def off(m):
+            # b_m^2 with the m = 0 factor (s+m+1)/(s+2m+1) = 1 cancelled
+            bm2 = (m + 1) * (a + m + 1) * (b + m + 1) / (s + 2 * m + 3)
+            if m:
+                bm2 *= (s + m + 1) / (s + 2 * m + 1)
+            return 2 * mpmath.sqrt(bm2) / (s + 2 * m + 2)
+
+        g0 = 2 ** (s + 1) * mpmath.gamma(a + 1) * mpmath.gamma(b + 1) / mpmath.gamma(s + 2)
+        q = [1 / mpmath.sqrt(g0)] * len(ts)
+        prev = [mpmath.mpf(0)] * len(ts)
+        rows, e_prev = [q], mpmath.mpf(0)
+        for m in range(count - 1):
+            bm, em = diag(m), off(m)
+            prev, q = q, [((t - bm) * qk - e_prev * pk) / em for t, qk, pk in zip(ts, q, prev)]
+            rows.append(q)
+            e_prev = em
+        return rows
 
 
 def barycentric_rowwise(x_samples, values, blend: int = 3):

@@ -32,9 +32,8 @@ from tanhspec import (
     synthesize,
 )
 from tanhspec.cli import main as cli_main, read_table
-from tanhspec.jacobi import orthonormal_eval_batch
 
-from oracles import direct_fourier, fd_derivative, gauss_panels
+from oracles import direct_fourier, fd_derivative, gauss_panels, orthonormal_eval_batch
 
 GRAM_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.0, 0.0), (1.3, 0.2)]
 CHEB_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5)]

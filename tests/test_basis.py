@@ -17,9 +17,7 @@ from tanhspec import (
     phi_full,
     phi_half,
 )
-from tanhspec.jacobi import orthonormal_eval_batch
-
-from oracles import clenshaw_rowwise, fd_derivative
+from oracles import clenshaw_rowwise, fd_derivative, orthonormal_eval_batch
 
 GRID_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.0, 0.0), (1.3, 0.2)]
 

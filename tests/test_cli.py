@@ -356,6 +356,31 @@ class TestSolve:
         assert err.startswith("error:") and "Chebyshev-T" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_large_relative_residual_warns(self, tmp_path, capsys):
+        # u' + sech(x) u = sech(x) has no L2 solution: every solution is
+        # 1 + C exp(-2 arctan e^x), which cannot vanish at both ends.  The
+        # residual stays near 0.3 against |f| = 1.41; the exit code and stdout
+        # are those of any solve, and stderr carries one warning line
+        out = tmp_path / "u.csv"
+        code = run(
+            "solve", "--alpha", "-0.5", "--beta", "-0.5", "--n", "64",
+            "--a-fn", "sech", "--f-fn", "sech", "--bandwidth", "4", "--out", str(out),
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("residual=") and len(captured.out.splitlines()) == 1
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: relative residual 0.21 > 0.01")
+        assert read_coefficients(str(out)).size == 64
+
+    def test_resolved_solve_prints_no_warning(self, tmp_path, capsys):
+        # a -> 2/3 at both ends: relative residual 4e-3 at N = 1024
+        assert run(
+            "solve", "--alpha", "-0.5", "--beta", "-0.5", "--n", "1024", "--a-fn", "runge_tanh:0.5",
+            "--f-fn", "sech", "--bandwidth", "8", "--out", str(tmp_path / "u.csv"),
+        ) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.0, 0.0)])
     def test_constant_coefficient_any_pair(self, tmp_path, a, b):
         # a = 1 (gaussian:0) acts as the identity in every basis: u = phi_1
@@ -423,6 +448,8 @@ class TestScipyImportContract:
     @pytest.mark.parametrize("argv,code", [
         ("eval --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-3:3:7", 0),
         ("diff --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-3:3:7", 0),
+        ("eval --alpha 1.3 --beta 0.2 --in {coeffs} --points lin:-3:3:7", 0),
+        ("diff --alpha 1.3 --beta 0.2 --in {coeffs} --points lin:-3:3:7", 0),
         ("basis --alpha -0.5 --beta -0.5 --m-list 0,1,4 --points lin:-3:3:7", 0),
         ("ft --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-5:5:11", 0),
         ("expand --alpha -1 --beta 0 --n 16 --fn sech", 2),
@@ -431,7 +458,7 @@ class TestScipyImportContract:
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-fn gaussian:0.5 --f-fn sech --bandwidth 4 --out {out}", 0),
         ("expand --alpha -0.5 --beta -0.5 --mode half --n 64 --in {samples} --out {out}", 0),
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-in {a_coeffs} --f-fn sech --bandwidth 4 --out {out}", 0),
-    ], ids=["eval", "diff", "basis", "ft", "usage-error", "expand-fast", "expand-half-fast", "solve-fast",
+    ], ids=["eval", "diff", "eval-generic", "diff-generic", "basis", "ft", "usage-error", "expand-fast", "expand-half-fast", "solve-fast",
             "expand-half-samples", "solve-a-coefficients"])
     def test_commands_without_scipy(self, tmp_path, argv, code):
         _, coeffs = _expand_sech(tmp_path)

@@ -1,5 +1,6 @@
 """Polynomial evaluation and Gauss-Jacobi rules against closed forms."""
 
+import functools
 import math
 import tracemalloc
 
@@ -8,19 +9,27 @@ import numpy as np
 import pytest
 
 from tanhspec import (
+    BasisSpec,
+    Expansion,
     JacobiParams,
     chebyshev_eval,
+    clenshaw_eval,
     gauss_jacobi,
     jacobi_eval,
-    jacobi_eval_batch,
     jacobi_norm,
     norm_ratio,
     recurrence_coefficients,
 )
 from tanhspec import jacobi as jacobi_mod
-from tanhspec.jacobi import jacobi_matrix, orthonormal_blocks, orthonormal_eval_batch
+from tanhspec.jacobi import jacobi_matrix, orthonormal_blocks
 
-from oracles import gauss_weights_rowwise, jacobi_explicit_sum
+from oracles import (
+    gauss_weights_rowwise,
+    jacobi_eval_batch,
+    jacobi_explicit_sum,
+    orthonormal_eval_batch,
+    orthonormal_mp,
+)
 
 GRID_PAIRS = [(-0.9, -0.9), (-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (2.0, 0.3), (7.3, -0.5), (1.3, 0.2), (-0.5, 0.5)]
 
@@ -57,7 +66,7 @@ class TestOrthonormalRecurrence:
         k = jacobi_mod._block_rows(t.size)
         for count in (1, 2, k - 1, k, k + 1, 2 * k, 2 * k + 1):
             Q = orthonormal_eval_batch(p, count - 1, t)
-            blocks = [blk.copy() for blk in orthonormal_blocks(p, count, t)]  # views of one buffer
+            blocks = [s[:, None] * P for s, P in orthonormal_blocks(p, count, t)]  # P: one reused buffer
             assert [len(blk) for blk in blocks[:-1]] == [k] * (len(blocks) - 1)
             rows = np.concatenate(blocks)
             assert rows.shape == Q.shape
@@ -223,3 +232,65 @@ class TestGaussJacobi:
         for j in range(2 * n):
             got = float(np.sum(rule.weights * rule.nodes**j))
             assert abs(got - mu[j]) <= 1e-12 * mu[0], (j, got, mu[j])
+
+
+# Each pair's bound is about ten times the worst error, over n = 300 and 1000
+# and all three quantities, of the unscaled recurrence q_{m+1} = ((t - B_m) q_m
+# - e_{m-1} q_{m-1}) / e_m with backward Clenshaw synthesis.  At (-0.999, 3) the
+# error (1e-10 on the rows at n = 1000) comes from the rounding of the float
+# coefficients next to t = 1, not from the kernel's arithmetic.
+MP_BOUNDS = {(1.3, 0.2): 2e-11, (-0.9, -0.9): 2e-10, (-0.999, 3.0): 2e-9, (80.0, 80.0): 2e-12}
+
+
+@functools.lru_cache(maxsize=None)
+def _rule_and_mp_rows(a, b, n):
+    """The n-point rule, 24 of its nodes (both ends and a spread) and the
+    40-digit q_m, m < n, at those float nodes."""
+    rule = gauss_jacobi(JacobiParams(a, b), n)
+    spread = np.linspace(0, n - 1, 12).round().astype(int)
+    idx = np.unique(np.concatenate([np.arange(6), np.arange(n - 6, n), spread]))
+    rows = orthonormal_mp(a, b, n, rule.nodes[idx])
+    return rule, idx, np.array([[float(v) for v in row] for row in rows])
+
+
+class TestKernelAgainstMpmath:
+    """Rows, Gauss weights and synthesis of the recurrence kernel against 40 digits."""
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("a,b", list(MP_BOUNDS))
+    def test_rows(self, a, b, n):
+        # error relative to the norm sqrt(sum_m q_m^2) of each node's column
+        rule, idx, want = _rule_and_mp_rows(a, b, n)
+        t = rule.nodes[idx]
+        blocks = orthonormal_blocks(JacobiParams(a, b), n, t)
+        got = np.concatenate([s[:, None] * P for s, P in blocks])
+        col = np.sqrt(np.sum(want**2, axis=0))
+        assert np.max(np.abs(got - want) / col) <= MP_BOUNDS[(a, b)]
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("a,b", list(MP_BOUNDS))
+    def test_gauss_weights(self, a, b, n):
+        # at the rule's own float nodes, so node errors do not enter
+        rule, idx, want = _rule_and_mp_rows(a, b, n)
+        with mpmath.workdps(40):
+            w = np.array([float(1 / mpmath.fsum(mpmath.mpf(v) ** 2 for v in col)) for col in want.T])
+        assert np.max(np.abs(rule.weights[idx] - w) / w) <= MP_BOUNDS[(a, b)]
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("a,b", list(MP_BOUNDS))
+    def test_synthesis(self, a, b, n):
+        # sum_m c_m phi_m(x) at t = np.tanh(x), the library's rounding of t, and
+        # the weight from x itself; error relative to sum_m |c_m phi_m(x)|
+        c = np.random.default_rng(7).standard_normal(n)
+        x = np.linspace(-8.0, 8.0, 17)
+        rows = orthonormal_mp(a, b, n, np.tanh(x))
+        want, size = [], []
+        with mpmath.workdps(40):
+            for k, xk in enumerate(x):
+                th = mpmath.tanh(mpmath.mpf(float(xk)))
+                w = (1 - th) ** ((mpmath.mpf(a) + 1) / 2) * (1 + th) ** ((mpmath.mpf(b) + 1) / 2)
+                terms = [(-1) ** m * mpmath.mpf(float(c[m])) * rows[m][k] for m in range(n)]
+                want.append(float(w * mpmath.fsum(terms)))
+                size.append(float(w * mpmath.fsum(abs(v) for v in terms)))
+        got = clenshaw_eval(Expansion(BasisSpec(JacobiParams(a, b), "full"), c), x)
+        assert np.max(np.abs(got - np.array(want)) / np.array(size)) <= MP_BOUNDS[(a, b)]

@@ -21,7 +21,7 @@ from tanhspec import (
 )
 from tanhspec.operators import BandedMatrix, banded_qr_lstsq
 
-from oracles import fd_derivative, fd_second_derivative, mult_op_dense
+from oracles import fd_derivative, fd_second_derivative, mult_op_dense, orthonormal_eval_batch
 
 T_PAIR = JacobiParams(-0.5, -0.5)
 T_SPEC = BasisSpec(T_PAIR, "full")
@@ -116,7 +116,6 @@ class TestMultOp:
     def test_tanh_gram_oracle(self):
         # entries of multiplication by tanh x against the weighted integrals
         from tanhspec import gauss_jacobi
-        from tanhspec.jacobi import orthonormal_eval_batch
 
         A = mult_op([0.0, 1.0], 1, 12).dense()
         rule = gauss_jacobi(T_PAIR, 128)
