@@ -20,7 +20,6 @@ from .fourier import (
 from .jacobi import (
     QuadratureRule,
     Recurrence,
-    chebyshev_eval,
     gauss_jacobi,
     jacobi_eval,
     recurrence_coefficients,
@@ -36,7 +35,7 @@ from .operators import (
     mult_op,
     solve_first_order,
 )
-from .special import JacobiParams, jacobi_norm, log_gamma_complex, norm_ratio
+from .special import JacobiParams, log_gamma_complex
 from .transforms import SampleGrid, analyze_full, analyze_half, analyze_unweighted, dct, sample_grid, synthesize
 
 __version__ = "0.1.0"
@@ -58,7 +57,6 @@ __all__ = [
     "analyze_unweighted",
     "assemble_first_order",
     "carlitz_eval",
-    "chebyshev_eval",
     "clenshaw_eval",
     "dct",
     "dense_diff",
@@ -71,11 +69,9 @@ __all__ = [
     "g_weight",
     "gauss_jacobi",
     "jacobi_eval",
-    "jacobi_norm",
     "log_gamma_complex",
     "measure_density",
     "mult_op",
-    "norm_ratio",
     "normalisation_constant",
     "phi_full",
     "phi_half",

@@ -30,30 +30,42 @@ _RESIDUAL_WARNING = 1e-2
 
 
 # ---------------------------------------------------------------------------
-# builtin test functions
+# builtin test functions; parse_function has checked that the parameter is finite
 
 
 def _gaussian(rate=1.0):
+    if rate < 0.0:
+        raise ValueError(f"gaussian rate must be >= 0 (got {rate})")
     return lambda x: np.exp(-rate * np.asarray(x, dtype=float) ** 2)
 
 
+def _sech_of(y: np.ndarray) -> np.ndarray:
+    # 2 e^{-|y|} / (1 + e^{-2|y|}): no cosh, which overflows past |y| = 710
+    e = np.exp(-np.abs(y))
+    return 2.0 * e / (1.0 + e * e)
+
+
 def _sech(rate=1.0):
-    return lambda x: 1.0 / np.cosh(rate * np.asarray(x, dtype=float))
+    return lambda x: _sech_of(rate * np.asarray(x, dtype=float))
 
 
 def _sech_tanh(rate=1.0):
     def f(x):
         x = rate * np.asarray(x, dtype=float)
-        return np.tanh(x) / np.cosh(x)
+        return np.tanh(x) * _sech_of(x)
 
     return f
 
 
 def _runge_tanh(scale=25.0):
+    if scale <= -1.0:
+        raise ValueError(f"runge_tanh scale must exceed -1 (got {scale})")
     return lambda x: 1.0 / (1.0 + scale * np.tanh(np.asarray(x, dtype=float)) ** 2)
 
 
 def _bump(rate=1.0):
+    if rate < 0.0:
+        raise ValueError(f"bump rate must be >= 0 (got {rate})")
     return lambda x: np.exp(-rate * np.sinh(np.asarray(x, dtype=float)) ** 2)
 
 
@@ -128,6 +140,8 @@ def parse_function(spec: str | None, path: str | None):
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin {name!r}; choices: {', '.join(sorted(_BUILTINS))}")
     args = [float(p) for p in argstr.split(",")] if argstr else []
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"builtin {name!r} parameters must be finite (got {argstr!r})")
     try:
         return _BUILTINS[name](*args)
     except TypeError:
@@ -298,6 +312,8 @@ def cmd_solve(args) -> int:
     spec = _basis_spec(args)
     if spec.mode != "full":
         raise ValueError("the solver works on full-mode expansions")
+    if args.bandwidth < 0:
+        raise ValueError(f"--bandwidth must be nonnegative (got {args.bandwidth})")
     pts = None if args.points is None else parse_points(args.points)
     a = _solve_input(args.a_fn, args.a_in)
     a_coeffs = a if isinstance(a, np.ndarray) else analyze_unweighted(a, args.bandwidth)
@@ -407,7 +423,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn_cmd(args)
+        # an overflow or NaN anywhere is a numerical failure, not NaN output
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn_cmd(args)
     # LinAlgError subclasses ValueError, so the numerical branch comes first
     except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,10 @@ an N-term expansion is
 
 where g(xi) = C * Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2), the
 constant C > 0 normalises |g|^2 dxi to unit mass, and the p_m are the
-orthonormal polynomials of that measure.  Their recurrence coefficients
-are exactly the differentiation couplings b_m, so the sum is a Clenshaw
-evaluation driven by the shared DiffOp.  (The i^m phase, rather than
+orthonormal polynomials of that measure.  C underflows once a and b near
+300, so ln C is carried and added inside every exponent.  The recurrence
+coefficients of the p_m are exactly the differentiation couplings b_m, so
+the sum is a Clenshaw evaluation on diff_coeffs.  (The i^m phase, rather than
 (-i)^m, is forced jointly by F[f'] = i xi F[f] and the positive-leading
 three-term recurrence of the p_m; the (-i)^m form belongs to the opposite
 exponent sign with g conjugated.)
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import DiffOp, Expansion, diff_coeffs
+from .basis import Expansion, diff_coeffs
 from .special import JacobiParams, log_gamma_complex
 
 __all__ = [
@@ -42,8 +43,7 @@ class FourierRep:
     """Normalised Fourier-space weight data for one parameter pair."""
 
     params: JacobiParams
-    normalisation: float
-    diff: DiffOp
+    log_normalisation: float  # ln C
 
 
 def _log_gamma_pair(params: JacobiParams, xi) -> np.ndarray:
@@ -61,7 +61,7 @@ def _decay_cutoff(params: JacobiParams) -> float:
 
 
 def normalisation_constant(params: JacobiParams) -> float:
-    """C > 0 with C^2 int |Gamma Gamma|^2 dxi = 1, in closed form.
+    """ln C, where C > 0 has C^2 int |Gamma Gamma|^2 dxi = 1, in closed form.
 
     Barnes' first lemma (DLMF 5.13.3) gives the unnormalised mass
     int |Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2)|^2 dxi
@@ -75,10 +75,10 @@ def normalisation_constant(params: JacobiParams) -> float:
         + 2.0 * math.lgamma(0.5 * (a + b) + 1.0)
         - math.lgamma(a + b + 2.0)
     )
-    return math.exp(-0.5 * log_mass)
+    return -0.5 * log_mass
 
 
-def _panel_mass(params: JacobiParams, C: float) -> float:
+def _panel_mass(params: JacobiParams, log_c: float) -> float:
     # independent check of the unit mass: fixed Gauss-Legendre panels, graded
     # geometrically toward the peak at xi = 0, whose width shrinks to
     # min(a, b) + 1 as a or b approaches -1
@@ -88,30 +88,27 @@ def _panel_mass(params: JacobiParams, C: float) -> float:
     edges = np.concatenate(([0.0], np.geomspace(1e-3 * width, uniform[1], 24), uniform[2:]))
     lo, hi = edges[:-1, None], edges[1:, None]
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    density = C * C * np.exp(2.0 * _log_gamma_pair(params, xs).real)
+    density = np.exp(2.0 * (log_c + _log_gamma_pair(params, xs).real))
     return 2.0 * float(np.sum((0.5 * (hi - lo) * density) @ weights))
 
 
 @lru_cache(maxsize=32)
 def _checked_normalisation(params: JacobiParams) -> float:
-    C = normalisation_constant(params)
-    mass = _panel_mass(params, C)
-    if abs(mass - 1.0) > 1e-10:
+    log_c = normalisation_constant(params)
+    mass = _panel_mass(params, log_c)
+    if not abs(mass - 1.0) <= 1e-10:  # a NaN mass fails too
         raise RuntimeError(f"Fourier measure mass check failed: got {mass!r}, expected 1")
-    return C
+    return log_c
 
 
-def fourier_rep(params: JacobiParams, count: int = 128) -> FourierRep:
-    """Fourier-space representation with the first `count` couplings.
+def fourier_rep(params: JacobiParams) -> FourierRep:
+    """Fourier-space representation of one parameter pair.
 
     The normalisation depends only on (alpha, beta) and is cached on them.
     Its unit-mass invariant is verified once per pair, with a quadrature
     independent of the closed form that computed the constant.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive (got {count})")
-    C = _checked_normalisation(params)
-    return FourierRep(params=params, normalisation=C, diff=diff_coeffs(params, count))
+    return FourierRep(params=params, log_normalisation=_checked_normalisation(params))
 
 
 def g_weight(rep: FourierRep, xi):
@@ -120,7 +117,7 @@ def g_weight(rep: FourierRep, xi):
     Has even real part and odd imaginary part in xi; real and even when
     alpha = beta.  Raises ValueError if any xi is not finite.
     """
-    out = rep.normalisation * np.exp(_log_gamma_pair(rep.params, xi))
+    out = np.exp(rep.log_normalisation + _log_gamma_pair(rep.params, xi))
     return complex(out) if np.ndim(xi) == 0 else out
 
 
@@ -129,14 +126,8 @@ def measure_density(rep: FourierRep, xi):
 
     Raises ValueError if any xi is not finite.
     """
-    out = rep.normalisation**2 * np.exp(2.0 * _log_gamma_pair(rep.params, xi).real)
+    out = np.exp(2.0 * (rep.log_normalisation + _log_gamma_pair(rep.params, xi).real))
     return float(out) if np.ndim(xi) == 0 else out
-
-
-def _couplings(rep: FourierRep, count: int) -> np.ndarray:
-    if len(rep.diff) >= count:
-        return rep.diff.b
-    return diff_coeffs(rep.params, count).b
 
 
 def carlitz_eval(rep: FourierRep, m: int, xi):
@@ -145,7 +136,7 @@ def carlitz_eval(rep: FourierRep, m: int, xi):
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
     x = np.atleast_1d(np.asarray(xi, dtype=float))
-    b = _couplings(rep, max(m, 1))
+    b = diff_coeffs(rep.params, max(m, 1)).b
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
     for k in range(m):
@@ -169,8 +160,8 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     if e.spec.mode != "full":
         raise ValueError("Fourier transform is defined for full-mode expansions")
     n = len(e)
-    rep = fourier_rep(e.spec.params, count=max(n + 1, 2))
-    b = rep.diff.b
+    rep = fourier_rep(e.spec.params)
+    b = diff_coeffs(e.spec.params, n).b
     xi = np.atleast_1d(np.asarray(xi_points, dtype=float))
     d = (1j) ** np.arange(n) * e.coeffs
     u1 = np.zeros(xi.size, dtype=complex)
@@ -194,5 +185,5 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
             exponent[big] += np.log(s)
         u2 = u1
         u1 = u
-    out = rep.normalisation * np.exp(_log_gamma_pair(rep.params, xi) + exponent) * u1
+    out = np.exp(rep.log_normalisation + _log_gamma_pair(rep.params, xi) + exponent) * u1
     return complex(out[0]) if np.ndim(xi_points) == 0 else out

@@ -1,4 +1,4 @@
-"""Jacobi and Chebyshev polynomial evaluation and Gauss-Jacobi quadrature.
+"""Jacobi polynomial evaluation and Gauss-Jacobi quadrature.
 
 One recurrence kernel, orthonormal_blocks, streams the orthonormal
 polynomials q_m in blocks of rescaled rows at one multiply and one subtract
@@ -24,7 +24,6 @@ __all__ = [
     "couplings",
     "jacobi_matrix",
     "orthonormal_blocks",
-    "chebyshev_eval",
     "gauss_jacobi",
 ]
 
@@ -49,10 +48,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     params: JacobiParams
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
 
 
 def recurrence_coefficients(params: JacobiParams, count: int) -> Recurrence:
@@ -186,37 +181,6 @@ def jacobi_eval(params: JacobiParams, m: int, t):
         for k in range(1, m):
             prev, p = p, ((x - B[k]) * p - A[k] * prev) / C[k]
     return float(p[0]) if np.ndim(t) == 0 else p
-
-
-def chebyshev_eval(kind: str, m: int, theta: float) -> float:
-    """Chebyshev polynomial of the given kind at t = cos(theta), theta in [0, pi].
-
-    Trigonometric closed forms are used throughout:
-      T: cos(m theta)              U: sin((m+1) theta)/sin(theta)
-      V: sin((m+1/2) theta)/sin(theta/2)
-      W: cos((m+1/2) theta)/cos(theta/2)
-    with the analytic limit substituted at the removable endpoints.
-    """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative (got {m})")
-    k = kind.upper()
-    if k == "T":
-        return math.cos(m * theta)
-    if k == "U":
-        if theta == 0.0:
-            return float(m + 1)
-        if theta == math.pi:
-            return float((-1) ** m * (m + 1))
-        return math.sin((m + 1) * theta) / math.sin(theta)
-    if k == "V":
-        if theta == 0.0:
-            return float(2 * m + 1)
-        return math.sin((m + 0.5) * theta) / math.sin(0.5 * theta)
-    if k == "W":
-        if theta == math.pi:
-            return float((-1) ** m * (2 * m + 1))
-        return math.cos((m + 0.5) * theta) / math.cos(0.5 * theta)
-    raise ValueError(f"kind must be one of T, U, V, W (got {kind!r})")
 
 
 def eigh_tridiagonal(d, e, **kwargs):

@@ -41,6 +41,7 @@ __all__ = [
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _PANEL = 32  # columns per QR panel of banded_qr_lstsq
+_RANK_TOL = 1e-13  # smallest |R_jj| / max |R_jj| that banded_qr_lstsq accepts
 
 
 def diff_apply(d: DiffOp, c) -> np.ndarray:
@@ -138,14 +139,9 @@ class MultOp:
         self.size = size
         self.bandwidth = a.size - 1
 
-    def entry(self, i: int, j: int) -> float:
-        if i < 0 or j < 0:
-            raise ValueError("indices must be nonnegative")
-        return float(_entries(self.a_coeffs, i, j))
-
     def _band(self, rows: int, cols: int, bw: int) -> "BandedMatrix":
         """The rows x cols window in band storage with bandwidth bw on both sides."""
-        band = BandedMatrix(rows, cols, bw, bw, np.zeros((2 * bw + 1, cols)))
+        band = BandedMatrix.zeros(rows, cols, bw, bw)
         for k, lo, hi in band._diagonals():
             j = np.arange(lo, hi)
             band.data[k + bw, lo:hi] = _entries(self.a_coeffs, j + k, j)
@@ -161,15 +157,6 @@ class MultOp:
         rows = self.size if rows is None else rows
         cols = self.size if cols is None else cols
         return self._band(rows, cols, self.bandwidth).to_dense()
-
-    def toeplitz_hankel_parts(self):
-        """Sequences (t, h) with entry(i, j) = t_|i-j| + h_{i+j} on i, j >= 1."""
-        a, top = self.a_coeffs, min(2 * self.size, self.bandwidth + 1)
-        half = np.where(np.arange(a.size) % 2, -0.5, 0.5) * a
-        t = np.concatenate([[a[0] * _SQRT1_2], half[1:]])
-        h = np.zeros(2 * self.size)
-        h[2:top] = half[2:top]
-        return t, h
 
 
 def mult_op(a_coeffs, bandwidth: int, size: int) -> MultOp:
@@ -210,21 +197,6 @@ class BandedMatrix:
             raise ValueError("matrix dimensions must be positive")
         data = np.zeros((lower_bw + upper_bw + 1, cols))
         return cls(rows=rows, cols=cols, lower_bw=lower_bw, upper_bw=upper_bw, data=data)
-
-    def _inband(self, i: int, j: int) -> bool:
-        return 0 <= i < self.rows and 0 <= j < self.cols and -self.upper_bw <= i - j <= self.lower_bw
-
-    def get(self, i: int, j: int) -> float:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i}, {j}) out of range")
-        if not self._inband(i, j):
-            return 0.0
-        return float(self.data[i - j + self.upper_bw, j])
-
-    def set(self, i: int, j: int, value: float) -> None:
-        if not self._inband(i, j):
-            raise IndexError(f"({i}, {j}) lies outside the stored band")
-        self.data[i - j + self.upper_bw, j] = value
 
     def _diagonals(self):
         """Each stored diagonal k = i - j that meets the matrix, with the
@@ -268,7 +240,7 @@ def assemble_first_order(d: DiffOp, mult: MultOp, n: int) -> BandedMatrix:
     return out
 
 
-def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
+def banded_qr_lstsq(mat: BandedMatrix, rhs):
     """Least-squares solve of a banded rectangular system by blocked QR.
 
     Columns are factored _PANEL at a time: the panel's dense block (its
@@ -283,7 +255,7 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
     Raises
     ------
     numpy.linalg.LinAlgError
-        If a diagonal of R falls below rank_tol relative to the largest.
+        If a diagonal of R falls below _RANK_TOL relative to the largest.
     """
     m, n = mat.rows, mat.cols
     if m < n:
@@ -311,11 +283,11 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs, rank_tol: float = 1e-13):
 
     rdiag = np.abs(np.concatenate([np.diag(r) for _, r, _ in panels]))
     biggest = rdiag.max()
-    if biggest == 0.0 or rdiag.min() < rank_tol * biggest:
+    if biggest == 0.0 or rdiag.min() < _RANK_TOL * biggest:
         worst = int(rdiag.argmin())
         raise np.linalg.LinAlgError(
             f"rank-deficient system: |R[{worst},{worst}]| = {rdiag.min():.3e} "
-            f"below {rank_tol:.1e} of max {biggest:.3e}"
+            f"below {_RANK_TOL:.1e} of max {biggest:.3e}"
         )
     x = np.zeros(n + ubw)
     for j, r, c in reversed(panels):

@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "JacobiParams",
     "log_gamma_complex",
-    "jacobi_norm",
     "log_jacobi_norm",
-    "norm_ratio",
 ]
 
 _LN2 = math.log(2.0)
@@ -117,30 +115,3 @@ def log_jacobi_norm(params: JacobiParams, m: int) -> float:
         - math.log(s + 2.0 * m + 1.0)
         - math.lgamma(s + m + 1.0)
     )
-
-
-def jacobi_norm(params: JacobiParams, m: int) -> float:
-    """Squared weighted L2 norm g_m of the degree-m Jacobi polynomial."""
-    return math.exp(log_jacobi_norm(params, m))
-
-
-def norm_ratio(params: JacobiParams, m: int, delta: int) -> float:
-    """sqrt(g_{m+delta} / g_m) through the cancellation-safe closed form.
-
-    For delta = +1 the factor (a+b+2m+1)/(a+b+m+1) is identically 1 at
-    m = 0, which resolves the removable 0/0 when a+b = -1; the analogous
-    factor for delta = -1 is identically 1 at m = 1.
-    """
-    if delta not in (1, -1):
-        raise ValueError(f"delta must be +1 or -1 (got {delta})")
-    if m < 0 or m + delta < 0:
-        raise ValueError(f"m + delta must be nonnegative (got m={m}, delta={delta})")
-    a, b = params.alpha, params.beta
-    s = a + b
-    if delta == 1:
-        base = (a + m + 1.0) * (b + m + 1.0) / ((m + 1.0) * (s + 2.0 * m + 3.0))
-        tail = 1.0 if m == 0 else (s + 2.0 * m + 1.0) / (s + m + 1.0)
-        return math.sqrt(base * tail)
-    base = m * (s + 2.0 * m + 1.0) / ((a + m) * (b + m))
-    tail = 1.0 if m == 1 else (s + m) / (s + 2.0 * m - 1.0)
-    return math.sqrt(base * tail)

@@ -296,20 +296,17 @@ def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
     return Expansion(spec=spec, coeffs=c)
 
 
-def analyze_unweighted(f, m_max: int, n: int | None = None) -> np.ndarray:
+def analyze_unweighted(f, m_max: int) -> np.ndarray:
     """Coefficients a_0..a_{m_max} of f(x) = sum a_m T~_m(tanh x).
 
     The unweighted first-kind series (T~_0 = 1/sqrt 2, T~_m = T_m) used for
     variable coefficients of multiplication operators; same DCT machinery
-    as the Chebyshev-T transform but without the boundary-weight division.
+    as the Chebyshev-T transform, on max(32, 2 (m_max + 1)) samples, but
+    without the boundary-weight division.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative (got {m_max})")
-    if n is None:
-        n = max(32, 2 * (m_max + 1))
-    if n <= m_max:
-        raise ValueError("sample count must exceed m_max")
-    grid = _grid("full", n)
+    grid = _grid("full", max(32, 2 * (m_max + 1)))
     # T~_m = sqrt(pi/2) q_m of the Chebyshev-T pair
     coeffs = _SQRT_2_OVER_PI * _project(JacobiParams(-0.5, -0.5), grid, _sample(f, grid.x))
     return coeffs[: m_max + 1]

@@ -65,6 +65,64 @@ def orthonormal_eval_batch(params, m_max: int, points) -> np.ndarray:
     return jacobi_eval_batch(params, m_max, points) * scale[:, None]
 
 
+def jacobi_norm(params, m: int) -> float:
+    """Squared weighted L2 norm g_m of the degree-m Jacobi polynomial."""
+    return math.exp(log_jacobi_norm(params, m))
+
+
+def norm_ratio(params, m: int, delta: int) -> float:
+    """sqrt(g_{m+delta} / g_m) through the cancellation-safe closed form.
+
+    For delta = +1 the factor (a+b+2m+1)/(a+b+m+1) is identically 1 at
+    m = 0, which resolves the removable 0/0 when a+b = -1; the analogous
+    factor for delta = -1 is identically 1 at m = 1.
+    """
+    if delta not in (1, -1):
+        raise ValueError(f"delta must be +1 or -1 (got {delta})")
+    if m < 0 or m + delta < 0:
+        raise ValueError(f"m + delta must be nonnegative (got m={m}, delta={delta})")
+    a, b = params.alpha, params.beta
+    s = a + b
+    if delta == 1:
+        base = (a + m + 1.0) * (b + m + 1.0) / ((m + 1.0) * (s + 2.0 * m + 3.0))
+        tail = 1.0 if m == 0 else (s + 2.0 * m + 1.0) / (s + m + 1.0)
+        return math.sqrt(base * tail)
+    base = m * (s + 2.0 * m + 1.0) / ((a + m) * (b + m))
+    tail = 1.0 if m == 1 else (s + m) / (s + 2.0 * m - 1.0)
+    return math.sqrt(base * tail)
+
+
+def chebyshev_eval(kind: str, m: int, theta: float) -> float:
+    """Chebyshev polynomial of the given kind at t = cos(theta), theta in [0, pi].
+
+    Trigonometric closed forms are used throughout:
+      T: cos(m theta)              U: sin((m+1) theta)/sin(theta)
+      V: sin((m+1/2) theta)/sin(theta/2)
+      W: cos((m+1/2) theta)/cos(theta/2)
+    with the analytic limit substituted at the removable endpoints.
+    """
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative (got {m})")
+    k = kind.upper()
+    if k == "T":
+        return math.cos(m * theta)
+    if k == "U":
+        if theta == 0.0:
+            return float(m + 1)
+        if theta == math.pi:
+            return float((-1) ** m * (m + 1))
+        return math.sin((m + 1) * theta) / math.sin(theta)
+    if k == "V":
+        if theta == 0.0:
+            return float(2 * m + 1)
+        return math.sin((m + 0.5) * theta) / math.sin(0.5 * theta)
+    if k == "W":
+        if theta == math.pi:
+            return float((-1) ** m * (2 * m + 1))
+        return math.cos((m + 0.5) * theta) / math.cos(0.5 * theta)
+    raise ValueError(f"kind must be one of T, U, V, W (got {kind!r})")
+
+
 def jacobi_explicit_sum(a: float, b: float, m: int, t: float) -> float:
     """Degree-m Jacobi value through the explicit finite sum
     sum_s binom(m+a, m-s) binom(m+b, s) ((t-1)/2)^s ((t+1)/2)^{m-s}."""
@@ -137,6 +195,26 @@ def mult_op_dense(a, rows: int, cols: int) -> np.ndarray:
             else:
                 out[i, j] = sign * 0.5 * (coef(abs(i - j)) + coef(i + j))
     return out
+
+
+def toeplitz_hankel_parts(a, size: int):
+    """Sequences (t, h) with entry (i, j) = t_|i-j| + h_{i+j} on i, j >= 1 of
+    the size x size multiplication operator: t_0 = a_0/sqrt 2,
+    t_k = (-1)^k a_k/2 and h_s = (-1)^s a_s/2 for s >= 2."""
+    a = np.asarray(a, dtype=float)
+    top = min(2 * size, a.size)
+    half = np.where(np.arange(a.size) % 2, -0.5, 0.5) * a
+    t = np.concatenate([[a[0] / math.sqrt(2.0)], half[1:]])
+    h = np.zeros(2 * size)
+    h[2:top] = half[2:top]
+    return t, h
+
+
+def band_get(mat, i: int, j: int) -> float:
+    """A[i, j] of a BandedMatrix read from its storage, 0 off the band."""
+    if -mat.upper_bw <= i - j <= mat.lower_bw:
+        return float(mat.data[i - j + mat.upper_bw, j])
+    return 0.0
 
 
 # Row-at-a-time forms of the recurrence kernel (jacobi.orthonormal_blocks).

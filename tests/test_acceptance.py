@@ -170,11 +170,11 @@ def test_criterion_5_fourier_space_closed_forms():
             rep = fourier_rep(JacobiParams(a, -a))
             xg = np.linspace(-8.0, 8.0, 33)
             got = measure_density(rep, xg)
-            want = 2.0 * math.pi**2 * rep.normalisation**2 / (np.cosh(math.pi * xg) + math.cos(math.pi * a))
+            want = 2.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation) / (np.cosh(math.pi * xg) + math.cos(math.pi * a))
             assert np.max(np.abs(got / want - 1.0)) <= 1e-10, a
         for a in (0, 1, 2, 3):
             rep = fourier_rep(JacobiParams(float(a), float(a)))
-            C = rep.normalisation
+            C = math.exp(rep.log_normalisation)
             for x in np.linspace(0.5, 9.5, 10):
                 g = g_weight(rep, float(x))
                 if a % 2 == 0:

@@ -86,6 +86,23 @@ class TestExpand:
         assert err.startswith("error:") and "at most one parameter" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "fn", ["gaussian:-1", "runge_tanh:-4", "runge_tanh:-1", "bump:-0.5", "sech:nan", "gaussian:inf"]
+    )
+    def test_invalid_builtin_parameter(self, tmp_path, capsys, fn):
+        out = tmp_path / "x.csv"
+        code = run("expand", "--fn", fn, "--alpha", "-0.5", "--beta", "-0.5", "--n", "8", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_steep_sech_does_not_overflow(self, tmp_path):
+        # rate |x| reaches 720 on the 1024-point grid, past where cosh overflows
+        out = tmp_path / "c.csv"
+        assert run("expand", "--fn", "sech:100", "--alpha", "-0.5", "--beta", "-0.5", "--n", "1024", "--out", str(out)) == 0
+        assert np.all(np.isfinite(read_coefficients(str(out))))
+
     @pytest.mark.parametrize("column", ["x", "value"])
     def test_samples_must_be_finite(self, tmp_path, capsys, column):
         rows = [{"x": float(x), "value": 1.0 / math.cosh(x)} for x in range(-4, 5)]
@@ -263,6 +280,16 @@ class TestFourierCommand:
             assert math.isfinite(row["re"]) and math.isfinite(row["im"])
             assert math.hypot(row["re"], row["im"]) < 1e-6
 
+    def test_large_pair_is_finite(self, tmp_path):
+        # the normalisation constant C underflows to 0 here; ln C does not
+        cf = tmp_path / "c.csv"
+        write_table(str(cf), _cols([{"m": 0, "c": 1.0}, {"m": 1, "c": 0.5}]), "csv")
+        out = tmp_path / "ft.csv"
+        code = run("ft", "--in", str(cf), "--alpha", "400", "--beta", "400", "--points", "0,3", "--out", str(out))
+        assert code == 0
+        rows = _rows(read_table(str(out)))
+        assert rows[0]["re"] > 0.0 and all(math.isfinite(r["re"]) and math.isfinite(r["im"]) for r in rows)
+
     def test_half_mode_rejected(self, tmp_path, capsys):
         cf = tmp_path / "c.csv"
         write_table(str(cf), _cols([{"m": 0, "c": 1.0}, {"m": 1, "c": 0.0}]), "csv")
@@ -328,6 +355,14 @@ class TestSolve:
         )
         assert code == 2
         assert "bandwidth" in capsys.readouterr().err
+
+    def test_negative_bandwidth_names_the_option(self, tmp_path, capsys):
+        code = run(
+            "solve", "--alpha", "-0.5", "--beta", "-0.5", "--n", "8",
+            "--a-fn", "sech", "--f-fn", "sech", "--bandwidth", "-1",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --bandwidth must be nonnegative")
 
     def test_zero_coefficient_rejected(self, tmp_path, capsys):
         # a = 0 builtin: gaussian scaled by zero is the constant 1, so use
@@ -511,6 +546,25 @@ class TestTablesAndDeterminism:
         )
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--alpha", "1e300", "--beta", "0", "--m-list", "0,1,2", "--points", "lin:-3:3:7"],
+            ["eval", "--alpha", "1e300", "--beta", "0", "--in", "c.csv", "--points", "0,1"],
+            ["diff", "--alpha", "1e300", "--beta", "0", "--in", "c.csv", "--points", "0,1"],
+            ["expand", "--alpha", "1e6", "--beta", "0", "--n", "4", "--fn", "sech"],
+        ],
+        ids=["basis", "eval", "diff", "expand"],
+    )
+    def test_overflow_is_one_error_line(self, tmp_path, argv):
+        # in a child process, so that a stray RuntimeWarning would show on stderr
+        write_table(str(tmp_path / "c.csv"), _cols([{"m": m, "c": 1.0} for m in range(3)]), "csv")
+        argv = [str(tmp_path / a) if a == "c.csv" else a for a in argv]
+        proc = _python("-m", "tanhspec.cli", *argv)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
     def test_import_leaves_out_scipy_integrate(self):
         p = _python("-c", "import sys, tanhspec.cli; print('scipy.integrate' in sys.modules)")

@@ -77,12 +77,12 @@ class TestWeight:
         rep = _rep(a, -a)
         xi = np.linspace(-8.0, 8.0, 33)
         dens = measure_density(rep, xi)
-        want = 2.0 * math.pi**2 * rep.normalisation**2 / (np.cosh(math.pi * xi) + math.cos(math.pi * a))
+        want = 2.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation) / (np.cosh(math.pi * xi) + math.cos(math.pi * a))
         assert np.max(np.abs(dens / want - 1.0)) <= 1e-10
 
     def test_carlitz_point_value(self):
         rep = _rep(0.5, -0.5)
-        want = 2.0 * math.pi**2 * rep.normalisation**2 / math.cosh(3.0 * math.pi)
+        want = 2.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation) / math.cosh(3.0 * math.pi)
         assert math.isclose(measure_density(rep, 3.0), want, rel_tol=1e-10)
 
     @pytest.mark.parametrize("a", [0, 1, 2, 3])
@@ -90,7 +90,7 @@ class TestWeight:
         # even a: g ~ pi C prod_{j<n} [(j+1/2)^2 + xi^2/4] / cosh(pi xi/2)
         # odd  a: g ~ (pi/2) C xi prod_{j=1..n} [j^2 + xi^2/4] / sinh(pi xi/2)
         rep = _rep(float(a), float(a))
-        C = rep.normalisation
+        C = math.exp(rep.log_normalisation)
         for xi in np.linspace(-10.0, 10.0, 21):
             if xi == 0.0 and a % 2:
                 continue
@@ -111,20 +111,20 @@ class TestWeight:
         s = rep.params.alpha + rep.params.beta
         xi = np.linspace(20.0, 40.0, 9)
         scaled = measure_density(rep, xi) * np.exp(math.pi * xi) * (xi / 2.0) ** (-s)
-        limit = 4.0 * math.pi**2 * rep.normalisation**2
+        limit = 4.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation)
         assert np.max(np.abs(scaled / limit - 1.0)) <= 0.05
 
 
 class TestNormalisation:
     def test_legendre_pair_constant(self):
         # int sech^2(pi xi/2) dxi = 4/pi, so C^2 pi^2 (4/pi) = 1
-        C = normalisation_constant(JacobiParams(0.0, 0.0))
+        C = math.exp(normalisation_constant(JacobiParams(0.0, 0.0)))
         assert math.isclose(C * C, 1.0 / (4.0 * math.pi), rel_tol=1e-11)
 
     def test_swap_symmetry(self):
         assert math.isclose(
-            normalisation_constant(JacobiParams(1.3, 0.2)),
-            normalisation_constant(JacobiParams(0.2, 1.3)),
+            math.exp(normalisation_constant(JacobiParams(1.3, 0.2))),
+            math.exp(normalisation_constant(JacobiParams(0.2, 1.3))),
             rel_tol=1e-11,
         )
 
@@ -151,14 +151,26 @@ class TestNormalisation:
             w = min(a, b) + 1.0
             mass = 2 * mpmath.quad(dens, [0, w, 10 * w, 1, 10, 40, mpmath.inf])
             want = float(1 / mpmath.sqrt(mass))
-        assert math.isclose(normalisation_constant(JacobiParams(a, b)), want, rel_tol=1e-13)
+        assert math.isclose(math.exp(normalisation_constant(JacobiParams(a, b))), want, rel_tol=1e-13)
 
     @pytest.mark.parametrize("a,b", [(-0.9, -0.9), (-0.99, -0.99), (-0.999, -0.999), (80.0, 80.0)])
     def test_mass_check_near_pole_and_large(self, a, b):
         # the runtime unit-mass check (tolerance 1e-10) must resolve the peak
         # at xi = 0, which narrows to width min(a, b) + 1 near a, b = -1
         rep = _rep(a, b)
-        assert abs(fourier_mod._panel_mass(rep.params, rep.normalisation) - 1.0) <= 1e-13
+        assert abs(fourier_mod._panel_mass(rep.params, rep.log_normalisation) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("a", [200.0, 400.0])
+    def test_large_pair_weight_finite_with_unit_mass(self, a):
+        # C itself underflows (2.3e-315 at a = b = 200, 0.0 from about 300)
+        rep = _rep(a, a)
+        assert normalisation_constant(rep.params) < -700.0
+        xi = np.array([0.0, 1.0, -30.0, 200.0])
+        assert np.all(np.isfinite(g_weight(rep, xi))) and g_weight(rep, 0.0).real > 0.0
+        assert np.all(np.isfinite(measure_density(rep, xi)))
+        assert abs(fourier_mod._panel_mass(rep.params, rep.log_normalisation) - 1.0) <= 1e-10
+        vals = fourier_transform(Expansion(BasisSpec(rep.params), [1.0, 0.5, 0.25]), xi)
+        assert np.all(np.isfinite(vals))
 
     def test_cache_keyed_on_params(self, monkeypatch):
         norm = mock.Mock(wraps=fourier_mod.normalisation_constant)
@@ -179,14 +191,9 @@ def _tail_cut(s):
 class TestCarlitzPolynomials:
     def test_degree_zero_and_one(self):
         rep = _rep(0.5, 0.5)
-        b0 = rep.diff.b[0]
+        b0 = diff_coeffs(rep.params, 1).b[0]
         assert carlitz_eval(rep, 0, 1.7) == 1.0
         assert math.isclose(carlitz_eval(rep, 1, 1.7), 1.7 / b0, rel_tol=1e-15)
-
-    def test_couplings_bitwise_shared(self):
-        rep = _rep(1.3, 0.2)
-        fresh = diff_coeffs(rep.params, len(rep.diff))
-        assert np.all(rep.diff.b == fresh.b)
 
     def test_orthonormality_quadrature(self):
         rep = _rep(0.5, 0.5)

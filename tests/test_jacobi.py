@@ -12,21 +12,21 @@ from tanhspec import (
     BasisSpec,
     Expansion,
     JacobiParams,
-    chebyshev_eval,
     clenshaw_eval,
     gauss_jacobi,
     jacobi_eval,
-    jacobi_norm,
-    norm_ratio,
     recurrence_coefficients,
 )
 from tanhspec import jacobi as jacobi_mod
 from tanhspec.jacobi import jacobi_matrix, orthonormal_blocks
 
 from oracles import (
+    chebyshev_eval,
     gauss_weights_rowwise,
     jacobi_eval_batch,
     jacobi_explicit_sum,
+    jacobi_norm,
+    norm_ratio,
     orthonormal_eval_batch,
     orthonormal_mp,
 )

@@ -21,7 +21,14 @@ from tanhspec import (
 )
 from tanhspec.operators import BandedMatrix, banded_qr_lstsq
 
-from oracles import fd_derivative, fd_second_derivative, mult_op_dense, orthonormal_eval_batch
+from oracles import (
+    band_get,
+    fd_derivative,
+    fd_second_derivative,
+    mult_op_dense,
+    orthonormal_eval_batch,
+    toeplitz_hankel_parts,
+)
 
 T_PAIR = JacobiParams(-0.5, -0.5)
 T_SPEC = BasisSpec(T_PAIR, "full")
@@ -149,7 +156,7 @@ class TestMultOp:
         rng = np.random.default_rng(14)
         a = rng.standard_normal(5)
         mo = mult_op(a, 4, 20)
-        t, h = mo.toeplitz_hankel_parts()
+        t, h = toeplitz_hankel_parts(a, 20)
         A = mo.dense()
         for i in range(1, 20):
             for j in range(1, 20):
@@ -192,8 +199,6 @@ class TestMultOp:
         mo = mult_op(a, M, 12)
         assert np.array_equal(mo.dense(rows, cols), mult_op_dense(a, rows, cols))
         assert np.array_equal(mo.dense(), mult_op_dense(a, 12, 12))
-        for i, j in ((0, 0), (0, M), (M, 0), (2, 2), (3, 3 + M), (5, 1)):
-            assert mo.entry(i, j) == mult_op_dense(a, i + 1, j + 1)[i, j]
 
     @pytest.mark.parametrize("M", [0, 1, 3, 8])
     @pytest.mark.parametrize("n", [1, 5, 24, 40])
@@ -220,8 +225,8 @@ class TestBandedMatrix:
         got = mat.matvec(v)
         for i in range(rows):
             for j in range(cols):
-                assert dense[i, j] == mat.get(i, j)
-            want = math.fsum(mat.get(i, j) * v[j] for j in range(cols))
+                assert dense[i, j] == band_get(mat, i, j)
+            want = math.fsum(band_get(mat, i, j) * v[j] for j in range(cols))
             assert abs(got[i] - want) <= 1e-14 * max(1.0, np.abs(dense[i]) @ np.abs(v))
 
 
@@ -296,7 +301,7 @@ class TestBandedQR:
         mat = BandedMatrix.zeros(rows, cols, lb, ub)
         for j in range(cols):
             for i in range(max(0, j - ub), min(rows, j + lb + 1)):
-                mat.set(i, j, rng.standard_normal() + (2.0 if i == j else 0.0))
+                mat.data[i - j + ub, j] = rng.standard_normal() + (2.0 if i == j else 0.0)
         rhs = rng.standard_normal(rows)
         x, _ = banded_qr_lstsq(mat, rhs)
         want, *_ = np.linalg.lstsq(mat.to_dense(), rhs, rcond=None)
@@ -310,7 +315,7 @@ class TestBandedQR:
         mat = BandedMatrix.zeros(rows, cols, 1, 1)
         for j in range(cols):
             if j != zero:
-                mat.set(j, j, 1.0)
+                mat.data[1, j] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match=rf"rank-deficient system: \|R\[{zero},{zero}\]\|"):
             banded_qr_lstsq(mat, np.ones(rows))
 
