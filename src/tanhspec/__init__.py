@@ -17,13 +17,7 @@ from .fourier import (
     measure_density,
     normalisation_constant,
 )
-from .jacobi import (
-    QuadratureRule,
-    Recurrence,
-    gauss_jacobi,
-    jacobi_eval,
-    recurrence_coefficients,
-)
+from .jacobi import QuadratureRule, gauss_jacobi
 from .operators import (
     BandedMatrix,
     MultOp,
@@ -49,7 +43,6 @@ __all__ = [
     "JacobiParams",
     "MultOp",
     "QuadratureRule",
-    "Recurrence",
     "SampleGrid",
     "SolveResult",
     "analyze_full",
@@ -68,14 +61,12 @@ __all__ = [
     "fourier_transform",
     "g_weight",
     "gauss_jacobi",
-    "jacobi_eval",
     "log_gamma_complex",
     "measure_density",
     "mult_op",
     "normalisation_constant",
     "phi_full",
     "phi_half",
-    "recurrence_coefficients",
     "sample_grid",
     "solve_first_order",
     "synthesize",

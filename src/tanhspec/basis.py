@@ -12,6 +12,10 @@ provided because their coefficient transforms differ operationally.
 
 Differentiation acts tridiagonally: phi_m' = -b_{m-1} phi_{m-1} + b_m phi_{m+1}
 with a positive coupling sequence b_m shared by every module downstream.
+
+The basis functions and the synthesis run on the one recurrence kernel,
+jacobi.orthonormal_blocks: phi_full and phi_half take the last row of one
+sweep, clenshaw_eval sums all its rows.
 """
 
 import math
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import couplings, jacobi_eval, orthonormal_blocks
-from .special import JacobiParams, log_jacobi_norm
+from .jacobi import couplings, orthonormal_blocks
+from .special import JacobiParams
 
 __all__ = [
     "BasisSpec",
@@ -57,6 +61,9 @@ def _log_sech(x: np.ndarray) -> np.ndarray:
 
 
 def _log_weight_full(params: JacobiParams, x: np.ndarray) -> np.ndarray:
+    # the weight is exactly 0.0 from |x| = 1e300 for every a, b > -1, so the
+    # clamp is exact and keeps 2x finite at the top of the float range
+    x = np.clip(x, -1e300, 1e300)
     return 0.5 * (params.alpha + 1.0) * _log_one_minus_tanh(x) + 0.5 * (
         params.beta + 1.0
     ) * _log_one_plus_tanh(x)
@@ -127,21 +134,25 @@ def _ret(vals: np.ndarray, scalar: bool):
     return float(vals[0]) if scalar else vals
 
 
+def _orthonormal(params: JacobiParams, m: int, t: np.ndarray) -> np.ndarray:
+    """q_m(t): the last row of one orthonormal_blocks sweep over degrees 0..m."""
+    *_, (s, P) = orthonormal_blocks(params, m + 1, t)
+    return s[-1] * P[-1]
+
+
 def phi_full(spec: BasisSpec, m: int, x):
     """Full-range basis function phi_m at x (scalar or array).
 
-    The boundary weight is assembled in log space so that no intermediate
-    product underflows before the final exponential.
+    (-1)^m q_m(tanh x) times the boundary weight, which is assembled in log
+    space so that no intermediate product underflows before the final
+    exponential.
     """
     if spec.mode != "full":
         raise ValueError("phi_full requires a full-mode basis spec")
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
     pts, scalar = _as_points(x)
-    t = np.tanh(pts)
-    poly = jacobi_eval(spec.params, m, t)
-    logw = _log_weight_full(spec.params, pts) - 0.5 * log_jacobi_norm(spec.params, m)
-    vals = poly * np.exp(logw)
+    vals = _orthonormal(spec.params, m, np.tanh(pts)) * np.exp(_log_weight_full(spec.params, pts))
     if m % 2:
         vals = -vals
     return _ret(vals, scalar)
@@ -150,31 +161,23 @@ def phi_full(spec: BasisSpec, m: int, x):
 def phi_half(spec: BasisSpec, m: int, x):
     """Half-range (even/odd split) form of the same basis, alpha = beta.
 
-    Even index 2k:  2^{(2a+1)/4} g_k^{(a,-1/2)-1/2} sech^{1+a} x
-                    P_k^{(a,-1/2)}(1 - 2 sech^2 x);
-    odd index 2k+1 carries a leading minus sign, an extra tanh x factor and
-    the (a, 1/2) parameter pair.
+    Even index 2k:  2^{(2a+1)/4} sech^{1+a} x q_k^{(a,-1/2)}(1 - 2 sech^2 x);
+    odd index 2k+1 carries a leading minus sign, an extra tanh x factor, the
+    factor 2^{(2a+3)/4} and the (a, 1/2) parameter pair.
     """
     if spec.mode != "half":
         raise ValueError("phi_half requires a half-mode basis spec")
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
     a = spec.params.alpha
+    k, odd = divmod(m, 2)
     pts, scalar = _as_points(x)
     ls = _log_sech(pts)
     u = 1.0 - 2.0 * np.exp(2.0 * ls)
-    if m % 2 == 0:
-        k = m // 2
-        par = JacobiParams(a, -0.5)
-        poly = jacobi_eval(par, k, u)
-        log_amp = (0.25 * (2.0 * a + 1.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
-        vals = poly * np.exp(log_amp)
-    else:
-        k = (m - 1) // 2
-        par = JacobiParams(a, 0.5)
-        poly = jacobi_eval(par, k, u)
-        log_amp = (0.25 * (2.0 * a + 3.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
-        vals = -np.tanh(pts) * poly * np.exp(log_amp)
+    log_amp = (0.25 * (2.0 * a + 1.0 + 2.0 * odd)) * _LN2 + (1.0 + a) * ls
+    vals = _orthonormal(JacobiParams(a, odd - 0.5), k, u) * np.exp(log_amp)
+    if odd:
+        vals *= -np.tanh(pts)
     return _ret(vals, scalar)
 
 

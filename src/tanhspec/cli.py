@@ -419,15 +419,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options whose value may start with '-': argparse reads '-1e-3' or '-1,0,1'
+#: as an option name, so main glues such a value on as '--opt=value'
+_SIGNED_OPTIONS = ("--alpha", "--beta", "--points")
+
+
+def _glue_signed_values(argv: list[str]) -> list[str]:
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789.":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         # an overflow or NaN anywhere is a numerical failure, not NaN output
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.fn_cmd(args)
     # LinAlgError subclasses ValueError, so the numerical branch comes first
-    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
     except (ValueError, OSError) as exc:

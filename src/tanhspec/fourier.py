@@ -163,6 +163,9 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     rep = fourier_rep(e.spec.params)
     b = diff_coeffs(e.spec.params, n).b
     xi = np.atleast_1d(np.asarray(xi_points, dtype=float))
+    # F is exactly 0.0 from |xi| = 1e300, where the Gamma weight and xi / b_0
+    # are still finite; a non-finite xi is left for the weight to reject
+    xi = np.where(np.isfinite(xi), np.clip(xi, -1e300, 1e300), xi)
     d = (1j) ** np.arange(n) * e.coeffs
     u1 = np.zeros(xi.size, dtype=complex)
     u2 = np.zeros(xi.size, dtype=complex)

@@ -4,9 +4,10 @@ One recurrence kernel, orthonormal_blocks, streams the orthonormal
 polynomials q_m in blocks of rescaled rows at one multiply and one subtract
 per degree and point.  The Gauss weights here, the quadrature projections
 (transforms) and the synthesis (basis.clenshaw_eval) each reduce a block
-with one product.  The quadrature rules double as the slow, fully general
-transform path and as the oracle against which the fast trigonometric
-paths are tested.
+with one product, and the basis functions (basis.phi_full, basis.phi_half)
+take the last row of one sweep.  The quadrature rules double as the slow,
+fully general transform path and as the oracle against which the fast
+trigonometric paths are tested.
 """
 
 import math
@@ -17,28 +18,12 @@ import numpy as np
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
-    "Recurrence",
     "QuadratureRule",
-    "recurrence_coefficients",
-    "jacobi_eval",
     "couplings",
     "jacobi_matrix",
     "orthonormal_blocks",
     "gauss_jacobi",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Recurrence:
-    """Three-term coefficients: t P_m = A[m] P_{m-1} + B[m] P_m + C[m] P_{m+1}.
-
-    A[0] is set to zero (it multiplies P_{-1} = 0).
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    params: JacobiParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,31 +33,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     params: JacobiParams
-
-
-def recurrence_coefficients(params: JacobiParams, count: int) -> Recurrence:
-    """First `count` three-term coefficients for the Jacobi family.
-
-    The m = 0 entries use the cancelled forms B_0 = (beta-alpha)/(a+b+2),
-    C_0 = 2/(a+b+2): the generic formulas are 0/0 there when a+b = 0
-    (for B) or a+b = -1 (for C), both removable.
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive (got {count})")
-    a, b = params.alpha, params.beta
-    s = a + b
-    m = np.arange(count, dtype=float)
-    A = np.zeros(count)
-    B = np.empty(count)
-    C = np.empty(count)
-    B[0] = (b - a) / (s + 2.0)
-    C[0] = 2.0 / (s + 2.0)
-    if count > 1:
-        mm = m[1:]
-        A[1:] = 2.0 * (a + mm) * (b + mm) / ((s + 2.0 * mm) * (s + 2.0 * mm + 1.0))
-        B[1:] = (b - a) * (b + a) / ((s + 2.0 * mm) * (s + 2.0 * mm + 2.0))
-        C[1:] = 2.0 * (mm + 1.0) * (s + mm + 1.0) / ((s + 2.0 * mm + 1.0) * (s + 2.0 * mm + 2.0))
-    return Recurrence(A=A, B=B, C=C, params=params)
 
 
 def couplings(params: JacobiParams, count: int) -> np.ndarray:
@@ -101,11 +61,18 @@ def jacobi_matrix(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndar
 
     The orthonormal polynomials satisfy t q_m = e_{m-1} q_{m-1} + B_m q_m
     + e_m q_{m+1} with e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2),
-    b_m the differentiation couplings.
+    b_m the differentiation couplings.  B_0 = (b-a)/(a+b+2) is the cancelled
+    form of B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), which is 0/0 at m = 0 when
+    a+b = 0.
     """
+    a, b = params.alpha, params.beta
+    s = a + b
     m = np.arange(count, dtype=float)
-    e = 2.0 * couplings(params, count) / (params.alpha + params.beta + 2.0 * m + 2.0)
-    return recurrence_coefficients(params, count).B, e
+    e = 2.0 * couplings(params, count) / (s + 2.0 * m + 2.0)
+    B = np.empty(count)
+    B[0] = (b - a) / (s + 2.0)
+    B[1:] = (b - a) * (b + a) / ((s + 2.0 * m[1:]) * (s + 2.0 * m[1:] + 2.0))
+    return B, e
 
 
 #: Byte budget of one K-row block of orthonormal_blocks; K is clamped to
@@ -162,25 +129,6 @@ def orthonormal_blocks(params: JacobiParams, count: int, points):
         carry[0] = rows[size]
         carry[1] = rows[size + 1]
         yield s[lo : lo + size], buf[:size]
-
-
-def jacobi_eval(params: JacobiParams, m: int, t):
-    """P_m^(alpha,beta)(t) by forward recurrence (stable on [-1, 1]).
-
-    t may be a scalar (a float is returned) or an array; two rows are kept,
-    so the memory is O(len(t)).
-    """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative (got {m})")
-    x = np.atleast_1d(np.asarray(t, dtype=float))
-    p = np.ones_like(x)
-    if m >= 1:
-        rec = recurrence_coefficients(params, m)
-        A, B, C = rec.A.tolist(), rec.B.tolist(), rec.C.tolist()
-        prev, p = p, (x - B[0]) / C[0]
-        for k in range(1, m):
-            prev, p = p, ((x - B[k]) * p - A[k] * prev) / C[k]
-    return float(p[0]) if np.ndim(t) == 0 else p
 
 
 def eigh_tridiagonal(d, e, **kwargs):

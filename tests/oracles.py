@@ -6,13 +6,14 @@ the routes under test never check themselves.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from tanhspec.basis import _as_points, _log_weight_full
-from tanhspec.jacobi import _block_rows, jacobi_matrix, recurrence_coefficients
-from tanhspec.special import log_jacobi_norm
+from tanhspec.basis import _LN2, _as_points, _log_sech, _log_weight_full
+from tanhspec.jacobi import _block_rows, jacobi_matrix
+from tanhspec.special import JacobiParams, log_jacobi_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +42,67 @@ def naive_trig_transform(kind: str, x) -> np.ndarray:
     raise ValueError(kind)
 
 
+# The unnormalised three-term recurrence of the Jacobi polynomials P_m, a
+# second route beside the orthonormal kernel (jacobi.orthonormal_blocks).
+
+
+@dataclass(frozen=True, eq=False)
+class Recurrence:
+    """Three-term coefficients: t P_m = A[m] P_{m-1} + B[m] P_m + C[m] P_{m+1}.
+
+    A[0] is set to zero (it multiplies P_{-1} = 0).
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    params: JacobiParams
+
+
+def recurrence_coefficients(params: JacobiParams, count: int) -> Recurrence:
+    """First `count` three-term coefficients for the Jacobi family.
+
+    The m = 0 entries use the cancelled forms B_0 = (beta-alpha)/(a+b+2),
+    C_0 = 2/(a+b+2): the generic formulas are 0/0 there when a+b = 0
+    (for B) or a+b = -1 (for C), both removable.
+    """
+    if count < 1:
+        raise ValueError(f"count must be positive (got {count})")
+    a, b = params.alpha, params.beta
+    s = a + b
+    m = np.arange(count, dtype=float)
+    A = np.zeros(count)
+    B = np.empty(count)
+    C = np.empty(count)
+    B[0] = (b - a) / (s + 2.0)
+    C[0] = 2.0 / (s + 2.0)
+    if count > 1:
+        mm = m[1:]
+        A[1:] = 2.0 * (a + mm) * (b + mm) / ((s + 2.0 * mm) * (s + 2.0 * mm + 1.0))
+        B[1:] = (b - a) * (b + a) / ((s + 2.0 * mm) * (s + 2.0 * mm + 2.0))
+        C[1:] = 2.0 * (mm + 1.0) * (s + mm + 1.0) / ((s + 2.0 * mm + 1.0) * (s + 2.0 * mm + 2.0))
+    return Recurrence(A=A, B=B, C=C, params=params)
+
+
+def jacobi_eval(params: JacobiParams, m: int, t):
+    """P_m^(alpha,beta)(t) by forward recurrence (stable on [-1, 1]).
+
+    t may be a scalar (a float is returned) or an array; two rows are kept,
+    so the memory is O(len(t)).
+    """
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative (got {m})")
+    x = np.atleast_1d(np.asarray(t, dtype=float))
+    p = np.ones_like(x)
+    if m >= 1:
+        rec = recurrence_coefficients(params, m)
+        A, B, C = rec.A.tolist(), rec.B.tolist(), rec.C.tolist()
+        prev, p = p, (x - B[0]) / C[0]
+        for k in range(1, m):
+            prev, p = p, ((x - B[k]) * p - A[k] * prev) / C[k]
+    return float(p[0]) if np.ndim(t) == 0 else p
+
+
 def jacobi_eval_batch(params, m_max: int, points) -> np.ndarray:
     """P_m^(alpha,beta) at `points` for all m = 0..m_max, by forward recurrence.
 
@@ -63,6 +125,35 @@ def orthonormal_eval_batch(params, m_max: int, points) -> np.ndarray:
     """Rows of jacobi_eval_batch scaled to unit weighted L2 norm."""
     scale = np.exp([-0.5 * log_jacobi_norm(params, m) for m in range(m_max + 1)])
     return jacobi_eval_batch(params, m_max, points) * scale[:, None]
+
+
+def phi_full_direct(spec, m: int, x):
+    """phi_m of a full-mode basis by jacobi_eval: (-1)^m P_m(tanh x) w^{1/2}(x) g_m^{-1/2},
+    with the weight and the norm joined in one exponent."""
+    pts, scalar = _as_points(x)
+    poly = jacobi_eval(spec.params, m, np.tanh(pts))
+    vals = (-1.0) ** m * poly * np.exp(_log_weight_full(spec.params, pts) - 0.5 * log_jacobi_norm(spec.params, m))
+    return float(vals[0]) if scalar else vals
+
+
+def phi_half_direct(spec, m: int, x):
+    """phi_m of a half-mode basis (alpha = a = beta) by jacobi_eval: with k = m // 2,
+    2^{(2a+1)/4} g_k^{-1/2} sech^{1+a} x P_k^{(a,-1/2)}(1 - 2 sech^2 x) for even m,
+    -2^{(2a+3)/4} g_k^{-1/2} tanh x sech^{1+a} x P_k^{(a,1/2)}(1 - 2 sech^2 x) for odd m."""
+    a = spec.params.alpha
+    pts, scalar = _as_points(x)
+    ls = _log_sech(pts)
+    u = 1.0 - 2.0 * np.exp(2.0 * ls)
+    k = m // 2
+    if m % 2 == 0:
+        par = JacobiParams(a, -0.5)
+        log_amp = (0.25 * (2.0 * a + 1.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
+        vals = jacobi_eval(par, k, u) * np.exp(log_amp)
+    else:
+        par = JacobiParams(a, 0.5)
+        log_amp = (0.25 * (2.0 * a + 3.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
+        vals = -np.tanh(pts) * jacobi_eval(par, k, u) * np.exp(log_amp)
+    return float(vals[0]) if scalar else vals
 
 
 def jacobi_norm(params, m: int) -> float:

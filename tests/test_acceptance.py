@@ -33,7 +33,7 @@ from tanhspec import (
 )
 from tanhspec.cli import main as cli_main, read_table
 
-from oracles import direct_fourier, fd_derivative, gauss_panels, orthonormal_eval_batch
+from oracles import direct_fourier, fd_derivative, gauss_panels, orthonormal_eval_batch, phi_full_direct
 
 GRAM_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.0, 0.0), (1.3, 0.2)]
 CHEB_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5)]
@@ -81,7 +81,7 @@ def test_criterion_2_differentiation_matrix():
                 coupled = d.b[m] * phi_full(spec, m + 1, xs)
                 if m >= 1:
                     coupled = coupled - d.b[m - 1] * phi_full(spec, m - 1, xs)
-                fd = np.array([fd_derivative(lambda y: phi_full(spec, m, y), x, 1e-5) for x in xs])
+                fd = np.array([fd_derivative(lambda y: phi_full_direct(spec, m, y), x, 1e-5) for x in xs])
                 worst = max(worst, float(np.max(np.abs(fd - coupled))))
             assert worst <= 1e-7, (a, b, worst)
         # closed forms: affine in m for the two symmetric Chebyshev pairs

@@ -17,7 +17,7 @@ from tanhspec import (
     phi_full,
     phi_half,
 )
-from oracles import clenshaw_rowwise, fd_derivative, orthonormal_eval_batch
+from oracles import clenshaw_rowwise, fd_derivative, orthonormal_eval_batch, phi_full_direct, phi_half_direct
 
 GRID_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.0, 0.0), (1.3, 0.2)]
 
@@ -166,7 +166,7 @@ class TestDerivativePointwise:
 
     def test_u_pair_scaling(self):
         spec = _full(0.5, 0.5)
-        want = 0.75 * phi_full(spec, 1, 0.5)
+        want = 0.75 * phi_full_direct(spec, 1, 0.5)
         assert math.isclose(derivative_pointwise(spec, 0, 0.5), want, rel_tol=1e-14)
 
     @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (0.5, 0.5), (1.3, 0.2)])
@@ -175,13 +175,13 @@ class TestDerivativePointwise:
         rng = np.random.default_rng(5)
         xs = rng.uniform(-5.0, 5.0, 50)
         for m in range(0, 21, 4):
-            fd = np.array([fd_derivative(lambda y: phi_full(spec, m, y), x, 1e-5) for x in xs])
+            fd = np.array([fd_derivative(lambda y: phi_full_direct(spec, m, y), x, 1e-5) for x in xs])
             exact = derivative_pointwise(spec, m, xs)
             assert np.max(np.abs(fd - exact)) <= 1e-7
 
     def test_half_mode(self):
         spec = _half(0.3)
-        fd = fd_derivative(lambda y: phi_half(spec, 4, y), 0.8, 1e-5)
+        fd = fd_derivative(lambda y: phi_half_direct(spec, 4, y), 0.8, 1e-5)
         assert math.isclose(derivative_pointwise(spec, 4, 0.8), fd, rel_tol=1e-7)
 
 
@@ -202,9 +202,9 @@ class TestClenshaw:
     def test_delta_expansions(self):
         spec = _full(-0.5, -0.5)
         e0 = Expansion(spec, [1.0])
-        assert math.isclose(clenshaw_eval(e0, 0.9), phi_full(spec, 0, 0.9), rel_tol=1e-13)
+        assert math.isclose(clenshaw_eval(e0, 0.9), phi_full_direct(spec, 0, 0.9), rel_tol=1e-13)
         e5 = Expansion(spec, [0.0] * 5 + [1.0])
-        assert math.isclose(clenshaw_eval(e5, -0.4), phi_full(spec, 5, -0.4), rel_tol=1e-13)
+        assert math.isclose(clenshaw_eval(e5, -0.4), phi_full_direct(spec, 5, -0.4), rel_tol=1e-13)
 
     @pytest.mark.parametrize("a,b", GRID_PAIRS)
     def test_naive_sum_oracle(self, a, b):
@@ -213,7 +213,7 @@ class TestClenshaw:
         coeffs = rng.standard_normal(32)
         e = Expansion(spec, coeffs)
         x = -1.3
-        naive = sum(coeffs[m] * phi_full(spec, m, x) for m in range(32))
+        naive = sum(coeffs[m] * phi_full_direct(spec, m, x) for m in range(32))
         assert math.isclose(clenshaw_eval(e, x), naive, rel_tol=1e-12, abs_tol=1e-13)
 
     def test_long_expansion_against_naive(self):
@@ -222,7 +222,7 @@ class TestClenshaw:
         coeffs = rng.standard_normal(512) * 0.97 ** np.arange(512)
         e = Expansion(spec, coeffs)
         for x in (-2.2, 0.1, 3.0):
-            naive = sum(coeffs[m] * phi_full(spec, m, x) for m in range(512))
+            naive = sum(coeffs[m] * phi_full_direct(spec, m, x) for m in range(512))
             assert math.isclose(clenshaw_eval(e, x), naive, rel_tol=1e-12, abs_tol=1e-12)
 
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.9, -0.9), (2.0, 5.0), (80.0, 80.0), (-0.999, 3.0)])
@@ -241,5 +241,5 @@ class TestClenshaw:
         rng = np.random.default_rng(29)
         coeffs = rng.standard_normal(12)
         e = Expansion(spec_h, coeffs)
-        naive = sum(coeffs[m] * phi_half(spec_h, m, 0.37) for m in range(12))
+        naive = sum(coeffs[m] * phi_half_direct(spec_h, m, 0.37) for m in range(12))
         assert math.isclose(clenshaw_eval(e, 0.37), naive, rel_tol=1e-12)

@@ -253,6 +253,34 @@ def test_points_spec_naming_no_point_rejected(tmp_path, capsys, command, points)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "diff", "basis", "ft"])
+def test_points_at_the_top_of_the_float_range(tmp_path, command):
+    # the weight is exactly 0.0 from |x| = 1e300 (|xi| = 1e300 for ft), so
+    # these points give 0.0 rather than an overflow of 2x or of ln Gamma
+    cf = tmp_path / "c.csv"
+    write_table(str(cf), _cols([{"m": m, "c": 1.0} for m in range(3)]), "csv")
+    out = tmp_path / "o.csv"
+    top = "-1e308,1e308" if command == "ft" else "-1.7976931348623157e308,-9e307,9e307,1.7976931348623157e308"
+    assert run(*_POINTS_COMMANDS[command].format(c=cf, o=out).split(), "--points", top) == 0
+    table = read_table(str(out))
+    assert all(np.all(col == 0.0) for name, col in table.items() if name not in ("x", "xi"))
+
+
+@pytest.mark.parametrize("options", [
+    "--alpha -1e-3 --beta 0 --points 0.5", "--alpha 0.3 --beta -2e-1 --points 0.5", "--alpha 0.3 --beta 0 --points -1,0,1",
+])
+def test_negative_values_need_no_equals_sign(tmp_path, capsys, options):
+    # argparse takes '-1e-3' and '-1,0,1' for option names unless they are glued on
+    cf = tmp_path / "c.csv"
+    write_table(str(cf), _cols([{"m": m, "c": 1.0} for m in range(3)]), "csv")
+    spaced = options.split()
+    outs = []
+    for spelling in (spaced, [f"{opt}={v}" for opt, v in zip(spaced[::2], spaced[1::2])]):
+        assert run("eval", "--in", str(cf), *spelling) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("\n") > 1
+
+
 class TestFourierCommand:
     def test_profile(self, tmp_path):
         cf = tmp_path / "c.csv"
@@ -554,8 +582,13 @@ class TestTablesAndDeterminism:
             ["eval", "--alpha", "1e300", "--beta", "0", "--in", "c.csv", "--points", "0,1"],
             ["diff", "--alpha", "1e300", "--beta", "0", "--in", "c.csv", "--points", "0,1"],
             ["expand", "--alpha", "1e6", "--beta", "0", "--n", "4", "--fn", "sech"],
+            # 10^15 float64 entries are 8 PB: every machine refuses the allocation
+            ["expand", "--alpha", "0.5", "--beta", "-0.5", "--n", "1000000000000000", "--fn", "sech"],
+            ["expand", "--alpha", "0", "--beta", "0", "--n", "1000000000000000", "--fn", "sech"],
+            ["basis", "--alpha", "0", "--beta", "0", "--m-list", "1000000000000000", "--points", "0"],
+            ["eval", "--alpha", "0", "--beta", "0", "--in", "c.csv", "--points", "lin:0:1:1000000000000000"],
         ],
-        ids=["basis", "eval", "diff", "expand"],
+        ids=["basis", "eval", "diff", "expand", "alloc-expand-fast", "alloc-expand-quad", "alloc-basis", "alloc-eval"],
     )
     def test_overflow_is_one_error_line(self, tmp_path, argv):
         # in a child process, so that a stray RuntimeWarning would show on stderr

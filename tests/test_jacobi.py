@@ -14,21 +14,24 @@ from tanhspec import (
     JacobiParams,
     clenshaw_eval,
     gauss_jacobi,
-    jacobi_eval,
-    recurrence_coefficients,
+    phi_full,
+    phi_half,
 )
 from tanhspec import jacobi as jacobi_mod
+from tanhspec.basis import _log_sech
 from tanhspec.jacobi import jacobi_matrix, orthonormal_blocks
 
 from oracles import (
     chebyshev_eval,
     gauss_weights_rowwise,
+    jacobi_eval,
     jacobi_eval_batch,
     jacobi_explicit_sum,
     jacobi_norm,
     norm_ratio,
     orthonormal_eval_batch,
     orthonormal_mp,
+    recurrence_coefficients,
 )
 
 GRID_PAIRS = [(-0.9, -0.9), (-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (2.0, 0.3), (7.3, -0.5), (1.3, 0.2), (-0.5, 0.5)]
@@ -294,3 +297,31 @@ class TestKernelAgainstMpmath:
                 size.append(float(w * mpmath.fsum(abs(v) for v in terms)))
         got = clenshaw_eval(Expansion(BasisSpec(JacobiParams(a, b), "full"), c), x)
         assert np.max(np.abs(got - np.array(want)) / np.array(size)) <= MP_BOUNDS[(a, b)]
+
+    @pytest.mark.parametrize("a,b", list(MP_BOUNDS))
+    def test_basis_functions(self, a, b):
+        # phi_m, m = 300 and 301, at the library's rounding of t = tanh x (full
+        # range) or u = 1 - 2 sech^2 x (half range, a = b), the other factors
+        # from x itself; error relative to the largest |phi_m| on the grid
+        x = np.linspace(-8.0, 8.0, 17)
+        u = 1.0 - 2.0 * np.exp(2.0 * _log_sech(x))
+        rows = orthonormal_mp(a, b, 302, np.tanh(x))
+        for m in (300, 301):
+            k, odd = divmod(m, 2)
+            half = orthonormal_mp(a, odd - 0.5, k + 1, u)[k] if a == b else None
+            full_want, half_want = [], []
+            with mpmath.workdps(40):
+                ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+                for j, xj in enumerate(x):
+                    xm = mpmath.mpf(float(xj))
+                    th = mpmath.tanh(xm)
+                    w = (1 - th) ** ((ma + 1) / 2) * (1 + th) ** ((mb + 1) / 2)
+                    full_want.append(float((-1) ** m * w * rows[m][j]))
+                    if half is not None:
+                        amp = mpmath.mpf(2) ** ((2 * ma + 1 + 2 * odd) / 4) * mpmath.sech(xm) ** (1 + ma)
+                        half_want.append(float((-th if odd else 1) * amp * half[j]))
+            checks = [(phi_full(BasisSpec(JacobiParams(a, b), "full"), m, x), np.array(full_want))]
+            if half is not None:
+                checks.append((phi_half(BasisSpec(JacobiParams(a, a), "half"), m, x), np.array(half_want)))
+            for got, want in checks:
+                assert np.max(np.abs(got - want)) <= MP_BOUNDS[(a, b)] * np.max(np.abs(want)), m
