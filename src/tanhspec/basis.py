@@ -56,7 +56,9 @@ def _log_one_plus_tanh(x: np.ndarray) -> np.ndarray:
 
 
 def _log_sech(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
+    # sech x is exactly 0.0 from |x| = 1e300 on, so the clamp is exact where
+    # the result is exponentiated and keeps 2|x| finite at the top of the range
+    ax = np.minimum(np.abs(x), 1e300)
     return _LN2 - ax - np.log1p(np.exp(-2.0 * ax))
 
 

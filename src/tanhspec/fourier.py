@@ -46,9 +46,18 @@ class FourierRep:
     log_normalisation: float  # ln C
 
 
+def _clamp_xi(xi) -> np.ndarray:
+    # the weight is exactly 0.0 from |xi| = 1e300 on, where it and xi / b_0
+    # are still finite; a non-finite xi is left for log_gamma_complex to reject
+    xi = np.asarray(xi, dtype=float)
+    return np.where(np.isfinite(xi), np.clip(xi, -1e300, 1e300), xi)
+
+
 def _log_gamma_pair(params: JacobiParams, xi) -> np.ndarray:
     # ln Gamma((a+1)/2 + i xi/2) + ln Gamma((b+1)/2 - i xi/2), elementwise
-    half = 0.5j * np.asarray(xi, dtype=float)
+    xi = _clamp_xi(xi)
+    half = np.zeros(xi.shape, dtype=complex)
+    half.imag = 0.5 * xi  # 0.5j * xi would make a nan real part from an infinite xi
     return log_gamma_complex(0.5 * (params.alpha + 1.0) + half) + log_gamma_complex(
         0.5 * (params.beta + 1.0) - half
     )
@@ -162,10 +171,7 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     n = len(e)
     rep = fourier_rep(e.spec.params)
     b = diff_coeffs(e.spec.params, n).b
-    xi = np.atleast_1d(np.asarray(xi_points, dtype=float))
-    # F is exactly 0.0 from |xi| = 1e300, where the Gamma weight and xi / b_0
-    # are still finite; a non-finite xi is left for the weight to reject
-    xi = np.where(np.isfinite(xi), np.clip(xi, -1e300, 1e300), xi)
+    xi = _clamp_xi(np.atleast_1d(xi_points))  # the recurrence's xi / b_k needs it too
     d = (1j) ** np.arange(n) * e.coeffs
     u1 = np.zeros(xi.size, dtype=complex)
     u2 = np.zeros(xi.size, dtype=complex)

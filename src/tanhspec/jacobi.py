@@ -5,9 +5,13 @@ polynomials q_m in blocks of rescaled rows at one multiply and one subtract
 per degree and point.  The Gauss weights here, the quadrature projections
 (transforms) and the synthesis (basis.clenshaw_eval) each reduce a block
 with one product, and the basis functions (basis.phi_full, basis.phi_half)
-take the last row of one sweep.  The quadrature rules double as the slow,
-fully general transform path and as the oracle against which the fast
-trigonometric paths are tested.
+take the last row of one sweep.  Gauss-Jacobi rules come from the same
+kernel: Newton's method in theta = arccos t, started from O(n) asymptotic
+angles, finds the nodes in about two sweeps, and the sweep that finishes
+a node gives its weight.  Golub-Welsch, whose eigensolver is the only use
+of SciPy, builds a rule only when the Newton rule fails its certificate.
+The quadrature rules double as the slow, fully general transform path and
+as the oracle against which the fast trigonometric paths are tested.
 """
 
 import math
@@ -141,32 +145,132 @@ def eigh_tridiagonal(d, e, **kwargs):
     return linalg.eigh_tridiagonal(d, e, **kwargs)
 
 
-def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
-    """n-point Gauss-Jacobi rule by Golub-Welsch.
+#: A Newton node is finished in the sweep whose step would move t by at most this.
+_STEP_TOL = 4e-16
+#: Sweeps after which a Newton rule with unfinished nodes fails its certificate.
+_MAX_SWEEPS = 8
 
-    Nodes are the eigenvalues of the symmetrised recurrence (Jacobi) matrix;
-    weights come from the first components of the normalised eigenvectors
-    scaled by the total weight mass g_0.  The tridiagonal eigenproblem is
-    solved with LAPACK's implicit-shift QL (dstev).
 
-    Raises
-    ------
-    RuntimeError
-        If the eigensolver fails to converge.
+def _sweep(params: JacobiParams, n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q_{n-1}(t), q_n(t) and sum_{m<n} q_m(t)^2 from one orthonormal_blocks pass."""
+    total = np.zeros(t.size)
+    hi = 0
+    for s, P in orthonormal_blocks(params, n + 1, t):
+        hi += len(s)
+        if hi > n:  # the last block ends with q_n
+            q_n = s[-1] * P[-1]
+            if len(s) > 1:
+                q_prev = s[-2] * P[-2]
+            s, P = s[:-1], P[:-1]
+        elif hi == n:  # q_{n-1} ends this block; the buffer is reused by the next
+            q_prev = s[-1] * P[-1]
+        total += (s * s) @ np.square(P, out=P)
+    return q_prev, q_n, total
+
+
+def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.ndarray,
+                  active: np.ndarray) -> np.ndarray:
+    """One Newton sweep at theta[active], in place; returns the nodes still active.
+
+    The step is Newton's on u = sin(theta/2)^(a+1/2) cos(theta/2)^(b+1/2)
+    q_n(cos theta), which solves u'' + Q u = 0 (Szego 4.24.2); since u'' = 0
+    at a node, the factor 1 - Q d^2/3 removes the leading error Q d^3/3 of
+    the plain step d.  A node whose step would move t by at most _STEP_TOL
+    is finished: it keeps the angle it was evaluated at and takes its weight
+    1/sum_{m<n} q_m^2 from this sweep.
     """
-    if n < 1:
-        raise ValueError(f"rule size must be positive (got {n})")
+    a, b = params.alpha, params.beta
+    s = a + b
+    th = theta[active]
+    t = np.cos(th)
+    q_prev, q_n, total = _sweep(params, n, t)
+    # (1 - t^2) q_n' = (c - n t) q_n + D q_{n-1}, with D = (2n+a+b+1) e_{n-1}
+    c = n * (a - b) / (2.0 * n + s)
+    D = 2.0 * couplings(params, n)[-1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
+    sin_h, cos_h = np.sin(0.5 * th), np.cos(0.5 * th)
+    sin_t = 2.0 * sin_h * cos_h
+    # d = -u/u', where u'/u = dlog - (1 - t^2) q_n' / (sin(theta) q_n) and
+    # dlog is the derivative of the log of u's prefactor
+    dlog = 0.5 * ((a + 0.5) * cos_h / sin_h - (b + 0.5) * sin_h / cos_h)
+    step = q_n * sin_t / ((c - n * t) * q_n + D * q_prev - dlog * sin_t * q_n)
+    done = np.abs(sin_t * step) <= _STEP_TOL
+    weights[active[done]] = 1.0 / total[done]
+    rho = n + 0.5 * (s + 1.0)
+    Q = rho * rho + (0.25 - a * a) / (4.0 * sin_h**2) + (0.25 - b * b) / (4.0 * cos_h**2)
+    step *= 1.0 - Q * step**2 / 3.0
+    theta[active[~done]] += step[~done]
+    return active[~done]
+
+
+def _newton(params: JacobiParams, n: int) -> QuadratureRule | None:
+    """The n-point rule by Newton's method in theta = arccos t, or None if it fails its certificate.
+
+    The angles start from Gatteschi-Pittaluga and only unfinished nodes are
+    swept again (_newton_sweep).  The certificate: every node finished
+    within _MAX_SWEEPS sweeps, angles inside (0, pi) before each sweep,
+    nodes strictly increasing inside (-1, 1), weights finite and positive.
+    """
+    a, b = params.alpha, params.beta
+    rho = n + 0.5 * (a + b + 1.0)
+    theta = (np.arange(1, n + 1) + (0.5 * a - 0.25)) * (math.pi / rho)
+    tan_h = np.tan(0.5 * theta)
+    theta += ((0.25 - a * a) / tan_h - (0.25 - b * b) * tan_h) / (4.0 * rho * rho)
+    del tan_h  # one O(n) array less through the sweeps, which set the peak memory
+    weights = np.empty(n)
+    active = np.arange(n)
+    for _ in range(_MAX_SWEEPS):
+        if not np.all((theta > 0.0) & (theta < math.pi)):
+            return None
+        active = _newton_sweep(params, n, theta, weights, active)
+        if not active.size:
+            break
+    else:
+        return None
+    nodes = np.cos(theta[::-1])
+    weights = weights[::-1]
+    if not (-1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
+        return None
+    if not np.all((weights > 0.0) & np.isfinite(weights)):
+        return None
+    return QuadratureRule(nodes=nodes, weights=weights, params=params)
+
+
+def _golub_welsch(params: JacobiParams, n: int) -> QuadratureRule:
+    """The n-point rule by Golub-Welsch: the fallback when Newton fails its certificate.
+
+    Nodes are the eigenvalues of the Jacobi matrix (LAPACK's implicit-shift
+    QL, dstev, through SciPy); the weights are 1/sum_m q_m(t_k)^2 from one
+    sweep, which is accurate to rounding where the first eigenvector
+    components of the QL rotations lose several digits.
+    """
     B, e = jacobi_matrix(params, n)
     try:
         nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Gauss-Jacobi eigensolver failed to converge: {exc}") from exc
-    # The eigenvector of node t_k is proportional to (q_0(t_k),..,q_{n-1}(t_k)),
-    # where q_m is the orthonormal recurrence; evaluating it directly keeps the
-    # first-component weight formula g_0 v_{0k}^2 = 1/sum_m q_m(t_k)^2 accurate
-    # to machine precision, where accumulated QL rotations lose several digits.
-    total = np.zeros(n)
-    for s, P in orthonormal_blocks(params, n, nodes):
-        total += (s * s) @ np.square(P, out=P)
-    weights = 1.0 / total
-    return QuadratureRule(nodes=nodes, weights=weights, params=params)
+    return QuadratureRule(nodes=nodes, weights=1.0 / _sweep(params, n, nodes)[2], params=params)
+
+
+def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
+    """n-point Gauss-Jacobi rule: Newton's method on the recurrence kernel, Golub-Welsch as fallback.
+
+    Nodes t_k = cos theta_k come from O(n) asymptotic angles polished by
+    Newton sweeps of orthonormal_blocks (see _newton), about two sweeps in
+    all; each weight 1/sum_m q_m(t_k)^2 comes from the sweep that finished
+    its node.  The Newton rule must pass a certificate: every node finished
+    within a fixed number of sweeps, nodes strictly increasing inside
+    (-1, 1), weights finite and positive.  Otherwise (for instance at large
+    a, b, where the asymptotic angles are poor) the rule comes from
+    Golub-Welsch, which imports SciPy.  No floating-point error is raised
+    by the Newton attempt; overflow there counts as a failed certificate.
+
+    Raises
+    ------
+    RuntimeError
+        If the fallback eigensolver fails to converge.
+    """
+    if n < 1:
+        raise ValueError(f"rule size must be positive (got {n})")
+    with np.errstate(all="ignore"):
+        rule = _newton(params, n)
+    return rule if rule is not None else _golub_welsch(params, n)

@@ -5,7 +5,9 @@ to cosine/sine sums over the first-kind Chebyshev angles
 theta_k = (2k+1) pi / (2N), evaluated with kernels on numpy.fft in
 O(N log N); every other parameter pair goes through an N-point
 Gauss-Jacobi rule in O(N^2), one matrix-vector product per block of the
-recurrence kernel jacobi.orthonormal_blocks.  Both routes approximate the
+recurrence kernel jacobi.orthonormal_blocks.  The rule itself is a few
+sweeps of the same kernel (Newton's method, jacobi.gauss_jacobi), cached
+per (params, mode, N).  Both routes approximate the
 same integrals (quadrature semantics, no endpoint samples), so they agree
 to rounding on band-limited inputs and converge together otherwise.
 """
@@ -161,7 +163,7 @@ def _grid(mode: str, n: int) -> _Nodes:
 
 @lru_cache(maxsize=16)
 def _rule_nodes(params: JacobiParams, mode: str, n: int) -> _Nodes:
-    # one O(n^2) Golub-Welsch rule serves every function expanded at this
+    # one O(n^2) Gauss-Jacobi rule serves every function expanded at this
     # (params, mode, n); an entry holds five length-n arrays (40 n bytes)
     rule = gauss_jacobi(params, n)
     t = rule.nodes

@@ -126,6 +126,14 @@ class TestPhiHalf:
             worst = max(worst, diff)
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("a", [0.5, 1.3])
+    def test_top_of_the_float_range(self, a):
+        # sech x is exactly 0.0 there; the CLI's floating-point errors raise
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for m in range(4):
+                for x in (9e307, -9e307, 1.797e308, -1.797e308):
+                    assert phi_half(_half(a), m, x) == 0.0, (m, x)
+
 
 class TestDiffCoeffs:
     def test_chebyshev_u_affine(self):

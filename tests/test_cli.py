@@ -517,11 +517,12 @@ class TestScipyImportContract:
         ("ft --alpha -0.5 --beta -0.5 --in {coeffs} --points lin:-5:5:11", 0),
         ("expand --alpha -1 --beta 0 --n 16 --fn sech", 2),
         ("expand --alpha 0.5 --beta -0.5 --n 64 --fn sech --out {out}", 0),
+        ("expand --alpha 0 --beta 0 --n 16 --fn sech --out {out}", 0),
         ("expand --alpha 0.5 --beta 0.5 --mode half --n 64 --fn sech --out {out}", 0),
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-fn gaussian:0.5 --f-fn sech --bandwidth 4 --out {out}", 0),
         ("expand --alpha -0.5 --beta -0.5 --mode half --n 64 --in {samples} --out {out}", 0),
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-in {a_coeffs} --f-fn sech --bandwidth 4 --out {out}", 0),
-    ], ids=["eval", "diff", "eval-generic", "diff-generic", "basis", "ft", "usage-error", "expand-fast", "expand-half-fast", "solve-fast",
+    ], ids=["eval", "diff", "eval-generic", "diff-generic", "basis", "ft", "usage-error", "expand-fast", "expand-quadrature", "expand-half-fast", "solve-fast",
             "expand-half-samples", "solve-a-coefficients"])
     def test_commands_without_scipy(self, tmp_path, argv, code):
         _, coeffs = _expand_sech(tmp_path)
@@ -533,9 +534,10 @@ class TestScipyImportContract:
                 for a in argv.split()]
         assert _scipy_loaded_by(*argv, code=code) == set()
 
-    def test_quadrature_expand_loads_linalg(self, tmp_path):
-        loaded = _scipy_loaded_by("expand", "--fn", "sech", "--alpha", "0", "--beta", "0",
-                                  "--n", "16", "--out", str(tmp_path / "c.csv"))
+    def test_quadrature_fallback_loads_linalg(self, tmp_path):
+        # at (80, 80) Newton fails its certificate and Golub-Welsch imports scipy.linalg
+        loaded = _scipy_loaded_by("expand", "--fn", "gaussian", "--alpha", "80", "--beta", "80",
+                                  "--n", "64", "--out", str(tmp_path / "c.csv"))
         assert "scipy.linalg" in loaded
         assert "scipy.fft" not in loaded
 

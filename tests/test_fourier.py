@@ -114,6 +114,20 @@ class TestWeight:
         limit = 4.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation)
         assert np.max(np.abs(scaled / limit - 1.0)) <= 0.05
 
+    def test_top_of_the_float_range(self):
+        # the weight is exactly 0.0 from |xi| = 1e300 on; the CLI's
+        # floating-point errors raise, and a non-finite xi is still rejected
+        rep = _rep(1.3, 0.2)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for xi in (1e308, -1e308):
+                assert g_weight(rep, xi) == 0.0
+                assert measure_density(rep, xi) == 0.0
+            assert np.all(g_weight(rep, np.array([1e308, -1e308])) == 0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            for f in (g_weight, measure_density):
+                with pytest.raises(ValueError, match="finite"):
+                    f(rep, bad)
+
 
 class TestNormalisation:
     def test_legendre_pair_constant(self):

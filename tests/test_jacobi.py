@@ -209,7 +209,7 @@ class TestGaussJacobi:
     def test_cold_rule_memory(self):
         # n = 4096: the block buffer is 9 x 32 KiB; an n x n table would be 128 MiB
         p = JacobiParams(1.3, 0.2)
-        gauss_jacobi(p, 8)  # lazy SciPy import outside the measurement
+        gauss_jacobi(p, 8)  # first-call set-up outside the measurement
         tracemalloc.start()
         try:
             gauss_jacobi(p, 4096)
@@ -217,6 +217,52 @@ class TestGaussJacobi:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("a,b", GRID_PAIRS)
+    def test_newton_matches_golub_welsch(self, a, b):
+        # bounds about ten times the worst error over GRID_PAIRS: 2.9e-15 on
+        # the nodes, 0.81 n^2 eps on the weights, which are evaluated at the
+        # rule's own nodes and so move with them by about n^2 times as much
+        p = JacobiParams(a, b)
+        for n in (1, 2, 7, 64, 300, 2048):
+            rule = jacobi_mod._newton(p, n)
+            assert rule is not None, n
+            want = jacobi_mod._golub_welsch(p, n)
+            assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14, n
+            assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps, n
+
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, 0.0)])
+    def test_two_sweeps(self, a, b, monkeypatch):
+        # the Q-corrected step finishes every node in the second sweep here
+        sizes = []
+
+        def counted(params, n, t):
+            sizes.append(t.size)
+            return sweep(params, n, t)
+
+        sweep = jacobi_mod._sweep
+        monkeypatch.setattr(jacobi_mod, "_sweep", counted)
+        for n in (64, 300, 2048):
+            sizes.clear()
+            gauss_jacobi(JacobiParams(a, b), n)
+            assert len(sizes) == 2 and sizes[0] == n, (n, sizes)
+
+    def test_fallback_takes_golub_welsch(self):
+        # at (80, 80) the asymptotic angles are too far off for Newton
+        p = JacobiParams(80.0, 80.0)
+        assert jacobi_mod._newton(p, 64) is None
+        rule, want = gauss_jacobi(p, 64), jacobi_mod._golub_welsch(p, 64)
+        assert rule.nodes.tobytes() == want.nodes.tobytes()
+        assert rule.weights.tobytes() == want.weights.tobytes()
+
+    @pytest.mark.parametrize("a,b,n", [(1000.0, 1000.0, 7), (1000.0, 1000.0, 16), (1000.0, 1000.0, 300), (-0.9, 1000.0, 10)])
+    def test_large_parameters_raise_nothing(self, a, b, n):
+        # a Newton attempt that overflows or underflows (the last case squares
+        # a subnormal) fails its certificate instead of raising
+        with np.errstate(all="raise"):
+            rule = gauss_jacobi(JacobiParams(a, b), n)
+        assert np.all(np.diff(rule.nodes) > 0.0) and -1.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
+        assert np.all(rule.weights > 0.0) and np.all(np.isfinite(rule.weights))
 
     @pytest.mark.parametrize("a,b", [(-0.99, 0.3), (-0.99, -0.99), (80.0, 80.0), (1.3, 0.2), (5.0, 3.0)])
     def test_moments_against_mpmath(self, a, b):
