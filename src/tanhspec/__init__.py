@@ -2,9 +2,10 @@
 
 Orthonormal bases of L2(R) whose differentiation matrix is skew-symmetric,
 tridiagonal and irreducible, with O(N log N) coefficient transforms for the
-four half-integer Chebyshev parameter pairs, banded Toeplitz-plus-Hankel
-multiplication operators, a banded least-squares solver for first-order
-operators, and Fourier transforms evaluated through Gamma-product weights.
+four half-integer Chebyshev parameter pairs, banded multiplication
+operators a(J) on every pair (Toeplitz-plus-Hankel on the four half-integer
+ones), a banded least-squares solver for first-order operators, and Fourier
+transforms evaluated through Gamma-product weights.
 """
 
 from .basis import BasisSpec, DiffOp, Expansion, clenshaw_eval, derivative_pointwise, diff_coeffs, phi_full, phi_half

@@ -4,7 +4,7 @@ Named test functions or sampled data in; CSV/JSON coefficient tables,
 derivative values, Fourier-transform profiles, first-order ODE solutions
 and basis plot data out.  Exit codes: 0 success, 2 usage/domain error,
 3 numerical failure.  Error paths print a single `error: ...` line on
-stderr.
+stderr.  `solve` reads its a(x) as a T~_k(tanh x) series on every pair.
 """
 
 import argparse
@@ -318,11 +318,6 @@ def cmd_solve(args) -> int:
     a = _solve_input(args.a_fn, args.a_in)
     a_coeffs = a if isinstance(a, np.ndarray) else analyze_unweighted(a, args.bandwidth)
     mult = mult_op(a_coeffs, args.bandwidth, args.n)
-    # mult_op is the multiplication operator of the Chebyshev-T pair only; a
-    # constant a (a_m = 0 for m >= 1, up to rounding) is (a_0/sqrt 2) I in any basis
-    varies = np.any(np.abs(a_coeffs[1:]) > 1e-14 * np.max(np.abs(a_coeffs)))
-    if varies and (args.alpha, args.beta) != (-0.5, -0.5):
-        raise ValueError("a variable coefficient a(x) needs --alpha -0.5 --beta -0.5 (Chebyshev-T pair)")
     f = _solve_input(args.f_fn, args.f_in)
     if isinstance(f, np.ndarray):
         padded = np.zeros(args.n)

@@ -7,25 +7,26 @@ Differentiation acts on coefficient vectors by
 the transpose of the matrix whose columns hold phi_m' (the two differ by a
 sign because that matrix is skew); this is the convention under which
 synthesize(diff_apply(c)) equals the pointwise derivative, and the one
-every test below pins.  Multiplication by a(x) = sum a_m T~_m(tanh x) in
-the Chebyshev-T basis is the symmetric, banded Toeplitz-plus-Hankel
-operator; its entries are the exact Gram integrals int a phi_i phi_j dx,
-which fixes the T~_0 = 1/sqrt 2 scaling on row/column 0 and a checkerboard
-sign carried over from the (-1)^m in the basis functions.
+every test below pins.  Multiplication by a(x) = sum a_m T~_m(tanh x) has
+the Gram integrals int a phi_i phi_j dx = (-1)^{i+j} [a(J)]_{ij} as entries
+on every pair, J the pair's orthonormal Jacobi matrix (Olver & Townsend,
+SIAM Rev. 55(3), 2013); its band comes from the Chebyshev Clenshaw
+recurrence in J, a few whole-array products per step.
 
-Every operator is built from that closed form over index arrays: one entry
-rule fills the band diagonal by diagonal, and band storage is read and
-applied one stored diagonal at a time.  The banded QR hands LAPACK one
-dense panel of columns at a time (numpy.linalg.qr) and back-substitutes
-panel by panel, so no Python loop runs per column.
+Band storage is read and applied one stored diagonal at a time.  The banded
+QR hands LAPACK one dense panel of columns at a time (numpy.linalg.qr) and
+back-substitutes panel by panel, so no Python loop runs per column.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import DiffOp, Expansion
+from .jacobi import jacobi_matrix
+from .special import JacobiParams
 
 __all__ = [
     "BandedMatrix",
@@ -94,36 +95,14 @@ def dense_diff(d: DiffOp, n: int) -> np.ndarray:
     return out
 
 
-def _entries(a: np.ndarray, i, j):
-    """The MultOp entry rule over broadcast index arrays (i, j): a_k/sqrt 2
-    on row/column 0, a_0/sqrt 2 + a_{2i}/2 on the diagonal and
-    (a_|i-j| + a_{i+j})/2 elsewhere, times the checkerboard sign."""
-
-    def coeff(m):
-        return np.where(m < a.size, a[np.minimum(m, a.size - 1)], 0.0)
-
-    k, s = np.abs(i - j), i + j
-    a_k, a_s = coeff(k), coeff(s)
-    value = np.where(
-        np.minimum(i, j) == 0,
-        a_k * _SQRT1_2,
-        np.where(k == 0, a[0] * _SQRT1_2 + 0.5 * a_s, 0.5 * (a_k + a_s)),
-    )
-    return np.where(s % 2, -value, value)
-
-
 class MultOp:
-    """Multiplication by a(x) = sum_{m<=M} a_m T~_m(tanh x) in coefficient space.
+    """Multiplication by a(x) = a_0/sqrt 2 + sum_{1<=k<=M} a_k T_k(tanh x).
 
-    Entries (i, j >= 1):
-        i != j : (-1)^{i+j} (a_{|i-j|} + a_{i+j}) / 2
-        i == j : a_0/sqrt(2) + a_{2i}/2
-    row/column 0:
-        (0, 0) : a_0/sqrt(2)
-        (0, k) : (-1)^k a_k/sqrt(2)
-    Symmetric, bandwidth M.  On the block i, j >= 1 this is exactly
-    Toeplitz + Hankel with t_0 = a_0/sqrt 2, t_k = (-1)^k a_k/2 and
-    h_s = (-1)^s a_s/2.
+    A MultOp holds only the coefficients; the basis is the operand's, passed
+    as `params` to apply and dense (Chebyshev-T by default) and taken from
+    the DiffOp by assemble_first_order.  In the basis of a pair its matrix is
+    (-1)^{i+j} [a(J)]_{ij} = int a phi_i phi_j dx, J the pair's Jacobi matrix:
+    symmetric, bandwidth M, Toeplitz-plus-Hankel on the half-integer pairs.
     """
 
     def __init__(self, a_coeffs, size: int):
@@ -139,24 +118,57 @@ class MultOp:
         self.size = size
         self.bandwidth = a.size - 1
 
-    def _band(self, rows: int, cols: int, bw: int) -> "BandedMatrix":
-        """The rows x cols window in band storage with bandwidth bw on both sides."""
+    def _band(self, rows: int, cols: int, bw: int, params: JacobiParams) -> "BandedMatrix":
+        """The rows x cols window in band storage, bandwidth bw >= M on both sides.
+
+        Clenshaw in Jt = tridiag(-e, B, -e), whose signs carry the (-1)^{i+j}:
+        b_k = a_k I + 2 Jt b_{k+1} - b_{k+2} (k = M..1), a(Jt) = (a_0/sqrt 2) I
+        + Jt b_1 - b_2.  The b_k are symmetric: row d + 1 keeps diagonal d >= 0
+        (0 past the live band), row 0 the mirrored diagonal -1 that Jt reads.
+        Jt of size max(rows, cols) + M keeps the window exact.
+        """
+        a = self.a_coeffs
+        m = a.size - 1
+        B, e = jacobi_matrix(params, max(rows, cols) + m)
+
+        def views(B, e):  # [s, j] -> B_{j+s-1} and e_{j+s-2}, 0 at index -1
+            return (sliding_window_view(np.concatenate(([0.0], B)), cols),
+                    sliding_window_view(np.concatenate(([0.0, 0.0], e)), cols))
+
+        def jt_minus(Bv, ev, x, prev, hi, out):  # diagonals 0..hi-2 of Jt x - prev, into out
+            x[0, 1:] = x[2, :-1]
+            y = out[1:hi]
+            np.multiply(Bv[1:hi], x[1:hi], out=y)
+            y -= ev[1:hi] * x[: hi - 1]
+            y -= ev[2 : hi + 1] * x[2 : hi + 1]
+            y -= prev[1:hi]
+            return y
+
+        twice = views(2.0 * B, 2.0 * e)
+        b1, b2, spare = (np.zeros((m + 3, cols)) for _ in range(3))
+        for k in range(m, 0, -1):
+            jt_minus(*twice, b1, b2, m - k + 2, spare)
+            spare[1] += a[k]
+            b1, b2, spare = spare, b1, b2
+        low = jt_minus(*views(B, e), b1, b2, m + 2, spare)
+        low[0] += a[0] * _SQRT1_2
         band = BandedMatrix.zeros(rows, cols, bw, bw)
-        for k, lo, hi in band._diagonals():
-            j = np.arange(lo, hi)
-            band.data[k + bw, lo:hi] = _entries(self.a_coeffs, j + k, j)
+        band.data[bw : bw + m + 1] = low
+        for d in range(1, min(m + 1, cols)):  # A[j - d, j] = A[j, j - d]
+            band.data[bw - d, d:] = low[d, : cols - d]
         return band
 
-    def apply(self, c) -> np.ndarray:
-        """Exact banded action on a coefficient window (no truncation error
-        for windows at least as long as the input support plus M)."""
+    def apply(self, c, *, params: JacobiParams = JacobiParams(-0.5, -0.5)) -> np.ndarray:
+        """Banded action in the basis of `params`, exact on windows at least as
+        long as the input support plus M."""
         c = np.asarray(c, dtype=float)
-        return self._band(c.size, c.size, self.bandwidth).matvec(c)
+        return self._band(c.size, c.size, self.bandwidth, params).matvec(c)
 
-    def dense(self, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    def dense(self, rows: int | None = None, cols: int | None = None, *,
+              params: JacobiParams = JacobiParams(-0.5, -0.5)) -> np.ndarray:
         rows = self.size if rows is None else rows
         cols = self.size if cols is None else cols
-        return self._band(rows, cols, self.bandwidth).to_dense()
+        return self._band(rows, cols, self.bandwidth, params).to_dense()
 
 
 def mult_op(a_coeffs, bandwidth: int, size: int) -> MultOp:
@@ -234,7 +246,7 @@ def assemble_first_order(d: DiffOp, mult: MultOp, n: int) -> BandedMatrix:
     rows = n + bw
     if len(d) < rows:
         raise ValueError(f"DiffOp holds {len(d)} couplings, need at least {rows}")
-    out = mult._band(rows, n, bw)
+    out = mult._band(rows, n, bw, d.params)
     out.data[bw + 1, :] += d.b[:n]  # (j + 1, j): +b_j
     out.data[bw - 1, 1:] -= d.b[: n - 1]  # (j - 1, j): -b_{j-1}
     return out

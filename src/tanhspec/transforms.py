@@ -34,13 +34,11 @@ __all__ = [
 ]
 
 #: transform kinds with their defining sums (x of length N, m = 0..N-1):
-#:   DCT-I : y_m = x_0/2 + (-1)^m x_{N-1}/2 + sum_{n=1}^{N-2} x_n cos(pi m n / (N-1))
 #:   DCT-II: y_m = sum_n x_n cos(pi m (2n+1) / (2N))
 #:   DCT-IV: y_m = sum_n x_n cos(pi (2m+1)(2n+1) / (4N))
-#:   DST-I : y_m = sum_n x_n sin(pi (m+1)(n+1) / (N+1))
 #:   DST-II: y_m = sum_n x_n sin(pi (m+1)(2n+1) / (2N))
 #:   DST-IV: y_m = sum_n x_n sin(pi (2m+1)(2n+1) / (4N))
-_KINDS = ("DCT-I", "DCT-II", "DCT-IV", "DST-I", "DST-II", "DST-IV")
+_KINDS = ("DCT-II", "DCT-IV", "DST-II", "DST-IV")
 
 
 @lru_cache(maxsize=64)
@@ -90,8 +88,7 @@ def dct(kind: str, data) -> np.ndarray:
 
     Each kind is one numpy FFT plus O(N) work, for every length.  DST-II and
     DST-IV are the cosine kernels of the sign-alternated input, read in
-    reverse: DST-k(x)_m = DCT-k((-1)^j x_j)_{N-1-m}.  DCT-I and DST-I are
-    real FFTs of the even and odd extensions.
+    reverse: DST-k(x)_m = DCT-k((-1)^j x_j)_{N-1-m}.
     """
     key = kind.upper()
     if key not in _KINDS:
@@ -99,12 +96,6 @@ def dct(kind: str, data) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("data must be a nonempty 1-d sequence")
-    if key == "DCT-I":
-        if x.size < 2:
-            raise ValueError("DCT-I requires at least two samples")
-        return 0.5 * np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
-    if key == "DST-I":
-        return -0.5 * np.fft.rfft(np.concatenate(([0.0], x, [0.0], -x[::-1])))[1:-1].imag
     kernel = _dct2 if key.endswith("-II") else _dct4
     if key.startswith("DCT"):
         return kernel(x)

@@ -25,16 +25,10 @@ def naive_trig_transform(kind: str, x) -> np.ndarray:
     m = np.arange(n)[:, None]
     k = np.arange(n)[None, :]
     kind = kind.upper()
-    if kind == "DCT-I":
-        inner = x[0] / 2 + ((-1.0) ** m[:, 0]) * x[-1] / 2
-        core = np.cos(np.pi * m * k / (n - 1))[:, 1 : n - 1] @ x[1 : n - 1]
-        return inner + core
     if kind == "DCT-II":
         return np.cos(np.pi * m * (2 * k + 1) / (2 * n)) @ x
     if kind == "DCT-IV":
         return np.cos(np.pi * (2 * m + 1) * (2 * k + 1) / (4 * n)) @ x
-    if kind == "DST-I":
-        return np.sin(np.pi * (m + 1) * (k + 1) / (n + 1)) @ x
     if kind == "DST-II":
         return np.sin(np.pi * (m + 1) * (2 * k + 1) / (2 * n)) @ x
     if kind == "DST-IV":
@@ -263,41 +257,60 @@ def direct_fourier(f, xi: float, halfwidth: float = 42.0) -> complex:
     return complex(val) / math.sqrt(TWO_PI)
 
 
-def mult_op_dense(a, rows: int, cols: int) -> np.ndarray:
-    """Dense rows x cols window of multiplication by sum a_m T~_m(tanh x),
-    entry by entry from the formula in the MultOp docstring.
+def mult_op_dense(a, rows: int, cols: int, params=JacobiParams(-0.5, -0.5)) -> np.ndarray:
+    """Dense rows x cols window of multiplication by a_0/sqrt 2 + sum a_k T_k(tanh x)
+    in the basis of `params`: the Chebyshev Clenshaw recurrence in
+    Jt = tridiag(-e, B, -e) of MultOp, run on dense K x K matrices with
+    K = max(rows, cols) + M, each b_k rebuilt from its lower triangle as the
+    band keeps it.
 
-    Each entry uses the same floating-point operations in the same order as
-    the formula states, so an array version of it must agree bitwise.
+    Every entry takes the same floating-point operations in the same order
+    as the band version (products with the zeros off the band add exact
+    zeros), so the two must agree bitwise.
     """
-    s = 1.0 / math.sqrt(2.0)
-
-    def coef(k):
-        return float(a[k]) if k < len(a) else 0.0
-
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            sign = -1.0 if (i + j) % 2 else 1.0
-            if i == 0 or j == 0:
-                out[i, j] = sign * coef(i + j) * s
-            elif i == j:
-                out[i, j] = coef(0) * s + 0.5 * coef(2 * i)
-            else:
-                out[i, j] = sign * 0.5 * (coef(abs(i - j)) + coef(i + j))
-    return out
-
-
-def toeplitz_hankel_parts(a, size: int):
-    """Sequences (t, h) with entry (i, j) = t_|i-j| + h_{i+j} on i, j >= 1 of
-    the size x size multiplication operator: t_0 = a_0/sqrt 2,
-    t_k = (-1)^k a_k/2 and h_s = (-1)^s a_s/2 for s >= 2."""
     a = np.asarray(a, dtype=float)
-    top = min(2 * size, a.size)
+    m = a.size - 1
+    size = max(rows, cols) + m
+    B, e = jacobi_matrix(params, size)
+    diag = np.arange(size)
+
+    def jt_times(B, e, x):
+        y = B[:, None] * x
+        y[1:] -= e[:-1, None] * x[:-1]
+        y[:-1] -= e[:-1, None] * x[1:]
+        return y
+
+    def mirrored(x):
+        return np.tril(x) + np.tril(x, -1).T
+
+    b1 = b2 = np.zeros((size, size))
+    for k in range(m, 0, -1):
+        bk = jt_times(2.0 * B, 2.0 * e, b1) - b2
+        bk[diag, diag] += a[k]
+        b1, b2 = mirrored(bk), b1
+    out = jt_times(B, e, b1) - b2
+    out[diag, diag] += a[0] * (1.0 / math.sqrt(2.0))
+    return mirrored(out)[:rows, :cols]
+
+
+# Hankel shift and sign of the closed form on each half-integer pair
+_HANKEL = {(-0.5, -0.5): (0, 1.0), (0.5, -0.5): (1, -1.0), (-0.5, 0.5): (1, 1.0), (0.5, 0.5): (2, -1.0)}
+
+
+def toeplitz_hankel_parts(a, size: int, params=JacobiParams(-0.5, -0.5)):
+    """Sequences (t, h) with entry (i, j) = t_|i-j| + h_{i+j} of the size x size
+    multiplication operator on a half-integer pair: t_0 = a_0/sqrt 2,
+    t_k = (-1)^k a_k/2 and h_s = sign (-1)^s a_{s+shift}/2, with (shift, sign)
+    (0, +) on (-1/2, -1/2), (1, -) on (1/2, -1/2), (1, +) on (-1/2, 1/2) and
+    (2, -) on (1/2, 1/2).  The form holds on every row except row and column 0
+    of the (-1/2, -1/2) pair, which carry a_k/sqrt 2 instead."""
+    shift, sign = _HANKEL[(params.alpha, params.beta)]
+    a = np.asarray(a, dtype=float)
     half = np.where(np.arange(a.size) % 2, -0.5, 0.5) * a
     t = np.concatenate([[a[0] / math.sqrt(2.0)], half[1:]])
     h = np.zeros(2 * size)
-    h[2:top] = half[2:top]
+    top = max(0, min(2 * size, a.size - shift))
+    h[:top] = sign * (-1.0) ** shift * half[shift : shift + top]
     return t, h
 
 

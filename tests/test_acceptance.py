@@ -18,6 +18,7 @@ from tanhspec import (
     analyze_half,
     carlitz_eval,
     dense_diff,
+    diff_apply,
     diff_coeffs,
     diff_squared_apply,
     fourier_rep,
@@ -244,24 +245,37 @@ def test_criterion_7_operators():
         for _ in range(1000):
             c = rng.standard_normal(64)
             assert float(c @ diff_squared_apply(d, c)) <= 1e-12 * float(c @ c)
-        # multiplication operator against the pointwise product
+        # on every half-integer pair and a generic one: the multiplication
+        # operator against the pointwise product, and a manufactured solve
+        # u' + a u = f with a variable a and a band-limited u
+        def series(a):
+            def afun(x):
+                t = np.tanh(np.asarray(x, dtype=float))
+                theta = np.arccos(np.clip(t, -1.0, 1.0))
+                total = a[0] / math.sqrt(2.0) * np.ones_like(t)
+                for k in range(1, len(a)):
+                    total = total + a[k] * np.cos(k * theta)
+                return total
+
+            return afun
+
+        for pair in CHEB_PAIRS + [(1.3, 0.2)]:
+            spec = BasisSpec(JacobiParams(*pair))
+            a = rng.standard_normal(5)
+            c = rng.standard_normal(64)
+            e, afun = Expansion(spec, c), series(a)
+            want = analyze_full(spec, lambda x: afun(x) * synthesize(e, x), 128).coeffs[:64]
+            assert np.max(np.abs(mult_op(a, 4, 64).apply(c, params=spec.params) - want)) <= 1e-9, pair
+            n, a = 96, np.array([1.5, 0.4, -0.2, 0.1])
+            u, afun = Expansion(spec, rng.standard_normal(12) * 0.5 ** np.arange(12)), series(a)
+            d = diff_coeffs(spec.params, n + 3)
+            du = Expansion(spec, diff_apply(d, np.concatenate([u.coeffs, [0.0]])))
+            rhs = analyze_full(spec, lambda x: synthesize(du, x) + afun(x) * synthesize(u, x), n)
+            result = solve_first_order(d, mult_op(a, 3, n), rhs, n)
+            assert np.max(np.abs(result.expansion.coeffs[:12] - u.coeffs)) <= 1e-9, pair
+            assert result.residual <= 1e-9, pair
+        # manufactured first-order solve with a constant a
         spec = BasisSpec(JacobiParams(-0.5, -0.5))
-        a = rng.standard_normal(5)
-        c = rng.standard_normal(64)
-        mo = mult_op(a, 4, 64)
-        e = Expansion(spec, c)
-
-        def afun(x):
-            t = np.tanh(np.asarray(x, dtype=float))
-            theta = np.arccos(np.clip(t, -1.0, 1.0))
-            total = a[0] / math.sqrt(2.0) * np.ones_like(t)
-            for k in range(1, 5):
-                total = total + a[k] * np.cos(k * theta)
-            return total
-
-        want = analyze_full(spec, lambda x: afun(x) * synthesize(e, x), 128).coeffs[:64]
-        assert np.max(np.abs(mo.apply(c) - want)) <= 1e-9
-        # manufactured first-order solve
         n = 128
         fex = lambda x: np.cosh(x) ** -0.5 * (np.cosh(x) ** -2.0 - 0.5 * np.tanh(x) ** 2 + np.tanh(x))
         uex = lambda x: np.cosh(x) ** -0.5 * np.tanh(x)

@@ -405,19 +405,30 @@ class TestSolve:
         assert code == 2
         assert "singular operator" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (0.0, 0.0)])
-    def test_variable_coefficient_needs_chebyshev_t(self, tmp_path, capsys, a, b):
-        # mult_op is the multiplication operator of the (-1/2, -1/2) pair only;
-        # elsewhere the solve returned wrong coefficients with a small residual
-        out = tmp_path / "u.csv"
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (0.0, 0.0), (1.3, 0.2)])
+    def test_variable_coefficient_any_pair(self, tmp_path, capsys, a, b):
+        # u = exp(-x^2) solves u' + a_M u = f, with a_M the truncated T~ series
+        # of runge_tanh:-0.5 that the CLI builds from --a-fn; f goes in as
+        # its coefficients in the pair's basis
+        n, m = 256, 8
+        spec = tanhspec.BasisSpec(tanhspec.JacobiParams(a, b), "full")
+        a_m = tanhspec.analyze_unweighted(cli.parse_function("runge_tanh:-0.5", None), m)
+
+        def f(x):
+            theta = np.arccos(np.tanh(x))
+            a_of_x = a_m[0] / math.sqrt(2.0) + np.cos(np.outer(theta, np.arange(1, m + 1))) @ a_m[1:]
+            return (a_of_x - 2.0 * x) * np.exp(-x**2)
+
+        f_in, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        write_table(str(f_in), {"m": np.arange(n), "c": tanhspec.analyze_full(spec, f, n).coeffs}, "csv")
         code = run(
-            "solve", "--alpha", str(a), "--beta", str(b), "--n", "256",
-            "--a-fn", "gaussian", "--f-fn", "sech", "--bandwidth", "2", "--out", str(out),
+            "solve", "--alpha", str(a), "--beta", str(b), "--n", str(n), "--a-fn", "runge_tanh:-0.5",
+            "--f-in", str(f_in), "--bandwidth", str(m), "--out", str(out),
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Chebyshev-T" in err and len(err.splitlines()) == 1
-        assert not out.exists()
+        assert code == 0
+        assert "warning:" not in capsys.readouterr().err
+        want = tanhspec.analyze_full(spec, lambda x: np.exp(-x**2), n).coeffs
+        assert np.max(np.abs(read_coefficients(str(out)) - want)) <= 1e-9
 
     def test_large_relative_residual_warns(self, tmp_path, capsys):
         # u' + sech(x) u = sech(x) has no L2 solution: every solution is
@@ -522,8 +533,10 @@ class TestScipyImportContract:
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-fn gaussian:0.5 --f-fn sech --bandwidth 4 --out {out}", 0),
         ("expand --alpha -0.5 --beta -0.5 --mode half --n 64 --in {samples} --out {out}", 0),
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-in {a_coeffs} --f-fn sech --bandwidth 4 --out {out}", 0),
+        ("solve --alpha 0.5 --beta 0.5 --n 256 --a-fn runge_tanh:-0.5 --f-fn gaussian --bandwidth 8 --out {out}", 0),
+        ("solve --alpha 1.3 --beta 0.2 --n 256 --a-fn runge_tanh:-0.5 --f-fn gaussian --bandwidth 8 --out {out}", 0),
     ], ids=["eval", "diff", "eval-generic", "diff-generic", "basis", "ft", "usage-error", "expand-fast", "expand-quadrature", "expand-half-fast", "solve-fast",
-            "expand-half-samples", "solve-a-coefficients"])
+            "expand-half-samples", "solve-a-coefficients", "solve-variable-a-half-integer", "solve-variable-a-generic"])
     def test_commands_without_scipy(self, tmp_path, argv, code):
         _, coeffs = _expand_sech(tmp_path)
         samples, a_coeffs = tmp_path / "samples.csv", tmp_path / "a.csv"

@@ -32,6 +32,18 @@ from oracles import (
 
 T_PAIR = JacobiParams(-0.5, -0.5)
 T_SPEC = BasisSpec(T_PAIR, "full")
+HALF_INTEGER_PAIRS = [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)]
+BITWISE_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (1.3, 0.2)]
+
+
+def _over_pairs(pairs, cases):
+    """pytest params (JacobiParams, *case) for every pair and case tuple; the
+    T pair keeps the bare case id, the other pairs put "alpha-beta" in front."""
+    out = []
+    for a, b in pairs:
+        head = () if (a, b) == (-0.5, -0.5) else (a, b)
+        out += [pytest.param(JacobiParams(a, b), *case, id="-".join(map(str, head + case))) for case in cases]
+    return out
 
 
 def _tilde_t_series(a):
@@ -152,6 +164,38 @@ class TestMultOp:
         i, j = np.nonzero(A)
         assert np.max(np.abs(i - j)) <= 3
 
+    @pytest.mark.parametrize("M", range(9))
+    @pytest.mark.parametrize("a,b", HALF_INTEGER_PAIRS)
+    def test_toeplitz_hankel_every_half_integer_pair(self, a, b, M):
+        # the four closed forms differ only in the Hankel shift and sign;
+        # row and column 0 are special on the T pair alone
+        params = JacobiParams(a, b)
+        coeffs = np.random.default_rng(60 + M).standard_normal(M + 1)
+        t, h = toeplitz_hankel_parts(coeffs, 20, params)
+        i, j = np.ogrid[:20, :20]
+        want = np.pad(t, (0, 20))[np.abs(i - j)] + h[i + j]
+        A = mult_op(coeffs, M, 20).dense(params=params)
+        lo = 1 if (a, b) == (-0.5, -0.5) else 0
+        assert np.max(np.abs(A[lo:, lo:] - want[lo:, lo:])) <= 1e-14
+
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (2.0, 5.0)])
+    def test_gram_oracle_generic_pair(self, a, b):
+        # entries against the weighted integrals int a phi_i phi_j dx, where
+        # the operator is banded but not Toeplitz-plus-Hankel
+        from tanhspec import gauss_jacobi
+
+        params = JacobiParams(a, b)
+        coeffs = np.random.default_rng(7).standard_normal(5)
+        A = mult_op(coeffs, 4, 12).dense(params=params)
+        rule = gauss_jacobi(params, 128)
+        Q = orthonormal_eval_batch(params, 11, rule.nodes)
+        signs = (-1.0) ** np.arange(12)
+        phi_rows = Q * signs[:, None]
+        theta = np.arccos(rule.nodes)
+        a_t = coeffs[0] / math.sqrt(2.0) + np.cos(np.outer(theta, np.arange(1, 5))) @ coeffs[1:]
+        gram = np.einsum("k,ik,jk->ij", rule.weights * a_t, phi_rows, phi_rows)
+        assert np.max(np.abs(A - gram)) <= 1e-10
+
     def test_toeplitz_hankel_recovery(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal(5)
@@ -192,13 +236,16 @@ class TestMultOp:
         assert np.max(np.abs(ab_c - want)) <= 1e-8
 
 
-    @pytest.mark.parametrize("M", [0, 1, 3, 8])
-    @pytest.mark.parametrize("rows,cols", [(12, 12), (7, 15), (20, 5), (1, 4), (3, 1)])
-    def test_dense_matches_entry_oracle_bitwise(self, M, rows, cols):
+    @pytest.mark.parametrize(
+        "params,rows,cols,M",
+        _over_pairs(BITWISE_PAIRS, [(r, c, M) for r, c in [(12, 12), (7, 15), (20, 5), (1, 4), (3, 1)]
+                                    for M in [0, 1, 3, 8]]),
+    )
+    def test_dense_matches_entry_oracle_bitwise(self, params, rows, cols, M):
         a = np.random.default_rng(M).standard_normal(M + 1)
         mo = mult_op(a, M, 12)
-        assert np.array_equal(mo.dense(rows, cols), mult_op_dense(a, rows, cols))
-        assert np.array_equal(mo.dense(), mult_op_dense(a, 12, 12))
+        assert np.array_equal(mo.dense(rows, cols, params=params), mult_op_dense(a, rows, cols, params))
+        assert np.array_equal(mo.dense(params=params), mult_op_dense(a, 12, 12, params))
 
     @pytest.mark.parametrize("M", [0, 1, 3, 8])
     @pytest.mark.parametrize("n", [1, 5, 24, 40])
@@ -231,13 +278,14 @@ class TestBandedMatrix:
 
 
 class TestAssemble:
-    @pytest.mark.parametrize("M", [0, 1, 3, 8])
-    def test_matches_entry_oracle_bitwise(self, M):
+    @pytest.mark.parametrize("params,M", _over_pairs(BITWISE_PAIRS, [(0,), (1,), (3,), (8,)]))
+    def test_matches_entry_oracle_bitwise(self, params, M):
+        # the operator is taken in the basis of the DiffOp
         n = 20
         a = np.random.default_rng(50 + M).standard_normal(M + 1)
         bw = max(1, M)
-        d = diff_coeffs(T_PAIR, n + bw)
-        want = mult_op_dense(a, n + bw, n)
+        d = diff_coeffs(params, n + bw)
+        want = mult_op_dense(a, n + bw, n, params)
         j = np.arange(n)
         want[j + 1, j] += d.b[:n]
         want[j[1:] - 1, j[1:]] -= d.b[: n - 1]
