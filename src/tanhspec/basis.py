@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import couplings, orthonormal_blocks
-from .special import JacobiParams
+from .jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks
+from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
     "BasisSpec",
@@ -136,10 +136,11 @@ def _ret(vals: np.ndarray, scalar: bool):
     return float(vals[0]) if scalar else vals
 
 
-def _orthonormal(params: JacobiParams, m: int, t: np.ndarray) -> np.ndarray:
-    """q_m(t): the last row of one orthonormal_blocks sweep over degrees 0..m."""
-    *_, (s, P) = orthonormal_blocks(params, m + 1, t)
-    return s[-1] * P[-1]
+def _orthonormal(params: JacobiParams, m: int, t: np.ndarray, log_amp: np.ndarray) -> np.ndarray:
+    """q_m(t) exp(log_amp): the last row of one orthonormal_blocks sweep over degrees 0..m."""
+    B, e = jacobi_matrix(params, m + 1)
+    *_, (s, P, log_scale) = orthonormal_blocks(B, e, m + 1, t, log_amp - 0.5 * log_jacobi_norm(params, 0))
+    return s[-1] * P[-1] * np.exp(log_scale)
 
 
 def phi_full(spec: BasisSpec, m: int, x):
@@ -154,10 +155,7 @@ def phi_full(spec: BasisSpec, m: int, x):
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
     pts, scalar = _as_points(x)
-    vals = _orthonormal(spec.params, m, np.tanh(pts)) * np.exp(_log_weight_full(spec.params, pts))
-    if m % 2:
-        vals = -vals
-    return _ret(vals, scalar)
+    return _ret((-1.0) ** m * _orthonormal(spec.params, m, np.tanh(pts), _log_weight_full(spec.params, pts)), scalar)
 
 
 def phi_half(spec: BasisSpec, m: int, x):
@@ -177,7 +175,7 @@ def phi_half(spec: BasisSpec, m: int, x):
     ls = _log_sech(pts)
     u = 1.0 - 2.0 * np.exp(2.0 * ls)
     log_amp = (0.25 * (2.0 * a + 1.0 + 2.0 * odd)) * _LN2 + (1.0 + a) * ls
-    vals = _orthonormal(JacobiParams(a, odd - 0.5), k, u) * np.exp(log_amp)
+    vals = _orthonormal(JacobiParams(a, odd - 0.5), k, u, log_amp)
     if odd:
         vals *= -np.tanh(pts)
     return _ret(vals, scalar)
@@ -204,17 +202,13 @@ def clenshaw_eval(e: Expansion, x):
     """Evaluate sum_m c_m phi_m(x) by the forward recurrence of jacobi.orthonormal_blocks.
 
     Works in the mapped variable t = tanh x: each block of rows p_m adds one
-    matrix-vector product (-1)^m c_m s_m p_m, and the boundary weight is
-    evaluated once per point.  Half-mode expansions use the identical
-    full-range functions of the (alpha, alpha) pair.
+    matrix-vector product (-1)^m c_m s_m p_m (jacobi.forward_sum), whose log
+    scale starts at the boundary weight.  Half-mode expansions use the
+    identical full-range functions of the (alpha, alpha) pair.
     """
     params = e.spec.params
     pts, scalar = _as_points(x)
     v = e.coeffs.copy()
     v[1::2] *= -1.0
-    acc = np.zeros(pts.size)
-    m = 0
-    for s, P in orthonormal_blocks(params, len(e), np.tanh(pts)):
-        acc += (v[m : m + len(s)] * s) @ P
-        m += len(s)
-    return _ret(acc * np.exp(_log_weight_full(params, pts)), scalar)
+    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
+    return _ret(forward_sum(*jacobi_matrix(params, len(e)), v, np.tanh(pts), log_start), scalar)

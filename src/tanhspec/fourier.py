@@ -10,12 +10,12 @@ an N-term expansion is
 where g(xi) = C * Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2), the
 constant C > 0 normalises |g|^2 dxi to unit mass, and the p_m are the
 orthonormal polynomials of that measure.  C underflows once a and b near
-300, so ln C is carried and added inside every exponent.  The recurrence
-coefficients of the p_m are exactly the differentiation couplings b_m, so
-the sum is a Clenshaw evaluation on diff_coeffs.  (The i^m phase, rather than
-(-i)^m, is forced jointly by F[f'] = i xi F[f] and the positive-leading
-three-term recurrence of the p_m; the (-i)^m form belongs to the opposite
-exponent sign with g conjugated.)
+300, so ln C is carried and added inside every exponent.  The p_m,
+generalised Carlitz polynomials, satisfy xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}
+(b_m the differentiation couplings), run by jacobi.orthonormal_blocks.
+(The i^m phase, rather than (-i)^m, is forced jointly by F[f'] = i xi F[f]
+and the positive-leading three-term recurrence of the p_m; the (-i)^m form
+belongs to the opposite exponent sign with g conjugated.)
 """
 
 import math
@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import Expansion, diff_coeffs
+from .basis import Expansion
+from .jacobi import couplings, forward_sum, orthonormal_blocks
 from .special import JacobiParams, log_gamma_complex
 
 __all__ = [
@@ -140,59 +141,37 @@ def measure_density(rep: FourierRep, xi):
 
 
 def carlitz_eval(rep: FourierRep, m: int, xi):
-    """Orthonormal polynomial p_m of the measure |g|^2 dxi, by the forward
-    recurrence p_{m+1} = (xi/b_m) p_m - (b_{m-1}/b_m) p_{m-1}, p_0 = 1."""
+    """Orthonormal polynomial p_m of the measure |g|^2 dxi: the last row of one
+    orthonormal_blocks sweep of xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1."""
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    b = diff_coeffs(rep.params, max(m, 1)).b
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(m):
-        if k == 0:
-            nxt = (x / b[0]) * cur
-        else:
-            nxt = (x / b[k]) * cur - (b[k - 1] / b[k]) * prev
-        prev, cur = cur, nxt
-    return float(cur[0]) if np.ndim(xi) == 0 else cur
+    *_, (s, P, ls) = orthonormal_blocks(np.zeros(m + 1), couplings(rep.params, m + 1), m + 1, np.atleast_1d(xi), 0.0)
+    out = s[-1] * P[-1] * np.exp(ls)
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
 def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
-    """F[f](xi) of the expansion at the given frequencies.
+    """F[f](xi) = g(xi) sum_m i^m c_m p_m(xi) of the expansion, under the e^{-i x xi} convention.
 
-    Clenshaw on the shared-coupling recurrence evaluates
-    sum_m i^m c_m p_m(xi); the result is g(xi) times that sum under the
-    e^{-i x xi} transform convention.  Only full-mode expansions are
-    accepted (half-mode coefficients describe the same functions, convert
-    first).  Raises ValueError if any xi is not finite.
+    One jacobi.forward_sum over the rows of the p_m, started at Re ln g(xi)
+    so that rows may pass the float range where |g| underflows, times the
+    phase of g.  |F| <= |g(xi)| (1 + sum_m |c_m|) prod_{k<n-1} (1 + |xi|) max(1, (1 + b_{k-1}) / b_k)
+    for every (alpha, beta), since p_0 = 1 and |p_{k+1}| <= (|xi| + b_{k-1}) / b_k max(|p_k|, |p_{k-1}|)
+    with b_{-1} = 0; where this bound is below e^-745, F is 0.0 without a
+    sweep, as at |xi| = 1e300, where one step would multiply by xi / b_0.
+    Only full-mode expansions are accepted (convert half-mode ones first).
+    Raises ValueError if any xi is not finite.
     """
     if e.spec.mode != "full":
         raise ValueError("Fourier transform is defined for full-mode expansions")
-    n = len(e)
-    rep = fourier_rep(e.spec.params)
-    b = diff_coeffs(e.spec.params, n).b
-    xi = _clamp_xi(np.atleast_1d(xi_points))  # the recurrence's xi / b_k needs it too
-    d = (1j) ** np.arange(n) * e.coeffs
-    u1 = np.zeros(xi.size, dtype=complex)
-    u2 = np.zeros(xi.size, dtype=complex)
-    # At large |xi| the sum overflows while g underflows.  The state is kept
-    # as (u1, u2) * exp(exponent), rescaled whenever |u| passes 1e150 (one
-    # step grows it by ~|xi| / b_k, so it stays far from overflow), and the
-    # exponent is folded into ln g at the end.
-    exponent = np.zeros(xi.size)
-    shrink = np.ones(xi.size)
-    for k in range(n - 1, -1, -1):
-        u = d[k] * shrink + (xi / b[k]) * u1
-        if k + 1 < n:
-            u = u - (b[k] / b[k + 1]) * u2
-        big = np.abs(u) > 1e150
-        if big.any():
-            s = np.abs(u[big])
-            u[big] /= s
-            u1[big] /= s
-            shrink[big] /= s
-            exponent[big] += np.log(s)
-        u2 = u1
-        u1 = u
-    out = np.exp(rep.log_normalisation + _log_gamma_pair(rep.params, xi) + exponent) * u1
+    n, params = len(e), e.spec.params
+    xi = _clamp_xi(np.atleast_1d(xi_points))
+    log_g = fourier_rep(params).log_normalisation + _log_gamma_pair(params, xi)
+    b = couplings(params, n)
+    growth = np.sum(np.maximum(0.0, np.log1p(np.concatenate(([0.0], b))[: n - 1]) - np.log(b[: n - 1])))
+    keep = log_g.real + np.log1p(np.sum(np.abs(e.coeffs))) + growth + (n - 1) * np.log1p(np.abs(xi)) >= -745.0
+    c = np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4] * e.coeffs  # i^m c_m, exactly
+    re, im = forward_sum(np.zeros(n), b, np.stack([c.real, c.imag]), xi[keep], log_g.real[keep])
+    out = np.zeros(xi.size, dtype=complex)
+    out[keep] = np.exp(1j * log_g.imag[keep]) * (re + 1j * im)
     return complex(out[0]) if np.ndim(xi_points) == 0 else out

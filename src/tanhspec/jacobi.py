@@ -1,17 +1,19 @@
 """Jacobi polynomial evaluation and Gauss-Jacobi quadrature.
 
 One recurrence kernel, orthonormal_blocks, streams the orthonormal
-polynomials q_m in blocks of rescaled rows at one multiply and one subtract
-per degree and point.  The Gauss weights here, the quadrature projections
-(transforms) and the synthesis (basis.clenshaw_eval) each reduce a block
-with one product, and the basis functions (basis.phi_full, basis.phi_half)
-take the last row of one sweep.  Gauss-Jacobi rules come from the same
-kernel: Newton's method in theta = arccos t, started from O(n) asymptotic
-angles, finds the nodes in about two sweeps, and the sweep that finishes
-a node gives its weight.  Golub-Welsch, whose eigensolver is the only use
-of SciPy, builds a rule only when the Newton rule fails its certificate.
-The quadrature rules double as the slow, fully general transform path and
-as the oracle against which the fast trigonometric paths are tested.
+polynomials of a three-term recurrence (B, e), the Jacobi matrix on t or
+B = 0, e = b_m in Fourier space, in blocks of rescaled rows: one multiply
+and one subtract per degree and point, with a log scale per point.  The
+Gauss weights, the quadrature projections (transforms) and the sums
+(basis.clenshaw_eval, fourier.fourier_transform, by forward_sum) reduce a
+block with one product; single polynomials are the last row of one sweep.
+Gauss-Jacobi rules come from the same kernel: Newton's method in
+theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
+about two sweeps, and the sweep that finishes a node gives its weight.
+Golub-Welsch, whose eigensolver is the only use of SciPy, builds a rule
+only when the Newton rule fails its certificate.  The quadrature rules
+double as the slow, fully general transform path and as the oracle
+against which the fast trigonometric paths are tested.
 """
 
 import math
@@ -26,6 +28,7 @@ __all__ = [
     "couplings",
     "jacobi_matrix",
     "orthonormal_blocks",
+    "forward_sum",
     "gauss_jacobi",
 ]
 
@@ -85,43 +88,49 @@ def jacobi_matrix(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndar
 _BLOCK_BYTES = 256 * 1024
 
 
-def _block_rows(size: int) -> int:
-    """Rows K per block of orthonormal_blocks at `size` points."""
-    return min(64, max(8, _BLOCK_BYTES // (8 * max(size, 1)) - 1))
+def _blocking(g: np.ndarray, B: np.ndarray, t: np.ndarray) -> tuple[int, int]:
+    """Rows K per block (within _BLOCK_BYTES) and blocks between carry checks, so that the rows g, B make
+    at t grow by at most e^250 between checks: |p_{m+1}| <= (1 + max g max|t - B|) max(|p_m|, |p_{m-1}|)."""
+    most = math.log1p(g.max(initial=0.0) * (np.fmax.reduce(np.abs(t), initial=0.0) + np.abs(B).max(initial=0.0)))
+    k = min(64, max(8, _BLOCK_BYTES // (8 * max(t.size, 1)) - 1), max(1, int(250.0 / max(most, 1.0))))
+    return k, max(1, int(250.0 / max(k * most, 1.0)))
 
 
-def orthonormal_blocks(params: JacobiParams, count: int, points):
-    """Yield q_0(t), ..., q_{count-1}(t) at `points` as blocks (s, P): q_m = s_m p_m.
+def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_scale):
+    """Yield q_0(t), ..., q_{count-1}(t) at `points` as blocks (s, P, log_scale): q_m = s_m P_m e^log_scale.
 
-    p_m = sigma_m q_m runs the recurrence of jacobi_matrix rescaled so that
-    each degree costs one multiply and one subtract,
-
-        p_{m+1} = g_m (t - B_m) p_m - p_{m-1},   g_m = sigma_{m+1} / (sigma_m e_m),
-
-    with sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}: products
-    of ratios of consecutive e_m -> 1/2, so they stay bounded.  One broadcast
-    per block of K rows writes the factors g_m (t - B_m) into the rows they
-    produce.  P is a (K, len(points)) view of one reused buffer, overwritten
-    by the next block, and the caller's to overwrite until then; the last
-    block may be shorter.  s = 1 / sigma are the block's scales.
+    The q_m are orthonormal for t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}
+    (B, e of length count), q_0 = exp(log_scale), one value or one per point.
+    The rows run p_{m+1} = g_m (t - B_m) p_m - p_{m-1} from p_0 = 1, with
+    g_m = sigma_{m+1} / (sigma_m e_m), sigma_0 = sigma_1 = 1, sigma_{m+1} =
+    sigma_{m-1} e_m / e_{m-1} and s = 1 / sigma.  One broadcast per block of K
+    rows writes the factors g_m (t - B_m) into the rows they produce.  P is a
+    (K, len(points)) view of one reused buffer, the caller's to overwrite
+    until the next block; the last block may be shorter.  Every few blocks
+    (_blocking) a point whose carry rows pass 2^128 has them divided by a
+    power of two, whose log joins a new log_scale array (until then, the
+    argument); rows stay below 2^128 e^250, so their squares are finite.
     """
     t = np.asarray(points, dtype=float)
-    k = _block_rows(t.size)
-    B, e = jacobi_matrix(params, count)
     sigma = np.ones(count + 1)
     ratio = e[1:] / e[:-1]
     sigma[2::2] = np.cumprod(ratio[0::2])
     sigma[3::2] = np.cumprod(ratio[1::2])
     g = sigma[1:] / (sigma[:-1] * e)
     s = 1.0 / sigma[:count]
+    k, every = _blocking(g[:-1], B[:-1], t)
     # rows[0], rows[1] carry p_{lo-2}, p_{lo-1} into the block of degrees
     # lo..lo+size-1, which lives in rows[2:] = buf: the caller may overwrite it
     carry = np.zeros((2, t.size))  # p_{-2} (unused), p_{-1} = 0
     buf = np.empty((k, t.size))
     rows = [*carry, *buf]
-    buf[0] = math.exp(-0.5 * log_jacobi_norm(params, 0))
+    buf[0] = 1.0
     for lo in range(0, count, k):
         size = min(k, count - lo)
+        if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(carry), axis=None) > 2.0**128:
+            shift = np.where(big > 2.0**128, np.frexp(big)[1], 0).max(axis=0)
+            np.ldexp(carry, -shift, out=carry)
+            log_scale = log_scale + shift * math.log(2.0)
         j = 1 if lo == 0 else 0  # p_0 is set, not computed
         # each computed row p_m starts as g_{m-1} (t - B_{m-1})
         new = buf[j:size]
@@ -132,7 +141,18 @@ def orthonormal_blocks(params: JacobiParams, count: int, points):
             rows[i] -= rows[i - 2]
         carry[0] = rows[size]
         carry[1] = rows[size + 1]
-        yield s[lo : lo + size], buf[:size]
+        yield s[lo : lo + size], buf[:size], log_scale
+
+
+def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_start) -> np.ndarray:
+    """sum_m coeffs[..., m] q_m(points) over the q_m of orthonormal_blocks, one product per block."""
+    acc, unit, m = np.zeros(coeffs.shape[:-1] + (len(points),)), log_start, 0  # acc in units of exp(unit)
+    for s, P, log_scale in orthonormal_blocks(B, e, coeffs.shape[-1], points, log_start):
+        if log_scale is not unit:
+            acc, unit = acc * np.exp(unit - log_scale), log_scale
+        acc += (coeffs[..., m : m + len(s)] * s) @ P
+        m += len(s)
+    return acc * np.exp(unit)
 
 
 def eigh_tridiagonal(d, e, **kwargs):
@@ -153,19 +173,21 @@ _MAX_SWEEPS = 8
 
 def _sweep(params: JacobiParams, n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q_{n-1}(t), q_n(t) and sum_{m<n} q_m(t)^2 from one orthonormal_blocks pass."""
-    total = np.zeros(t.size)
-    hi = 0
-    for s, P in orthonormal_blocks(params, n + 1, t):
+    unit = -0.5 * log_jacobi_norm(params, 0)
+    total, scale, hi = np.zeros(t.size), np.exp(unit), 0
+    for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, n + 1), n + 1, t, unit):
+        if log_scale is not unit:  # the sum is kept in units of scale^2 = exp(2 log_scale)
+            total, unit, scale = total * np.exp(2.0 * (unit - log_scale)), log_scale, np.exp(log_scale)
         hi += len(s)
         if hi > n:  # the last block ends with q_n
-            q_n = s[-1] * P[-1]
+            q_n = s[-1] * P[-1] * scale
             if len(s) > 1:
-                q_prev = s[-2] * P[-2]
+                q_prev = s[-2] * P[-2] * scale
             s, P = s[:-1], P[:-1]
         elif hi == n:  # q_{n-1} ends this block; the buffer is reused by the next
-            q_prev = s[-1] * P[-1]
+            q_prev = s[-1] * P[-1] * scale
         total += (s * s) @ np.square(P, out=P)
-    return q_prev, q_n, total
+    return q_prev, q_n, total * np.square(scale)
 
 
 def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.ndarray,

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import BasisSpec, Expansion, clenshaw_eval
-from .jacobi import QuadratureRule, gauss_jacobi, orthonormal_blocks
-from .special import JacobiParams
+from .jacobi import QuadratureRule, gauss_jacobi, jacobi_matrix, orthonormal_blocks
+from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
     "SampleGrid",
@@ -219,9 +219,13 @@ def _modified(params: JacobiParams, mode: str, nodes: _Nodes, fx: np.ndarray) ->
 def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
     """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of F at the nodes."""
     if nodes.rule is not None:
-        wF = nodes.rule.weights * F
-        blocks = orthonormal_blocks(params, F.size, nodes.rule.nodes)
-        return np.concatenate([s * (P @ wF) for s, P in blocks])
+        unit, out = -0.5 * log_jacobi_norm(params, 0), []
+        wFs = nodes.rule.weights * F * np.exp(unit)
+        for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, F.size), F.size, nodes.rule.nodes, unit):
+            if log_scale is not unit:  # q_m = s_m P_m exp(log_scale) per node
+                unit, wFs = log_scale, nodes.rule.weights * F * np.exp(log_scale)
+            out.append(s * (P @ wFs))
+        return np.concatenate(out)
     kind, pre, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
     y = dct(kind, F * nodes.pre[pre])
     if halve_top:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from tanhspec.basis import _LN2, _as_points, _log_sech, _log_weight_full
-from tanhspec.jacobi import _block_rows, jacobi_matrix
+from tanhspec.basis import _LN2, _as_points, _log_sech, _log_weight_full, diff_coeffs
+from tanhspec.fourier import _clamp_xi, _log_gamma_pair, fourier_rep
+from tanhspec.jacobi import _blocking, jacobi_matrix
 from tanhspec.special import JacobiParams, log_jacobi_norm
 
 TWO_PI = 2.0 * math.pi
@@ -323,59 +324,148 @@ def band_get(mat, i: int, j: int) -> float:
 
 # Row-at-a-time forms of the recurrence kernel (jacobi.orthonormal_blocks).
 # The library runs the same arithmetic in place over blocks of rows; these
-# loops are the references it is checked against.
+# loops are the references it is checked against.  Like the kernel they
+# start from p_0 = 1 with q_0 in the log scale, and they rescale the rows
+# before the same rows by the same powers of two (jacobi._blocking gives
+# the kernel's block length and blocks between checks).
 
 
-def orthonormal_rows(params, count: int, points):
-    """Yield (s_m, p_m), m < count, with q_m(t) = s_m p_m(t), one fresh row at a time.
-
-    p_m = sigma_m q_m, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1},
-    runs p_{m+1} = g_m (t - B_m) p_m - p_{m-1} with g_m = sigma_{m+1} / (sigma_m e_m),
-    the symmetric recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1} rescaled.
-    """
-    t = np.asarray(points, dtype=float)
-    B, e = jacobi_matrix(params, count)
+def _rescaled_recurrence(B, e, count: int, t):
+    """sigma_m, g_m and the kernel's K and blocks between checks for the rescaled recurrence."""
     sigma = [1.0, 1.0]
     for m in range(1, count - 1):
         sigma.append(sigma[m - 1] * (e[m] / e[m - 1]))
-    prev, p = np.zeros_like(t), np.full_like(t, math.exp(-0.5 * log_jacobi_norm(params, 0)))
-    yield 1.0 / sigma[0], p
+    g = np.array([sigma[m + 1] / (sigma[m] * e[m]) for m in range(count - 1)])
+    return sigma, g, *_blocking(g, np.asarray(B[: count - 1]), t)
+
+
+def orthonormal_rows(B, e, count: int, points, log_start):
+    """Yield (s_m, p_m, log_scale), m < count, with q_m(t) = s_m p_m(t) exp(log_scale), one row at a time.
+
+    p_m = sigma_m q_m exp(-log_scale), sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1},
+    runs p_{m+1} = g_m (t - B_m) p_m - p_{m-1} with g_m = sigma_{m+1} / (sigma_m e_m) from p_0 = 1,
+    the symmetric recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1} rescaled; q_0 =
+    exp(log_start).  Before each row lo > 0 that is a multiple of K times the blocks between
+    checks, a point whose p_{lo-2} or p_{lo-1} passes 2^128 has both divided by 2^j >= their
+    size, and j ln 2 added to its log scale.
+    """
+    t = np.asarray(points, dtype=float)
+    sigma, g, k, every = _rescaled_recurrence(B, e, count, t)
+    log_scale = log_start
+    prev, p = np.zeros_like(t), np.ones_like(t)
+    yield 1.0 / sigma[0], p, log_scale
     for m in range(count - 1):
-        g = sigma[m + 1] / (sigma[m] * e[m])
-        prev, p = p, g * (t - B[m]) * p - prev
-        yield 1.0 / sigma[m + 1], p
+        if (m + 1) % (k * every) == 0:
+            size = np.maximum(np.abs(prev), np.abs(p))
+            if np.any(size > 2.0**128):
+                shift = np.where(size > 2.0**128, np.frexp(size)[1], 0)
+                prev, p = np.ldexp(prev, -shift), np.ldexp(p, -shift)
+                log_scale = log_scale + shift * math.log(2.0)
+        prev, p = p, g[m] * (t - B[m]) * p - prev
+        yield 1.0 / sigma[m + 1], p, log_scale
+
+
+def _jacobi_rows(params, count: int, points):
+    return orthonormal_rows(*jacobi_matrix(params, count), count, points, -0.5 * log_jacobi_norm(params, 0))
 
 
 def gauss_weights_rowwise(params, nodes) -> np.ndarray:
-    """Gauss weights 1 / sum_m q_m(t_k)^2 at the n nodes of an n-point rule."""
-    return 1.0 / sum((s * p) ** 2 for s, p in orthonormal_rows(params, len(nodes), nodes))
+    """Gauss weights 1 / sum_m q_m(t_k)^2 at the n nodes of an n-point rule.
+
+    As in the library, the sum is kept in units of exp(2 log_scale), carried into new units at a rescale.
+    """
+    total, unit = 0.0, -0.5 * log_jacobi_norm(params, 0)
+    for s, p, log_scale in _jacobi_rows(params, len(nodes), nodes):
+        if log_scale is not unit:
+            total, unit = total * np.exp(2.0 * (unit - log_scale)), log_scale
+        total = total + (s * p) ** 2
+    return 1.0 / (total * np.square(np.exp(unit)))
 
 
 def project_rowwise(params, rule, F) -> np.ndarray:
     """Orthonormal coefficients sum_k w_k q_m(t_k) F_k, m < len(F), one dot per row."""
-    wF = rule.weights * F
-    return np.array([s * (p @ wF) for s, p in orthonormal_rows(params, F.size, rule.nodes)])
+    rows = _jacobi_rows(params, F.size, rule.nodes)
+    return np.array([s * (p @ (rule.weights * F * np.exp(ls))) for s, p, ls in rows])
 
 
 def clenshaw_rowwise(e, x):
     """Forward sum of a full-range expansion over rows made one at a time.
 
-    The rows are summed with one matrix-vector product per block of
-    jacobi._block_rows rows, and the boundary weight is the library's own,
-    so that a comparison with clenshaw_eval checks the kernel bitwise.
+    The rows are summed with one matrix-vector product per block of the
+    kernel's K rows, carried into new units at a rescale, and the boundary
+    weight and q_0 start the log scale as in the library, so that a
+    comparison with clenshaw_eval checks the kernel bitwise.
     """
     params = e.spec.params
     pts, scalar = _as_points(x)
-    k = _block_rows(pts.size)
+    B, off = jacobi_matrix(params, len(e))
+    t = np.tanh(pts)
+    k = _rescaled_recurrence(B, off, len(e), t)[2]
+    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
+    rows = list(orthonormal_rows(B, off, len(e), t, log_start))
     v = e.coeffs * (-1.0) ** np.arange(len(e))
-    acc = np.zeros(pts.size)
-    rows = list(orthonormal_rows(params, len(e), np.tanh(pts)))
+    acc, unit = 0.0, log_start
     for lo in range(0, len(rows), k):
         block = rows[lo : lo + k]
+        if block[0][2] is not unit:
+            acc, unit = acc * np.exp(unit - block[0][2]), block[0][2]
         s = np.array([r[0] for r in block])
-        acc += (v[lo : lo + k] * s) @ np.array([r[1] for r in block])
-    vals = acc * np.exp(_log_weight_full(params, pts))
+        acc = acc + (v[lo : lo + k] * s) @ np.array([r[1] for r in block])
+    vals = acc * np.exp(unit)
     return float(vals[0]) if scalar else vals
+
+
+# The two loops that evaluated the Fourier side before it ran on the kernel:
+# the forward recurrence of one Carlitz polynomial, and the backward complex
+# Clenshaw sum of a transform with its own 1e150 rescale.
+
+
+def carlitz_rowwise(rep, m: int, xi):
+    """Orthonormal polynomial p_m of the measure |g|^2 dxi, by the forward
+    recurrence p_{m+1} = (xi/b_m) p_m - (b_{m-1}/b_m) p_{m-1}, p_0 = 1."""
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    b = diff_coeffs(rep.params, max(m, 1)).b
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    for k in range(m):
+        if k == 0:
+            nxt = (x / b[0]) * cur
+        else:
+            nxt = (x / b[k]) * cur - (b[k - 1] / b[k]) * prev
+        prev, cur = cur, nxt
+    return float(cur[0]) if np.ndim(xi) == 0 else cur
+
+
+def fourier_backward(e, xi_points) -> np.ndarray:
+    """F[f](xi) = g(xi) sum_m i^m c_m p_m(xi) by backward Clenshaw on the couplings."""
+    n = len(e)
+    rep = fourier_rep(e.spec.params)
+    b = diff_coeffs(e.spec.params, n).b
+    xi = _clamp_xi(np.atleast_1d(xi_points))  # the recurrence's xi / b_k needs it too
+    d = (1j) ** np.arange(n) * e.coeffs
+    u1 = np.zeros(xi.size, dtype=complex)
+    u2 = np.zeros(xi.size, dtype=complex)
+    # At large |xi| the sum overflows while g underflows.  The state is kept
+    # as (u1, u2) * exp(exponent), rescaled whenever |u| passes 1e150 (one
+    # step grows it by ~|xi| / b_k, so it stays far from overflow), and the
+    # exponent is folded into ln g at the end.
+    exponent = np.zeros(xi.size)
+    shrink = np.ones(xi.size)
+    for k in range(n - 1, -1, -1):
+        u = d[k] * shrink + (xi / b[k]) * u1
+        if k + 1 < n:
+            u = u - (b[k] / b[k + 1]) * u2
+        big = np.abs(u) > 1e150
+        if big.any():
+            s = np.abs(u[big])
+            u[big] /= s
+            u1[big] /= s
+            shrink[big] /= s
+            exponent[big] += np.log(s)
+        u2 = u1
+        u1 = u
+    out = np.exp(rep.log_normalisation + _log_gamma_pair(rep.params, xi) + exponent) * u1
+    return complex(out[0]) if np.ndim(xi_points) == 0 else out
 
 
 def orthonormal_mp(a: float, b: float, count: int, points, dps: int = 40) -> list:

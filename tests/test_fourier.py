@@ -25,7 +25,7 @@ from tanhspec import (
 )
 from tanhspec import fourier as fourier_mod
 
-from oracles import direct_fourier, gauss_panels
+from oracles import carlitz_rowwise, direct_fourier, fourier_backward, gauss_panels
 
 
 def _rep(a, b):
@@ -228,6 +228,35 @@ class TestCarlitzPolynomials:
                 assert abs(val - want) <= 1e-8
 
 
+# Coefficients c_m = N(0, 1) / (1 + m) against the backward Clenshaw loop the
+# transform replaced, at 997 points in [-30, 30] and out to the clamp at 1e300.
+ORACLE_PAIRS = [(1.3, 0.2), (0.5, 0.5), (-0.9, 3.0), (-0.5, -0.5), (-0.999, -0.999), (200.0, 200.0)]
+ORACLE_XI = np.concatenate([np.linspace(-30.0, 30.0, 997), [100.0, 200.0, 300.0, 1e3, 3e3, 1e6, 1e300, -1e300]])
+
+
+class TestAgainstRowwiseLoops:
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [(a, b, n) for a, b in ORACLE_PAIRS for n in (1, 2, 64, 1024)] + [(1.3, 0.2, 4096), (-0.999, -0.999, 4096)],
+    )
+    def test_transform_matches_backward_loop(self, a, b, n):
+        c = np.random.default_rng(n).standard_normal(n) / (1.0 + np.arange(n))
+        e = Expansion(BasisSpec(JacobiParams(a, b)), c)
+        got, want = fourier_transform(e, ORACLE_XI), fourier_backward(e, ORACLE_XI)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+        big = np.abs(want) > 1e-290
+        assert np.max(np.abs(got[big] - want[big]) / np.abs(want[big])) <= 1e-11
+
+    @pytest.mark.parametrize("a,b", ORACLE_PAIRS)
+    def test_carlitz_matches_forward_loop(self, a, b):
+        rep = _rep(a, b)
+        xi = ORACLE_XI[:997]
+        for m in (0, 1, 5, 50, 300):
+            want = carlitz_rowwise(rep, m, xi)
+            assert np.max(np.abs(carlitz_eval(rep, m, xi) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestFourierTransform:
     def test_ground_state_profile(self):
         # F[phi_0] for the Legendre pair is proportional to sech(pi xi/2)
@@ -309,11 +338,20 @@ class TestFourierTransform:
             assert abs(got - want) <= 1e-8
 
     def test_large_xi_underflows_to_zero(self):
-        # the Clenshaw sum overflows where g underflows; F[sech] ~ e^{-pi |xi|/2}
-        e = analyze_full(BasisSpec(JacobiParams(-0.5, -0.5)), lambda x: 1.0 / np.cosh(x), 512)
-        vals = fourier_transform(e, np.array([-1e3, 600.0, 1e3, 1e6]))
-        assert np.all(np.isfinite(vals))
-        assert np.max(np.abs(vals)) < 1e-6
+        # the rows of the p_m grow past the float range where g underflows
+        # (at 2e4 and n = 4096 one row grows by up to e^11, and the kernel
+        # cuts its blocks short); F[sech] ~ e^{-pi |xi|/2}, and the zero bound
+        # answers |xi| >= 1e6 without a sweep.  Floating-point errors raise,
+        # as in the CLI.
+        xi = np.array([-1e3, 600.0, 1e3, 2e4, -2e4, 1e6, -1e6, 1e300, -1e300])
+        for n in (512, 4096):
+            e = analyze_full(BasisSpec(JacobiParams(-0.5, -0.5)), lambda x: 1.0 / np.cosh(x), n)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                vals = fourier_transform(e, xi)
+                assert fourier_transform(e, 1e300) == 0.0
+            assert np.all(np.isfinite(vals))
+            assert np.max(np.abs(vals)) < 1e-6
+            assert np.all(vals[np.abs(xi) >= 1e6] == 0.0)
 
     def test_count_argument_removed(self):
         # the coupling count follows from the expansion length

@@ -19,7 +19,8 @@ from tanhspec import (
 )
 from tanhspec import jacobi as jacobi_mod
 from tanhspec.basis import _log_sech
-from tanhspec.jacobi import jacobi_matrix, orthonormal_blocks
+from tanhspec.jacobi import couplings, jacobi_matrix, orthonormal_blocks
+from tanhspec.special import log_jacobi_norm
 
 from oracles import (
     chebyshev_eval,
@@ -33,6 +34,11 @@ from oracles import (
     orthonormal_mp,
     recurrence_coefficients,
 )
+
+def _blocks(p, count, t):
+    """The kernel's blocks of q_0..q_{count-1} for the Jacobi pair p, started at q_0 = g_0^{-1/2}."""
+    return orthonormal_blocks(*jacobi_matrix(p, count), count, t, -0.5 * log_jacobi_norm(p, 0))
+
 
 GRID_PAIRS = [(-0.9, -0.9), (-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (2.0, 0.3), (7.3, -0.5), (1.3, 0.2), (-0.5, 0.5)]
 
@@ -66,10 +72,10 @@ class TestOrthonormalRecurrence:
         # counts on both sides of the block boundaries K, 2K at 41 points
         p = JacobiParams(a, b)
         t = np.linspace(-0.999, 0.999, 41)
-        k = jacobi_mod._block_rows(t.size)
+        k = jacobi_mod._blocking(np.zeros(0), np.zeros(0), t)[0]
         for count in (1, 2, k - 1, k, k + 1, 2 * k, 2 * k + 1):
             Q = orthonormal_eval_batch(p, count - 1, t)
-            blocks = [s[:, None] * P for s, P in orthonormal_blocks(p, count, t)]  # P: one reused buffer
+            blocks = [s[:, None] * P * np.exp(ls) for s, P, ls in _blocks(p, count, t)]  # P: one reused buffer
             assert [len(blk) for blk in blocks[:-1]] == [k] * (len(blocks) - 1)
             rows = np.concatenate(blocks)
             assert rows.shape == Q.shape
@@ -77,7 +83,29 @@ class TestOrthonormalRecurrence:
 
     def test_block_rows_fit_the_budget(self):
         for size, k in ((1, 64), (300, 64), (2048, 15), (4096, 8), (10**6, 8)):
-            assert jacobi_mod._block_rows(size) == k
+            assert jacobi_mod._blocking(np.zeros(0), np.zeros(0), np.zeros(size))[0] == k
+
+    def test_rows_past_the_float_range(self):
+        # the Fourier-side recurrence (B = 0, e = b_m) at |xi| ~ 1e30 grows by
+        # about e^69 a row: the blocks must be cut short and the rows carried
+        # in the log scale.  Against the recurrence in 30-digit arithmetic.
+        count, xi = 200, np.array([1e30, -3e29, 2.5])
+        b = couplings(JacobiParams(1.3, 0.2), count)
+        with np.errstate(over="raise", invalid="raise"):
+            got = [(s[:, None] * P, ls) for s, P, ls in orthonormal_blocks(np.zeros(count), b, count, xi, 0.0)]
+        with mpmath.workdps(30):
+            prev, q = [mpmath.mpf(0)] * xi.size, [mpmath.mpf(1)] * xi.size
+            want = [q]
+            for m in range(count - 1):
+                back = mpmath.mpf(b[m - 1]) if m else 0
+                prev, q = q, [(mpmath.mpf(x) * qk - back * pk) / mpmath.mpf(b[m]) for x, qk, pk in zip(xi, q, prev)]
+                want.append(q)
+            logs = np.array([[float(mpmath.log(abs(v))) for v in row] for row in want])
+            signs = np.array([[float(mpmath.sign(v)) for v in row] for row in want])
+        rows = np.concatenate([r for r, _ in got])
+        scales = np.concatenate([np.broadcast_to(ls, r.shape) for r, ls in got])
+        assert logs[-1, 0] > 1e4  # q_199(1e30) is about e^13000
+        assert np.max(np.abs(rows * np.exp(scales - logs) - signs)) <= 1e-10
 
 
 class TestJacobiEval:
@@ -311,8 +339,8 @@ class TestKernelAgainstMpmath:
         # error relative to the norm sqrt(sum_m q_m^2) of each node's column
         rule, idx, want = _rule_and_mp_rows(a, b, n)
         t = rule.nodes[idx]
-        blocks = orthonormal_blocks(JacobiParams(a, b), n, t)
-        got = np.concatenate([s[:, None] * P for s, P in blocks])
+        blocks = _blocks(JacobiParams(a, b), n, t)
+        got = np.concatenate([s[:, None] * P * np.exp(ls) for s, P, ls in blocks])
         col = np.sqrt(np.sum(want**2, axis=0))
         assert np.max(np.abs(got - want) / col) <= MP_BOUNDS[(a, b)]
 
