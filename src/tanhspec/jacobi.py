@@ -2,9 +2,10 @@
 
 One recurrence kernel, orthonormal_blocks, streams the orthonormal
 polynomials of a three-term recurrence (B, e), the Jacobi matrix on t or
-B = 0, e = b_m in Fourier space, in blocks of rescaled rows: one multiply
-and one subtract per degree and point, with a log scale per point.  The
-Gauss weights, the quadrature projections (transforms) and the sums
+B = 0, e = b_m in Fourier space, in blocks of rescaled rows (one BLAS
+product per block, then one multiply and one subtract per degree and
+point), with a log scale per point and groups of recurrences side by side.
+The Gauss weights, the quadrature projections (transforms) and the sums
 (basis.clenshaw_eval, fourier.fourier_transform, by forward_sum) reduce a
 block with one product; single polynomials are the last row of one sweep.
 Gauss-Jacobi rules come from the same kernel: Newton's method in
@@ -91,9 +92,39 @@ _BLOCK_BYTES = 256 * 1024
 def _blocking(g: np.ndarray, B: np.ndarray, t: np.ndarray) -> tuple[int, int]:
     """Rows K per block (within _BLOCK_BYTES) and blocks between carry checks, so that the rows g, B make
     at t grow by at most e^250 between checks: |p_{m+1}| <= (1 + max g max|t - B|) max(|p_m|, |p_{m-1}|)."""
-    most = math.log1p(g.max(initial=0.0) * (np.fmax.reduce(np.abs(t), initial=0.0) + np.abs(B).max(initial=0.0)))
+    most = math.log1p(g.max(initial=0.0) * (np.fmax.reduce(np.abs(t), None, initial=0.0) + np.abs(B).max(initial=0.0)))
     k = min(64, max(8, _BLOCK_BYTES // (8 * max(t.size, 1)) - 1), max(1, int(250.0 / max(most, 1.0))))
     return k, max(1, int(250.0 / max(k * most, 1.0)))
+
+
+def _factors(B: np.ndarray, e: np.ndarray, count: int, t: np.ndarray):
+    """s_m = 1/sigma_m, m < count, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}, and for the
+    block products coefficients C, [g_m, -g_m B_m] per group in row m < count - 1, g_m = sigma_{m+1} / (sigma_m
+    e_m), and block-diagonal features F, [t; 1] on each group's points: C[m] @ F = g_m (t - B_m) per group."""
+    sigma = np.ones((len(e), count + 1))
+    ratio = e[:, 1:] / e[:, :-1]
+    sigma[:, 2::2] = np.cumprod(ratio[:, 0::2], axis=1)
+    sigma[:, 3::2] = np.cumprod(ratio[:, 1::2], axis=1)
+    G, P = t.shape
+    C = np.empty((count - 1, 2 * G))
+    C[:, 0::2] = (sigma[:, 1:count] / (sigma[:, : count - 1] * e[:, : count - 1])).T
+    C[:, 1::2] = -C[:, 0::2] * B[:, : count - 1].T
+    F = np.zeros((G, 2, G, P))
+    F[range(G), :, range(G)] = np.stack([t, np.ones_like(t)], axis=1)
+    return 1.0 / sigma[:, :count], C, F.reshape(2 * G, G * P)
+
+
+def _fill(C: np.ndarray, F: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """Write the factors g_{m-1} (t - B_{m-1}) of the rows m = lo, lo+1, ... of one block into out (row 0,
+    p_0 = 1, is set) by one BLAS product.  BLAS rounds a product with one row or one column by another
+    path, so such a dimension runs doubled: a factor does not depend on the block's shape."""
+    j = 1 if lo == 0 else 0
+    rows = C[lo + j - 1 : lo + len(out) - 1]
+    if len(rows) != 1 and F.shape[1] != 1:
+        np.matmul(rows, F, out=out[j:])
+    else:  # r, c: 2 for a dimension of one
+        r, c = 1 + (len(rows) == 1), 1 + (F.shape[1] == 1)
+        out[j:] = (np.repeat(rows, r, axis=0) @ (F if c == 1 else np.repeat(F, 2, axis=1)))[::r, ::c]
 
 
 def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_scale):
@@ -102,23 +133,24 @@ def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_sca
     The q_m are orthonormal for t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}
     (B, e of length count), q_0 = exp(log_scale), one value or one per point.
     The rows run p_{m+1} = g_m (t - B_m) p_m - p_{m-1} from p_0 = 1, with
-    g_m = sigma_{m+1} / (sigma_m e_m), sigma_0 = sigma_1 = 1, sigma_{m+1} =
-    sigma_{m-1} e_m / e_{m-1} and s = 1 / sigma.  One broadcast per block of K
-    rows writes the factors g_m (t - B_m) into the rows they produce.  P is a
-    (K, len(points)) view of one reused buffer, the caller's to overwrite
-    until the next block; the last block may be shorter.  Every few blocks
-    (_blocking) a point whose carry rows pass 2^128 has them divided by a
-    power of two, whose log joins a new log_scale array (until then, the
-    argument); rows stay below 2^128 e^250, so their squares are finite.
+    g_m and s = 1 / sigma from _factors.  One BLAS product per block of K
+    rows writes the factors g_m (t - B_m) into the rows they produce (_fill),
+    rounded as fl(fl(g t) - g B), possibly fused, where a subtraction first
+    gives fl(g fl(t - B)); for B = 0 both are fl(g t).  P is a (K, points)
+    view of one reused buffer, the caller's to overwrite until the next
+    block; the last block may be shorter.  Every few blocks (_blocking) a
+    point whose carry rows pass 2^128 has them divided by a power of two,
+    whose log joins a new log_scale array (until then, the argument); rows
+    stay below 2^128 e^250, so their squares are finite.  Groups: B and e of
+    shape (G, count) run G recurrences side by side on points of shape
+    (G, P), log_scale per point, every row operation on all groups in one
+    (K, G P) buffer; then s has shape (G, K) and P (K, G, P).
     """
     t = np.asarray(points, dtype=float)
-    sigma = np.ones(count + 1)
-    ratio = e[1:] / e[:-1]
-    sigma[2::2] = np.cumprod(ratio[0::2])
-    sigma[3::2] = np.cumprod(ratio[1::2])
-    g = sigma[1:] / (sigma[:-1] * e)
-    s = 1.0 / sigma[:count]
-    k, every = _blocking(g[:-1], B[:-1], t)
+    B2, e2, t2 = np.atleast_2d(B, e, t)
+    s, C, F = _factors(B2, e2, count, t2)
+    s = s if np.ndim(B) == 2 else s[0]
+    k, every = _blocking(C[:, 0::2], B2[:, : count - 1], t2)
     # rows[0], rows[1] carry p_{lo-2}, p_{lo-1} into the block of degrees
     # lo..lo+size-1, which lives in rows[2:] = buf: the caller may overwrite it
     carry = np.zeros((2, t.size))  # p_{-2} (unused), p_{-1} = 0
@@ -130,28 +162,26 @@ def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_sca
         if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(carry), axis=None) > 2.0**128:
             shift = np.where(big > 2.0**128, np.frexp(big)[1], 0).max(axis=0)
             np.ldexp(carry, -shift, out=carry)
-            log_scale = log_scale + shift * math.log(2.0)
-        j = 1 if lo == 0 else 0  # p_0 is set, not computed
-        # each computed row p_m starts as g_{m-1} (t - B_{m-1})
-        new = buf[j:size]
-        np.subtract(t, B[lo + j - 1 : lo + size - 1, None], out=new)
-        new *= g[lo + j - 1 : lo + size - 1, None]
-        for i in range(j + 2, size + 2):
+            log_scale = log_scale + (shift * math.log(2.0)).reshape(t.shape)
+        _fill(C, F, lo, buf[:size])
+        for i in range(3 if lo == 0 else 2, size + 2):
             rows[i] *= rows[i - 1]
             rows[i] -= rows[i - 2]
         carry[0] = rows[size]
         carry[1] = rows[size + 1]
-        yield s[lo : lo + size], buf[:size], log_scale
+        yield s[..., lo : lo + size], buf[:size].reshape(size, *t.shape), log_scale
 
 
 def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_start) -> np.ndarray:
-    """sum_m coeffs[..., m] q_m(points) over the q_m of orthonormal_blocks, one product per block."""
-    acc, unit, m = np.zeros(coeffs.shape[:-1] + (len(points),)), log_start, 0  # acc in units of exp(unit)
+    """sum_m coeffs[..., m] q_m(points) over the q_m of orthonormal_blocks, one product per block; with
+    groups (B, e of shape (G, count), points (G, P)), coeffs (..., G, count) gives sums (..., G, P)."""
+    acc, unit, m = np.zeros(coeffs.shape[:-1] + np.shape(points)[-1:]), log_start, 0  # acc in units of exp(unit)
     for s, P, log_scale in orthonormal_blocks(B, e, coeffs.shape[-1], points, log_start):
         if log_scale is not unit:
             acc, unit = acc * np.exp(unit - log_scale), log_scale
-        acc += (coeffs[..., m : m + len(s)] * s) @ P
-        m += len(s)
+        w = coeffs[..., m : m + s.shape[-1]] * s
+        acc += w @ P if P.ndim == 2 else (w[..., None, :] @ P.transpose(1, 0, 2))[..., 0, :]
+        m += s.shape[-1]
     return acc * np.exp(unit)
 
 
@@ -172,22 +202,23 @@ _MAX_SWEEPS = 8
 
 
 def _sweep(params: JacobiParams, n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q_{n-1}(t), q_n(t) and sum_{m<n} q_m(t)^2 from one orthonormal_blocks pass."""
+    """q_{n-1}(t), q_n(t) in units of one scale per point, and weights exp(-log scale)^2 / sum_{m<n} p_m(t)^2
+    = 1 / sum q_m^2 from one orthonormal_blocks pass, which no overflow of sum q_m^2 reaches."""
     unit = -0.5 * log_jacobi_norm(params, 0)
-    total, scale, hi = np.zeros(t.size), np.exp(unit), 0
+    total, q_prev, hi = np.zeros(t.size), np.zeros(t.size), 0
     for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, n + 1), n + 1, t, unit):
-        if log_scale is not unit:  # the sum is kept in units of scale^2 = exp(2 log_scale)
-            total, unit, scale = total * np.exp(2.0 * (unit - log_scale)), log_scale, np.exp(log_scale)
+        if log_scale is not unit:  # total in units of exp(2 unit), q_prev of exp(unit)
+            total, q_prev, unit = total * np.exp(2.0 * (unit - log_scale)), q_prev * np.exp(unit - log_scale), log_scale
         hi += len(s)
         if hi > n:  # the last block ends with q_n
-            q_n = s[-1] * P[-1] * scale
+            q_n = s[-1] * P[-1]
             if len(s) > 1:
-                q_prev = s[-2] * P[-2] * scale
+                q_prev = s[-2] * P[-2]
             s, P = s[:-1], P[:-1]
         elif hi == n:  # q_{n-1} ends this block; the buffer is reused by the next
-            q_prev = s[-1] * P[-1] * scale
+            q_prev = s[-1] * P[-1]
         total += (s * s) @ np.square(P, out=P)
-    return q_prev, q_n, total * np.square(scale)
+    return q_prev, q_n, np.square(np.exp(-unit)) / total
 
 
 def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.ndarray,
@@ -205,7 +236,7 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
     s = a + b
     th = theta[active]
     t = np.cos(th)
-    q_prev, q_n, total = _sweep(params, n, t)
+    q_prev, q_n, w = _sweep(params, n, t)
     # (1 - t^2) q_n' = (c - n t) q_n + D q_{n-1}, with D = (2n+a+b+1) e_{n-1}
     c = n * (a - b) / (2.0 * n + s)
     D = 2.0 * couplings(params, n)[-1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
@@ -216,7 +247,7 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
     dlog = 0.5 * ((a + 0.5) * cos_h / sin_h - (b + 0.5) * sin_h / cos_h)
     step = q_n * sin_t / ((c - n * t) * q_n + D * q_prev - dlog * sin_t * q_n)
     done = np.abs(sin_t * step) <= _STEP_TOL
-    weights[active[done]] = 1.0 / total[done]
+    weights[active[done]] = w[done]
     rho = n + 0.5 * (s + 1.0)
     Q = rho * rho + (0.25 - a * a) / (4.0 * sin_h**2) + (0.25 - b * b) / (4.0 * cos_h**2)
     step *= 1.0 - Q * step**2 / 3.0
@@ -270,7 +301,7 @@ def _golub_welsch(params: JacobiParams, n: int) -> QuadratureRule:
         nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Gauss-Jacobi eigensolver failed to converge: {exc}") from exc
-    return QuadratureRule(nodes=nodes, weights=1.0 / _sweep(params, n, nodes)[2], params=params)
+    return QuadratureRule(nodes=nodes, weights=_sweep(params, n, nodes)[2], params=params)
 
 
 def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:

@@ -216,16 +216,24 @@ def _modified(params: JacobiParams, mode: str, nodes: _Nodes, fx: np.ndarray) ->
     return fx / (nodes.one_minus ** (0.5 * (params.alpha + 1.0)) * nodes.one_plus**lift)
 
 
+def _quadrature(pairs: tuple, rules: list, F: np.ndarray) -> np.ndarray:
+    """Orthonormal coefficients sum_k w_k q_m(t_k) F[i, k], m < F.shape[1], of each pairs[i] on rules[i]:
+    the pairs run as the groups of one orthonormal_blocks sweep."""
+    B, e = (np.stack(arrays) for arrays in zip(*(jacobi_matrix(p, F.shape[1]) for p in pairs)))
+    unit, out = -0.5 * np.array([[log_jacobi_norm(p, 0)] for p in pairs]), []
+    wF = np.stack([r.weights for r in rules]) * F
+    wFs = wF * np.exp(unit)
+    for s, P, log_scale in orthonormal_blocks(B, e, F.shape[1], np.stack([r.nodes for r in rules]), unit):
+        if log_scale is not unit:  # q_m = s_m P_m exp(log_scale) per node
+            unit, wFs = log_scale, wF * np.exp(log_scale)
+        out.append(s * (P.transpose(1, 0, 2) @ wFs[..., None])[..., 0])
+    return np.concatenate(out, axis=1)
+
+
 def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
     """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of F at the nodes."""
     if nodes.rule is not None:
-        unit, out = -0.5 * log_jacobi_norm(params, 0), []
-        wFs = nodes.rule.weights * F * np.exp(unit)
-        for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, F.size), F.size, nodes.rule.nodes, unit):
-            if log_scale is not unit:  # q_m = s_m P_m exp(log_scale) per node
-                unit, wFs = log_scale, nodes.rule.weights * F * np.exp(log_scale)
-            out.append(s * (P @ wFs))
-        return np.concatenate(out)
+        return _quadrature((params,), [nodes.rule], F[None])[0]
     kind, pre, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
     y = dct(kind, F * nodes.pre[pre])
     if halve_top:
@@ -279,17 +287,18 @@ def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
         raise ValueError(f"coefficient count must be even and >= 2 (got {n})")
     a = spec.params.alpha
     fast = a in (-0.5, 0.5)
-    c = np.empty(n)
-    samples = None
+    pairs = JacobiParams(a, -0.5), JacobiParams(a, 0.5)
+    nodes = (_grid("half", n // 2),) * 2 if fast else tuple(_rule_nodes(par, "half", n // 2) for par in pairs)
     # b = -1/2: even part into c_0, c_2, ...; b = +1/2: odd part, negated
-    for b, out in ((-0.5, c[0::2]), (0.5, c[1::2])):
-        par = JacobiParams(a, b)
-        nodes = _grid("half", n // 2) if fast else _rule_nodes(par, "half", n // 2)
+    F, samples = [], None
+    for par, nd, sign in zip(pairs, nodes, (1.0, -1.0)):
         if samples is None or not fast:  # both fast transforms share one grid
-            samples = _sample(f, nodes.x), _sample(f, -nodes.x)
-        sign = -2.0 * b
-        F = _modified(par, "half", nodes, 0.5 * (samples[0] + sign * samples[1]))
-        out[:] = sign * 2.0**0.25 * _project(par, nodes, F)
+            samples = _sample(f, nd.x), _sample(f, -nd.x)
+        F.append(_modified(par, "half", nd, 0.5 * (samples[0] + sign * samples[1])))
+    # the two quadrature projections run as the groups of one sweep
+    even, odd = map(_project, pairs, nodes, F) if fast else _quadrature(pairs, [nd.rule for nd in nodes], np.stack(F))
+    c = np.empty(n)
+    c[0::2], c[1::2] = 2.0**0.25 * even, -(2.0**0.25) * odd
     return Expansion(spec=spec, coeffs=c)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from tanhspec.basis import _LN2, _as_points, _log_sech, _log_weight_full, diff_coeffs
 from tanhspec.fourier import _clamp_xi, _log_gamma_pair, fourier_rep
-from tanhspec.jacobi import _blocking, jacobi_matrix
+from tanhspec.jacobi import _blocking, _factors, _fill, jacobi_matrix
 from tanhspec.special import JacobiParams, log_jacobi_norm
 
 TWO_PI = 2.0 * math.pi
@@ -327,16 +327,22 @@ def band_get(mat, i: int, j: int) -> float:
 # loops are the references it is checked against.  Like the kernel they
 # start from p_0 = 1 with q_0 in the log scale, and they rescale the rows
 # before the same rows by the same powers of two (jacobi._blocking gives
-# the kernel's block length and blocks between checks).
+# the kernel's block length and blocks between checks).  The factors
+# g_m (t - B_m) come from the kernel's own block product (jacobi._fill)
+# over the kernel's blocks, whose rounding depends on the block's shape;
+# test_fill_is_the_factor_to_rounding pins that product against the
+# plain formula.
 
 
 def _rescaled_recurrence(B, e, count: int, t):
-    """sigma_m, g_m and the kernel's K and blocks between checks for the rescaled recurrence."""
-    sigma = [1.0, 1.0]
+    """sigma_m and g_m, one row per group, and the kernel's K and blocks between checks."""
+    B, e = np.atleast_2d(B), np.atleast_2d(e)
+    sigma = [np.ones(len(e)), np.ones(len(e))]
     for m in range(1, count - 1):
-        sigma.append(sigma[m - 1] * (e[m] / e[m - 1]))
-    g = np.array([sigma[m + 1] / (sigma[m] * e[m]) for m in range(count - 1)])
-    return sigma, g, *_blocking(g, np.asarray(B[: count - 1]), t)
+        sigma.append(sigma[m - 1] * (e[:, m] / e[:, m - 1]))
+    sigma = np.array(sigma).T
+    g = sigma[:, 1:] / (sigma[:, :-1] * e[:, : count - 1])
+    return sigma, g, *_blocking(g, B[:, : count - 1], t)
 
 
 def orthonormal_rows(B, e, count: int, points, log_start):
@@ -347,22 +353,30 @@ def orthonormal_rows(B, e, count: int, points, log_start):
     the symmetric recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1} rescaled; q_0 =
     exp(log_start).  Before each row lo > 0 that is a multiple of K times the blocks between
     checks, a point whose p_{lo-2} or p_{lo-1} passes 2^128 has both divided by 2^j >= their
-    size, and j ln 2 added to its log scale.
+    size, and j ln 2 added to its log scale.  With groups (B, e of shape (G, count), points
+    (G, P)) s_m has shape (G,) and p_m shape (G, P), as in the kernel.
     """
     t = np.asarray(points, dtype=float)
-    sigma, g, k, every = _rescaled_recurrence(B, e, count, t)
+    t2 = t.reshape(len(np.atleast_2d(e)), -1)
+    sigma, g, k, every = _rescaled_recurrence(B, e, count, t2)
+    C, F = _factors(np.atleast_2d(B), np.atleast_2d(e), count, t2)[1:]
+    s = 1.0 / sigma if np.ndim(B) == 2 else 1.0 / sigma[0]
     log_scale = log_start
-    prev, p = np.zeros_like(t), np.ones_like(t)
-    yield 1.0 / sigma[0], p, log_scale
+    prev, p = np.zeros(t.size), np.ones(t.size)
+    yield s[..., 0], p.reshape(t.shape), log_scale
     for m in range(count - 1):
+        lo = (m + 1) // k * k  # the kernel's block of row m + 1
+        if m == 0 or lo == m + 1:
+            factors = np.empty((min(k, count - lo), t.size))
+            _fill(C, F, lo, factors)
         if (m + 1) % (k * every) == 0:
             size = np.maximum(np.abs(prev), np.abs(p))
             if np.any(size > 2.0**128):
                 shift = np.where(size > 2.0**128, np.frexp(size)[1], 0)
                 prev, p = np.ldexp(prev, -shift), np.ldexp(p, -shift)
-                log_scale = log_scale + shift * math.log(2.0)
-        prev, p = p, g[m] * (t - B[m]) * p - prev
-        yield 1.0 / sigma[m + 1], p, log_scale
+                log_scale = log_scale + (shift * math.log(2.0)).reshape(t.shape)
+        prev, p = p, factors[m + 1 - lo] * p - prev
+        yield s[..., m + 1], p.reshape(t.shape), log_scale
 
 
 def _jacobi_rows(params, count: int, points):

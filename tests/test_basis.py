@@ -1,8 +1,10 @@
 """Basis functions, differentiation couplings and Clenshaw evaluation."""
 
+import functools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from tanhspec import (
     phi_full,
     phi_half,
 )
-from oracles import clenshaw_rowwise, fd_derivative, orthonormal_eval_batch, phi_full_direct, phi_half_direct
+from oracles import (
+    clenshaw_rowwise,
+    fd_derivative,
+    orthonormal_eval_batch,
+    orthonormal_mp,
+    phi_full_direct,
+    phi_half_direct,
+)
 
 GRID_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.0, 0.0), (1.3, 0.2)]
 
@@ -28,6 +37,29 @@ def _full(a, b):
 
 def _half(a):
     return BasisSpec(JacobiParams(a, a), "half")
+
+
+# alpha = beta synthesis against 40 digits: each bound is about ten times the
+# worst error of clenshaw_eval over EQUAL_PAIR_SIZES, EQUAL_PAIR_X and both modes
+EQUAL_PAIR_BOUNDS = {-0.999: 1e-12, -0.9: 2e-12, 0.0: 2e-13, 2.0: 3e-13, 80.0: 2e-13}
+EQUAL_PAIR_SIZES = (1, 2, 3, 64, 65, 2049)
+EQUAL_PAIR_X = np.array([0.0, 1e-8, -1e-8, 0.7, -0.7, 5.0, -5.0, 30.0, -30.0, 1e300, -1e300])
+
+
+@functools.lru_cache(maxsize=None)
+def _equal_pair_mp(a):
+    """Coefficients, and for each size n the 40-digit sum_m c_m phi_m(x) and sum_m |c_m phi_m(x)| at
+    EQUAL_PAIR_X, with t = np.tanh(x), the library's rounding of t, and the weight from x itself."""
+    c = np.random.default_rng(19).standard_normal(max(EQUAL_PAIR_SIZES))
+    rows = orthonormal_mp(a, a, c.size, np.tanh(EQUAL_PAIR_X))
+    want, size = {}, {}
+    with mpmath.workdps(40):
+        weight = [((1 - th) * (1 + th)) ** ((mpmath.mpf(a) + 1) / 2) for th in (mpmath.tanh(mpmath.mpf(float(x))) for x in EQUAL_PAIR_X)]
+        for n in EQUAL_PAIR_SIZES:
+            terms = [[(-1) ** m * mpmath.mpf(float(c[m])) * rows[m][k] for m in range(n)] for k in range(len(weight))]
+            want[n] = np.array([float(w * mpmath.fsum(row)) for w, row in zip(weight, terms)])
+            size[n] = np.array([float(w * mpmath.fsum(abs(v) for v in row)) for w, row in zip(weight, terms)])
+    return c, want, size
 
 
 class TestSpecValidation:
@@ -243,6 +275,21 @@ class TestClenshaw:
             assert clenshaw_eval(e, x).tobytes() == clenshaw_rowwise(e, x).tobytes()
             for xs in (-30.0, -0.7, 0.0, 4.2, 30.0):
                 assert clenshaw_eval(e, xs) == clenshaw_rowwise(e, xs)
+
+    @pytest.mark.parametrize("mode", ["full", "half"])
+    @pytest.mark.parametrize("a", list(EQUAL_PAIR_BOUNDS))
+    def test_equal_pair_against_mpmath(self, a, mode):
+        # error relative to sum_m |c_m phi_m(x)|, exactly 0 where the weight is.
+        # The half-range sum (c_2k on (a, -1/2), c_2k+1 on (a, 1/2), both in
+        # u = 1 - 2 sech^2 x, as two groups of one sweep) fails every bound: its
+        # rows lose accuracy next to u = -1 (x = 0) and u = 1 (|x| = 30), and its
+        # worst errors are 7.1e-11, 5.0e-12, 3.4e-12, 4.9e-12 and 4.5e-12
+        c_all, want, size = _equal_pair_mp(a)
+        for n in EQUAL_PAIR_SIZES:
+            got = clenshaw_eval(Expansion(BasisSpec(JacobiParams(a, a), mode), c_all[:n]), EQUAL_PAIR_X)
+            zero = size[n] == 0.0
+            assert np.all(got[zero] == 0.0), n
+            assert np.max(np.abs(got - want[n])[~zero] / size[n][~zero]) <= EQUAL_PAIR_BOUNDS[a], n
 
     def test_half_mode_uses_identical_functions(self):
         spec_h = _half(0.5)

@@ -54,6 +54,14 @@ class TestExpand:
         assert abs(coeffs[-1]) < 1e-10
         assert "tail |c_63|" in capsys.readouterr().err
 
+    def test_large_pair_builds_its_rule(self, tmp_path):
+        # (1000, 1000), n = 600: the Gauss weights come from exp(-log scale)^2 / sum p^2,
+        # so the sum of q_m^2, beyond the float range here, is never formed
+        out = tmp_path / "c.csv"
+        code = run("expand", "--alpha", "1000", "--beta", "1000", "--n", "600", "--fn", "gaussian", "--out", str(out))
+        assert code == 0
+        assert np.all(np.isfinite(read_coefficients(str(out))))
+
     def test_alpha_domain_error(self, tmp_path, capsys):
         code, _ = _expand_sech(tmp_path, alpha="-1.0")
         assert code == 2

@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from tanhspec import (
 )
 from tanhspec import jacobi as jacobi_mod
 from tanhspec.basis import _log_sech
-from tanhspec.jacobi import couplings, jacobi_matrix, orthonormal_blocks
+from tanhspec.jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks
 from tanhspec.special import log_jacobi_norm
 
 from oracles import (
@@ -84,6 +85,82 @@ class TestOrthonormalRecurrence:
     def test_block_rows_fit_the_budget(self):
         for size, k in ((1, 64), (300, 64), (2048, 15), (4096, 8), (10**6, 8)):
             assert jacobi_mod._blocking(np.zeros(0), np.zeros(0), np.zeros(size))[0] == k
+
+    def test_fill_is_the_factor_to_rounding(self):
+        # the block product writes fl(fl(g t) - g B), or its fused form: within
+        # 2 eps g (|t| + |B|) of g_m (t - B_m) in exact arithmetic, over the
+        # kernel's blocks, among them one-row first (count 2) and last (count
+        # K + 1) blocks, partial last blocks, one point and two groups; with
+        # B = 0 it is fl(g t) exactly
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(3)
+        pairs = [JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)]
+        for G, P in ((1, 1), (1, 7), (2, 5), (2, 1)):
+            t = rng.uniform(-1.0, 1.0, (G, P))
+            for zero_b in (False, True):
+                B, e = (np.stack(rows) for rows in zip(*(jacobi_matrix(p, 200) for p in pairs[:G])))
+                if zero_b:
+                    B = np.zeros_like(B)
+                C, F = jacobi_mod._factors(B, e, 200, t)[1:]
+                g = C[:, 0::2]
+                k = jacobi_mod._blocking(g, B[:, :-1], t)[0]
+                for count in (2, 3, k, k + 1, k + 5, 2 * k + 3):
+                    for lo in range(0, count, k):
+                        out = np.full((min(k, count - lo), G * P), np.nan)
+                        jacobi_mod._fill(C, F, lo, out)
+                        for i in range(1 if lo == 0 else 0, len(out)):
+                            m = lo + i - 1  # row lo + i carries the factor of degree lo + i - 1
+                            got = out[i].reshape(G, P)
+                            if zero_b:
+                                assert np.array_equal(got, g[m][:, None] * t), (G, P, count, m)
+                                continue
+                            for grp in range(G):
+                                gm, bm = g[m, grp], B[grp, m]
+                                for j in range(P):
+                                    exact = Fraction(gm) * (Fraction(t[grp, j]) - Fraction(bm))
+                                    err = abs(Fraction(got[grp, j]) - exact)
+                                    assert err <= 2.0 * eps * gm * (abs(t[grp, j]) + abs(bm)), (G, P, count, m)
+
+    def test_fill_does_not_depend_on_the_shape(self):
+        # BLAS rounds a product with one row or one column by another path; the
+        # fill runs those doubled, so a factor has the same bits in every block
+        B, e = jacobi_matrix(JacobiParams(-0.999, 3.0), 40)
+        t = np.random.default_rng(5).uniform(-1.0, 1.0, (1, 9))
+        C, F = jacobi_mod._factors(B[None], e[None], 40, t)[1:]
+        whole = np.empty((39, 9))
+        jacobi_mod._fill(C, F, 1, whole)
+        for lo in range(1, 40):
+            one_row = np.empty((1, 9))
+            jacobi_mod._fill(C, F, lo, one_row)
+            assert np.array_equal(one_row[0], whole[lo - 1])
+        for j in range(9):
+            Cj, Fj = jacobi_mod._factors(B[None], e[None], 40, t[:, j : j + 1])[1:]
+            for rows in (1, 39):
+                one_point = np.empty((rows, 1))
+                jacobi_mod._fill(Cj, Fj, 1, one_point)
+                assert np.array_equal(one_point[:, 0], whole[:rows, j])
+
+    def test_groups_match_separate_sweeps(self):
+        # two pairs as the groups of one sweep: the same rows and sums as one
+        # sweep each, on each group's own points and log scale
+        pairs = [JacobiParams(1.3, -0.5), JacobiParams(1.3, 0.5)]
+        count = 150
+        t = np.stack([np.linspace(-0.999, 0.999, 41), np.cos(np.linspace(0.01, 3.13, 41))])
+        B, e = (np.stack(rows) for rows in zip(*(jacobi_matrix(p, count) for p in pairs)))
+        log0 = np.array([[-0.5 * log_jacobi_norm(p, 0)] for p in pairs])
+        blocks = []
+        for s, P, ls in orthonormal_blocks(B, e, count, t, log0):
+            assert s.shape == (2, len(P)) and P.shape == (len(s[0]), 2, 41)
+            blocks.append(s.T[:, :, None] * P * np.exp(ls))
+        rows = np.concatenate(blocks)
+        c = np.random.default_rng(11).standard_normal((3, 2, count))
+        sums = forward_sum(B, e, c, t, log0)
+        assert sums.shape == (3, 2, 41)
+        for i, p in enumerate(pairs):
+            want = np.concatenate([s[:, None] * P * np.exp(ls) for s, P, ls in _blocks(p, count, t[i])])
+            assert np.max(np.abs(rows[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
+            want = forward_sum(B[i], e[i], c[:, i], t[i], log0[i])
+            assert np.max(np.abs(sums[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_rows_past_the_float_range(self):
         # the Fourier-side recurrence (B = 0, e = b_m) at |xi| ~ 1e30 grows by
@@ -291,6 +368,17 @@ class TestGaussJacobi:
             rule = gauss_jacobi(JacobiParams(a, b), n)
         assert np.all(np.diff(rule.nodes) > 0.0) and -1.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
         assert np.all(rule.weights > 0.0) and np.all(np.isfinite(rule.weights))
+
+    @pytest.mark.parametrize("n", [500, 1000, 1500, 2048])
+    def test_weights_past_the_float_range(self, n):
+        # at (1000, 1000) sum_m q_m^2 passes the float range (n >= 500) and so
+        # does its log scale (n >= 1500): the weights exp(-log scale)^2 / sum p^2
+        # form neither, and the smallest underflow to 0
+        p = JacobiParams(1000.0, 1000.0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rule = gauss_jacobi(p, n)
+        assert np.all(rule.weights >= 0.0) and np.all(np.isfinite(rule.weights))
+        assert abs(math.log(math.fsum(rule.weights)) - log_jacobi_norm(p, 0)) <= 1e-13
 
     @pytest.mark.parametrize("a,b", [(-0.99, 0.3), (-0.99, -0.99), (80.0, 80.0), (1.3, 0.2), (5.0, 3.0)])
     def test_moments_against_mpmath(self, a, b):
