@@ -11,10 +11,11 @@ block with one product; single polynomials are the last row of one sweep.
 Gauss-Jacobi rules come from the same kernel: Newton's method in
 theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
 about two sweeps, and the sweep that finishes a node gives its weight.
-Golub-Welsch, whose eigensolver is the only use of SciPy, builds a rule
-only when the Newton rule fails its certificate.  The quadrature rules
-double as the slow, fully general transform path and as the oracle
-against which the fast trigonometric paths are tested.
+When that rule fails its certificate, the same sweeps run inside per-node
+brackets from Sturm counts of sign changes in the rows, and bisect where
+a Newton step would leave its bracket; a bracketed rule unfinished within
+its sweep budget raises RuntimeError.  The quadrature rules double as the
+slow, fully general transform path and as the oracle of the fast paths.
 """
 
 import math
@@ -185,30 +186,27 @@ def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_st
     return acc * np.exp(unit)
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported at first call rather than with the package.
-
-    A module-level name, so that a profiler can time the eigensolve on its own.
-    """
-    from scipy import linalg
-
-    return linalg.eigh_tridiagonal(d, e, **kwargs)
-
-
 #: A Newton node is finished in the sweep whose step would move t by at most this.
 _STEP_TOL = 4e-16
 #: Sweeps after which a Newton rule with unfinished nodes fails its certificate.
 _MAX_SWEEPS = 8
+#: The same for a bracketed rule: bisection alone narrows any bracket below _STEP_TOL in 53 sweeps.
+_MAX_BRACKETED_SWEEPS = 64
 
 
-def _sweep(params: JacobiParams, n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q_{n-1}(t), q_n(t) in units of one scale per point, and weights exp(-log scale)^2 / sum_{m<n} p_m(t)^2
-    = 1 / sum q_m^2 from one orthonormal_blocks pass, which no overflow of sum q_m^2 reaches."""
+def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
+    """q_{n-1}(t), q_n(t) in units of one scale per point, weights exp(-log scale)^2 / sum_{m<n} p_m(t)^2
+    = 1 / sum q_m^2 from one orthonormal_blocks pass, which no overflow of sum q_m^2 reaches, and if count the
+    sign changes in p_0(t), ..., p_n(t), the nodes above t (Sturm: s_m > 0, rescales are powers of 2), else 0."""
     unit = -0.5 * log_jacobi_norm(params, 0)
     total, q_prev, hi = np.zeros(t.size), np.zeros(t.size), 0
+    changes, neg = 0, False
     for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, n + 1), n + 1, t, unit):
         if log_scale is not unit:  # total in units of exp(2 unit), q_prev of exp(unit)
             total, q_prev, unit = total * np.exp(2.0 * (unit - log_scale)), q_prev * np.exp(unit - log_scale), log_scale
+        if count:  # neg: the sign bits of the last row so far
+            signs = np.signbit(P)
+            changes, neg = changes + np.count_nonzero(np.diff(signs, axis=0, prepend=neg), axis=0), signs[-1:]
         hi += len(s)
         if hi > n:  # the last block ends with q_n
             q_n = s[-1] * P[-1]
@@ -218,11 +216,11 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray) -> tuple[np.ndarray, np.
         elif hi == n:  # q_{n-1} ends this block; the buffer is reused by the next
             q_prev = s[-1] * P[-1]
         total += (s * s) @ np.square(P, out=P)
-    return q_prev, q_n, np.square(np.exp(-unit)) / total
+    return q_prev, q_n, np.square(np.exp(-unit)) / total, changes
 
 
 def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.ndarray,
-                  active: np.ndarray) -> np.ndarray:
+                  active: np.ndarray, bracket=None) -> np.ndarray:
     """One Newton sweep at theta[active], in place; returns the nodes still active.
 
     The step is Newton's on u = sin(theta/2)^(a+1/2) cos(theta/2)^(b+1/2)
@@ -231,12 +229,19 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
     the plain step d.  A node whose step would move t by at most _STEP_TOL
     is finished: it keeps the angle it was evaluated at and takes its weight
     1/sum_{m<n} q_m^2 from this sweep.
+
+    A bracket (top, bot) holds the largest and smallest angle seen with c
+    nodes above it at top[c], bot[c]: node k lies between max top[:k+1] and
+    min bot[k+1:], alone once counts k and k+1 are seen.  A step that would
+    leave the bracket, or any from outside it or in a bracket with other
+    nodes, bisects it; a node finishes once alone in it with a small step,
+    or in a bracket narrower than _STEP_TOL.
     """
     a, b = params.alpha, params.beta
     s = a + b
     th = theta[active]
     t = np.cos(th)
-    q_prev, q_n, w = _sweep(params, n, t)
+    q_prev, q_n, w, count = _sweep(params, n, t, bracket is not None)
     # (1 - t^2) q_n' = (c - n t) q_n + D q_{n-1}, with D = (2n+a+b+1) e_{n-1}
     c = n * (a - b) / (2.0 * n + s)
     D = 2.0 * couplings(params, n)[-1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
@@ -247,21 +252,32 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
     dlog = 0.5 * ((a + 0.5) * cos_h / sin_h - (b + 0.5) * sin_h / cos_h)
     step = q_n * sin_t / ((c - n * t) * q_n + D * q_prev - dlog * sin_t * q_n)
     done = np.abs(sin_t * step) <= _STEP_TOL
-    weights[active[done]] = w[done]
     rho = n + 0.5 * (s + 1.0)
     Q = rho * rho + (0.25 - a * a) / (4.0 * sin_h**2) + (0.25 - b * b) / (4.0 * cos_h**2)
     step *= 1.0 - Q * step**2 / 3.0
+    if bracket is not None:
+        top, bot = bracket
+        np.maximum.at(top, count, th)
+        np.minimum.at(bot, count, th)
+        lo, hi = np.maximum.accumulate(top)[active], np.minimum.accumulate(bot[::-1])[::-1][active + 1]
+        alone = np.isfinite(top[active]) & np.isfinite(top[active + 1]) & (lo <= th) & (th <= hi)
+        new = th + step
+        done = alone & done | (np.cos(lo) - np.cos(hi) <= _STEP_TOL)
+        step = np.where(alone & (lo < new) & (new < hi), step, 0.5 * (lo + hi) - th)
+    weights[active[done]] = w[done]
     theta[active[~done]] += step[~done]
     return active[~done]
 
 
-def _newton(params: JacobiParams, n: int) -> QuadratureRule | None:
+def _newton(params: JacobiParams, n: int, bracketed: bool = False) -> QuadratureRule | None:
     """The n-point rule by Newton's method in theta = arccos t, or None if it fails its certificate.
 
     The angles start from Gatteschi-Pittaluga and only unfinished nodes are
     swept again (_newton_sweep).  The certificate: every node finished
     within _MAX_SWEEPS sweeps, angles inside (0, pi) before each sweep,
     nodes strictly increasing inside (-1, 1), weights finite and positive.
+    Bracketed: angles clipped to [0, pi] at the start, steps kept in Sturm
+    brackets, _MAX_BRACKETED_SWEEPS sweeps, and underflowed 0 weights pass.
     """
     a, b = params.alpha, params.beta
     rho = n + 0.5 * (a + b + 1.0)
@@ -271,10 +287,14 @@ def _newton(params: JacobiParams, n: int) -> QuadratureRule | None:
     del tan_h  # one O(n) array less through the sweeps, which set the peak memory
     weights = np.empty(n)
     active = np.arange(n)
-    for _ in range(_MAX_SWEEPS):
-        if not np.all((theta > 0.0) & (theta < math.pi)):
+    bracket = np.full((2, n + 1), [[-np.inf], [np.inf]]) if bracketed else None
+    if bracketed:  # no node lies above theta = 0, all n above pi
+        bracket[:, [0, n]] = 0.0, math.pi
+        np.clip(theta, 0.0, math.pi, out=theta)
+    for _ in range(_MAX_BRACKETED_SWEEPS if bracketed else _MAX_SWEEPS):
+        if not (bracketed or np.all((theta > 0.0) & (theta < math.pi))):
             return None
-        active = _newton_sweep(params, n, theta, weights, active)
+        active = _newton_sweep(params, n, theta, weights, active, bracket)
         if not active.size:
             break
     else:
@@ -283,29 +303,13 @@ def _newton(params: JacobiParams, n: int) -> QuadratureRule | None:
     weights = weights[::-1]
     if not (-1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
         return None
-    if not np.all((weights > 0.0) & np.isfinite(weights)):
+    if not np.all(((weights > 0.0) | bracketed) & np.isfinite(weights)):
         return None
     return QuadratureRule(nodes=nodes, weights=weights, params=params)
 
 
-def _golub_welsch(params: JacobiParams, n: int) -> QuadratureRule:
-    """The n-point rule by Golub-Welsch: the fallback when Newton fails its certificate.
-
-    Nodes are the eigenvalues of the Jacobi matrix (LAPACK's implicit-shift
-    QL, dstev, through SciPy); the weights are 1/sum_m q_m(t_k)^2 from one
-    sweep, which is accurate to rounding where the first eigenvector
-    components of the QL rotations lose several digits.
-    """
-    B, e = jacobi_matrix(params, n)
-    try:
-        nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"Gauss-Jacobi eigensolver failed to converge: {exc}") from exc
-    return QuadratureRule(nodes=nodes, weights=_sweep(params, n, nodes)[2], params=params)
-
-
 def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
-    """n-point Gauss-Jacobi rule: Newton's method on the recurrence kernel, Golub-Welsch as fallback.
+    """n-point Gauss-Jacobi rule: Newton's method on the recurrence kernel, inside Sturm brackets if need be.
 
     Nodes t_k = cos theta_k come from O(n) asymptotic angles polished by
     Newton sweeps of orthonormal_blocks (see _newton), about two sweeps in
@@ -313,17 +317,22 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     its node.  The Newton rule must pass a certificate: every node finished
     within a fixed number of sweeps, nodes strictly increasing inside
     (-1, 1), weights finite and positive.  Otherwise (for instance at large
-    a, b, where the asymptotic angles are poor) the rule comes from
-    Golub-Welsch, which imports SciPy.  No floating-point error is raised
-    by the Newton attempt; overflow there counts as a failed certificate.
+    a, b, where the asymptotic angles are poor) the same sweeps run again
+    inside per-node brackets from Sturm counts of sign changes, bisecting
+    where a Newton step would leave its bracket: a dozen sweeps or so.  No
+    floating-point error is raised; overflow in the Newton attempt counts as
+    a failed certificate, and weights past the float range underflow to 0.
 
     Raises
     ------
     RuntimeError
-        If the fallback eigensolver fails to converge.
+        If the bracketed rule does not finish within its sweep budget, or
+        its nodes are not strictly increasing inside (-1, 1).
     """
     if n < 1:
         raise ValueError(f"rule size must be positive (got {n})")
     with np.errstate(all="ignore"):
-        rule = _newton(params, n)
-    return rule if rule is not None else _golub_welsch(params, n)
+        rule = _newton(params, n) or _newton(params, n, bracketed=True)
+    if rule is None:
+        raise RuntimeError(f"Gauss-Jacobi rule at {params} failed after {_MAX_BRACKETED_SWEEPS} bracketed sweeps")
+    return rule

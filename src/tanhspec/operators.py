@@ -320,11 +320,12 @@ class SolveResult:
 def solve_first_order(d: DiffOp, mult: MultOp, rhs: Expansion, n: int) -> SolveResult:
     """Solve u' + a(x) u = f in coefficient space on an n-column window.
 
-    The rectangular banded truncation of L = D + A is factored by
-    Householder QR; the reported residual is |L u - f| on the retained
-    window.  A multiplication operator that is identically zero is
-    rejected (u' = f alone has no unique solution in L2), and so is a
-    right-hand side that is not a full-mode expansion in the basis of d.
+    The rectangular banded truncation of L = D + A is factored by the
+    blocked panel QR of banded_qr_lstsq; the reported residual is
+    |L u - f| on the retained window.  A multiplication operator that is
+    identically zero is rejected (u' = f alone has no unique solution in
+    L2), and so is a right-hand side that is not a full-mode expansion in
+    the basis of d.
     """
     if rhs.spec.mode != "full":
         raise ValueError("the solver works on full-mode expansions")

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from tanhspec.basis import _LN2, _as_points, _log_sech, _log_weight_full, diff_coeffs
 from tanhspec.fourier import _clamp_xi, _log_gamma_pair, fourier_rep
-from tanhspec.jacobi import _blocking, _factors, _fill, jacobi_matrix
+from tanhspec.jacobi import QuadratureRule, _blocking, _factors, _fill, jacobi_matrix
 from tanhspec.special import JacobiParams, log_jacobi_norm
 
 TWO_PI = 2.0 * math.pi
@@ -482,40 +483,90 @@ def fourier_backward(e, xi_points) -> np.ndarray:
     return complex(out[0]) if np.ndim(xi_points) == 0 else out
 
 
+def _jacobi_matrix_mp(a: float, b: float, count: int):
+    """B_m, e_m, m < count, and g_0 from their closed forms, at the working precision:
+    B_m = (b^2 - a^2) / ((s+2m)(s+2m+2)), e_m = 2 b_m / (s+2m+2) with the
+    differentiation couplings b_m, s = a + b, evaluated in mpmath from the
+    binary values of a and b, so no library arithmetic enters."""
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    s = a + b
+
+    def diag(m):
+        return (b - a) / (s + 2) if m == 0 else (b * b - a * a) / ((s + 2 * m) * (s + 2 * m + 2))
+
+    def off(m):
+        # b_m^2 with the m = 0 factor (s+m+1)/(s+2m+1) = 1 cancelled
+        bm2 = (m + 1) * (a + m + 1) * (b + m + 1) / (s + 2 * m + 3)
+        if m:
+            bm2 *= (s + m + 1) / (s + 2 * m + 1)
+        return 2 * mpmath.sqrt(bm2) / (s + 2 * m + 2)
+
+    g0 = 2 ** (s + 1) * mpmath.gamma(a + 1) * mpmath.gamma(b + 1) / mpmath.gamma(s + 2)
+    return [diag(m) for m in range(count)], [off(m) for m in range(count)], g0
+
+
 def orthonormal_mp(a: float, b: float, count: int, points, dps: int = 40) -> list:
     """q_0..q_{count-1} at `points` in `dps`-digit arithmetic: a list of rows of mpf.
 
-    The recurrence coefficients come from their closed forms, evaluated in
-    mpmath from the binary values of a and b, so no library arithmetic enters:
-    t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}, q_0 = g_0^{-1/2},
-    B_m = (b^2 - a^2) / ((s+2m)(s+2m+2)), e_m = 2 b_m / (s+2m+2) with the
-    differentiation couplings b_m, s = a + b.
+    t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}, q_0 = g_0^{-1/2}, with
+    the coefficients of _jacobi_matrix_mp.
     """
     with mpmath.workdps(dps):
-        a, b = mpmath.mpf(a), mpmath.mpf(b)
-        s = a + b
         ts = [mpmath.mpf(float(x)) for x in points]
-
-        def diag(m):
-            return (b - a) / (s + 2) if m == 0 else (b * b - a * a) / ((s + 2 * m) * (s + 2 * m + 2))
-
-        def off(m):
-            # b_m^2 with the m = 0 factor (s+m+1)/(s+2m+1) = 1 cancelled
-            bm2 = (m + 1) * (a + m + 1) * (b + m + 1) / (s + 2 * m + 3)
-            if m:
-                bm2 *= (s + m + 1) / (s + 2 * m + 1)
-            return 2 * mpmath.sqrt(bm2) / (s + 2 * m + 2)
-
-        g0 = 2 ** (s + 1) * mpmath.gamma(a + 1) * mpmath.gamma(b + 1) / mpmath.gamma(s + 2)
+        B, e, g0 = _jacobi_matrix_mp(a, b, count)
         q = [1 / mpmath.sqrt(g0)] * len(ts)
         prev = [mpmath.mpf(0)] * len(ts)
         rows, e_prev = [q], mpmath.mpf(0)
         for m in range(count - 1):
-            bm, em = diag(m), off(m)
+            bm, em = B[m], e[m]
             prev, q = q, [((t - bm) * qk - e_prev * pk) / em for t, qk, pk in zip(ts, q, prev)]
             rows.append(q)
             e_prev = em
         return rows
+
+
+def gauss_jacobi_mp(a: float, b: float, nodes, dps: int = 40) -> tuple[list, list]:
+    """The n-point Gauss-Jacobi rule in `dps`-digit arithmetic, n = len(nodes): (nodes, weights), lists of mpf.
+
+    Each node is polished from the float `nodes` by three Newton steps on
+    q_n, with q_n' from the recurrence differentiated term by term, which
+    take a start good to 1e-12 past 40 digits; its weight is
+    1 / sum_{m<n} q_m^2 there (the coefficients of _jacobi_matrix_mp).
+    """
+    n = len(nodes)
+    with mpmath.workdps(dps):
+        B, e, g0 = _jacobi_matrix_mp(a, b, n)
+        out_t, out_w = [], []
+        for x in nodes:
+            t = mpmath.mpf(float(x))
+            for _ in range(3):
+                q, dq, prev, dprev, total = 1 / mpmath.sqrt(g0), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0), 0
+                for m in range(n):
+                    total += q * q
+                    e_prev = e[m - 1] if m else 0
+                    q_next = ((t - B[m]) * q - e_prev * prev) / e[m]
+                    dq, dprev = ((t - B[m]) * dq + q - e_prev * dprev) / e[m], dq
+                    q, prev = q_next, q
+                t -= q / dq
+            out_t.append(t)
+            out_w.append(1 / total)
+        return out_t, out_w
+
+
+def golub_welsch(params, n: int):
+    """The n-point Gauss-Jacobi rule by Golub-Welsch (Math. Comp. 23, 1969).
+
+    Nodes are the eigenvalues of the Jacobi matrix by LAPACK's implicit-shift
+    QL (dstev, through scipy); the weights are 1/sum_m q_m(t_k)^2 summed row
+    by row (gauss_weights_rowwise), which is accurate to rounding where the
+    first eigenvector components of the QL rotations lose several digits.
+    Weights past the float range underflow to 0.
+    """
+    B, e = jacobi_matrix(params, n)
+    nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
+    with np.errstate(over="ignore"):
+        weights = gauss_weights_rowwise(params, nodes)
+    return QuadratureRule(nodes=nodes, weights=weights, params=params)
 
 
 def barycentric_rowwise(x_samples, values, blend: int = 3):

@@ -520,7 +520,7 @@ def _scipy_loaded_by(*argv, code=0):
 
 
 class TestScipyImportContract:
-    """scipy is imported by the code that uses it, so a run loads only what it needs."""
+    """No command loads scipy, which the tests alone use."""
 
     def test_import_loads_no_scipy(self):
         p = _python("-c", "import sys, tanhspec.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -543,8 +543,11 @@ class TestScipyImportContract:
         ("solve --alpha -0.5 --beta -0.5 --n 64 --a-in {a_coeffs} --f-fn sech --bandwidth 4 --out {out}", 0),
         ("solve --alpha 0.5 --beta 0.5 --n 256 --a-fn runge_tanh:-0.5 --f-fn gaussian --bandwidth 8 --out {out}", 0),
         ("solve --alpha 1.3 --beta 0.2 --n 256 --a-fn runge_tanh:-0.5 --f-fn gaussian --bandwidth 8 --out {out}", 0),
+        ("expand --alpha 80 --beta 80 --n 64 --fn gaussian --out {out}", 0),
+        ("expand --alpha 1000 --beta 1000 --n 600 --fn gaussian --out {out}", 0),
     ], ids=["eval", "diff", "eval-generic", "diff-generic", "basis", "ft", "usage-error", "expand-fast", "expand-quadrature", "expand-half-fast", "solve-fast",
-            "expand-half-samples", "solve-a-coefficients", "solve-variable-a-half-integer", "solve-variable-a-generic"])
+            "expand-half-samples", "solve-a-coefficients", "solve-variable-a-half-integer", "solve-variable-a-generic",
+            "expand-bracketed", "expand-bracketed-large"])
     def test_commands_without_scipy(self, tmp_path, argv, code):
         _, coeffs = _expand_sech(tmp_path)
         samples, a_coeffs = tmp_path / "samples.csv", tmp_path / "a.csv"
@@ -555,12 +558,14 @@ class TestScipyImportContract:
                 for a in argv.split()]
         assert _scipy_loaded_by(*argv, code=code) == set()
 
-    def test_quadrature_fallback_loads_linalg(self, tmp_path):
-        # at (80, 80) Newton fails its certificate and Golub-Welsch imports scipy.linalg
-        loaded = _scipy_loaded_by("expand", "--fn", "gaussian", "--alpha", "80", "--beta", "80",
-                                  "--n", "64", "--out", str(tmp_path / "c.csv"))
-        assert "scipy.linalg" in loaded
-        assert "scipy.fft" not in loaded
+    def test_expand_with_scipy_unimportable(self, tmp_path):
+        # scipy unimportable: a Newton pair and two pairs where Newton fails its certificate
+        for a, n in (("1.3", "64"), ("80", "64"), ("1000", "600")):
+            p = _python("-c", "import sys; sys.modules['scipy'] = None; from tanhspec.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", "expand", "--fn", "gaussian", "--alpha", a, "--beta", a,
+                        "--n", n, "--out", str(tmp_path / "c.csv"))
+            assert p.returncode == 0, p.stderr
+            assert len(read_coefficients(str(tmp_path / "c.csv"))) == int(n)
 
 
 class TestTablesAndDeterminism:
@@ -598,6 +603,14 @@ class TestTablesAndDeterminism:
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unfinished_rule_exit_code(self, capsys, monkeypatch):
+        import tanhspec.jacobi as jacobi_mod
+
+        monkeypatch.setattr(jacobi_mod, "_MAX_BRACKETED_SWEEPS", 1)
+        assert run("expand", "--alpha", "81.5", "--beta", "80", "--n", "33", "--fn", "gaussian") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -621,11 +634,6 @@ class TestTablesAndDeterminism:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-
-    def test_import_leaves_out_scipy_integrate(self):
-        p = _python("-c", "import sys, tanhspec.cli; print('scipy.integrate' in sys.modules)")
-        assert p.returncode == 0, p.stderr
-        assert p.stdout.strip() == "False"
 
     def test_parse_points(self):
         assert np.allclose(parse_points("lin:0:1:3"), [0.0, 0.5, 1.0])

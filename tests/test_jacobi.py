@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,9 @@ from tanhspec.special import log_jacobi_norm
 
 from oracles import (
     chebyshev_eval,
+    gauss_jacobi_mp,
     gauss_weights_rowwise,
+    golub_welsch,
     jacobi_eval,
     jacobi_eval_batch,
     jacobi_explicit_sum,
@@ -41,6 +44,12 @@ def _blocks(p, count, t):
     return orthonormal_blocks(*jacobi_matrix(p, count), count, t, -0.5 * log_jacobi_norm(p, 0))
 
 
+#: The domain map of the Gauss-Jacobi rules: (a, b, sizes), every pair of the values at small n, and at n = 2048
+#: pairs where Newton fails its certificate.
+DOMAIN = (-0.99, 0.0, 2.0, 20.0, 80.0, 1e3)
+DOMAIN_MAP = [(a, b, (1, 2, 16, 256)) for a in DOMAIN for b in DOMAIN] + [
+    (a, b, (2048,)) for a, b in ((20.0, 5.0), (80.0, 80.0), (100.0, 0.0), (1000.0, 1000.0))
+]
 GRID_PAIRS = [(-0.9, -0.9), (-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (2.0, 0.3), (7.3, -0.5), (1.3, 0.2), (-0.5, 0.5)]
 
 
@@ -332,7 +341,7 @@ class TestGaussJacobi:
         for n in (1, 2, 7, 64, 300, 2048):
             rule = jacobi_mod._newton(p, n)
             assert rule is not None, n
-            want = jacobi_mod._golub_welsch(p, n)
+            want = golub_welsch(p, n)
             assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14, n
             assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps, n
 
@@ -341,9 +350,9 @@ class TestGaussJacobi:
         # the Q-corrected step finishes every node in the second sweep here
         sizes = []
 
-        def counted(params, n, t):
+        def counted(params, n, t, *count):
             sizes.append(t.size)
-            return sweep(params, n, t)
+            return sweep(params, n, t, *count)
 
         sweep = jacobi_mod._sweep
         monkeypatch.setattr(jacobi_mod, "_sweep", counted)
@@ -353,12 +362,44 @@ class TestGaussJacobi:
             assert len(sizes) == 2 and sizes[0] == n, (n, sizes)
 
     def test_fallback_takes_golub_welsch(self):
-        # at (80, 80) the asymptotic angles are too far off for Newton
+        # at (80, 80) the asymptotic angles are too far off for Newton; the
+        # bracketed sweeps land on the Golub-Welsch rule at the bounds of
+        # test_newton_matches_golub_welsch
         p = JacobiParams(80.0, 80.0)
         assert jacobi_mod._newton(p, 64) is None
-        rule, want = gauss_jacobi(p, 64), jacobi_mod._golub_welsch(p, 64)
-        assert rule.nodes.tobytes() == want.nodes.tobytes()
-        assert rule.weights.tobytes() == want.weights.tobytes()
+        rule, want = gauss_jacobi(p, 64), golub_welsch(p, 64)
+        assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
+        assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * 64 * 64 * np.finfo(float).eps
+
+    def test_unfinished_bracketed_rule_raises(self, monkeypatch):
+        # one bracketed sweep finishes only some of the (80, 80) nodes
+        monkeypatch.setattr(jacobi_mod, "_MAX_BRACKETED_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="failed after 1 bracketed sweeps"):
+            gauss_jacobi(JacobiParams(80.0, 80.0), 64)
+
+    @pytest.mark.parametrize("a,b,sizes", DOMAIN_MAP, ids=[f"{a}-{b}-n{','.join(map(str, n))}" for a, b, n in DOMAIN_MAP])
+    def test_domain_map_without_scipy(self, a, b, sizes, monkeypatch):
+        # each rule, Newton or bracketed, is built with scipy unimportable and
+        # held to the bounds of test_newton_matches_golub_welsch, on the
+        # weights that are normal floats (at (1000, 1000) the smallest
+        # underflow).  Where the weights miss 8 n^2 eps (a parameter 1e3 and
+        # n <= 16, and (80, -0.99) at n = 256), the sum with float recurrence
+        # coefficients errs as much at the 40-digit nodes, so the rule must be
+        # as close to the 40-digit weights as Golub-Welsch is, to 8 n^2 eps.
+        p = JacobiParams(a, b)
+        for n in sizes:
+            with monkeypatch.context() as m:
+                m.setitem(sys.modules, "scipy", None)
+                rule = gauss_jacobi(p, n)
+            want = golub_welsch(p, n)
+            bound = 8.0 * n * n * np.finfo(float).eps
+            assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14, n
+            assert np.all(rule.weights >= 0.0) and np.all(np.isfinite(rule.weights)), n
+            normal = want.weights >= np.finfo(float).tiny
+            if np.max(np.abs(rule.weights[normal] / want.weights[normal] - 1.0)) > bound:
+                exact = np.array([float(w) for w in gauss_jacobi_mp(a, b, rule.nodes)[1]])
+                err, err_gw = (np.max(np.abs(w / exact - 1.0)) for w in (rule.weights, want.weights))
+                assert err <= err_gw + bound, (n, err, err_gw)
 
     @pytest.mark.parametrize("a,b,n", [(1000.0, 1000.0, 7), (1000.0, 1000.0, 16), (1000.0, 1000.0, 300), (-0.9, 1000.0, 10)])
     def test_large_parameters_raise_nothing(self, a, b, n):
