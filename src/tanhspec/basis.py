@@ -13,9 +13,10 @@ provided because their coefficient transforms differ operationally.
 Differentiation acts tridiagonally: phi_m' = -b_{m-1} phi_{m-1} + b_m phi_{m+1}
 with a positive coupling sequence b_m shared by every module downstream.
 
-The basis functions and the synthesis run on the one recurrence kernel,
-jacobi.orthonormal_blocks: phi_full and phi_half take the last row of one
-sweep, clenshaw_eval sums all its rows.
+Every pointwise value is one jacobi.forward_sum in t = tanh x of a
+coefficient vector: clenshaw_eval sums the expansion's coefficients,
+phi_full and phi_half the unit vector e_m, derivative_pointwise
+b_m e_{m+1} - b_{m-1} e_{m-1}.
 """
 
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks
+from .jacobi import couplings, forward_sum, jacobi_matrix
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
@@ -53,13 +54,6 @@ def _log_one_minus_tanh(x: np.ndarray) -> np.ndarray:
 
 def _log_one_plus_tanh(x: np.ndarray) -> np.ndarray:
     return _LN2 - _softplus(-2.0 * x)
-
-
-def _log_sech(x: np.ndarray) -> np.ndarray:
-    # sech x is exactly 0.0 from |x| = 1e300 on, so the clamp is exact where
-    # the result is exponentiated and keeps 2|x| finite at the top of the range
-    ax = np.minimum(np.abs(x), 1e300)
-    return _LN2 - ax - np.log1p(np.exp(-2.0 * ax))
 
 
 def _log_weight_full(params: JacobiParams, x: np.ndarray) -> np.ndarray:
@@ -132,30 +126,37 @@ def _as_points(x):
     return arr, scalar
 
 
-def _ret(vals: np.ndarray, scalar: bool):
+def _degree(m: int) -> int:
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative (got {m})")
+    return m
+
+
+def _full_sum(params: JacobiParams, coeffs: np.ndarray, x):
+    """sum_m coeffs[m] phi_m(x) over the full-range functions of params.
+
+    One jacobi.forward_sum in t = tanh x of (-1)^m coeffs[m] (coeffs is not
+    modified), whose log scale starts at the boundary weight: each block of
+    rows p_m adds one matrix-vector product.
+    """
+    pts, scalar = _as_points(x)
+    v = np.array(coeffs, dtype=float)
+    v[1::2] *= -1.0
+    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
+    vals = forward_sum(*jacobi_matrix(params, v.size), v, np.tanh(pts), log_start)
     return float(vals[0]) if scalar else vals
-
-
-def _orthonormal(params: JacobiParams, m: int, t: np.ndarray, log_amp: np.ndarray) -> np.ndarray:
-    """q_m(t) exp(log_amp): the last row of one orthonormal_blocks sweep over degrees 0..m."""
-    B, e = jacobi_matrix(params, m + 1)
-    *_, (s, P, log_scale) = orthonormal_blocks(B, e, m + 1, t, log_amp - 0.5 * log_jacobi_norm(params, 0))
-    return s[-1] * P[-1] * np.exp(log_scale)
 
 
 def phi_full(spec: BasisSpec, m: int, x):
     """Full-range basis function phi_m at x (scalar or array).
 
-    (-1)^m q_m(tanh x) times the boundary weight, which is assembled in log
-    space so that no intermediate product underflows before the final
-    exponential.
+    (-1)^m q_m(tanh x) times the boundary weight: the sum of the unit
+    coefficient vector e_m, whose weight is assembled in log space so that
+    no intermediate product underflows before the final exponential.
     """
     if spec.mode != "full":
         raise ValueError("phi_full requires a full-mode basis spec")
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative (got {m})")
-    pts, scalar = _as_points(x)
-    return _ret((-1.0) ** m * _orthonormal(spec.params, m, np.tanh(pts), _log_weight_full(spec.params, pts)), scalar)
+    return _full_sum(spec.params, np.eye(1, _degree(m) + 1, m)[0], x)
 
 
 def phi_half(spec: BasisSpec, m: int, x):
@@ -163,39 +164,25 @@ def phi_half(spec: BasisSpec, m: int, x):
 
     Even index 2k:  2^{(2a+1)/4} sech^{1+a} x q_k^{(a,-1/2)}(1 - 2 sech^2 x);
     odd index 2k+1 carries a leading minus sign, an extra tanh x factor, the
-    factor 2^{(2a+3)/4} and the (a, 1/2) parameter pair.
+    factor 2^{(2a+3)/4} and the (a, 1/2) parameter pair.  By the quadratic
+    transformation of Jacobi polynomials (DLMF 18.7.13-14) this is the
+    full-range function phi_m of the (a, a) pair, and it is evaluated as
+    that, in t = tanh x.
     """
     if spec.mode != "half":
         raise ValueError("phi_half requires a half-mode basis spec")
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative (got {m})")
-    a = spec.params.alpha
-    k, odd = divmod(m, 2)
-    pts, scalar = _as_points(x)
-    ls = _log_sech(pts)
-    u = 1.0 - 2.0 * np.exp(2.0 * ls)
-    log_amp = (0.25 * (2.0 * a + 1.0 + 2.0 * odd)) * _LN2 + (1.0 + a) * ls
-    vals = _orthonormal(JacobiParams(a, odd - 0.5), k, u, log_amp)
-    if odd:
-        vals *= -np.tanh(pts)
-    return _ret(vals, scalar)
-
-
-def _phi(spec: BasisSpec, m: int, x):
-    return phi_full(spec, m, x) if spec.mode == "full" else phi_half(spec, m, x)
+    return _full_sum(spec.params, np.eye(1, _degree(m) + 1, m)[0], x)
 
 
 def derivative_pointwise(spec: BasisSpec, m: int, x):
     """phi_m'(x) through the tridiagonal coupling:
-    -b_{m-1} phi_{m-1}(x) + b_m phi_{m+1}(x), with b_{-1} = 0."""
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative (got {m})")
-    b = diff_coeffs(spec.params, m + 1).b
-    pts, scalar = _as_points(x)
-    vals = b[m] * np.atleast_1d(_phi(spec, m + 1, pts))
-    if m >= 1:
-        vals = vals - b[m - 1] * np.atleast_1d(_phi(spec, m - 1, pts))
-    return _ret(vals, scalar)
+    -b_{m-1} phi_{m-1}(x) + b_m phi_{m+1}(x), with b_{-1} = 0, as one sum over degrees 0..m+1."""
+    b = diff_coeffs(spec.params, _degree(m) + 1).b
+    v = np.zeros(m + 2)
+    v[m + 1] = b[m]
+    if m:
+        v[m - 1] = -b[m - 1]
+    return _full_sum(spec.params, v, x)
 
 
 def clenshaw_eval(e: Expansion, x):
@@ -206,9 +193,4 @@ def clenshaw_eval(e: Expansion, x):
     scale starts at the boundary weight.  Half-mode expansions use the
     identical full-range functions of the (alpha, alpha) pair.
     """
-    params = e.spec.params
-    pts, scalar = _as_points(x)
-    v = e.coeffs.copy()
-    v[1::2] *= -1.0
-    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
-    return _ret(forward_sum(*jacobi_matrix(params, len(e)), v, np.tanh(pts), log_start), scalar)
+    return _full_sum(e.spec.params, e.coeffs, x)

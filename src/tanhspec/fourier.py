@@ -12,7 +12,7 @@ constant C > 0 normalises |g|^2 dxi to unit mass, and the p_m are the
 orthonormal polynomials of that measure.  C underflows once a and b near
 300, so ln C is carried and added inside every exponent.  The p_m,
 generalised Carlitz polynomials, satisfy xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}
-(b_m the differentiation couplings), run by jacobi.orthonormal_blocks.
+(b_m the differentiation couplings), summed by jacobi.forward_sum.
 (The i^m phase, rather than (-i)^m, is forced jointly by F[f'] = i xi F[f]
 and the positive-leading three-term recurrence of the p_m; the (-i)^m form
 belongs to the opposite exponent sign with g conjugated.)
@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import Expansion
-from .jacobi import couplings, forward_sum, orthonormal_blocks
+from .jacobi import couplings, forward_sum
 from .special import JacobiParams, log_gamma_complex
 
 __all__ = [
@@ -141,12 +141,11 @@ def measure_density(rep: FourierRep, xi):
 
 
 def carlitz_eval(rep: FourierRep, m: int, xi):
-    """Orthonormal polynomial p_m of the measure |g|^2 dxi: the last row of one
-    orthonormal_blocks sweep of xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1."""
+    """Orthonormal polynomial p_m of the measure |g|^2 dxi: the jacobi.forward_sum of the
+    unit vector e_m over xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1."""
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
-    *_, (s, P, ls) = orthonormal_blocks(np.zeros(m + 1), couplings(rep.params, m + 1), m + 1, np.atleast_1d(xi), 0.0)
-    out = s[-1] * P[-1] * np.exp(ls)
+    out = forward_sum(np.zeros(m + 1), couplings(rep.params, m + 1), np.eye(1, m + 1, m)[0], np.atleast_1d(xi), 0.0)
     return float(out[0]) if np.ndim(xi) == 0 else out
 
 

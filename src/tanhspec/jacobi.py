@@ -6,8 +6,8 @@ B = 0, e = b_m in Fourier space, in blocks of rescaled rows (one BLAS
 product per block, then one multiply and one subtract per degree and
 point), with a log scale per point and groups of recurrences side by side.
 The Gauss weights, the quadrature projections (transforms) and the sums
-(basis.clenshaw_eval, fourier.fourier_transform, by forward_sum) reduce a
-block with one product; single polynomials are the last row of one sweep.
+(forward_sum: every pointwise value of basis and fourier, single functions
+included, as the sum of a coefficient vector) reduce a block with one product.
 Gauss-Jacobi rules come from the same kernel: Newton's method in
 theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
 about two sweeps, and the sweep that finishes a node gives its weight.
@@ -190,7 +190,7 @@ def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_st
 _STEP_TOL = 4e-16
 #: Sweeps after which a Newton rule with unfinished nodes fails its certificate.
 _MAX_SWEEPS = 8
-#: The same for a bracketed rule: bisection alone narrows any bracket below _STEP_TOL in 53 sweeps.
+#: The same for a bracketed rule: bisection alone narrows any bracket to _STEP_TOL or one ulp in 53 sweeps.
 _MAX_BRACKETED_SWEEPS = 64
 
 
@@ -235,7 +235,8 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
     min bot[k+1:], alone once counts k and k+1 are seen.  A step that would
     leave the bracket, or any from outside it or in a bracket with other
     nodes, bisects it; a node finishes once alone in it with a small step,
-    or in a bracket narrower than _STEP_TOL.
+    or in a bracket narrower than _STEP_TOL or too narrow to halve (near
+    theta = 2 the cosines of adjacent floats can differ by more than that).
     """
     a, b = params.alpha, params.beta
     s = a + b
@@ -262,7 +263,7 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
         lo, hi = np.maximum.accumulate(top)[active], np.minimum.accumulate(bot[::-1])[::-1][active + 1]
         alone = np.isfinite(top[active]) & np.isfinite(top[active + 1]) & (lo <= th) & (th <= hi)
         new = th + step
-        done = alone & done | (np.cos(lo) - np.cos(hi) <= _STEP_TOL)
+        done = alone & done | (np.cos(lo) - np.cos(hi) <= _STEP_TOL) | (np.nextafter(lo, hi) >= hi)
         step = np.where(alone & (lo < new) & (new < hi), step, 0.5 * (lo + hi) - th)
     weights[active[done]] = w[done]
     theta[active[~done]] += step[~done]

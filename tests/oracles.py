@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from tanhspec.basis import _LN2, _as_points, _log_sech, _log_weight_full, diff_coeffs
+from tanhspec.basis import _LN2, _as_points, _log_weight_full, diff_coeffs
 from tanhspec.fourier import _clamp_xi, _log_gamma_pair, fourier_rep
 from tanhspec.jacobi import QuadratureRule, _blocking, _factors, _fill, jacobi_matrix
 from tanhspec.special import JacobiParams, log_jacobi_norm
@@ -130,6 +130,13 @@ def phi_full_direct(spec, m: int, x):
     poly = jacobi_eval(spec.params, m, np.tanh(pts))
     vals = (-1.0) ** m * poly * np.exp(_log_weight_full(spec.params, pts) - 0.5 * log_jacobi_norm(spec.params, m))
     return float(vals[0]) if scalar else vals
+
+
+def _log_sech(x: np.ndarray) -> np.ndarray:
+    # sech x is exactly 0.0 from |x| = 1e300 on, so the clamp is exact where
+    # the result is exponentiated and keeps 2|x| finite at the top of the range
+    ax = np.minimum(np.abs(x), 1e300)
+    return _LN2 - ax - np.log1p(np.exp(-2.0 * ax))
 
 
 def phi_half_direct(spec, m: int, x):
@@ -394,7 +401,7 @@ def gauss_weights_rowwise(params, nodes) -> np.ndarray:
         if log_scale is not unit:
             total, unit = total * np.exp(2.0 * (unit - log_scale)), log_scale
         total = total + (s * p) ** 2
-    return 1.0 / (total * np.square(np.exp(unit)))
+    return np.square(np.exp(-unit)) / total
 
 
 def project_rowwise(params, rule, F) -> np.ndarray:

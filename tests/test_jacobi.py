@@ -20,7 +20,6 @@ from tanhspec import (
     phi_half,
 )
 from tanhspec import jacobi as jacobi_mod
-from tanhspec.basis import _log_sech
 from tanhspec.jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks
 from tanhspec.special import log_jacobi_norm
 
@@ -36,6 +35,7 @@ from oracles import (
     norm_ratio,
     orthonormal_eval_batch,
     orthonormal_mp,
+    phi_full_direct,
     recurrence_coefficients,
 )
 
@@ -371,6 +371,19 @@ class TestGaussJacobi:
         assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
         assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * 64 * 64 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, -0.5), (0.0, 0.5)])
+    def test_bracket_of_adjacent_floats_finishes(self, a, b):
+        # near theta = 2 one node's bracket closes to two adjacent angles whose
+        # cosines still differ by more than the step tolerance; its midpoint
+        # rounds onto an end, so the node finishes there or never
+        p, n = JacobiParams(a, b), 2048
+        with np.errstate(all="ignore"):
+            rule = jacobi_mod._newton(p, n, bracketed=True)
+        want = jacobi_mod._newton(p, n)
+        assert rule is not None
+        assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
+        assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps
+
     def test_unfinished_bracketed_rule_raises(self, monkeypatch):
         # one bracketed sweep finishes only some of the (80, 80) nodes
         monkeypatch.setattr(jacobi_mod, "_MAX_BRACKETED_SWEEPS", 1)
@@ -503,28 +516,42 @@ class TestKernelAgainstMpmath:
 
     @pytest.mark.parametrize("a,b", list(MP_BOUNDS))
     def test_basis_functions(self, a, b):
-        # phi_m, m = 300 and 301, at the library's rounding of t = tanh x (full
-        # range) or u = 1 - 2 sech^2 x (half range, a = b), the other factors
-        # from x itself; error relative to the largest |phi_m| on the grid
+        # phi_m, m = 300 and 301, at the library's rounding of t = tanh x, the
+        # weight from x itself; error relative to the largest |phi_m| on the
+        # grid.  At a = b, phi_half is the same full-range function, evaluated
+        # in the same t.
         x = np.linspace(-8.0, 8.0, 17)
-        u = 1.0 - 2.0 * np.exp(2.0 * _log_sech(x))
         rows = orthonormal_mp(a, b, 302, np.tanh(x))
         for m in (300, 301):
-            k, odd = divmod(m, 2)
-            half = orthonormal_mp(a, odd - 0.5, k + 1, u)[k] if a == b else None
-            full_want, half_want = [], []
-            with mpmath.workdps(40):
-                ma, mb = mpmath.mpf(a), mpmath.mpf(b)
-                for j, xj in enumerate(x):
-                    xm = mpmath.mpf(float(xj))
-                    th = mpmath.tanh(xm)
-                    w = (1 - th) ** ((ma + 1) / 2) * (1 + th) ** ((mb + 1) / 2)
-                    full_want.append(float((-1) ** m * w * rows[m][j]))
-                    if half is not None:
-                        amp = mpmath.mpf(2) ** ((2 * ma + 1 + 2 * odd) / 4) * mpmath.sech(xm) ** (1 + ma)
-                        half_want.append(float((-th if odd else 1) * amp * half[j]))
-            checks = [(phi_full(BasisSpec(JacobiParams(a, b), "full"), m, x), np.array(full_want))]
-            if half is not None:
-                checks.append((phi_half(BasisSpec(JacobiParams(a, a), "half"), m, x), np.array(half_want)))
-            for got, want in checks:
-                assert np.max(np.abs(got - want)) <= MP_BOUNDS[(a, b)] * np.max(np.abs(want)), m
+            want = _phi_mp(a, b, m, x, rows)
+            got = [phi_full(BasisSpec(JacobiParams(a, b), "full"), m, x)]
+            if a == b:
+                got.append(phi_half(BasisSpec(JacobiParams(a, a), "half"), m, x))
+            for g in got:
+                assert np.max(np.abs(g - want)) <= MP_BOUNDS[(a, b)] * np.max(np.abs(want)), m
+
+    @pytest.mark.parametrize("a", [0.0, -0.9])
+    def test_half_range_next_to_the_origin(self, a):
+        # phi_half at high degree at and next to x = 0, where the (a, -+1/2)
+        # rows in u = 1 - 2 sech^2 x erred up to 2.9e-10; error relative to the
+        # largest |phi_m| on [-8, 8]
+        x = np.array([0.0, 1e-8, 1e-4, 1e-2, 0.3])
+        rows = orthonormal_mp(a, a, 2002, np.tanh(x))
+        for m in (2000, 2001):
+            want = _phi_mp(a, a, m, x, rows)
+            top = np.max(np.abs(phi_full_direct(BasisSpec(JacobiParams(a, a), "full"), m, np.linspace(-8.0, 8.0, 1601))))
+            got = phi_half(BasisSpec(JacobiParams(a, a), "half"), m, x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * top, m
+
+
+def _phi_mp(a, b, m, x, rows):
+    """(-1)^m w(x) q_m(t) in 40 digits from the rows of orthonormal_mp at t = np.tanh(x), the weight
+    w = (1 - tanh x)^((a+1)/2) (1 + tanh x)^((b+1)/2) from x itself."""
+    want = []
+    with mpmath.workdps(40):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        for j, xj in enumerate(x):
+            th = mpmath.tanh(mpmath.mpf(float(xj)))
+            w = (1 - th) ** ((ma + 1) / 2) * (1 + th) ** ((mb + 1) / 2)
+            want.append(float((-1) ** m * w * rows[m][j]))
+    return np.array(want)
