@@ -152,10 +152,9 @@ def phi_full(spec: BasisSpec, m: int, x):
 
     (-1)^m q_m(tanh x) times the boundary weight: the sum of the unit
     coefficient vector e_m, whose weight is assembled in log space so that
-    no intermediate product underflows before the final exponential.
+    no intermediate product underflows before the final exponential.  A
+    half-mode spec names the same functions (phi_half).
     """
-    if spec.mode != "full":
-        raise ValueError("phi_full requires a full-mode basis spec")
     return _full_sum(spec.params, np.eye(1, _degree(m) + 1, m)[0], x)
 
 
@@ -167,11 +166,9 @@ def phi_half(spec: BasisSpec, m: int, x):
     factor 2^{(2a+3)/4} and the (a, 1/2) parameter pair.  By the quadratic
     transformation of Jacobi polynomials (DLMF 18.7.13-14) this is the
     full-range function phi_m of the (a, a) pair, and it is evaluated as
-    that, in t = tanh x.
+    that (phi_full), in t = tanh x, for a spec of either mode.
     """
-    if spec.mode != "half":
-        raise ValueError("phi_half requires a half-mode basis spec")
-    return _full_sum(spec.params, np.eye(1, _degree(m) + 1, m)[0], x)
+    return phi_full(spec, m, x)
 
 
 def derivative_pointwise(spec: BasisSpec, m: int, x):
@@ -186,11 +183,10 @@ def derivative_pointwise(spec: BasisSpec, m: int, x):
 
 
 def clenshaw_eval(e: Expansion, x):
-    """Evaluate sum_m c_m phi_m(x) by the forward recurrence of jacobi.orthonormal_blocks.
+    """Evaluate sum_m c_m phi_m(x) as one jacobi.forward_sum of the coefficients (-1)^m c_m.
 
-    Works in the mapped variable t = tanh x: each block of rows p_m adds one
-    matrix-vector product (-1)^m c_m s_m p_m (jacobi.forward_sum), whose log
-    scale starts at the boundary weight.  Half-mode expansions use the
-    identical full-range functions of the (alpha, alpha) pair.
+    Works in the mapped variable t = tanh x, with the log scale started at
+    the boundary weight.  Half-mode expansions use the identical full-range
+    functions of the (alpha, alpha) pair.
     """
     return _full_sum(e.spec.params, e.coeffs, x)

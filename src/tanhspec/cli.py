@@ -347,8 +347,7 @@ def cmd_basis(args) -> int:
     if not ms or any(m < 0 for m in ms):
         raise ValueError("m list must hold nonnegative integers")
     pts = parse_points(args.points)
-    full = BasisSpec(spec.params, "full")
-    write_table(args.out, {"x": pts} | {f"phi_{m}": phi_full(full, m, pts) for m in ms}, args.format)
+    write_table(args.out, {"x": pts} | {f"phi_{m}": phi_full(spec, m, pts) for m in ms}, args.format)
     return 0
 
 

@@ -158,11 +158,10 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     for every (alpha, beta), since p_0 = 1 and |p_{k+1}| <= (|xi| + b_{k-1}) / b_k max(|p_k|, |p_{k-1}|)
     with b_{-1} = 0; where this bound is below e^-745, F is 0.0 without a
     sweep, as at |xi| = 1e300, where one step would multiply by xi / b_0.
-    Only full-mode expansions are accepted (convert half-mode ones first).
-    Raises ValueError if any xi is not finite.
+    A half-mode expansion is the same function as the full-mode one with its
+    coefficients, and has the same transform.  Raises ValueError if any xi
+    is not finite.
     """
-    if e.spec.mode != "full":
-        raise ValueError("Fourier transform is defined for full-mode expansions")
     n, params = len(e), e.spec.params
     xi = _clamp_xi(np.atleast_1d(xi_points))
     log_g = fourier_rep(params).log_normalisation + _log_gamma_pair(params, xi)

@@ -5,17 +5,17 @@ polynomials of a three-term recurrence (B, e), the Jacobi matrix on t or
 B = 0, e = b_m in Fourier space, in blocks of rescaled rows (one BLAS
 product per block, then one multiply and one subtract per degree and
 point), with a log scale per point and groups of recurrences side by side.
-The Gauss weights, the quadrature projections (transforms) and the sums
-(forward_sum: every pointwise value of basis and fourier, single functions
-included, as the sum of a coefficient vector) reduce a block with one product.
-Gauss-Jacobi rules come from the same kernel: Newton's method in
+The Gauss weights, the sums (forward_sum: every pointwise value of basis
+and fourier, as the sum of a coefficient vector) and their transpose, the
+quadrature projections of transforms (project), reduce a block with one
+product.  Gauss-Jacobi rules come from the same kernel: Newton's method in
 theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
 about two sweeps, and the sweep that finishes a node gives its weight.
 When that rule fails its certificate, the same sweeps run inside per-node
-brackets from Sturm counts of sign changes in the rows, and bisect where
-a Newton step would leave its bracket; a bracketed rule unfinished within
-its sweep budget raises RuntimeError.  The quadrature rules double as the
-slow, fully general transform path and as the oracle of the fast paths.
+brackets from Sturm counts of sign changes in the rows, and bisect where a
+Newton step would leave its bracket; a bracketed rule that fails its
+certificate raises RuntimeError naming the cause.  The quadrature rules
+double as the slow, fully general transform path and the fast paths' oracle.
 """
 
 import math
@@ -31,6 +31,7 @@ __all__ = [
     "jacobi_matrix",
     "orthonormal_blocks",
     "forward_sum",
+    "project",
     "gauss_jacobi",
 ]
 
@@ -186,6 +187,18 @@ def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_st
     return acc * np.exp(unit)
 
 
+def project(B: np.ndarray, e: np.ndarray, values: np.ndarray, points, log_start) -> np.ndarray:
+    """sum_k values[..., k] q_m(points[k]), m < B.shape[-1], over the q_m of orthonormal_blocks: the transpose of
+    forward_sum, one product per block; with groups (B, e of shape (G, count), points (G, P)), values (..., G, P)
+    gives sums (..., G, count)."""
+    scaled, out = values * np.exp(log_start), []  # values in units of exp(-log_scale): q_m = s_m P_m exp(log_scale)
+    for s, P, log_scale in orthonormal_blocks(B, e, np.shape(B)[-1], points, log_start):
+        if log_scale is not log_start:
+            scaled, log_start = values * np.exp(log_scale), log_scale
+        out.append(s * (P.swapaxes(0, -2) @ scaled[..., None])[..., 0])
+    return np.concatenate(out, axis=-1)
+
+
 #: A Newton node is finished in the sweep whose step would move t by at most this.
 _STEP_TOL = 4e-16
 #: Sweeps after which a Newton rule with unfinished nodes fails its certificate.
@@ -199,24 +212,21 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
     = 1 / sum q_m^2 from one orthonormal_blocks pass, which no overflow of sum q_m^2 reaches, and if count the
     sign changes in p_0(t), ..., p_n(t), the nodes above t (Sturm: s_m > 0, rescales are powers of 2), else 0."""
     unit = -0.5 * log_jacobi_norm(params, 0)
-    total, q_prev, hi = np.zeros(t.size), np.zeros(t.size), 0
+    total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
+    pick = np.eye(2, n + 1, n - 1)  # the rows of q_{n-1} and q_n
     changes, neg = 0, False
     for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, n + 1), n + 1, t, unit):
-        if log_scale is not unit:  # total in units of exp(2 unit), q_prev of exp(unit)
-            total, q_prev, unit = total * np.exp(2.0 * (unit - log_scale)), q_prev * np.exp(unit - log_scale), log_scale
+        if log_scale is not unit:  # total in units of exp(2 unit), last of exp(unit)
+            total, last, unit = total * np.exp(2.0 * (unit - log_scale)), last * np.exp(unit - log_scale), log_scale
         if count:  # neg: the sign bits of the last row so far
             signs = np.signbit(P)
             changes, neg = changes + np.count_nonzero(np.diff(signs, axis=0, prepend=neg), axis=0), signs[-1:]
-        hi += len(s)
-        if hi > n:  # the last block ends with q_n
-            q_n = s[-1] * P[-1]
-            if len(s) > 1:
-                q_prev = s[-2] * P[-2]
-            s, P = s[:-1], P[:-1]
-        elif hi == n:  # q_{n-1} ends this block; the buffer is reused by the next
-            q_prev = s[-1] * P[-1]
+        if lo + len(s) >= n:  # the buffer is reused by the next block; the weights sum rows m < n
+            last += (pick[:, lo : lo + len(s)] * s) @ P
+            s, P = s[: n - lo], P[: n - lo]
         total += (s * s) @ np.square(P, out=P)
-    return q_prev, q_n, np.square(np.exp(-unit)) / total, changes
+        lo += len(s)
+    return *last, np.square(np.exp(-unit)) / total, changes
 
 
 def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.ndarray,
@@ -278,7 +288,8 @@ def _newton(params: JacobiParams, n: int, bracketed: bool = False) -> Quadrature
     within _MAX_SWEEPS sweeps, angles inside (0, pi) before each sweep,
     nodes strictly increasing inside (-1, 1), weights finite and positive.
     Bracketed: angles clipped to [0, pi] at the start, steps kept in Sturm
-    brackets, _MAX_BRACKETED_SWEEPS sweeps, and underflowed 0 weights pass.
+    brackets, _MAX_BRACKETED_SWEEPS sweeps, underflowed 0 weights pass, and
+    a failed certificate raises RuntimeError naming the failed item.
     """
     a, b = params.alpha, params.beta
     rho = n + 0.5 * (a + b + 1.0)
@@ -299,14 +310,19 @@ def _newton(params: JacobiParams, n: int, bracketed: bool = False) -> Quadrature
         if not active.size:
             break
     else:
-        return None
-    nodes = np.cos(theta[::-1])
-    weights = weights[::-1]
+        return _failed(params, bracketed, f"failed after {_MAX_BRACKETED_SWEEPS} bracketed sweeps")
+    nodes, weights = np.cos(theta[::-1]), weights[::-1]
     if not (-1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
-        return None
+        return _failed(params, bracketed, "has nodes that are not strictly increasing inside (-1, 1)")
     if not np.all(((weights > 0.0) | bracketed) & np.isfinite(weights)):
-        return None
+        return _failed(params, bracketed, f"has weights past the float range (sum e^{log_jacobi_norm(params, 0):.6g})")
     return QuadratureRule(nodes=nodes, weights=weights, params=params)
+
+
+def _failed(params: JacobiParams, bracketed: bool, cause: str) -> None:
+    """None for a failed Newton rule, which the bracketed sweeps then replace; a failed bracketed rule raises."""
+    if bracketed:
+        raise RuntimeError(f"Gauss-Jacobi rule at {params} {cause}")
 
 
 def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
@@ -322,18 +338,17 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     inside per-node brackets from Sturm counts of sign changes, bisecting
     where a Newton step would leave its bracket: a dozen sweeps or so.  No
     floating-point error is raised; overflow in the Newton attempt counts as
-    a failed certificate, and weights past the float range underflow to 0.
+    a failed certificate, and weights below the float range underflow to 0.
 
     Raises
     ------
     RuntimeError
-        If the bracketed rule does not finish within its sweep budget, or
-        its nodes are not strictly increasing inside (-1, 1).
+        If the bracketed rule does not finish within its sweep budget, its
+        nodes are not strictly increasing inside (-1, 1), or its weights pass
+        the top of the float range (their sum, the integral of the weight
+        function, does at large a + b); the message names which.
     """
     if n < 1:
         raise ValueError(f"rule size must be positive (got {n})")
     with np.errstate(all="ignore"):
-        rule = _newton(params, n) or _newton(params, n, bracketed=True)
-    if rule is None:
-        raise RuntimeError(f"Gauss-Jacobi rule at {params} failed after {_MAX_BRACKETED_SWEEPS} bracketed sweeps")
-    return rule
+        return _newton(params, n) or _newton(params, n, bracketed=True)

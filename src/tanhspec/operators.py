@@ -324,11 +324,10 @@ def solve_first_order(d: DiffOp, mult: MultOp, rhs: Expansion, n: int) -> SolveR
     blocked panel QR of banded_qr_lstsq; the reported residual is
     |L u - f| on the retained window.  A multiplication operator that is
     identically zero is rejected (u' = f alone has no unique solution in
-    L2), and so is a right-hand side that is not a full-mode expansion in
-    the basis of d.
+    L2), and so is a right-hand side in another parameter pair than d.  A
+    half-mode right-hand side names the same function as the full-mode one
+    with its coefficients; the solution keeps its spec.
     """
-    if rhs.spec.mode != "full":
-        raise ValueError("the solver works on full-mode expansions")
     if d.params != rhs.spec.params:
         raise ValueError(f"DiffOp is for {d.params}, right-hand side is in {rhs.spec.params}")
     if not np.any(mult.a_coeffs != 0.0):

@@ -4,10 +4,10 @@ For the four half-integer parameter pairs the coefficient integrals reduce
 to cosine/sine sums over the first-kind Chebyshev angles
 theta_k = (2k+1) pi / (2N), evaluated with kernels on numpy.fft in
 O(N log N); every other parameter pair goes through an N-point
-Gauss-Jacobi rule in O(N^2), one matrix-vector product per block of the
-recurrence kernel jacobi.orthonormal_blocks.  The rule itself is a few
-sweeps of the same kernel (Newton's method, jacobi.gauss_jacobi), cached
-per (params, mode, N).  Both routes approximate the
+Gauss-Jacobi rule in O(N^2), one jacobi.project of the weighted samples
+(one matrix-vector product per block of the recurrence kernel).  The rule
+itself is a few sweeps of the same kernel (Newton's method,
+jacobi.gauss_jacobi), cached per (params, mode, N).  Both routes approximate the
 same integrals (quadrature semantics, no endpoint samples), so they agree
 to rounding on band-limited inputs and converge together otherwise.
 """
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import BasisSpec, Expansion, clenshaw_eval
-from .jacobi import QuadratureRule, gauss_jacobi, jacobi_matrix, orthonormal_blocks
+from .jacobi import QuadratureRule, gauss_jacobi, jacobi_matrix, project
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
@@ -216,24 +216,11 @@ def _modified(params: JacobiParams, mode: str, nodes: _Nodes, fx: np.ndarray) ->
     return fx / (nodes.one_minus ** (0.5 * (params.alpha + 1.0)) * nodes.one_plus**lift)
 
 
-def _quadrature(pairs: tuple, rules: list, F: np.ndarray) -> np.ndarray:
-    """Orthonormal coefficients sum_k w_k q_m(t_k) F[i, k], m < F.shape[1], of each pairs[i] on rules[i]:
-    the pairs run as the groups of one orthonormal_blocks sweep."""
-    B, e = (np.stack(arrays) for arrays in zip(*(jacobi_matrix(p, F.shape[1]) for p in pairs)))
-    unit, out = -0.5 * np.array([[log_jacobi_norm(p, 0)] for p in pairs]), []
-    wF = np.stack([r.weights for r in rules]) * F
-    wFs = wF * np.exp(unit)
-    for s, P, log_scale in orthonormal_blocks(B, e, F.shape[1], np.stack([r.nodes for r in rules]), unit):
-        if log_scale is not unit:  # q_m = s_m P_m exp(log_scale) per node
-            unit, wFs = log_scale, wF * np.exp(log_scale)
-        out.append(s * (P.transpose(1, 0, 2) @ wFs[..., None])[..., 0])
-    return np.concatenate(out, axis=1)
-
-
 def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
     """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of F at the nodes."""
-    if nodes.rule is not None:
-        return _quadrature((params,), [nodes.rule], F[None])[0]
+    if nodes.rule is not None:  # sum_k w_k F_k q_m(t_k)
+        B, e = jacobi_matrix(params, F.size)
+        return project(B, e, nodes.rule.weights * F, nodes.rule.nodes, -0.5 * log_jacobi_norm(params, 0))
     kind, pre, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
     y = dct(kind, F * nodes.pre[pre])
     if halve_top:
@@ -295,8 +282,12 @@ def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
         if samples is None or not fast:  # both fast transforms share one grid
             samples = _sample(f, nd.x), _sample(f, -nd.x)
         F.append(_modified(par, "half", nd, 0.5 * (samples[0] + sign * samples[1])))
-    # the two quadrature projections run as the groups of one sweep
-    even, odd = map(_project, pairs, nodes, F) if fast else _quadrature(pairs, [nd.rule for nd in nodes], np.stack(F))
+    if fast:
+        even, odd = map(_project, pairs, nodes, F)
+    else:  # the two quadrature projections run as the groups of one sweep
+        B, e = (np.stack(arrays) for arrays in zip(*(jacobi_matrix(par, n // 2) for par in pairs)))
+        w, t = (np.stack(arrays) for arrays in zip(*((nd.rule.weights, nd.rule.nodes) for nd in nodes)))
+        even, odd = project(B, e, w * np.stack(F), t, -0.5 * np.array([[log_jacobi_norm(par, 0)] for par in pairs]))
     c = np.empty(n)
     c[0::2], c[1::2] = 2.0**0.25 * even, -(2.0**0.25) * odd
     return Expansion(spec=spec, coeffs=c)

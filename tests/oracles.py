@@ -404,6 +404,18 @@ def gauss_weights_rowwise(params, nodes) -> np.ndarray:
     return np.square(np.exp(-unit)) / total
 
 
+def sweep_rowwise(params, n: int, t):
+    """q_{n-1}(t), q_n(t) in units of the last row's scale and 1 / sum_{m<n} q_m(t)^2, one row at a time."""
+    total, unit = 0.0, -0.5 * log_jacobi_norm(params, 0)
+    rows = list(_jacobi_rows(params, n + 1, t))
+    for s, p, log_scale in rows[:n]:
+        if log_scale is not unit:
+            total, unit = total * np.exp(2.0 * (unit - log_scale)), log_scale
+        total = total + (s * p) ** 2
+    (s0, p0, ls0), (s1, p1, ls1) = rows[n - 1], rows[n]  # multiplying by exp(0) = 1 is exact
+    return s0 * p0 * np.exp(ls0 - ls1), s1 * p1, np.square(np.exp(-ls1)) / (total * np.exp(2.0 * (ls0 - ls1)))
+
+
 def project_rowwise(params, rule, F) -> np.ndarray:
     """Orthonormal coefficients sum_k w_k q_m(t_k) F_k, m < len(F), one dot per row."""
     rows = _jacobi_rows(params, F.size, rule.nodes)

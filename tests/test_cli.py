@@ -326,12 +326,24 @@ class TestFourierCommand:
         rows = _rows(read_table(str(out)))
         assert rows[0]["re"] > 0.0 and all(math.isfinite(r["re"]) and math.isfinite(r["im"]) for r in rows)
 
-    def test_half_mode_rejected(self, tmp_path, capsys):
+    def test_half_mode_equals_full(self, tmp_path, capsys):
+        # a half-mode table names the same function as the full-mode one, so
+        # its transform has the same bits; solve still expands f in full mode
         cf = tmp_path / "c.csv"
-        write_table(str(cf), _cols([{"m": 0, "c": 1.0}, {"m": 1, "c": 0.0}]), "csv")
+        write_table(str(cf), _cols([{"m": m, "c": 0.5**m} for m in range(6)]), "csv")
+        tables = []
+        for mode in ("full", "half"):
+            out = tmp_path / f"{mode}.csv"
+            code = run(
+                "ft", "--in", str(cf), "--alpha", "2", "--beta", "2",
+                "--mode", mode, "--points", "0,1,10", "--out", str(out),
+            )
+            assert code == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
         code = run(
-            "ft", "--in", str(cf), "--alpha", "0.5", "--beta", "0.5",
-            "--mode", "half", "--points", "0", "--out", str(tmp_path / "o.csv"),
+            "solve", "--alpha", "2", "--beta", "2", "--mode", "half", "--n", "16",
+            "--a-fn", "sech", "--f-fn", "sech", "--bandwidth", "2",
         )
         assert code == 2
         assert "full-mode" in capsys.readouterr().err

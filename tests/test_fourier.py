@@ -359,8 +359,11 @@ class TestFourierTransform:
         with pytest.raises(TypeError):
             fourier_transform(e, [0.0], count=5)
 
-    def test_half_mode_rejected(self):
-        spec = BasisSpec(JacobiParams(0.5, 0.5), "half")
-        e = Expansion(spec, [1.0, 0.0])
-        with pytest.raises(ValueError, match="full-mode"):
-            fourier_transform(e, [0.0])
+    @pytest.mark.parametrize("a", [0.5, 2.0, -0.9])
+    def test_half_mode_equals_full(self, a):
+        # the half-mode functions are the full-mode ones of the (a, a) pair
+        c = np.random.default_rng(17).standard_normal(40)
+        xi = np.array([0.0, 0.3, -1.0, 10.0, 1e3])
+        half = fourier_transform(Expansion(BasisSpec(JacobiParams(a, a), "half"), c), xi)
+        full = fourier_transform(Expansion(BasisSpec(JacobiParams(a, a), "full"), c), xi)
+        assert half.tobytes() == full.tobytes()

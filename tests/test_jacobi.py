@@ -20,7 +20,7 @@ from tanhspec import (
     phi_half,
 )
 from tanhspec import jacobi as jacobi_mod
-from tanhspec.jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks
+from tanhspec.jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks, project
 from tanhspec.special import log_jacobi_norm
 
 from oracles import (
@@ -37,6 +37,7 @@ from oracles import (
     orthonormal_mp,
     phi_full_direct,
     recurrence_coefficients,
+    sweep_rowwise,
 )
 
 def _blocks(p, count, t):
@@ -170,6 +171,30 @@ class TestOrthonormalRecurrence:
             assert np.max(np.abs(rows[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
             want = forward_sum(B[i], e[i], c[:, i], t[i], log0[i])
             assert np.max(np.abs(sums[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_project_is_the_transpose_of_forward_sum(self):
+        # c . project(W) = W . forward_sum(c), relative to the size of the terms
+        # of W . forward_sum(c): two Jacobi pairs as groups, and the
+        # Fourier-side recurrence at |xi| ~ 1e30, whose rows rescale, each
+        # point started at about minus the log of its last row
+        rng = np.random.default_rng(13)
+        pairs = [JacobiParams(1.3, -0.5), JacobiParams(-0.999, 3.0)]
+        t = np.stack([np.linspace(-0.999, 0.999, 41), np.cos(np.linspace(0.01, 3.13, 41))])
+        B, e = (np.stack(rows) for rows in zip(*(jacobi_matrix(p, 150) for p in pairs)))
+        log0 = np.array([[-0.5 * log_jacobi_norm(p, 0)] for p in pairs])
+        b = couplings(JacobiParams(1.3, 0.2), 200)
+        xi = np.array([1e30, -3e29, 2.5])
+        log_xi = -np.sum(np.log1p(np.abs(xi)[:, None] / b[:-1]), axis=1)
+        rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(np.zeros(200), b, 200, xi, log_xi)]
+        assert any(rescaled)
+        for B, e, points, log_start, shape in ((B, e, t, log0, (3, 2)), (np.zeros(200), b, xi, log_xi, (3,))):
+            W = rng.standard_normal(shape + points.shape[-1:])
+            c = rng.standard_normal(shape + B.shape[-1:])
+            terms = W * forward_sum(B, e, c, points, log_start)
+            lhs = np.sum(c * project(B, e, W, points, log_start), axis=-1)
+            size = np.sum(np.abs(terms), axis=-1)
+            assert np.all(np.isfinite(size)) and np.all(size > 0.0)
+            assert np.max(np.abs(lhs - np.sum(terms, axis=-1)) / size) <= 1e-13
 
     def test_rows_past_the_float_range(self):
         # the Fourier-side recurrence (B = 0, e = b_m) at |xi| ~ 1e30 grows by
@@ -320,6 +345,29 @@ class TestGaussJacobi:
             want = gauss_weights_rowwise(p, rule.nodes)
             assert np.max(np.abs(rule.weights - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (80.0, 80.0)])
+    def test_sweep_matches_rowwise(self, a, b):
+        # q_{n-1}, q_n exactly (the sum that picks them out adds a -0 to +0,
+        # as at the odd q_n(0) of a symmetric pair) and the weights to the
+        # reordering of the blocked sum, for every n whose row q_n lands in the
+        # first, second-to-last or last slot of one of the first three blocks;
+        # at (80, 80) the points next to t = +-1 rescale their rows
+        p = JacobiParams(a, b)
+        t = np.array([-0.9999, -0.999, -0.5, 0.0, 0.3, 0.999, 0.9999])
+        checked = set()
+        for n in range(1, 200):
+            B, e = jacobi_matrix(p, n + 1)
+            g = jacobi_mod._factors(B[None], e[None], n + 1, t[None])[1][:, 0::2]
+            k = jacobi_mod._blocking(g, B[None, :n], t[None])[0]
+            if n % k not in (0, k - 2, k - 1) or n >= 3 * k:
+                continue
+            checked.add(n % k)
+            q_prev, q_n, w, _ = jacobi_mod._sweep(p, n, t)
+            want = sweep_rowwise(p, n, t)
+            assert np.array_equal(q_prev, want[0]) and np.array_equal(q_n, want[1]), n
+            assert np.max(np.abs(w / want[2] - 1.0)) <= 1e-14, n
+        assert len(checked) == 3
+
     def test_cold_rule_memory(self):
         # n = 4096: the block buffer is 9 x 32 KiB; an n x n table would be 128 MiB
         p = JacobiParams(1.3, 0.2)
@@ -389,6 +437,17 @@ class TestGaussJacobi:
         monkeypatch.setattr(jacobi_mod, "_MAX_BRACKETED_SWEEPS", 1)
         with pytest.raises(RuntimeError, match="failed after 1 bracketed sweeps"):
             gauss_jacobi(JacobiParams(80.0, 80.0), 64)
+
+    @pytest.mark.parametrize("a,b,n", [(0.0, 1500.0, 4), (1e5, 0.0, 8)])
+    def test_weights_past_the_top_of_the_float_range_raise(self, a, b, n, monkeypatch):
+        # the bracketed rule finishes well within its budget; only its weights,
+        # which sum to 2^(a+b+1) B(a+1, b+1) > 1.8e308, fail
+        sweeps = []
+        sweep = jacobi_mod._newton_sweep
+        monkeypatch.setattr(jacobi_mod, "_newton_sweep", lambda *args: sweeps.append(args[-1]) or sweep(*args))
+        with pytest.raises(RuntimeError, match=r"has weights past the float range \(sum e\^"):
+            gauss_jacobi(JacobiParams(a, b), n)
+        assert 0 < sum(bracket is not None for bracket in sweeps) < jacobi_mod._MAX_BRACKETED_SWEEPS
 
     @pytest.mark.parametrize("a,b,sizes", DOMAIN_MAP, ids=[f"{a}-{b}-n{','.join(map(str, n))}" for a, b, n in DOMAIN_MAP])
     def test_domain_map_without_scipy(self, a, b, sizes, monkeypatch):

@@ -382,11 +382,17 @@ class TestSolveFirstOrder:
         with pytest.raises(ValueError, match="DiffOp is for"):
             solve_first_order(d, mult_op([1.0], 0, 16), rhs, 16)
 
-    def test_half_mode_rhs_rejected(self):
+    def test_half_mode_rhs_equals_full(self):
+        # a half-mode right-hand side names the same function as the full-mode
+        # one: the same solution bits and residual, in the spec it came in
         d = diff_coeffs(T_PAIR, 20)
-        rhs = Expansion(BasisSpec(T_PAIR, "half"), np.ones(16))
-        with pytest.raises(ValueError, match="full-mode"):
-            solve_first_order(d, mult_op([1.0], 0, 16), rhs, 16)
+        mo = mult_op([1.0, 0.3], 1, 16)
+        c = 0.5 ** np.arange(16)
+        half = solve_first_order(d, mo, Expansion(BasisSpec(T_PAIR, "half"), c), 16)
+        full = solve_first_order(d, mo, Expansion(T_SPEC, c), 16)
+        assert half.expansion.coeffs.tobytes() == full.expansion.coeffs.tobytes()
+        assert half.residual == full.residual
+        assert half.expansion.spec.mode == "half"
 
     def test_manufactured_solution(self):
         # u = sech^{1/2} x tanh x, a = 1, f = u' + u; u is exactly
