@@ -11,10 +11,11 @@ quadrature projections of transforms (project), reduce a block with one
 product.  Gauss-Jacobi rules come from the same kernel: Newton's method in
 theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
 about two sweeps, and the sweep that finishes a node gives its weight.
-When that rule fails its certificate, the same sweeps run inside per-node
-brackets from Sturm counts of sign changes in the rows, and bisect where a
-Newton step would leave its bracket; a bracketed rule that fails its
-certificate raises RuntimeError naming the cause.  The quadrature rules
+Where Newton fails (an angle leaves (0, pi), a node stays unfinished, or the
+nodes come out of order), the same loop switches per-node brackets on: it
+starts again, and its sweeps take Sturm counts of sign changes in the rows
+and bisect where a Newton step would leave its bracket; a bracketed rule
+that fails raises RuntimeError naming the cause.  The quadrature rules
 double as the slow, fully general transform path and the fast paths' oracle.
 """
 
@@ -201,9 +202,10 @@ def project(B: np.ndarray, e: np.ndarray, values: np.ndarray, points, log_start)
 
 #: A Newton node is finished in the sweep whose step would move t by at most this.
 _STEP_TOL = 4e-16
-#: Sweeps after which a Newton rule with unfinished nodes fails its certificate.
+#: Newton sweeps after which unfinished nodes switch the brackets on.
 _MAX_SWEEPS = 8
-#: The same for a bracketed rule: bisection alone narrows any bracket to _STEP_TOL or one ulp in 53 sweeps.
+#: Bracketed sweeps, counted from the switch, after which unfinished nodes raise: bisection alone narrows any
+#: bracket to _STEP_TOL or one ulp in 53 sweeps.
 _MAX_BRACKETED_SWEEPS = 64
 
 
@@ -243,8 +245,9 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
     A bracket (top, bot) holds the largest and smallest angle seen with c
     nodes above it at top[c], bot[c]: node k lies between max top[:k+1] and
     min bot[k+1:], alone once counts k and k+1 are seen.  A step that would
-    leave the bracket, or any from outside it or in a bracket with other
-    nodes, bisects it; a node finishes once alone in it with a small step,
+    leave the bracket by more than 2 _STEP_TOL in t (a bracket end can be the
+    root itself), or any from outside it or in a bracket with other nodes,
+    bisects it; a node finishes once alone in it with a small step,
     or in a bracket narrower than _STEP_TOL or too narrow to halve (near
     theta = 2 the cosines of adjacent floats can differ by more than that).
     """
@@ -272,83 +275,74 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
         np.minimum.at(bot, count, th)
         lo, hi = np.maximum.accumulate(top)[active], np.minimum.accumulate(bot[::-1])[::-1][active + 1]
         alone = np.isfinite(top[active]) & np.isfinite(top[active + 1]) & (lo <= th) & (th <= hi)
-        new = th + step
+        new, slack = th + step, 2.0 * _STEP_TOL / sin_t
         done = alone & done | (np.cos(lo) - np.cos(hi) <= _STEP_TOL) | (np.nextafter(lo, hi) >= hi)
-        step = np.where(alone & (lo < new) & (new < hi), step, 0.5 * (lo + hi) - th)
+        step = np.where(alone & (lo - slack < new) & (new < hi + slack), step, 0.5 * (lo + hi) - th)
     weights[active[done]] = w[done]
     theta[active[~done]] += step[~done]
     return active[~done]
 
 
-def _newton(params: JacobiParams, n: int, bracketed: bool = False) -> QuadratureRule | None:
-    """The n-point rule by Newton's method in theta = arccos t, or None if it fails its certificate.
-
-    The angles start from Gatteschi-Pittaluga and only unfinished nodes are
-    swept again (_newton_sweep).  The certificate: every node finished
-    within _MAX_SWEEPS sweeps, angles inside (0, pi) before each sweep,
-    nodes strictly increasing inside (-1, 1), weights finite and positive.
-    Bracketed: angles clipped to [0, pi] at the start, steps kept in Sturm
-    brackets, _MAX_BRACKETED_SWEEPS sweeps, underflowed 0 weights pass, and
-    a failed certificate raises RuntimeError naming the failed item.
-    """
+def _start_angles(params: JacobiParams, n: int) -> np.ndarray:
+    """Gatteschi-Pittaluga's asymptotic angles of the n-point rule's nodes, increasing; poor at large a, b."""
     a, b = params.alpha, params.beta
     rho = n + 0.5 * (a + b + 1.0)
     theta = (np.arange(1, n + 1) + (0.5 * a - 0.25)) * (math.pi / rho)
     tan_h = np.tan(0.5 * theta)
-    theta += ((0.25 - a * a) / tan_h - (0.25 - b * b) * tan_h) / (4.0 * rho * rho)
-    del tan_h  # one O(n) array less through the sweeps, which set the peak memory
-    weights = np.empty(n)
-    active = np.arange(n)
-    bracket = np.full((2, n + 1), [[-np.inf], [np.inf]]) if bracketed else None
-    if bracketed:  # no node lies above theta = 0, all n above pi
-        bracket[:, [0, n]] = 0.0, math.pi
-        np.clip(theta, 0.0, math.pi, out=theta)
-    for _ in range(_MAX_BRACKETED_SWEEPS if bracketed else _MAX_SWEEPS):
-        if not (bracketed or np.all((theta > 0.0) & (theta < math.pi))):
-            return None
-        active = _newton_sweep(params, n, theta, weights, active, bracket)
-        if not active.size:
-            break
-    else:
-        return _failed(params, bracketed, f"failed after {_MAX_BRACKETED_SWEEPS} bracketed sweeps")
-    nodes, weights = np.cos(theta[::-1]), weights[::-1]
-    if not (-1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
-        return _failed(params, bracketed, "has nodes that are not strictly increasing inside (-1, 1)")
-    if not np.all(((weights > 0.0) | bracketed) & np.isfinite(weights)):
-        return _failed(params, bracketed, f"has weights past the float range (sum e^{log_jacobi_norm(params, 0):.6g})")
-    return QuadratureRule(nodes=nodes, weights=weights, params=params)
-
-
-def _failed(params: JacobiParams, bracketed: bool, cause: str) -> None:
-    """None for a failed Newton rule, which the bracketed sweeps then replace; a failed bracketed rule raises."""
-    if bracketed:
-        raise RuntimeError(f"Gauss-Jacobi rule at {params} {cause}")
+    return theta + ((0.25 - a * a) / tan_h - (0.25 - b * b) * tan_h) / (4.0 * rho * rho)
 
 
 def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     """n-point Gauss-Jacobi rule: Newton's method on the recurrence kernel, inside Sturm brackets if need be.
 
     Nodes t_k = cos theta_k come from O(n) asymptotic angles polished by
-    Newton sweeps of orthonormal_blocks (see _newton), about two sweeps in
-    all; each weight 1/sum_m q_m(t_k)^2 comes from the sweep that finished
-    its node.  The Newton rule must pass a certificate: every node finished
-    within a fixed number of sweeps, nodes strictly increasing inside
-    (-1, 1), weights finite and positive.  Otherwise (for instance at large
-    a, b, where the asymptotic angles are poor) the same sweeps run again
-    inside per-node brackets from Sturm counts of sign changes, bisecting
-    where a Newton step would leave its bracket: a dozen sweeps or so.  No
-    floating-point error is raised; overflow in the Newton attempt counts as
-    a failed certificate, and weights below the float range underflow to 0.
+    Newton sweeps of orthonormal_blocks (_newton_sweep), about two sweeps in
+    all, each over the nodes not yet finished; each weight 1/sum_m q_m(t_k)^2
+    comes from the sweep that finished its node.  The sweeps run without
+    Sturm counts until the first of: an angle outside (0, pi) before a sweep,
+    a node unfinished after _MAX_SWEEPS sweeps, or finished nodes that are
+    not strictly increasing inside (-1, 1) (for instance at large a, b, where
+    the asymptotic angles are poor).  There the same loop switches brackets
+    on: the angles start again, clipped to [0, pi], every node is active
+    again, and the sweeps count sign changes into per-node brackets,
+    bisecting where a Newton step would leave its bracket, within a budget of
+    _MAX_BRACKETED_SWEEPS counted from the switch: a dozen sweeps or so.  No
+    floating-point error is raised; overflow before the switch only triggers
+    it, and weights below the float range underflow to 0.
 
     Raises
     ------
     RuntimeError
-        If the bracketed rule does not finish within its sweep budget, its
-        nodes are not strictly increasing inside (-1, 1), or its weights pass
+        If the bracketed sweeps do not finish within their budget, their
+        nodes are not strictly increasing inside (-1, 1), or the weights pass
         the top of the float range (their sum, the integral of the weight
         function, does at large a + b); the message names which.
     """
     if n < 1:
         raise ValueError(f"rule size must be positive (got {n})")
     with np.errstate(all="ignore"):
-        return _newton(params, n) or _newton(params, n, bracketed=True)
+        weights, active, bracket, sweeps = np.empty(n), np.arange(n), None, 0
+        theta = _start_angles(params, n)
+        while True:
+            if not active.size:
+                nodes = np.cos(theta[::-1])
+                if -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0):
+                    break
+                cause = "has nodes that are not strictly increasing inside (-1, 1)"
+            elif sweeps == (_MAX_SWEEPS if bracket is None else _MAX_BRACKETED_SWEEPS):
+                cause = f"failed after {_MAX_BRACKETED_SWEEPS} bracketed sweeps"
+            elif bracket is not None or np.all((theta > 0.0) & (theta < math.pi)):
+                active = _newton_sweep(params, n, theta, weights, active, bracket)
+                sweeps += 1
+                continue
+            if bracket is not None:
+                raise RuntimeError(f"Gauss-Jacobi rule at {params} {cause}")
+            # the switch; no node lies above theta = 0, all n above pi
+            bracket = np.full((2, n + 1), [[-np.inf], [np.inf]])
+            bracket[:, [0, n]] = 0.0, math.pi
+            theta, active, sweeps = np.clip(_start_angles(params, n), 0.0, math.pi), np.arange(n), 0
+        weights = weights[::-1]
+        if not np.all((weights >= 0.0) & np.isfinite(weights)):
+            raise RuntimeError(f"Gauss-Jacobi rule at {params} has weights past the float range "
+                               f"(sum e^{log_jacobi_norm(params, 0):.6g})")
+    return QuadratureRule(nodes=nodes, weights=weights, params=params)

@@ -45,6 +45,18 @@ def _blocks(p, count, t):
     return orthonormal_blocks(*jacobi_matrix(p, count), count, t, -0.5 * log_jacobi_norm(p, 0))
 
 
+def _sweep_kinds(monkeypatch):
+    """Wrap jacobi._sweep; the list returned gets, per sweep, whether it took Sturm counts (a bracketed sweep)."""
+    kinds, sweep = [], jacobi_mod._sweep
+
+    def wrapped(params, n, t, count=False):
+        kinds.append(count)
+        return sweep(params, n, t, count)
+
+    monkeypatch.setattr(jacobi_mod, "_sweep", wrapped)
+    return kinds
+
+
 #: The domain map of the Gauss-Jacobi rules: (a, b, sizes), every pair of the values at small n, and at n = 2048
 #: pairs where Newton fails its certificate.
 DOMAIN = (-0.99, 0.0, 2.0, 20.0, 80.0, 1e3)
@@ -381,14 +393,16 @@ class TestGaussJacobi:
         assert peak < 2**20
 
     @pytest.mark.parametrize("a,b", GRID_PAIRS)
-    def test_newton_matches_golub_welsch(self, a, b):
+    def test_newton_matches_golub_welsch(self, a, b, monkeypatch):
         # bounds about ten times the worst error over GRID_PAIRS: 2.9e-15 on
         # the nodes, 0.81 n^2 eps on the weights, which are evaluated at the
-        # rule's own nodes and so move with them by about n^2 times as much
+        # rule's own nodes and so move with them by about n^2 times as much;
+        # no sweep switches the brackets on
         p = JacobiParams(a, b)
+        kinds = _sweep_kinds(monkeypatch)
         for n in (1, 2, 7, 64, 300, 2048):
-            rule = jacobi_mod._newton(p, n)
-            assert rule is not None, n
+            rule = gauss_jacobi(p, n)
+            assert not any(kinds), n
             want = golub_welsch(p, n)
             assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14, n
             assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps, n
@@ -409,34 +423,67 @@ class TestGaussJacobi:
             gauss_jacobi(JacobiParams(a, b), n)
             assert len(sizes) == 2 and sizes[0] == n, (n, sizes)
 
-    def test_fallback_takes_golub_welsch(self):
+    def test_fallback_takes_golub_welsch(self, monkeypatch):
         # at (80, 80) the asymptotic angles are too far off for Newton; the
         # bracketed sweeps land on the Golub-Welsch rule at the bounds of
         # test_newton_matches_golub_welsch
         p = JacobiParams(80.0, 80.0)
-        assert jacobi_mod._newton(p, 64) is None
+        kinds = _sweep_kinds(monkeypatch)
         rule, want = gauss_jacobi(p, 64), golub_welsch(p, 64)
+        assert any(kinds)
         assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
         assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * 64 * 64 * np.finfo(float).eps
 
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, -0.5), (0.0, 0.5)])
-    def test_bracket_of_adjacent_floats_finishes(self, a, b):
+    def test_bracket_of_adjacent_floats_finishes(self, a, b, monkeypatch):
         # near theta = 2 one node's bracket closes to two adjacent angles whose
         # cosines still differ by more than the step tolerance; its midpoint
-        # rounds onto an end, so the node finishes there or never
+        # rounds onto an end, so the node finishes there or never.  With
+        # _MAX_SWEEPS = 0 the brackets switch on before the first sweep.
         p, n = JacobiParams(a, b), 2048
-        with np.errstate(all="ignore"):
-            rule = jacobi_mod._newton(p, n, bracketed=True)
-        want = jacobi_mod._newton(p, n)
-        assert rule is not None
+        want = gauss_jacobi(p, n)
+        monkeypatch.setattr(jacobi_mod, "_MAX_SWEEPS", 0)
+        rule = gauss_jacobi(p, n)
         assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
         assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps
 
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, 0.0)])
+    def test_step_onto_a_bracket_end_is_taken(self, a, b, monkeypatch):
+        # a Newton step that lands on its bracket end, which is the root, is
+        # taken, not bisected away from it at one bit per sweep (27 and 28
+        # sweeps when the end was excluded); bounds as in
+        # test_bracket_of_adjacent_floats_finishes
+        p, n = JacobiParams(a, b), 2048
+        want = gauss_jacobi(p, n)
+        monkeypatch.setattr(jacobi_mod, "_MAX_SWEEPS", 0)
+        kinds = _sweep_kinds(monkeypatch)
+        rule = gauss_jacobi(p, n)
+        assert all(kinds) and len(kinds) <= 6, len(kinds)
+        assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
+        assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("a,b,n,plain,counted", [
+        (15.0, 15.0, 256, 6, 7),  # Newton finishes every node, out of order
+        (80.0, 80.0, 16, 8, 10),  # nodes unfinished after _MAX_SWEEPS
+        (20.0, 5.0, 2048, 1, 7),  # an angle leaves (0, pi)
+        (100.0, 0.0, 2048, 1, 9),
+    ])
+    def test_fallback_sweep_counts(self, a, b, n, plain, counted, monkeypatch):
+        # the brackets switch on in the loop at the first failure, and the
+        # counting sweeps start from Gatteschi-Pittaluga: at most as many
+        # sweeps of either kind as these
+        kinds = _sweep_kinds(monkeypatch)
+        gauss_jacobi(JacobiParams(a, b), n)
+        assert kinds == sorted(kinds) and kinds.count(False) <= plain and kinds.count(True) <= counted, kinds
+
     def test_unfinished_bracketed_rule_raises(self, monkeypatch):
-        # one bracketed sweep finishes only some of the (80, 80) nodes
+        # one bracketed sweep finishes only some of the (80, 80) nodes; the
+        # budget counts from the switch, not from the first Newton sweep
         monkeypatch.setattr(jacobi_mod, "_MAX_BRACKETED_SWEEPS", 1)
+        kinds = _sweep_kinds(monkeypatch)
         with pytest.raises(RuntimeError, match="failed after 1 bracketed sweeps"):
             gauss_jacobi(JacobiParams(80.0, 80.0), 64)
+        assert kinds.count(True) == 1
 
     @pytest.mark.parametrize("a,b,n", [(0.0, 1500.0, 4), (1e5, 0.0, 8)])
     def test_weights_past_the_top_of_the_float_range_raise(self, a, b, n, monkeypatch):
