@@ -10,7 +10,8 @@ and fourier, as the sum of a coefficient vector) and their transpose, the
 quadrature projections of transforms (project), reduce a block with one
 product.  Gauss-Jacobi rules come from the same kernel: Newton's method in
 theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
-about two sweeps, and the sweep that finishes a node gives its weight.
+about two sweeps, and the sweep that finishes a node gives its weight; the
+rule keeps the angles, from which the transforms map their nodes.
 Where Newton fails (an angle leaves (0, pi), a node stays unfinished, or the
 nodes come out of order), the same loop switches per-node brackets on: it
 starts again, and its sweeps take Sturm counts of sign changes in the rows
@@ -39,11 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Jacobi nodes/weights for the weight (1-t)^alpha (1+t)^beta."""
+    """Gauss-Jacobi nodes/weights for the weight (1-t)^alpha (1+t)^beta.
+
+    angles are the nodes' theta in (0, pi), decreasing, with nodes == cos(angles).
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     params: JacobiParams
+    angles: np.ndarray
 
 
 def couplings(params: JacobiParams, count: int) -> np.ndarray:
@@ -298,13 +303,14 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     Nodes t_k = cos theta_k come from O(n) asymptotic angles polished by
     Newton sweeps of orthonormal_blocks (_newton_sweep), about two sweeps in
     all, each over the nodes not yet finished; each weight 1/sum_m q_m(t_k)^2
-    comes from the sweep that finished its node.  The sweeps run without
-    Sturm counts until the first of: an angle outside (0, pi) before a sweep,
-    a node unfinished after _MAX_SWEEPS sweeps, or finished nodes that are
-    not strictly increasing inside (-1, 1) (for instance at large a, b, where
-    the asymptotic angles are poor).  There the same loop switches brackets
-    on: the angles start again, clipped to [0, pi], every node is active
-    again, and the sweeps count sign changes into per-node brackets,
+    comes from the sweep that finished its node, and the rule's angles are the
+    theta_k (decreasing, with nodes == cos(angles) bitwise).  The sweeps run
+    without Sturm counts until the first of: an angle outside (0, pi) before a
+    sweep, a node unfinished after _MAX_SWEEPS sweeps, or finished nodes that
+    are not strictly increasing inside (-1, 1) (for instance at large a, b,
+    where the asymptotic angles are poor).  There the same loop switches
+    brackets on: the angles start again, clipped to [0, pi], every node is
+    active again, and the sweeps count sign changes into per-node brackets,
     bisecting where a Newton step would leave its bracket, within a budget of
     _MAX_BRACKETED_SWEEPS counted from the switch: a dozen sweeps or so.  No
     floating-point error is raised; overflow before the switch only triggers
@@ -325,6 +331,8 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
         theta = _start_angles(params, n)
         while True:
             if not active.size:
+                # the certificate is on t, not theta: the rows run in t, so distinct angles whose cosines
+                # round onto one node, or onto t = +-1 where the weight is singular, make no rule
                 nodes = np.cos(theta[::-1])
                 if -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0):
                     break
@@ -345,4 +353,4 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
         if not np.all((weights >= 0.0) & np.isfinite(weights)):
             raise RuntimeError(f"Gauss-Jacobi rule at {params} has weights past the float range "
                                f"(sum e^{log_jacobi_norm(params, 0):.6g})")
-    return QuadratureRule(nodes=nodes, weights=weights, params=params)
+    return QuadratureRule(nodes=nodes, weights=weights, params=params, angles=theta[::-1])

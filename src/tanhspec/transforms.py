@@ -7,9 +7,11 @@ O(N log N); every other parameter pair goes through an N-point
 Gauss-Jacobi rule in O(N^2), one jacobi.project of the weighted samples
 (one matrix-vector product per block of the recurrence kernel).  The rule
 itself is a few sweeps of the same kernel (Newton's method,
-jacobi.gauss_jacobi), cached per (params, mode, N).  Both routes approximate the
-same integrals (quadrature semantics, no endpoint samples), so they agree
-to rounding on band-limited inputs and converge together otherwise.
+jacobi.gauss_jacobi), cached per (params, mode, N).  Both node sets, the
+grid and a rule, are built from their angles theta by one helper.  Both
+routes approximate the same integrals (quadrature semantics, no endpoint
+samples), so they agree to rounding on band-limited inputs and converge
+together otherwise.
 """
 
 import math
@@ -114,51 +116,42 @@ class SampleGrid:
 
 
 class _Nodes(NamedTuple):
-    """Sample nodes of one transform: the fast Chebyshev grid or a Gauss-Jacobi rule.
-
-    The grid carries theta and the kernel premultipliers, a rule its weights.
-    """
+    """Sample nodes of one transform, the fast Chebyshev grid or a Gauss-Jacobi rule (_node_set)."""
 
     x: np.ndarray
-    one_minus: np.ndarray  # 1 - t
-    one_plus: np.ndarray  # 1 + t
-    theta: np.ndarray | None = None
-    pre: dict | None = None
+    sin_h: np.ndarray  # sin(theta / 2)
+    cos_h: np.ndarray  # cos(theta / 2)
+    theta: np.ndarray
     rule: QuadratureRule | None = None
 
 
-def _to_x(mode: str, t: np.ndarray) -> np.ndarray:
-    # full: t = tanh x; half: t = 1 - 2 sech^2 x, sampled on x > 0
-    return np.arctanh(t) if mode == "full" else np.arctanh(np.sqrt(0.5 * (1.0 + t)))
+def _node_set(mode: str, theta: np.ndarray, rule: QuadratureRule | None = None) -> _Nodes:
+    """The node set of the angles theta in (0, pi), read-only: every caller of the caches shares it.
 
-
-def _read_only(nodes: _Nodes) -> _Nodes:
-    """Mark every array of a cached node set read-only: all callers share it."""
-    arrays = [nodes.x, nodes.one_minus, nodes.one_plus, nodes.theta, *(nodes.pre or {}).values()]
-    if nodes.rule is not None:
-        arrays += [nodes.rule.nodes, nodes.rule.weights]
-    for a in arrays:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
+    With t = cos theta, full: tanh x = t, so x = asinh(cot theta); half:
+    tanh x = sqrt((1 + t) / 2), so x = asinh(cot(theta / 2)) > 0.  Both, and
+    1 - t = 2 sin_h^2, 1 + t = 2 cos_h^2, hold to rounding at every node,
+    where arctanh(t) and 1 -+ t lose digits next to t = +-1.
+    """
+    sin_h, cos_h = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    x = np.arcsinh(np.cos(theta) / np.sin(theta) if mode == "full" else cos_h / sin_h)
+    nodes = _Nodes(x, sin_h, cos_h, theta, rule)
+    for a in (x, sin_h, cos_h, theta, *((rule.nodes, rule.weights) if rule else ())):
+        a.flags.writeable = False
     return nodes
 
 
 @lru_cache(maxsize=64)
 def _grid(mode: str, n: int) -> _Nodes:
-    theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
-    sin_h, cos_h = np.sin(0.5 * theta), np.cos(0.5 * theta)
-    # (1-t) = 2 sin^2(theta/2), (1+t) = 2 cos^2(theta/2): no endpoint cancellation
-    pre = {"1": 1.0, "sin_h": sin_h, "cos_h": cos_h, "sin_t": np.sin(theta)}
-    return _read_only(_Nodes(_to_x(mode, np.cos(theta)), 2.0 * sin_h**2, 2.0 * cos_h**2, theta, pre))
+    return _node_set(mode, (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n))
 
 
 @lru_cache(maxsize=16)
 def _rule_nodes(params: JacobiParams, mode: str, n: int) -> _Nodes:
     # one O(n^2) Gauss-Jacobi rule serves every function expanded at this
-    # (params, mode, n); an entry holds five length-n arrays (40 n bytes)
+    # (params, mode, n); an entry holds six length-n arrays (48 n bytes)
     rule = gauss_jacobi(params, n)
-    t = rule.nodes
-    return _read_only(_Nodes(_to_x(mode, t), 1.0 - t, 1.0 + t, rule=rule))
+    return _node_set(mode, rule.angles, rule)
 
 
 def sample_grid(mode: str, n: int) -> SampleGrid:
@@ -192,20 +185,17 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _is_half_integer_pair(params: JacobiParams) -> bool:
-    return abs(params.alpha) == 0.5 and abs(params.beta) == 0.5
-
-
-#: (a, b) -> (kind, premultiplier, scale of c_0, scale, halve top): the
-#: orthonormal (a, b) coefficients of F on the N-point grid are
-#: (pi/N) scale * kind(F * premultiplier), with c_0 scaled separately.
+#: (a, b) -> (kind, scale of c_0, scale, halve top): the orthonormal (a, b)
+#: coefficients of F on the N-point grid are (pi/N) scale * kind(F u), u the
+#: premultiplier sin(theta/2)^(a+1/2) cos(theta/2)^(b+1/2), with c_0 scaled
+#: separately.
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _KERNEL_TABLE = {
-    (-0.5, -0.5): ("DCT-II", "1", 1.0 / _SQRT_PI, _SQRT_2_OVER_PI, False),
-    (0.5, 0.5): ("DST-II", "sin_t", _SQRT_2_OVER_PI, _SQRT_2_OVER_PI, True),
-    (0.5, -0.5): ("DST-IV", "sin_h", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
-    (-0.5, 0.5): ("DCT-IV", "cos_h", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
+    (-0.5, -0.5): ("DCT-II", 1.0 / _SQRT_PI, _SQRT_2_OVER_PI, False),
+    (0.5, 0.5): ("DST-II", 2.0 * _SQRT_2_OVER_PI, 2.0 * _SQRT_2_OVER_PI, True),
+    (0.5, -0.5): ("DST-IV", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
+    (-0.5, 0.5): ("DCT-IV", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
 }
 
 
@@ -213,7 +203,7 @@ def _modified(params: JacobiParams, mode: str, nodes: _Nodes, fx: np.ndarray) ->
     """F = fx / [(1-t)^{(a+1)/2} (1+t)^{(b+1)/2}] in full mode; the half-range
     map contributes one factor (1+t)^{1/4} less."""
     lift = 0.5 * (params.beta + 1.0) if mode == "full" else 0.5 * (params.beta + 0.5)
-    return fx / (nodes.one_minus ** (0.5 * (params.alpha + 1.0)) * nodes.one_plus**lift)
+    return fx / ((2.0 * nodes.sin_h**2) ** (0.5 * (params.alpha + 1.0)) * (2.0 * nodes.cos_h**2) ** lift)
 
 
 def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
@@ -221,8 +211,8 @@ def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
     if nodes.rule is not None:  # sum_k w_k F_k q_m(t_k)
         B, e = jacobi_matrix(params, F.size)
         return project(B, e, nodes.rule.weights * F, nodes.rule.nodes, -0.5 * log_jacobi_norm(params, 0))
-    kind, pre, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
-    y = dct(kind, F * nodes.pre[pre])
+    kind, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
+    y = dct(kind, F * nodes.sin_h ** (params.alpha + 0.5) * nodes.cos_h ** (params.beta + 0.5))
     if halve_top:
         # the m = N-1 integrand contains cos(2N theta), the one frequency the
         # first-kind midpoint rule aliases (onto the constant, doubling the
@@ -247,7 +237,7 @@ def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
         raise ValueError(f"coefficient count must be positive (got {n})")
     if method not in ("auto", "fast", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    fast = _is_half_integer_pair(spec.params)
+    fast = (spec.params.alpha, spec.params.beta) in _KERNEL_TABLE
     if method == "fast" and not fast:
         raise ValueError("fast path requires alpha, beta in {-1/2, +1/2}")
     if method == "quadrature":

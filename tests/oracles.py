@@ -585,7 +585,7 @@ def golub_welsch(params, n: int):
     nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
     with np.errstate(over="ignore"):
         weights = gauss_weights_rowwise(params, nodes)
-    return QuadratureRule(nodes=nodes, weights=weights, params=params)
+    return QuadratureRule(nodes=nodes, weights=weights, params=params, angles=np.arccos(nodes))
 
 
 def barycentric_rowwise(x_samples, values, blend: int = 3):

@@ -62,6 +62,14 @@ class TestExpand:
         assert code == 0
         assert np.all(np.isfinite(read_coefficients(str(out))))
 
+    def test_half_mode_next_to_minus_one(self, tmp_path, capsys):
+        # the rule nodes next to t = 1 have angles below 1e-8, where the
+        # half-range map through t was infinite
+        a = repr(math.nextafter(-1.0, 0.0))
+        code, out = _expand_sech(tmp_path, mode="half", alpha=a, beta=a)
+        assert code == 0, capsys.readouterr().err
+        assert np.all(np.isfinite(read_coefficients(str(out))))
+
     def test_alpha_domain_error(self, tmp_path, capsys):
         code, _ = _expand_sech(tmp_path, alpha="-1.0")
         assert code == 2

@@ -300,6 +300,12 @@ class TestChebyshevEval:
                     assert math.isclose(lhs, rhs, rel_tol=1e-11, abs_tol=1e-11)
 
 
+def _assert_angles_give_nodes(rule):
+    """A rule's angles strictly decrease inside (0, pi), and their cosines are its nodes bitwise."""
+    assert np.cos(rule.angles).tobytes() == rule.nodes.tobytes()
+    assert np.all(np.diff(rule.angles) < 0.0) and 0.0 < rule.angles[-1] and rule.angles[0] < math.pi
+
+
 class TestGaussJacobi:
     def test_chebyshev_rule_closed_form(self):
         rule = gauss_jacobi(JacobiParams(-0.5, -0.5), 4)
@@ -335,6 +341,7 @@ class TestGaussJacobi:
             rule = gauss_jacobi(p, n)
             assert np.all(np.diff(rule.nodes) > 0.0)
             assert np.all(rule.nodes > -1.0) and np.all(rule.nodes < 1.0)
+            _assert_angles_give_nodes(rule)
             assert np.all(rule.weights > 0.0)
             assert math.isclose(float(rule.weights.sum()), jacobi_norm(p, 0), rel_tol=1e-12)
 
@@ -513,6 +520,7 @@ class TestGaussJacobi:
             want = golub_welsch(p, n)
             bound = 8.0 * n * n * np.finfo(float).eps
             assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14, n
+            _assert_angles_give_nodes(rule)
             assert np.all(rule.weights >= 0.0) and np.all(np.isfinite(rule.weights)), n
             normal = want.weights >= np.finfo(float).tiny
             if np.max(np.abs(rule.weights[normal] / want.weights[normal] - 1.0)) > bound:

@@ -81,7 +81,7 @@ def test_cached_rule_equals_fresh_rule(params, mode, n):
     fresh = gauss_jacobi(params, n)
     assert cached.rule.nodes.tobytes() == fresh.nodes.tobytes()
     assert cached.rule.weights.tobytes() == fresh.weights.tobytes()
-    assert cached.x.tobytes() == transforms_mod._to_x(mode, fresh.nodes).tobytes()
+    assert cached.x.tobytes() == transforms_mod._node_set(mode, fresh.angles).x.tobytes()
     assert transforms_mod._rule_nodes(params, mode, n) is cached
 
 

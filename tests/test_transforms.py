@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,7 +96,34 @@ class TestTrigKernels:
             dct(kind, [1.0, 2.0])
 
 
+def _assert_x_within_two_ulp(mode, theta, x):
+    """x at the float angles theta within 2 ulp of 40-digit asinh(cot theta) (full) or asinh(cot(theta/2)) (half)."""
+    with mpmath.workdps(40):
+        div = 1 if mode == "full" else 2
+        want = np.array([float(mpmath.asinh(mpmath.cot(mpmath.mpf(float(th)) / div))) for th in theta])
+    assert np.all(np.abs(x - want) <= 2.0 * np.spacing(np.abs(want))), np.max(np.abs(x / want - 1.0))
+
+
 class TestSampleGrid:
+    @pytest.mark.parametrize("mode", ["full", "half"])
+    @pytest.mark.parametrize("n", [2**10 + 1, 2**14, 2**20])
+    def test_map_to_x_within_two_ulp(self, mode, n):
+        # next to both ends and in the middle (x = 0 at the odd grid's middle
+        # node in full mode); through t = cos theta the end nodes lost up to
+        # 2.3e-5 relative at n = 2^20
+        g = sample_grid(mode, n)
+        try:
+            at = [0, 1, 2, n // 2 - 2, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 2, n - 1]
+            _assert_x_within_two_ulp(mode, g.theta[at], g.x[at])
+        finally:
+            transforms_mod._grid.cache_clear()  # a 2^20 grid holds 32 MB
+
+    def test_rule_map_next_to_one(self):
+        # the last node of this rule lies 2e-9 from t = 1; through t its x lost
+        # 5.5e-9 relative
+        nodes = transforms_mod._rule_nodes(JacobiParams(-0.999999, -0.5), "half", 32)
+        _assert_x_within_two_ulp("half", nodes.theta[-3:], nodes.x[-3:])
+
     def test_full_map(self):
         g = sample_grid("full", 8)
         assert np.all(np.diff(g.theta) > 0)
@@ -255,6 +283,14 @@ class TestRoundTripAndParseval:
             back = analyze_full(spec, lambda x: synthesize(e, x), n)
             assert np.max(np.abs(back.coeffs - e.coeffs)) <= 1e-11
 
+    def test_fast_roundtrip_at_4096(self):
+        # the end nodes' x comes from their angles; through t = cos theta this
+        # round trip erred 1.4e-13
+        spec = _full(-0.5, -0.5)
+        e = _random_bandlimited(spec, 2048, np.random.default_rng(4096), decay=0.9)
+        back = analyze_full(spec, lambda x: synthesize(e, x), 4096).coeffs
+        assert np.max(np.abs(back - np.pad(e.coeffs, (0, 2048)))) <= 1e-14
+
     def test_parseval(self):
         # band-limited synthesis: sum c_m^2 equals the weighted integral of f^2
         spec = _full(0.5, 0.5)
@@ -381,7 +417,6 @@ class TestNodeCaches:
         assert analyze_full(spec, f, 16).coeffs.tobytes() == before.tobytes()
         grid = transforms_mod._grid("full", 16)
         rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), "full", 16)
-        arrays = [*grid[:4], *(v for v in grid.pre.values() if isinstance(v, np.ndarray)),
-                  *rule[:3], rule.rule.nodes, rule.rule.weights]
-        assert len(arrays) == 12
+        arrays = [*grid[:4], *rule[:4], rule.rule.nodes, rule.rule.weights, rule.rule.angles]
+        assert len(arrays) == 11
         assert not any(a.flags.writeable for a in arrays)
