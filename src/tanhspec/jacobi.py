@@ -10,8 +10,9 @@ and fourier, as the sum of a coefficient vector) and their transpose, the
 quadrature projections of transforms (project), reduce a block with one
 product.  Gauss-Jacobi rules come from the same kernel: Newton's method in
 theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
-about two sweeps, and the sweep that finishes a node gives its weight; the
-rule keeps the angles, from which the transforms map their nodes.
+about two sweeps, and the sweep that finishes a node gives its weight as a
+log, finite for every a, b; the rule keeps the angles, from which the
+transforms map their nodes.
 Where Newton fails (an angle leaves (0, pi), a node stays unfinished, or the
 nodes come out of order), the same loop switches per-node brackets on: it
 starts again, and its sweeps take Sturm counts of sign changes in the rows
@@ -40,15 +41,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Jacobi nodes/weights for the weight (1-t)^alpha (1+t)^beta.
+    """Gauss-Jacobi nodes and log weights ln w_k for the weight (1-t)^alpha (1+t)^beta.
 
     angles are the nodes' theta in (0, pi), decreasing, with nodes == cos(angles).
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
+    log_weights: np.ndarray
     params: JacobiParams
     angles: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:  # exp(log_weights): inf or 0 where a weight leaves the float range
+        return np.exp(self.log_weights)
 
 
 def couplings(params: JacobiParams, count: int) -> np.ndarray:
@@ -215,9 +220,9 @@ _MAX_BRACKETED_SWEEPS = 64
 
 
 def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
-    """q_{n-1}(t), q_n(t) in units of one scale per point, weights exp(-log scale)^2 / sum_{m<n} p_m(t)^2
-    = 1 / sum q_m^2 from one orthonormal_blocks pass, which no overflow of sum q_m^2 reaches, and if count the
-    sign changes in p_0(t), ..., p_n(t), the nodes above t (Sturm: s_m > 0, rescales are powers of 2), else 0."""
+    """q_{n-1}(t), q_n(t) in units of one scale per point, log weights -2 log scale - ln sum_{m<n} p_m(t)^2
+    = -ln sum q_m^2 from one orthonormal_blocks pass, finite where sum q_m^2 is not, and if count the sign
+    changes in p_0(t), ..., p_n(t), the nodes above t (Sturm: s_m > 0, rescales are powers of 2), else 0."""
     unit = -0.5 * log_jacobi_norm(params, 0)
     total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
     pick = np.eye(2, n + 1, n - 1)  # the rows of q_{n-1} and q_n
@@ -233,10 +238,10 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
             s, P = s[: n - lo], P[: n - lo]
         total += (s * s) @ np.square(P, out=P)
         lo += len(s)
-    return *last, np.square(np.exp(-unit)) / total, changes
+    return *last, -2.0 * unit - np.log(total), changes
 
 
-def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.ndarray,
+def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: np.ndarray,
                   active: np.ndarray, bracket=None) -> np.ndarray:
     """One Newton sweep at theta[active], in place; returns the nodes still active.
 
@@ -244,8 +249,8 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
     q_n(cos theta), which solves u'' + Q u = 0 (Szego 4.24.2); since u'' = 0
     at a node, the factor 1 - Q d^2/3 removes the leading error Q d^3/3 of
     the plain step d.  A node whose step would move t by at most _STEP_TOL
-    is finished: it keeps the angle it was evaluated at and takes its weight
-    1/sum_{m<n} q_m^2 from this sweep.
+    is finished: it keeps the angle it was evaluated at and takes its log
+    weight -ln sum_{m<n} q_m^2 from this sweep.
 
     A bracket (top, bot) holds the largest and smallest angle seen with c
     nodes above it at top[c], bot[c]: node k lies between max top[:k+1] and
@@ -283,7 +288,7 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, weights: np.n
         new, slack = th + step, 2.0 * _STEP_TOL / sin_t
         done = alone & done | (np.cos(lo) - np.cos(hi) <= _STEP_TOL) | (np.nextafter(lo, hi) >= hi)
         step = np.where(alone & (lo - slack < new) & (new < hi + slack), step, 0.5 * (lo + hi) - th)
-    weights[active[done]] = w[done]
+    log_weights[active[done]] = w[done]
     theta[active[~done]] += step[~done]
     return active[~done]
 
@@ -302,45 +307,47 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
 
     Nodes t_k = cos theta_k come from O(n) asymptotic angles polished by
     Newton sweeps of orthonormal_blocks (_newton_sweep), about two sweeps in
-    all, each over the nodes not yet finished; each weight 1/sum_m q_m(t_k)^2
-    comes from the sweep that finished its node, and the rule's angles are the
-    theta_k (decreasing, with nodes == cos(angles) bitwise).  The sweeps run
-    without Sturm counts until the first of: an angle outside (0, pi) before a
-    sweep, a node unfinished after _MAX_SWEEPS sweeps, or finished nodes that
-    are not strictly increasing inside (-1, 1) (for instance at large a, b,
-    where the asymptotic angles are poor).  There the same loop switches
-    brackets on: the angles start again, clipped to [0, pi], every node is
-    active again, and the sweeps count sign changes into per-node brackets,
+    all, each over the nodes not yet finished; each log weight
+    -ln sum_m q_m(t_k)^2 comes from the sweep that finished its node, and the
+    rule's angles are the theta_k (decreasing, with nodes == cos(angles)
+    bitwise).  The sweeps run without Sturm counts until the first of: an
+    angle outside (0, pi) before a sweep, a node unfinished after _MAX_SWEEPS
+    sweeps, or finished nodes that are not strictly increasing inside (-1, 1)
+    (for instance at large a, b, where the asymptotic angles are poor) or
+    whose log weights are not finite.  There the same loop switches brackets
+    on: the angles start again, clipped to [0, pi], every node is active
+    again, and the sweeps count sign changes into per-node brackets,
     bisecting where a Newton step would leave its bracket, within a budget of
     _MAX_BRACKETED_SWEEPS counted from the switch: a dozen sweeps or so.  No
     floating-point error is raised; overflow before the switch only triggers
-    it, and weights below the float range underflow to 0.
+    it.  The log weights are finite also where the weights are not, as at
+    (0, 1500), whose weights sum to 2^(a+b+1) B(a+1, b+1) > 1.8e308.
 
     Raises
     ------
     RuntimeError
-        If the bracketed sweeps do not finish within their budget, their
-        nodes are not strictly increasing inside (-1, 1), or the weights pass
-        the top of the float range (their sum, the integral of the weight
-        function, does at large a + b); the message names which.
+        If the bracketed sweeps do not finish within their budget, or their
+        nodes are not strictly increasing inside (-1, 1) or their log weights
+        not finite; the message names which.
     """
     if n < 1:
         raise ValueError(f"rule size must be positive (got {n})")
     with np.errstate(all="ignore"):
-        weights, active, bracket, sweeps = np.empty(n), np.arange(n), None, 0
+        log_weights, active, bracket, sweeps = np.empty(n), np.arange(n), None, 0
         theta = _start_angles(params, n)
         while True:
             if not active.size:
                 # the certificate is on t, not theta: the rows run in t, so distinct angles whose cosines
                 # round onto one node, or onto t = +-1 where the weight is singular, make no rule
-                nodes = np.cos(theta[::-1])
-                if -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0):
+                nodes, finite = np.cos(theta[::-1]), np.all(np.isfinite(log_weights))
+                if finite and -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0):
                     break
-                cause = "has nodes that are not strictly increasing inside (-1, 1)"
+                cause = ("has nodes that are not strictly increasing inside (-1, 1)" if finite
+                         else "has log weights that are not finite")
             elif sweeps == (_MAX_SWEEPS if bracket is None else _MAX_BRACKETED_SWEEPS):
                 cause = f"failed after {_MAX_BRACKETED_SWEEPS} bracketed sweeps"
             elif bracket is not None or np.all((theta > 0.0) & (theta < math.pi)):
-                active = _newton_sweep(params, n, theta, weights, active, bracket)
+                active = _newton_sweep(params, n, theta, log_weights, active, bracket)
                 sweeps += 1
                 continue
             if bracket is not None:
@@ -349,8 +356,4 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
             bracket = np.full((2, n + 1), [[-np.inf], [np.inf]])
             bracket[:, [0, n]] = 0.0, math.pi
             theta, active, sweeps = np.clip(_start_angles(params, n), 0.0, math.pi), np.arange(n), 0
-        weights = weights[::-1]
-        if not np.all((weights >= 0.0) & np.isfinite(weights)):
-            raise RuntimeError(f"Gauss-Jacobi rule at {params} has weights past the float range "
-                               f"(sum e^{log_jacobi_norm(params, 0):.6g})")
-    return QuadratureRule(nodes=nodes, weights=weights, params=params, angles=theta[::-1])
+    return QuadratureRule(nodes=nodes, log_weights=log_weights[::-1], params=params, angles=theta[::-1])

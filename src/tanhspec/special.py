@@ -52,12 +52,17 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING_FROM = 8.0
 
 
-def _stirling(z):
+def _stirling_tail(z):
+    """mu(z) = ln Gamma(z) - [(z - 1/2) ln z - z + ln sqrt(2 pi)], the series in 1/z, for |z| >= 8."""
     r = 1.0 / z
-    series = np.full_like(z, _STIRLING[-1])
+    series = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
         series = series * (r / z) + c
-    return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + r * series
+    return r * series
+
+
+def _stirling(z):
+    return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + _stirling_tail(z)
 
 
 def log_gamma_complex(z):
@@ -99,12 +104,22 @@ def log_jacobi_norm(params: JacobiParams, m: int) -> float:
           / [m! (1+a+b+2m) Gamma(1+a+b+m)].
 
     The m = 0 case is folded into Gamma(a+b+2) so the formula stays valid
-    when 1+a+b <= 0.
+    when 1+a+b <= 0.  There, with p = a+1 and q = b+1 both at least 8,
+    Stirling's series for each ln Gamma (mu its remainder) cancels the large
+    terms in algebra, as betaln does (DiDonato & Morris, ACM TOMS 18, 1992).
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
     a, b = params.alpha, params.beta
     s = a + b
+    p, q = a + 1.0, b + 1.0
+    if m == 0 and min(p, q) >= _STIRLING_FROM:
+        # (p - 1/2) ln(2p / (p+q)) + (q - 1/2) ln(2q / (p+q)), whose two terms cancel for x near 0
+        x = (p - q) / (p + q)
+        head = ([(p + q - 1.0) / 2.0 * math.log1p(-x * x), (p - q) * math.atanh(x)] if abs(x) < 0.5 else
+                [(p - 0.5) * math.log(2.0 * p / (p + q)), (q - 0.5) * math.log(2.0 * q / (p + q))])
+        return math.fsum(head + [-0.5 * math.log(p + q), _HALF_LOG_2PI, _stirling_tail(p), _stirling_tail(q),
+                                 -_stirling_tail(p + q)])
     if m == 0:
         return (s + 1.0) * _LN2 + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(s + 2.0)
     return (

@@ -4,14 +4,14 @@ For the four half-integer parameter pairs the coefficient integrals reduce
 to cosine/sine sums over the first-kind Chebyshev angles
 theta_k = (2k+1) pi / (2N), evaluated with kernels on numpy.fft in
 O(N log N); every other parameter pair goes through an N-point
-Gauss-Jacobi rule in O(N^2), one jacobi.project of the weighted samples
-(one matrix-vector product per block of the recurrence kernel).  The rule
-itself is a few sweeps of the same kernel (Newton's method,
-jacobi.gauss_jacobi), cached per (params, mode, N).  Both node sets, the
-grid and a rule, are built from their angles theta by one helper.  Both
-routes approximate the same integrals (quadrature semantics, no endpoint
-samples), so they agree to rounding on band-limited inputs and converge
-together otherwise.
+Gauss-Jacobi rule in O(N^2), one jacobi.project of the samples (one
+matrix-vector product per block of the recurrence kernel) started at a log
+scale per node that holds the rule's log weight.  The rule itself is a few
+sweeps of the same kernel (Newton's method, jacobi.gauss_jacobi), cached
+per (params, mode, N).  Both node sets, the grid and a rule, are built from
+their angles theta by one helper.  Both routes approximate the same
+integrals (quadrature semantics, no endpoint samples), so they agree to
+rounding on band-limited inputs and converge together otherwise.
 """
 
 import math
@@ -41,6 +41,7 @@ __all__ = [
 #:   DST-II: y_m = sum_n x_n sin(pi (m+1)(2n+1) / (2N))
 #:   DST-IV: y_m = sum_n x_n sin(pi (2m+1)(2n+1) / (4N))
 _KINDS = ("DCT-II", "DCT-IV", "DST-II", "DST-IV")
+_SQRT_PI, _SQRT_2, _SQRT_HALF = math.sqrt(math.pi), math.sqrt(2.0), math.sqrt(0.5)
 
 
 @lru_cache(maxsize=64)
@@ -119,9 +120,8 @@ class _Nodes(NamedTuple):
     """Sample nodes of one transform, the fast Chebyshev grid or a Gauss-Jacobi rule (_node_set)."""
 
     x: np.ndarray
-    sin_h: np.ndarray  # sin(theta / 2)
-    cos_h: np.ndarray  # cos(theta / 2)
     theta: np.ndarray
+    scale: np.ndarray  # per sample: the grid's factor, a rule's log start scale of jacobi.project
     rule: QuadratureRule | None = None
 
 
@@ -129,15 +129,26 @@ def _node_set(mode: str, theta: np.ndarray, rule: QuadratureRule | None = None) 
     """The node set of the angles theta in (0, pi), read-only: every caller of the caches shares it.
 
     With t = cos theta, full: tanh x = t, so x = asinh(cot theta); half:
-    tanh x = sqrt((1 + t) / 2), so x = asinh(cot(theta / 2)) > 0.  Both, and
-    1 - t = 2 sin_h^2, 1 + t = 2 cos_h^2, hold to rounding at every node,
-    where arctanh(t) and 1 -+ t lose digits next to t = +-1.
+    tanh x = sqrt((1 + t) / 2), so x = asinh(cot(theta / 2)) > 0.  The
+    coefficients of f are those of F = f / [(1-t)^{(a+1)/2} (1+t)^{(b+lift)/2}],
+    lift 1 (full) or 1/2 (half), with 1 - t = 2 sin_h^2 and 1 + t = 2 cos_h^2
+    (sin_h = sin(theta/2), cos_h = cos(theta/2)) exact where 1 -+ t is not.
+    A rule's scale is the log start ln w_k - ln sqrt(g_0) - ln divisor_k, so
+    only w_k F_k q_m(t_k) is formed; the grid's is sqrt(pi) 2^{(a+b)/2} times
+    the kernels' premultiplier sin_h^(a+1/2) cos_h^(b+1/2) over the divisor.
     """
     sin_h, cos_h = np.sin(0.5 * theta), np.cos(0.5 * theta)
     x = np.arcsinh(np.cos(theta) / np.sin(theta) if mode == "full" else cos_h / sin_h)
-    nodes = _Nodes(x, sin_h, cos_h, theta, rule)
-    for a in (x, sin_h, cos_h, theta, *((rule.nodes, rule.weights) if rule else ())):
-        a.flags.writeable = False
+    lift = 1.0 if mode == "full" else 0.5
+    if rule is None:
+        scale = _SQRT_PI * 2.0 ** (-0.5 * (1.0 + lift)) / np.sqrt(sin_h) * cos_h ** (0.5 - lift)
+    else:
+        a, b = rule.params.alpha, rule.params.beta
+        scale = (rule.log_weights - 0.5 * log_jacobi_norm(rule.params, 0) - (a + 1.0) * np.log(_SQRT_2 * sin_h)
+                 - (b + lift) * np.log(_SQRT_2 * cos_h))
+    nodes = _Nodes(x, theta, scale, rule)
+    for arr in (x, theta, scale, *((rule.nodes, rule.log_weights) if rule else ())):
+        arr.flags.writeable = False
     return nodes
 
 
@@ -149,7 +160,7 @@ def _grid(mode: str, n: int) -> _Nodes:
 @lru_cache(maxsize=16)
 def _rule_nodes(params: JacobiParams, mode: str, n: int) -> _Nodes:
     # one O(n^2) Gauss-Jacobi rule serves every function expanded at this
-    # (params, mode, n); an entry holds six length-n arrays (48 n bytes)
+    # (params, mode, n); an entry holds five length-n arrays (40 n bytes)
     rule = gauss_jacobi(params, n)
     return _node_set(mode, rule.angles, rule)
 
@@ -185,43 +196,29 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-#: (a, b) -> (kind, scale of c_0, scale, halve top): the orthonormal (a, b)
-#: coefficients of F on the N-point grid are (pi/N) scale * kind(F u), u the
-#: premultiplier sin(theta/2)^(a+1/2) cos(theta/2)^(b+1/2), with c_0 scaled
-#: separately.
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_KERNEL_TABLE = {
-    (-0.5, -0.5): ("DCT-II", 1.0 / _SQRT_PI, _SQRT_2_OVER_PI, False),
-    (0.5, 0.5): ("DST-II", 2.0 * _SQRT_2_OVER_PI, 2.0 * _SQRT_2_OVER_PI, True),
-    (0.5, -0.5): ("DST-IV", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
-    (-0.5, 0.5): ("DCT-IV", 2.0 / _SQRT_PI, 2.0 / _SQRT_PI, False),
-}
+#: (a, b) -> kind: the orthonormal (a, b) coefficients of f on the N-point
+#: grid are (2/N) kind(f scale) (_kernel), scale the grid's factor (_node_set)
+_KERNEL_TABLE = {(-0.5, -0.5): "DCT-II", (0.5, 0.5): "DST-II", (0.5, -0.5): "DST-IV", (-0.5, 0.5): "DCT-IV"}
 
 
-def _modified(params: JacobiParams, mode: str, nodes: _Nodes, fx: np.ndarray) -> np.ndarray:
-    """F = fx / [(1-t)^{(a+1)/2} (1+t)^{(b+1)/2}] in full mode; the half-range
-    map contributes one factor (1+t)^{1/4} less."""
-    lift = 0.5 * (params.beta + 1.0) if mode == "full" else 0.5 * (params.beta + 0.5)
-    return fx / ((2.0 * nodes.sin_h**2) ** (0.5 * (params.alpha + 1.0)) * (2.0 * nodes.cos_h**2) ** lift)
-
-
-def _project(params: JacobiParams, nodes: _Nodes, F: np.ndarray) -> np.ndarray:
-    """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of F at the nodes."""
-    if nodes.rule is not None:  # sum_k w_k F_k q_m(t_k)
-        B, e = jacobi_matrix(params, F.size)
-        return project(B, e, nodes.rule.weights * F, nodes.rule.nodes, -0.5 * log_jacobi_norm(params, 0))
-    kind, scale0, scale, halve_top = _KERNEL_TABLE[(params.alpha, params.beta)]
-    y = dct(kind, F * nodes.sin_h ** (params.alpha + 0.5) * nodes.cos_h ** (params.beta + 0.5))
-    if halve_top:
+def _kernel(kind: str, v: np.ndarray) -> np.ndarray:
+    """(2/N) kind(v), N = v.size, with c_0 of DCT-II (the constant's coefficient) divided by sqrt 2."""
+    y = (2.0 / v.size) * dct(kind, v)
+    if kind == "DCT-II":
+        y[0] *= _SQRT_HALF
+    elif kind == "DST-II":
         # the m = N-1 integrand contains cos(2N theta), the one frequency the
         # first-kind midpoint rule aliases (onto the constant, doubling the
         # band-limited contribution); halving restores rule exactness
         y[-1] *= 0.5
-    step = math.pi / F.size
-    c = step * scale * y
-    c[0] = step * scale0 * y[0]
-    return c
+    return y
+
+
+def _project(params: JacobiParams, nodes: _Nodes, fx: np.ndarray) -> np.ndarray:
+    """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of the samples fx at the nodes."""
+    if nodes.rule is not None:  # sum_k w_k F_k q_m(t_k)
+        return project(*jacobi_matrix(params, fx.size), fx, nodes.rule.nodes, nodes.scale)
+    return _kernel(_KERNEL_TABLE[(params.alpha, params.beta)], fx * nodes.scale)
 
 
 def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
@@ -243,7 +240,7 @@ def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
     if method == "quadrature":
         fast = False
     nodes = _grid("full", n) if fast else _rule_nodes(spec.params, "full", n)
-    c = _project(spec.params, nodes, _modified(spec.params, "full", nodes, _sample(f, nodes.x)))
+    c = _project(spec.params, nodes, _sample(f, nodes.x))
     c[1::2] *= -1.0
     return Expansion(spec=spec, coeffs=c)
 
@@ -267,17 +264,17 @@ def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
     pairs = JacobiParams(a, -0.5), JacobiParams(a, 0.5)
     nodes = (_grid("half", n // 2),) * 2 if fast else tuple(_rule_nodes(par, "half", n // 2) for par in pairs)
     # b = -1/2: even part into c_0, c_2, ...; b = +1/2: odd part, negated
-    F, samples = [], None
+    fx, samples = [], None
     for par, nd, sign in zip(pairs, nodes, (1.0, -1.0)):
         if samples is None or not fast:  # both fast transforms share one grid
             samples = _sample(f, nd.x), _sample(f, -nd.x)
-        F.append(_modified(par, "half", nd, 0.5 * (samples[0] + sign * samples[1])))
+        fx.append(0.5 * (samples[0] + sign * samples[1]))
     if fast:
-        even, odd = map(_project, pairs, nodes, F)
+        even, odd = map(_project, pairs, nodes, fx)
     else:  # the two quadrature projections run as the groups of one sweep
         B, e = (np.stack(arrays) for arrays in zip(*(jacobi_matrix(par, n // 2) for par in pairs)))
-        w, t = (np.stack(arrays) for arrays in zip(*((nd.rule.weights, nd.rule.nodes) for nd in nodes)))
-        even, odd = project(B, e, w * np.stack(F), t, -0.5 * np.array([[log_jacobi_norm(par, 0)] for par in pairs]))
+        t, start = (np.stack(arrays) for arrays in zip(*((nd.rule.nodes, nd.scale) for nd in nodes)))
+        even, odd = project(B, e, np.stack(fx), t, start)
     c = np.empty(n)
     c[0::2], c[1::2] = 2.0**0.25 * even, -(2.0**0.25) * odd
     return Expansion(spec=spec, coeffs=c)
@@ -294,9 +291,7 @@ def analyze_unweighted(f, m_max: int) -> np.ndarray:
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative (got {m_max})")
     grid = _grid("full", max(32, 2 * (m_max + 1)))
-    # T~_m = sqrt(pi/2) q_m of the Chebyshev-T pair
-    coeffs = _SQRT_2_OVER_PI * _project(JacobiParams(-0.5, -0.5), grid, _sample(f, grid.x))
-    return coeffs[: m_max + 1]
+    return _kernel("DCT-II", _sample(f, grid.x))[: m_max + 1]
 
 
 def synthesize(e: Expansion, points) -> np.ndarray:

@@ -391,21 +391,23 @@ def _jacobi_rows(params, count: int, points):
     return orthonormal_rows(*jacobi_matrix(params, count), count, points, -0.5 * log_jacobi_norm(params, 0))
 
 
-def gauss_weights_rowwise(params, nodes) -> np.ndarray:
-    """Gauss weights 1 / sum_m q_m(t_k)^2 at the n nodes of an n-point rule.
+def gauss_weights_rowwise(params, nodes):
+    """Gauss weights 1 / sum_m q_m(t_k)^2 at the n nodes of an n-point rule, and their logs: (weights, logs).
 
-    As in the library, the sum is kept in units of exp(2 log_scale), carried into new units at a rescale.
+    As in the library, the sum is kept in units of exp(2 log_scale), carried into new units at a rescale;
+    weights past the float range are inf or 0, their logs finite.
     """
     total, unit = 0.0, -0.5 * log_jacobi_norm(params, 0)
     for s, p, log_scale in _jacobi_rows(params, len(nodes), nodes):
         if log_scale is not unit:
             total, unit = total * np.exp(2.0 * (unit - log_scale)), log_scale
         total = total + (s * p) ** 2
-    return np.square(np.exp(-unit)) / total
+    with np.errstate(over="ignore"):
+        return np.square(np.exp(-unit)) / total, -2.0 * unit - np.log(total)
 
 
 def sweep_rowwise(params, n: int, t):
-    """q_{n-1}(t), q_n(t) in units of the last row's scale and 1 / sum_{m<n} q_m(t)^2, one row at a time."""
+    """q_{n-1}(t), q_n(t) in units of the last row's scale and -ln sum_{m<n} q_m(t)^2, one row at a time."""
     total, unit = 0.0, -0.5 * log_jacobi_norm(params, 0)
     rows = list(_jacobi_rows(params, n + 1, t))
     for s, p, log_scale in rows[:n]:
@@ -413,7 +415,7 @@ def sweep_rowwise(params, n: int, t):
             total, unit = total * np.exp(2.0 * (unit - log_scale)), log_scale
         total = total + (s * p) ** 2
     (s0, p0, ls0), (s1, p1, ls1) = rows[n - 1], rows[n]  # multiplying by exp(0) = 1 is exact
-    return s0 * p0 * np.exp(ls0 - ls1), s1 * p1, np.square(np.exp(-ls1)) / (total * np.exp(2.0 * (ls0 - ls1)))
+    return s0 * p0 * np.exp(ls0 - ls1), s1 * p1, -2.0 * ls1 - np.log(total * np.exp(2.0 * (ls0 - ls1)))
 
 
 def project_rowwise(params, rule, F) -> np.ndarray:
@@ -578,14 +580,13 @@ def golub_welsch(params, n: int):
     Nodes are the eigenvalues of the Jacobi matrix by LAPACK's implicit-shift
     QL (dstev, through scipy); the weights are 1/sum_m q_m(t_k)^2 summed row
     by row (gauss_weights_rowwise), which is accurate to rounding where the
-    first eigenvector components of the QL rotations lose several digits.
-    Weights past the float range underflow to 0.
+    first eigenvector components of the QL rotations lose several digits;
+    the rule holds their logs, finite where the weights leave the float range.
     """
     B, e = jacobi_matrix(params, n)
     nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
-    with np.errstate(over="ignore"):
-        weights = gauss_weights_rowwise(params, nodes)
-    return QuadratureRule(nodes=nodes, weights=weights, params=params, angles=np.arccos(nodes))
+    log_weights = gauss_weights_rowwise(params, nodes)[1]
+    return QuadratureRule(nodes=nodes, log_weights=log_weights, params=params, angles=np.arccos(nodes))
 
 
 def barycentric_rowwise(x_samples, values, blend: int = 3):

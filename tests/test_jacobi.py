@@ -361,14 +361,15 @@ class TestGaussJacobi:
         p = JacobiParams(a, b)
         for n in (1, 7, 64, 65, 300, 2048):
             rule = gauss_jacobi(p, n)
-            want = gauss_weights_rowwise(p, rule.nodes)
+            want = gauss_weights_rowwise(p, rule.nodes)[0]
             assert np.max(np.abs(rule.weights - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (80.0, 80.0)])
     def test_sweep_matches_rowwise(self, a, b):
         # q_{n-1}, q_n exactly (the sum that picks them out adds a -0 to +0,
-        # as at the odd q_n(0) of a symmetric pair) and the weights to the
-        # reordering of the blocked sum, for every n whose row q_n lands in the
+        # as at the odd q_n(0) of a symmetric pair) and the log weights, whose
+        # difference is the weights' relative error, to the reordering of the
+        # blocked sum, for every n whose row q_n lands in the
         # first, second-to-last or last slot of one of the first three blocks;
         # at (80, 80) the points next to t = +-1 rescale their rows
         p = JacobiParams(a, b)
@@ -384,7 +385,7 @@ class TestGaussJacobi:
             q_prev, q_n, w, _ = jacobi_mod._sweep(p, n, t)
             want = sweep_rowwise(p, n, t)
             assert np.array_equal(q_prev, want[0]) and np.array_equal(q_n, want[1]), n
-            assert np.max(np.abs(w / want[2] - 1.0)) <= 1e-14, n
+            assert np.max(np.abs(w - want[2])) <= 1e-14, n
         assert len(checked) == 3
 
     def test_cold_rule_memory(self):
@@ -493,15 +494,20 @@ class TestGaussJacobi:
         assert kinds.count(True) == 1
 
     @pytest.mark.parametrize("a,b,n", [(0.0, 1500.0, 4), (1e5, 0.0, 8)])
-    def test_weights_past_the_top_of_the_float_range_raise(self, a, b, n, monkeypatch):
-        # the bracketed rule finishes well within its budget; only its weights,
-        # which sum to 2^(a+b+1) B(a+1, b+1) > 1.8e308, fail
+    def test_weights_above_the_float_range_have_logs(self, a, b, n, monkeypatch):
+        # the bracketed rule finishes well within its budget; its weights sum to
+        # 2^(a+b+1) B(a+1, b+1) > 1.8e308, and the log of that sum, formed from
+        # the log weights, is ln g_0
+        p = JacobiParams(a, b)
         sweeps = []
         sweep = jacobi_mod._newton_sweep
         monkeypatch.setattr(jacobi_mod, "_newton_sweep", lambda *args: sweeps.append(args[-1]) or sweep(*args))
-        with pytest.raises(RuntimeError, match=r"has weights past the float range \(sum e\^"):
-            gauss_jacobi(JacobiParams(a, b), n)
+        rule = gauss_jacobi(p, n)
         assert 0 < sum(bracket is not None for bracket in sweeps) < jacobi_mod._MAX_BRACKETED_SWEEPS
+        assert np.all(np.isfinite(rule.log_weights))
+        top = float(rule.log_weights.max())
+        total = top + math.log(math.fsum(np.exp(rule.log_weights - top)))
+        assert abs(total - log_jacobi_norm(p, 0)) <= 1e-15 * abs(log_jacobi_norm(p, 0))
 
     @pytest.mark.parametrize("a,b,sizes", DOMAIN_MAP, ids=[f"{a}-{b}-n{','.join(map(str, n))}" for a, b, n in DOMAIN_MAP])
     def test_domain_map_without_scipy(self, a, b, sizes, monkeypatch):

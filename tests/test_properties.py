@@ -74,13 +74,20 @@ def test_quadrature_next_to_minus_one():
     assert math.isclose(got, want, rel_tol=1e-10)
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: at (1e3, nextafter(-1, 0)), n = 64, the rule builds (its weights "
+                   "pass the float range, their logs do not), but the energy is off by 1.6e-5 relative")
+def test_quadrature_next_to_minus_one_large_partner():
+    got, want = _parseval_gap(JacobiParams(1e3, math.nextafter(-1.0, 0.0)), 32, 0)
+    assert math.isclose(got, want, rel_tol=1e-10)
+
+
 @PROPERTY
 @given(params=QUAD_PARAMS, mode=st.sampled_from(["full", "half"]), n=st.integers(1, 200))
 def test_cached_rule_equals_fresh_rule(params, mode, n):
     cached = transforms_mod._rule_nodes(params, mode, n)
     fresh = gauss_jacobi(params, n)
     assert cached.rule.nodes.tobytes() == fresh.nodes.tobytes()
-    assert cached.rule.weights.tobytes() == fresh.weights.tobytes()
+    assert cached.rule.log_weights.tobytes() == fresh.log_weights.tobytes()
     assert cached.x.tobytes() == transforms_mod._node_set(mode, fresh.angles).x.tobytes()
     assert transforms_mod._rule_nodes(params, mode, n) is cached
 

@@ -169,6 +169,19 @@ class TestJacobiNorm:
                 assert abs(log_jacobi_norm(p, m) - float(mpmath.log(ref))) <= 1e-12
                 assert math.isclose(jacobi_norm(p, m), float(ref), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("a,b", [
+        (7.0, 7.0), (7.0, 12.0), (30.0, 7.5), (7.0, 30.0), (80.0, 80.0), (80.0, 1e3), (20.0, 1e3), (1e3, 1e3),
+        (1e3, 1.1e3), (4914.9, 4622.8), (1e4, 1e4), (1e4, 7.0), (7.0, 1e4), (1e5, 1e5), (1e5, 7.0), (1e5, 3e4),
+        (7.0, 1e6), (1e6, 1e6), (1e6, 7.5), (1e6, 3e5),
+    ])
+    def test_mass_against_mpmath(self, a, b):
+        # ln g_0 = (a+b+1) ln 2 + ln B(a+1, b+1) where both a+1, b+1 >= 8 (Stirling's form; below, lgamma's):
+        # the lgamma terms of (1e4, 1e4) are 8e4 and cancel to -4, which cost 7.2e-12; 40-digit closed form
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            want = (ma + mb + 1) * mpmath.log(2) + mpmath.log(mpmath.beta(ma + 1, mb + 1))
+            assert abs(log_jacobi_norm(JacobiParams(a, b), 0) - want) <= 2e-15 * max(1.0, abs(float(want)))
+
     def test_positive_to_degree_200(self):
         for a in PARAM_GRID:
             for b in PARAM_GRID:

@@ -417,6 +417,6 @@ class TestNodeCaches:
         assert analyze_full(spec, f, 16).coeffs.tobytes() == before.tobytes()
         grid = transforms_mod._grid("full", 16)
         rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), "full", 16)
-        arrays = [*grid[:4], *rule[:4], rule.rule.nodes, rule.rule.weights, rule.rule.angles]
-        assert len(arrays) == 11
+        arrays = [*grid[:3], *rule[:3], rule.rule.nodes, rule.rule.log_weights, rule.rule.angles]
+        assert len(arrays) == 9
         assert not any(a.flags.writeable for a in arrays)
