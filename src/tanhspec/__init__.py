@@ -8,7 +8,7 @@ ones), a banded least-squares solver for first-order operators, and Fourier
 transforms evaluated through Gamma-product weights.
 """
 
-from .basis import BasisSpec, DiffOp, Expansion, clenshaw_eval, derivative_pointwise, diff_coeffs, phi_full, phi_half
+from .basis import BasisSpec, DiffOp, Expansion, clenshaw_eval, derivative_pointwise, diff_coeffs, phi_full
 from .fourier import (
     FourierRep,
     carlitz_eval,
@@ -67,7 +67,6 @@ __all__ = [
     "mult_op",
     "normalisation_constant",
     "phi_full",
-    "phi_half",
     "sample_grid",
     "solve_first_order",
     "synthesize",

@@ -6,16 +6,18 @@ The full-range functions are
                P_m^{(a,b)}(tanh x),
 
 orthonormal and complete in L2(R) for a, b > -1.  For a = b the same
-functions have an even/odd ("half-range") form built from the parameter
-pairs (a, -1/2) and (a, 1/2) in the variable 1 - 2 sech^2 x; both forms are
-provided because their coefficient transforms differ operationally.
+functions have an even/odd ("half-range") form in u = 1 - 2 sech^2 x
+(DLMF 18.7.13-14): phi_2k = 2^{(2a+1)/4} sech^{1+a} x q_k^{(a,-1/2)}(u), and
+phi_2k+1 = -2^{(2a+3)/4} tanh x sech^{1+a} x q_k^{(a,1/2)}(u).  A half-mode
+spec names these functions; every value here is computed in the full-range
+form of the (a, a) pair.
 
 Differentiation acts tridiagonally: phi_m' = -b_{m-1} phi_{m-1} + b_m phi_{m+1}
 with a positive coupling sequence b_m shared by every module downstream.
 
 Every pointwise value is one jacobi.forward_sum in t = tanh x of a
 coefficient vector: clenshaw_eval sums the expansion's coefficients,
-phi_full and phi_half the unit vector e_m, derivative_pointwise
+phi_full the unit vector e_m, derivative_pointwise
 b_m e_{m+1} - b_{m-1} e_{m-1}.
 """
 
@@ -33,7 +35,6 @@ __all__ = [
     "DiffOp",
     "diff_coeffs",
     "phi_full",
-    "phi_half",
     "derivative_pointwise",
     "clenshaw_eval",
 ]
@@ -153,22 +154,9 @@ def phi_full(spec: BasisSpec, m: int, x):
     (-1)^m q_m(tanh x) times the boundary weight: the sum of the unit
     coefficient vector e_m, whose weight is assembled in log space so that
     no intermediate product underflows before the final exponential.  A
-    half-mode spec names the same functions (phi_half).
+    half-mode spec names the same functions.
     """
     return _full_sum(spec.params, np.eye(1, _degree(m) + 1, m)[0], x)
-
-
-def phi_half(spec: BasisSpec, m: int, x):
-    """Half-range (even/odd split) form of the same basis, alpha = beta.
-
-    Even index 2k:  2^{(2a+1)/4} sech^{1+a} x q_k^{(a,-1/2)}(1 - 2 sech^2 x);
-    odd index 2k+1 carries a leading minus sign, an extra tanh x factor, the
-    factor 2^{(2a+3)/4} and the (a, 1/2) parameter pair.  By the quadratic
-    transformation of Jacobi polynomials (DLMF 18.7.13-14) this is the
-    full-range function phi_m of the (a, a) pair, and it is evaluated as
-    that (phi_full), in t = tanh x, for a spec of either mode.
-    """
-    return phi_full(spec, m, x)
 
 
 def derivative_pointwise(spec: BasisSpec, m: int, x):

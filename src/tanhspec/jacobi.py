@@ -4,21 +4,20 @@ One recurrence kernel, orthonormal_blocks, streams the orthonormal
 polynomials of a three-term recurrence (B, e), the Jacobi matrix on t or
 B = 0, e = b_m in Fourier space, in blocks of rescaled rows (one BLAS
 product per block, then one multiply and one subtract per degree and
-point), with a log scale per point and groups of recurrences side by side.
-The Gauss weights, the sums (forward_sum: every pointwise value of basis
-and fourier, as the sum of a coefficient vector) and their transpose, the
-quadrature projections of transforms (project), reduce a block with one
-product.  Gauss-Jacobi rules come from the same kernel: Newton's method in
-theta = arccos t, started from O(n) asymptotic angles, finds the nodes in
-about two sweeps, and the sweep that finishes a node gives its weight as a
-log, finite for every a, b; the rule keeps the angles, from which the
-transforms map their nodes.
-Where Newton fails (an angle leaves (0, pi), a node stays unfinished, or the
-nodes come out of order), the same loop switches per-node brackets on: it
-starts again, and its sweeps take Sturm counts of sign changes in the rows
-and bisect where a Newton step would leave its bracket; a bracketed rule
-that fails raises RuntimeError naming the cause.  The quadrature rules
-double as the slow, fully general transform path and the fast paths' oracle.
+point), with a log scale per point.  The Gauss weights, the sums
+(forward_sum: every pointwise value of basis and fourier) and their
+transpose, the quadrature projections of transforms (project), reduce a
+block with one product.  Gauss-Jacobi rules come from the same kernel:
+Newton's method in theta = arccos t, started from O(n) asymptotic angles,
+finds the nodes in about two sweeps (at a = b only those up to pi/2, then
+mirrored), and the sweep that finishes a node gives its weight as a log,
+finite for every a, b; the rule keeps the angles of its nodes.  Where
+Newton fails (an angle leaves (0, pi), a node stays unfinished, or the nodes
+come out of order), the same loop switches per-node brackets on: it starts
+again, and its sweeps take Sturm counts of sign changes in the rows and
+bisect where a Newton step would leave its bracket; a bracketed rule that
+fails raises RuntimeError naming the cause.  The quadrature rules double as
+the slow, fully general transform path and the fast paths' oracle.
 """
 
 import math
@@ -112,19 +111,16 @@ def _blocking(g: np.ndarray, B: np.ndarray, t: np.ndarray) -> tuple[int, int]:
 
 def _factors(B: np.ndarray, e: np.ndarray, count: int, t: np.ndarray):
     """s_m = 1/sigma_m, m < count, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}, and for the
-    block products coefficients C, [g_m, -g_m B_m] per group in row m < count - 1, g_m = sigma_{m+1} / (sigma_m
-    e_m), and block-diagonal features F, [t; 1] on each group's points: C[m] @ F = g_m (t - B_m) per group."""
-    sigma = np.ones((len(e), count + 1))
-    ratio = e[:, 1:] / e[:, :-1]
-    sigma[:, 2::2] = np.cumprod(ratio[:, 0::2], axis=1)
-    sigma[:, 3::2] = np.cumprod(ratio[:, 1::2], axis=1)
-    G, P = t.shape
-    C = np.empty((count - 1, 2 * G))
-    C[:, 0::2] = (sigma[:, 1:count] / (sigma[:, : count - 1] * e[:, : count - 1])).T
-    C[:, 1::2] = -C[:, 0::2] * B[:, : count - 1].T
-    F = np.zeros((G, 2, G, P))
-    F[range(G), :, range(G)] = np.stack([t, np.ones_like(t)], axis=1)
-    return 1.0 / sigma[:, :count], C, F.reshape(2 * G, G * P)
+    block products coefficients C, [g_m, -g_m B_m] in row m < count - 1, g_m = sigma_{m+1} / (sigma_m e_m), and
+    features F, [t; 1] on the points: C[m] @ F = g_m (t - B_m)."""
+    sigma = np.ones(count + 1)
+    ratio = e[1:] / e[:-1]
+    sigma[2::2] = np.cumprod(ratio[0::2])
+    sigma[3::2] = np.cumprod(ratio[1::2])
+    C = np.empty((count - 1, 2))
+    C[:, 0] = sigma[1:count] / (sigma[: count - 1] * e[: count - 1])
+    C[:, 1] = -C[:, 0] * B[: count - 1]
+    return 1.0 / sigma[:count], C, np.stack([t.ravel(), np.ones(t.size)])
 
 
 def _fill(C: np.ndarray, F: np.ndarray, lo: int, out: np.ndarray) -> None:
@@ -154,16 +150,11 @@ def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_sca
     block; the last block may be shorter.  Every few blocks (_blocking) a
     point whose carry rows pass 2^128 has them divided by a power of two,
     whose log joins a new log_scale array (until then, the argument); rows
-    stay below 2^128 e^250, so their squares are finite.  Groups: B and e of
-    shape (G, count) run G recurrences side by side on points of shape
-    (G, P), log_scale per point, every row operation on all groups in one
-    (K, G P) buffer; then s has shape (G, K) and P (K, G, P).
+    stay below 2^128 e^250, so their squares are finite.
     """
     t = np.asarray(points, dtype=float)
-    B2, e2, t2 = np.atleast_2d(B, e, t)
-    s, C, F = _factors(B2, e2, count, t2)
-    s = s if np.ndim(B) == 2 else s[0]
-    k, every = _blocking(C[:, 0::2], B2[:, : count - 1], t2)
+    s, C, F = _factors(B, e, count, t)
+    k, every = _blocking(C[:, 0], B[: count - 1], t)
     # rows[0], rows[1] carry p_{lo-2}, p_{lo-1} into the block of degrees
     # lo..lo+size-1, which lives in rows[2:] = buf: the caller may overwrite it
     carry = np.zeros((2, t.size))  # p_{-2} (unused), p_{-1} = 0
@@ -182,31 +173,28 @@ def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_sca
             rows[i] -= rows[i - 2]
         carry[0] = rows[size]
         carry[1] = rows[size + 1]
-        yield s[..., lo : lo + size], buf[:size].reshape(size, *t.shape), log_scale
+        yield s[lo : lo + size], buf[:size].reshape(size, *t.shape), log_scale
 
 
 def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_start) -> np.ndarray:
-    """sum_m coeffs[..., m] q_m(points) over the q_m of orthonormal_blocks, one product per block; with
-    groups (B, e of shape (G, count), points (G, P)), coeffs (..., G, count) gives sums (..., G, P)."""
-    acc, unit, m = np.zeros(coeffs.shape[:-1] + np.shape(points)[-1:]), log_start, 0  # acc in units of exp(unit)
+    """sum_m coeffs[..., m] q_m(points) over the q_m of orthonormal_blocks, one product per block."""
+    acc, unit, m = np.zeros(coeffs.shape[:-1] + np.shape(points)), log_start, 0  # acc in units of exp(unit)
     for s, P, log_scale in orthonormal_blocks(B, e, coeffs.shape[-1], points, log_start):
         if log_scale is not unit:
             acc, unit = acc * np.exp(unit - log_scale), log_scale
-        w = coeffs[..., m : m + s.shape[-1]] * s
-        acc += w @ P if P.ndim == 2 else (w[..., None, :] @ P.transpose(1, 0, 2))[..., 0, :]
-        m += s.shape[-1]
+        acc += (coeffs[..., m : m + len(s)] * s) @ P
+        m += len(s)
     return acc * np.exp(unit)
 
 
 def project(B: np.ndarray, e: np.ndarray, values: np.ndarray, points, log_start) -> np.ndarray:
-    """sum_k values[..., k] q_m(points[k]), m < B.shape[-1], over the q_m of orthonormal_blocks: the transpose of
-    forward_sum, one product per block; with groups (B, e of shape (G, count), points (G, P)), values (..., G, P)
-    gives sums (..., G, count)."""
+    """sum_k values[..., k] q_m(points[k]), m < len(B), over the q_m of orthonormal_blocks: the transpose of
+    forward_sum, one product per block."""
     scaled, out = values * np.exp(log_start), []  # values in units of exp(-log_scale): q_m = s_m P_m exp(log_scale)
-    for s, P, log_scale in orthonormal_blocks(B, e, np.shape(B)[-1], points, log_start):
+    for s, P, log_scale in orthonormal_blocks(B, e, len(B), points, log_start):
         if log_scale is not log_start:
             scaled, log_start = values * np.exp(log_scale), log_scale
-        out.append(s * (P.swapaxes(0, -2) @ scaled[..., None])[..., 0])
+        out.append(s * (P @ scaled[..., None])[..., 0])
     return np.concatenate(out, axis=-1)
 
 
@@ -253,7 +241,8 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: 
     weight -ln sum_{m<n} q_m^2 from this sweep.
 
     A bracket (top, bot) holds the largest and smallest angle seen with c
-    nodes above it at top[c], bot[c]: node k lies between max top[:k+1] and
+    nodes above it at top[c], bot[c] (at a = b also pi - theta, which has
+    n - c nodes above it): node k lies between max top[:k+1] and
     min bot[k+1:], alone once counts k and k+1 are seen.  A step that would
     leave the bracket by more than 2 _STEP_TOL in t (a bracket end can be the
     root itself), or any from outside it or in a bracket with other nodes,
@@ -281,8 +270,9 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: 
     step *= 1.0 - Q * step**2 / 3.0
     if bracket is not None:
         top, bot = bracket
-        np.maximum.at(top, count, th)
-        np.minimum.at(bot, count, th)
+        for above, angle in ((count, th), (n - count, math.pi - th))[: 1 + (a == b)]:
+            np.maximum.at(top, above, angle)
+            np.minimum.at(bot, above, angle)
         lo, hi = np.maximum.accumulate(top)[active], np.minimum.accumulate(bot[::-1])[::-1][active + 1]
         alone = np.isfinite(top[active]) & np.isfinite(top[active + 1]) & (lo <= th) & (th <= hi)
         new, slack = th + step, 2.0 * _STEP_TOL / sin_t
@@ -310,11 +300,12 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     all, each over the nodes not yet finished; each log weight
     -ln sum_m q_m(t_k)^2 comes from the sweep that finished its node, and the
     rule's angles are the theta_k (decreasing, with nodes == cos(angles)
-    bitwise).  The sweeps run without Sturm counts until the first of: an
-    angle outside (0, pi) before a sweep, a node unfinished after _MAX_SWEEPS
-    sweeps, or finished nodes that are not strictly increasing inside (-1, 1)
-    (for instance at large a, b, where the asymptotic angles are poor) or
-    whose log weights are not finite.  There the same loop switches brackets
+    bitwise).  At a = b the sweeps run on the (n + 1) // 2 angles up to pi/2,
+    and the rest are pi - theta_k with the same log weights.  The sweeps run
+    without Sturm counts until the first of: an angle outside (0, pi) before a
+    sweep, a node unfinished after _MAX_SWEEPS sweeps, or finished nodes that
+    are not strictly increasing inside (-1, 1) (for instance at large a, b,
+    where the asymptotic angles are poor) or whose log weights are not finite.  There the same loop switches brackets
     on: the angles start again, clipped to [0, pi], every node is active
     again, and the sweeps count sign changes into per-node brackets,
     bisecting where a Newton step would leave its bracket, within a budget of
@@ -332,14 +323,17 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     """
     if n < 1:
         raise ValueError(f"rule size must be positive (got {n})")
+    swept = (n + 1) // 2 if params.alpha == params.beta else n  # a = b: the angles up to pi/2, then mirrored
     with np.errstate(all="ignore"):
-        log_weights, active, bracket, sweeps = np.empty(n), np.arange(n), None, 0
-        theta = _start_angles(params, n)
+        log_weights, active, bracket, sweeps = np.empty(swept), np.arange(swept), None, 0
+        theta = _start_angles(params, n)[:swept]
         while True:
             if not active.size:
                 # the certificate is on t, not theta: the rows run in t, so distinct angles whose cosines
                 # round onto one node, or onto t = +-1 where the weight is singular, make no rule
-                nodes, finite = np.cos(theta[::-1]), np.all(np.isfinite(log_weights))
+                angles = np.concatenate([math.pi - theta[: n - swept], theta[::-1]])
+                log_w = np.concatenate([log_weights[: n - swept], log_weights[::-1]])
+                nodes, finite = np.cos(angles), np.all(np.isfinite(log_w))
                 if finite and -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0):
                     break
                 cause = ("has nodes that are not strictly increasing inside (-1, 1)" if finite
@@ -355,5 +349,5 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
             # the switch; no node lies above theta = 0, all n above pi
             bracket = np.full((2, n + 1), [[-np.inf], [np.inf]])
             bracket[:, [0, n]] = 0.0, math.pi
-            theta, active, sweeps = np.clip(_start_angles(params, n), 0.0, math.pi), np.arange(n), 0
-    return QuadratureRule(nodes=nodes, log_weights=log_weights[::-1], params=params, angles=theta[::-1])
+            theta, active, sweeps = np.clip(_start_angles(params, n)[:swept], 0.0, math.pi), np.arange(swept), 0
+    return QuadratureRule(nodes=nodes, log_weights=log_w, params=params, angles=angles)

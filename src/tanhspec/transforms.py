@@ -6,12 +6,13 @@ theta_k = (2k+1) pi / (2N), evaluated with kernels on numpy.fft in
 O(N log N); every other parameter pair goes through an N-point
 Gauss-Jacobi rule in O(N^2), one jacobi.project of the samples (one
 matrix-vector product per block of the recurrence kernel) started at a log
-scale per node that holds the rule's log weight.  The rule itself is a few
-sweeps of the same kernel (Newton's method, jacobi.gauss_jacobi), cached
-per (params, mode, N).  Both node sets, the grid and a rule, are built from
-their angles theta by one helper.  Both routes approximate the same
-integrals (quadrature semantics, no endpoint samples), so they agree to
-rounding on band-limited inputs and converge together otherwise.
+scale per node that holds the rule's log weight; at a = b, of f folded
+onto the symmetric rule's nodes with t >= 0.  The rule itself is a few
+sweeps of the same kernel (jacobi.gauss_jacobi), cached per (params, N).
+Both node sets are built from their angles theta by one helper.  Half mode
+runs the full-range transform of its (a, a) pair, whose functions it
+names.  Both routes approximate the same integrals (quadrature semantics,
+no endpoint samples), so they agree to rounding on band-limited inputs.
 """
 
 import math
@@ -125,27 +126,31 @@ class _Nodes(NamedTuple):
     rule: QuadratureRule | None = None
 
 
-def _node_set(mode: str, theta: np.ndarray, rule: QuadratureRule | None = None) -> _Nodes:
+def _node_set(theta: np.ndarray, rule: QuadratureRule | None = None) -> _Nodes:
     """The node set of the angles theta in (0, pi), read-only: every caller of the caches shares it.
 
-    With t = cos theta, full: tanh x = t, so x = asinh(cot theta); half:
-    tanh x = sqrt((1 + t) / 2), so x = asinh(cot(theta / 2)) > 0.  The
-    coefficients of f are those of F = f / [(1-t)^{(a+1)/2} (1+t)^{(b+lift)/2}],
-    lift 1 (full) or 1/2 (half), with 1 - t = 2 sin_h^2 and 1 + t = 2 cos_h^2
-    (sin_h = sin(theta/2), cos_h = cos(theta/2)) exact where 1 -+ t is not.
-    A rule's scale is the log start ln w_k - ln sqrt(g_0) - ln divisor_k, so
-    only w_k F_k q_m(t_k) is formed; the grid's is sqrt(pi) 2^{(a+b)/2} times
-    the kernels' premultiplier sin_h^(a+1/2) cos_h^(b+1/2) over the divisor.
+    With t = cos theta = tanh x, x = asinh(cot theta).  The coefficients of f
+    are those of F = f / [(1-t)^{(a+1)/2} (1+t)^{(b+1)/2}], with 1 - t =
+    2 sin_h^2 and 1 + t = 2 cos_h^2 (sin_h = sin(theta/2), cos_h =
+    cos(theta/2)) exact where 1 -+ t is not.  A rule's scale is the log start
+    ln w_k - ln sqrt(g_0) - ln divisor_k, so only w_k F_k q_m(t_k) is formed;
+    of a symmetric rule (a = b) only the nodes with t >= 0 are kept, onto
+    which _coefficients folds f, and the node at t = 0 of an odd one, its own
+    mirror, counts half.  The grid's scale is sqrt(pi) 2^{(a+b)/2} times the
+    kernels' premultiplier sin_h^(a+1/2) cos_h^(b+1/2) over the divisor.
     """
+    fold = rule is not None and rule.params.alpha == rule.params.beta
+    theta = theta[theta.size // 2 :] if fold else theta
     sin_h, cos_h = np.sin(0.5 * theta), np.cos(0.5 * theta)
-    x = np.arcsinh(np.cos(theta) / np.sin(theta) if mode == "full" else cos_h / sin_h)
-    lift = 1.0 if mode == "full" else 0.5
+    x = np.arcsinh(np.cos(theta) / np.sin(theta))
     if rule is None:
-        scale = _SQRT_PI * 2.0 ** (-0.5 * (1.0 + lift)) / np.sqrt(sin_h) * cos_h ** (0.5 - lift)
+        scale = _SQRT_PI * 0.5 / np.sqrt(sin_h) * cos_h**-0.5
     else:
         a, b = rule.params.alpha, rule.params.beta
-        scale = (rule.log_weights - 0.5 * log_jacobi_norm(rule.params, 0) - (a + 1.0) * np.log(_SQRT_2 * sin_h)
-                 - (b + lift) * np.log(_SQRT_2 * cos_h))
+        scale = (rule.log_weights[rule.nodes.size - theta.size :] - 0.5 * log_jacobi_norm(rule.params, 0)
+                 - (a + 1.0) * np.log(_SQRT_2 * sin_h) - (b + 1.0) * np.log(_SQRT_2 * cos_h))
+        if fold and rule.nodes.size % 2:
+            scale[0] -= math.log(2.0)
     nodes = _Nodes(x, theta, scale, rule)
     for arr in (x, theta, scale, *((rule.nodes, rule.log_weights) if rule else ())):
         arr.flags.writeable = False
@@ -153,29 +158,34 @@ def _node_set(mode: str, theta: np.ndarray, rule: QuadratureRule | None = None) 
 
 
 @lru_cache(maxsize=64)
-def _grid(mode: str, n: int) -> _Nodes:
-    return _node_set(mode, (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n))
+def _grid(n: int) -> _Nodes:
+    return _node_set((2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n))
 
 
 @lru_cache(maxsize=16)
-def _rule_nodes(params: JacobiParams, mode: str, n: int) -> _Nodes:
+def _rule_nodes(params: JacobiParams, n: int) -> _Nodes:
     # one O(n^2) Gauss-Jacobi rule serves every function expanded at this
-    # (params, mode, n); an entry holds five length-n arrays (40 n bytes)
+    # (params, n), in either mode; an entry holds at most 40 n bytes
     rule = gauss_jacobi(params, n)
-    return _node_set(mode, rule.angles, rule)
+    return _node_set(rule.angles, rule)
 
 
 def sample_grid(mode: str, n: int) -> SampleGrid:
-    """The sampling grid used by the fast paths (no endpoint samples).
+    """The sampling grid used by the fast paths (no endpoint samples); read-only arrays.
 
-    Its arrays are the transforms' cached ones and are read-only.
+    Full mode: the N-point grid.  Half mode: the x > 0 half of the 2N-point
+    grid, whose angles are half these, so tanh x = sqrt((1 + cos theta) / 2).
     """
     if n < 1:
         raise ValueError(f"grid size must be positive (got {n})")
     if mode not in ("full", "half"):
         raise ValueError(f"mode must be 'full' or 'half' (got {mode!r})")
-    g = _grid(mode, n)
-    return SampleGrid(theta=g.theta, x=g.x, size=n)
+    if mode == "full":
+        g = _grid(n)
+        return SampleGrid(theta=g.theta, x=g.x, size=n)
+    theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
+    theta.flags.writeable = False
+    return SampleGrid(theta=theta, x=_node_set(0.5 * theta).x, size=n)
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:
@@ -214,11 +224,25 @@ def _kernel(kind: str, v: np.ndarray) -> np.ndarray:
     return y
 
 
-def _project(params: JacobiParams, nodes: _Nodes, fx: np.ndarray) -> np.ndarray:
-    """Orthonormal (a, b) coefficients int q_m F (1-t)^a (1+t)^b dt of the samples fx at the nodes."""
-    if nodes.rule is not None:  # sum_k w_k F_k q_m(t_k)
-        return project(*jacobi_matrix(params, fx.size), fx, nodes.rule.nodes, nodes.scale)
-    return _kernel(_KERNEL_TABLE[(params.alpha, params.beta)], fx * nodes.scale)
+def _coefficients(params: JacobiParams, f, n: int, quadrature: bool = False) -> np.ndarray:
+    """(-1)^m int q_m F (1-t)^a (1+t)^b dt, m < n (F of _node_set): the pair's kernel on the grid if it has one,
+    unless quadrature, else one jacobi.project on the rule; at a = b, where q_m(-t) = (-1)^m q_m(t), of the rows
+    f(x) +- f(-x) at the nodes with t >= 0, the first giving the even m, the second the odd."""
+    kind = None if quadrature else _KERNEL_TABLE.get((params.alpha, params.beta))
+    if kind:
+        nodes = _grid(n)
+        c = _kernel(kind, _sample(f, nodes.x) * nodes.scale)
+    else:
+        nodes = _rule_nodes(params, n)
+        fx, t = _sample(f, nodes.x), nodes.rule.nodes[n - nodes.x.size :]  # a = b: the nodes with t >= 0
+        if params.alpha != params.beta:
+            c = project(*jacobi_matrix(params, n), fx, t, nodes.scale)
+        else:
+            fy = _sample(f, -nodes.x)
+            c, odd = project(*jacobi_matrix(params, n), np.stack([fx + fy, fx - fy]), t, nodes.scale)
+            c[1::2] = odd[1::2]
+    c[1::2] *= -1.0
+    return c
 
 
 def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
@@ -234,50 +258,19 @@ def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
         raise ValueError(f"coefficient count must be positive (got {n})")
     if method not in ("auto", "fast", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    fast = (spec.params.alpha, spec.params.beta) in _KERNEL_TABLE
-    if method == "fast" and not fast:
+    if method == "fast" and (spec.params.alpha, spec.params.beta) not in _KERNEL_TABLE:
         raise ValueError("fast path requires alpha, beta in {-1/2, +1/2}")
-    if method == "quadrature":
-        fast = False
-    nodes = _grid("full", n) if fast else _rule_nodes(spec.params, "full", n)
-    c = _project(spec.params, nodes, _sample(f, nodes.x))
-    c[1::2] *= -1.0
-    return Expansion(spec=spec, coeffs=c)
+    return Expansion(spec=spec, coeffs=_coefficients(spec.params, f, n, method == "quadrature"))
 
 
 def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
-    """First n coefficients through the even/odd half-range transforms.
-
-    f is split into even and odd parts sampled on (0, inf); even-index
-    coefficients come from the (alpha, -1/2) system, odd ones from
-    (alpha, +1/2), interleaved as (c_0, c_1, c_2, ...).  For
-    alpha = -1/2 the two transforms are cosine-type kernels (DCT-II and
-    DCT-IV), for alpha = +1/2 sine-type (DST-IV and DST-II); any other
-    alpha uses Gauss-Jacobi quadrature.
-    """
+    """First n coefficients in a half-range basis: its functions are the full-range ones of the (alpha, alpha)
+    pair (basis), and so are its coefficients, those of analyze_full, bit for bit."""
     if spec.mode != "half":
         raise ValueError("analyze_half requires a half-mode basis spec")
     if n < 2 or n % 2:
         raise ValueError(f"coefficient count must be even and >= 2 (got {n})")
-    a = spec.params.alpha
-    fast = a in (-0.5, 0.5)
-    pairs = JacobiParams(a, -0.5), JacobiParams(a, 0.5)
-    nodes = (_grid("half", n // 2),) * 2 if fast else tuple(_rule_nodes(par, "half", n // 2) for par in pairs)
-    # b = -1/2: even part into c_0, c_2, ...; b = +1/2: odd part, negated
-    fx, samples = [], None
-    for par, nd, sign in zip(pairs, nodes, (1.0, -1.0)):
-        if samples is None or not fast:  # both fast transforms share one grid
-            samples = _sample(f, nd.x), _sample(f, -nd.x)
-        fx.append(0.5 * (samples[0] + sign * samples[1]))
-    if fast:
-        even, odd = map(_project, pairs, nodes, fx)
-    else:  # the two quadrature projections run as the groups of one sweep
-        B, e = (np.stack(arrays) for arrays in zip(*(jacobi_matrix(par, n // 2) for par in pairs)))
-        t, start = (np.stack(arrays) for arrays in zip(*((nd.rule.nodes, nd.scale) for nd in nodes)))
-        even, odd = project(B, e, np.stack(fx), t, start)
-    c = np.empty(n)
-    c[0::2], c[1::2] = 2.0**0.25 * even, -(2.0**0.25) * odd
-    return Expansion(spec=spec, coeffs=c)
+    return Expansion(spec=spec, coeffs=_coefficients(spec.params, f, n))
 
 
 def analyze_unweighted(f, m_max: int) -> np.ndarray:
@@ -290,7 +283,7 @@ def analyze_unweighted(f, m_max: int) -> np.ndarray:
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative (got {m_max})")
-    grid = _grid("full", max(32, 2 * (m_max + 1)))
+    grid = _grid(max(32, 2 * (m_max + 1)))
     return _kernel("DCT-II", _sample(f, grid.x))[: m_max + 1]
 
 

@@ -343,14 +343,13 @@ def band_get(mat, i: int, j: int) -> float:
 
 
 def _rescaled_recurrence(B, e, count: int, t):
-    """sigma_m and g_m, one row per group, and the kernel's K and blocks between checks."""
-    B, e = np.atleast_2d(B), np.atleast_2d(e)
-    sigma = [np.ones(len(e)), np.ones(len(e))]
+    """sigma_m and g_m, and the kernel's K and blocks between checks."""
+    sigma = [1.0, 1.0]
     for m in range(1, count - 1):
-        sigma.append(sigma[m - 1] * (e[:, m] / e[:, m - 1]))
-    sigma = np.array(sigma).T
-    g = sigma[:, 1:] / (sigma[:, :-1] * e[:, : count - 1])
-    return sigma, g, *_blocking(g, B[:, : count - 1], t)
+        sigma.append(sigma[m - 1] * (e[m] / e[m - 1]))
+    sigma = np.array(sigma)
+    g = sigma[1:] / (sigma[:-1] * e[: count - 1])
+    return sigma, g, *_blocking(g, B[: count - 1], t)
 
 
 def orthonormal_rows(B, e, count: int, points, log_start):
@@ -361,17 +360,15 @@ def orthonormal_rows(B, e, count: int, points, log_start):
     the symmetric recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1} rescaled; q_0 =
     exp(log_start).  Before each row lo > 0 that is a multiple of K times the blocks between
     checks, a point whose p_{lo-2} or p_{lo-1} passes 2^128 has both divided by 2^j >= their
-    size, and j ln 2 added to its log scale.  With groups (B, e of shape (G, count), points
-    (G, P)) s_m has shape (G,) and p_m shape (G, P), as in the kernel.
+    size, and j ln 2 added to its log scale.
     """
     t = np.asarray(points, dtype=float)
-    t2 = t.reshape(len(np.atleast_2d(e)), -1)
-    sigma, g, k, every = _rescaled_recurrence(B, e, count, t2)
-    C, F = _factors(np.atleast_2d(B), np.atleast_2d(e), count, t2)[1:]
-    s = 1.0 / sigma if np.ndim(B) == 2 else 1.0 / sigma[0]
+    sigma, g, k, every = _rescaled_recurrence(B, e, count, t)
+    C, F = _factors(B, e, count, t)[1:]
+    s = 1.0 / sigma
     log_scale = log_start
     prev, p = np.zeros(t.size), np.ones(t.size)
-    yield s[..., 0], p.reshape(t.shape), log_scale
+    yield s[0], p.reshape(t.shape), log_scale
     for m in range(count - 1):
         lo = (m + 1) // k * k  # the kernel's block of row m + 1
         if m == 0 or lo == m + 1:
@@ -384,7 +381,7 @@ def orthonormal_rows(B, e, count: int, points, log_start):
                 prev, p = np.ldexp(prev, -shift), np.ldexp(p, -shift)
                 log_scale = log_scale + (shift * math.log(2.0)).reshape(t.shape)
         prev, p = p, factors[m + 1 - lo] * p - prev
-        yield s[..., m + 1], p.reshape(t.shape), log_scale
+        yield s[m + 1], p.reshape(t.shape), log_scale
 
 
 def _jacobi_rows(params, count: int, points):

@@ -17,7 +17,6 @@ from tanhspec import (
     diff_coeffs,
     gauss_jacobi,
     phi_full,
-    phi_half,
 )
 from oracles import (
     clenshaw_rowwise,
@@ -122,12 +121,11 @@ class TestSingleDegreeMemory:
     @pytest.mark.parametrize("spec", [_full(1.3, 0.2), _half(1.3)], ids=["full", "half"])
     def test_one_degree_keeps_two_rows(self, spec):
         # m = 2000 at 2000 points: a table of all degrees would be 30 MiB
-        phi = phi_full if spec.mode == "full" else phi_half
         x = np.linspace(-8.0, 8.0, 2000)
-        phi(spec, 2, x)
+        phi_full(spec, 2, x)
         tracemalloc.start()
         try:
-            phi(spec, 2000, x)
+            phi_full(spec, 2000, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -136,11 +134,11 @@ class TestSingleDegreeMemory:
 
 class TestPhiHalf:
     def test_origin_matches_full(self):
-        assert math.isclose(phi_half(_half(-0.5), 0, 0.0), 1.0 / math.sqrt(math.pi), rel_tol=1e-13)
+        assert math.isclose(phi_full(_half(-0.5), 0, 0.0), 1.0 / math.sqrt(math.pi), rel_tol=1e-13)
 
     @pytest.mark.parametrize("a", [-0.5, 0.3, 1.7])
     def test_odd_vanishes_at_origin(self, a):
-        assert phi_half(_half(a), 1, 0.0) == 0.0
+        assert phi_full(_half(a), 1, 0.0) == 0.0
 
     def test_matches_full_pointwise(self):
         spec_h = _half(0.0)
@@ -164,7 +162,7 @@ class TestPhiHalf:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for m in range(4):
                 for x in (9e307, -9e307, 1.797e308, -1.797e308):
-                    assert phi_half(_half(a), m, x) == 0.0, (m, x)
+                    assert phi_full(_half(a), m, x) == 0.0, (m, x)
 
 
 class TestDiffCoeffs:

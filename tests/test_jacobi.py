@@ -17,7 +17,6 @@ from tanhspec import (
     clenshaw_eval,
     gauss_jacobi,
     phi_full,
-    phi_half,
 )
 from tanhspec import jacobi as jacobi_mod
 from tanhspec.jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks, project
@@ -112,43 +111,40 @@ class TestOrthonormalRecurrence:
         # the block product writes fl(fl(g t) - g B), or its fused form: within
         # 2 eps g (|t| + |B|) of g_m (t - B_m) in exact arithmetic, over the
         # kernel's blocks, among them one-row first (count 2) and last (count
-        # K + 1) blocks, partial last blocks, one point and two groups; with
+        # K + 1) blocks, partial last blocks and one point, on two pairs; with
         # B = 0 it is fl(g t) exactly
         eps = np.finfo(float).eps
         rng = np.random.default_rng(3)
-        pairs = [JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)]
-        for G, P in ((1, 1), (1, 7), (2, 5), (2, 1)):
-            t = rng.uniform(-1.0, 1.0, (G, P))
-            for zero_b in (False, True):
-                B, e = (np.stack(rows) for rows in zip(*(jacobi_matrix(p, 200) for p in pairs[:G])))
-                if zero_b:
-                    B = np.zeros_like(B)
-                C, F = jacobi_mod._factors(B, e, 200, t)[1:]
-                g = C[:, 0::2]
-                k = jacobi_mod._blocking(g, B[:, :-1], t)[0]
-                for count in (2, 3, k, k + 1, k + 5, 2 * k + 3):
-                    for lo in range(0, count, k):
-                        out = np.full((min(k, count - lo), G * P), np.nan)
-                        jacobi_mod._fill(C, F, lo, out)
-                        for i in range(1 if lo == 0 else 0, len(out)):
-                            m = lo + i - 1  # row lo + i carries the factor of degree lo + i - 1
-                            got = out[i].reshape(G, P)
-                            if zero_b:
-                                assert np.array_equal(got, g[m][:, None] * t), (G, P, count, m)
-                                continue
-                            for grp in range(G):
-                                gm, bm = g[m, grp], B[grp, m]
+        for p in (JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)):
+            for P in (1, 7, 5):
+                t = rng.uniform(-1.0, 1.0, P)
+                for zero_b in (False, True):
+                    B, e = jacobi_matrix(p, 200)
+                    if zero_b:
+                        B = np.zeros_like(B)
+                    C, F = jacobi_mod._factors(B, e, 200, t)[1:]
+                    g = C[:, 0]
+                    k = jacobi_mod._blocking(g, B[:-1], t)[0]
+                    for count in (2, 3, k, k + 1, k + 5, 2 * k + 3):
+                        for lo in range(0, count, k):
+                            out = np.full((min(k, count - lo), P), np.nan)
+                            jacobi_mod._fill(C, F, lo, out)
+                            for i in range(1 if lo == 0 else 0, len(out)):
+                                m = lo + i - 1  # row lo + i carries the factor of degree lo + i - 1
+                                if zero_b:
+                                    assert np.array_equal(out[i], g[m] * t), (p, P, count, m)
+                                    continue
                                 for j in range(P):
-                                    exact = Fraction(gm) * (Fraction(t[grp, j]) - Fraction(bm))
-                                    err = abs(Fraction(got[grp, j]) - exact)
-                                    assert err <= 2.0 * eps * gm * (abs(t[grp, j]) + abs(bm)), (G, P, count, m)
+                                    exact = Fraction(g[m]) * (Fraction(t[j]) - Fraction(B[m]))
+                                    err = abs(Fraction(out[i, j]) - exact)
+                                    assert err <= 2.0 * eps * g[m] * (abs(t[j]) + abs(B[m])), (p, P, count, m)
 
     def test_fill_does_not_depend_on_the_shape(self):
         # BLAS rounds a product with one row or one column by another path; the
         # fill runs those doubled, so a factor has the same bits in every block
         B, e = jacobi_matrix(JacobiParams(-0.999, 3.0), 40)
-        t = np.random.default_rng(5).uniform(-1.0, 1.0, (1, 9))
-        C, F = jacobi_mod._factors(B[None], e[None], 40, t)[1:]
+        t = np.random.default_rng(5).uniform(-1.0, 1.0, 9)
+        C, F = jacobi_mod._factors(B, e, 40, t)[1:]
         whole = np.empty((39, 9))
         jacobi_mod._fill(C, F, 1, whole)
         for lo in range(1, 40):
@@ -156,52 +152,31 @@ class TestOrthonormalRecurrence:
             jacobi_mod._fill(C, F, lo, one_row)
             assert np.array_equal(one_row[0], whole[lo - 1])
         for j in range(9):
-            Cj, Fj = jacobi_mod._factors(B[None], e[None], 40, t[:, j : j + 1])[1:]
+            Cj, Fj = jacobi_mod._factors(B, e, 40, t[j : j + 1])[1:]
             for rows in (1, 39):
                 one_point = np.empty((rows, 1))
                 jacobi_mod._fill(Cj, Fj, 1, one_point)
                 assert np.array_equal(one_point[:, 0], whole[:rows, j])
 
-    def test_groups_match_separate_sweeps(self):
-        # two pairs as the groups of one sweep: the same rows and sums as one
-        # sweep each, on each group's own points and log scale
-        pairs = [JacobiParams(1.3, -0.5), JacobiParams(1.3, 0.5)]
-        count = 150
-        t = np.stack([np.linspace(-0.999, 0.999, 41), np.cos(np.linspace(0.01, 3.13, 41))])
-        B, e = (np.stack(rows) for rows in zip(*(jacobi_matrix(p, count) for p in pairs)))
-        log0 = np.array([[-0.5 * log_jacobi_norm(p, 0)] for p in pairs])
-        blocks = []
-        for s, P, ls in orthonormal_blocks(B, e, count, t, log0):
-            assert s.shape == (2, len(P)) and P.shape == (len(s[0]), 2, 41)
-            blocks.append(s.T[:, :, None] * P * np.exp(ls))
-        rows = np.concatenate(blocks)
-        c = np.random.default_rng(11).standard_normal((3, 2, count))
-        sums = forward_sum(B, e, c, t, log0)
-        assert sums.shape == (3, 2, 41)
-        for i, p in enumerate(pairs):
-            want = np.concatenate([s[:, None] * P * np.exp(ls) for s, P, ls in _blocks(p, count, t[i])])
-            assert np.max(np.abs(rows[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
-            want = forward_sum(B[i], e[i], c[:, i], t[i], log0[i])
-            assert np.max(np.abs(sums[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
-
     def test_project_is_the_transpose_of_forward_sum(self):
         # c . project(W) = W . forward_sum(c), relative to the size of the terms
-        # of W . forward_sum(c): two Jacobi pairs as groups, and the
-        # Fourier-side recurrence at |xi| ~ 1e30, whose rows rescale, each
-        # point started at about minus the log of its last row
+        # of W . forward_sum(c): two Jacobi pairs, and the Fourier-side
+        # recurrence at |xi| ~ 1e30, whose rows rescale, each point started at
+        # about minus the log of its last row
         rng = np.random.default_rng(13)
-        pairs = [JacobiParams(1.3, -0.5), JacobiParams(-0.999, 3.0)]
-        t = np.stack([np.linspace(-0.999, 0.999, 41), np.cos(np.linspace(0.01, 3.13, 41))])
-        B, e = (np.stack(rows) for rows in zip(*(jacobi_matrix(p, 150) for p in pairs)))
-        log0 = np.array([[-0.5 * log_jacobi_norm(p, 0)] for p in pairs])
+        cases = []
+        for p, t in ((JacobiParams(1.3, -0.5), np.linspace(-0.999, 0.999, 41)),
+                     (JacobiParams(-0.999, 3.0), np.cos(np.linspace(0.01, 3.13, 41)))):
+            cases.append((*jacobi_matrix(p, 150), t, -0.5 * log_jacobi_norm(p, 0)))
         b = couplings(JacobiParams(1.3, 0.2), 200)
         xi = np.array([1e30, -3e29, 2.5])
         log_xi = -np.sum(np.log1p(np.abs(xi)[:, None] / b[:-1]), axis=1)
         rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(np.zeros(200), b, 200, xi, log_xi)]
         assert any(rescaled)
-        for B, e, points, log_start, shape in ((B, e, t, log0, (3, 2)), (np.zeros(200), b, xi, log_xi, (3,))):
-            W = rng.standard_normal(shape + points.shape[-1:])
-            c = rng.standard_normal(shape + B.shape[-1:])
+        cases.append((np.zeros(200), b, xi, log_xi))
+        for B, e, points, log_start in cases:
+            W = rng.standard_normal((3, points.size))
+            c = rng.standard_normal((3, B.size))
             terms = W * forward_sum(B, e, c, points, log_start)
             lhs = np.sum(c * project(B, e, W, points, log_start), axis=-1)
             size = np.sum(np.abs(terms), axis=-1)
@@ -345,6 +320,15 @@ class TestGaussJacobi:
             assert np.all(rule.weights > 0.0)
             assert math.isclose(float(rule.weights.sum()), jacobi_norm(p, 0), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("a", [-0.9, 0.0, 2.0, 80.0, 1000.0])
+    def test_symmetric_rule_is_mirrored(self, a):
+        # at a = b the sweeps find the angles up to pi/2 and mirror them to
+        # pi - theta, with the same log weights, bit for bit
+        for n in (1, 2, 7, 64, 2048):
+            rule = gauss_jacobi(JacobiParams(a, a), n)
+            assert rule.log_weights.tobytes() == rule.log_weights[::-1].tobytes(), n
+            assert np.array_equal(rule.angles[: n // 2], math.pi - rule.angles[::-1][: n // 2]), n
+
     def test_interlacing(self):
         p = JacobiParams(1.3, 0.2)
         for n in (3, 9, 20):
@@ -377,8 +361,8 @@ class TestGaussJacobi:
         checked = set()
         for n in range(1, 200):
             B, e = jacobi_matrix(p, n + 1)
-            g = jacobi_mod._factors(B[None], e[None], n + 1, t[None])[1][:, 0::2]
-            k = jacobi_mod._blocking(g, B[None, :n], t[None])[0]
+            g = jacobi_mod._factors(B, e, n + 1, t)[1][:, 0]
+            k = jacobi_mod._blocking(g, B[:n], t)[0]
             if n % k not in (0, k - 2, k - 1) or n >= 3 * k:
                 continue
             checked.add(n % k)
@@ -417,7 +401,8 @@ class TestGaussJacobi:
 
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, 0.0)])
     def test_two_sweeps(self, a, b, monkeypatch):
-        # the Q-corrected step finishes every node in the second sweep here
+        # the Q-corrected step finishes every node in the second sweep here; at
+        # a = b the sweeps run on the (n + 1) // 2 angles up to pi/2
         sizes = []
 
         def counted(params, n, t, *count):
@@ -429,7 +414,7 @@ class TestGaussJacobi:
         for n in (64, 300, 2048):
             sizes.clear()
             gauss_jacobi(JacobiParams(a, b), n)
-            assert len(sizes) == 2 and sizes[0] == n, (n, sizes)
+            assert len(sizes) == 2 and sizes[0] == (n if a != b else (n + 1) // 2), (n, sizes)
 
     def test_fallback_takes_golub_welsch(self, monkeypatch):
         # at (80, 80) the asymptotic angles are too far off for Newton; the
@@ -638,7 +623,7 @@ class TestKernelAgainstMpmath:
     def test_basis_functions(self, a, b):
         # phi_m, m = 300 and 301, at the library's rounding of t = tanh x, the
         # weight from x itself; error relative to the largest |phi_m| on the
-        # grid.  At a = b, phi_half is the same full-range function, evaluated
+        # grid.  At a = b, the half-mode spec names the same function, evaluated
         # in the same t.
         x = np.linspace(-8.0, 8.0, 17)
         rows = orthonormal_mp(a, b, 302, np.tanh(x))
@@ -646,13 +631,13 @@ class TestKernelAgainstMpmath:
             want = _phi_mp(a, b, m, x, rows)
             got = [phi_full(BasisSpec(JacobiParams(a, b), "full"), m, x)]
             if a == b:
-                got.append(phi_half(BasisSpec(JacobiParams(a, a), "half"), m, x))
+                got.append(phi_full(BasisSpec(JacobiParams(a, a), "half"), m, x))
             for g in got:
                 assert np.max(np.abs(g - want)) <= MP_BOUNDS[(a, b)] * np.max(np.abs(want)), m
 
     @pytest.mark.parametrize("a", [0.0, -0.9])
     def test_half_range_next_to_the_origin(self, a):
-        # phi_half at high degree at and next to x = 0, where the (a, -+1/2)
+        # half-mode phi_m at high degree at and next to x = 0, where the (a, -+1/2)
         # rows in u = 1 - 2 sech^2 x erred up to 2.9e-10; error relative to the
         # largest |phi_m| on [-8, 8]
         x = np.array([0.0, 1e-8, 1e-4, 1e-2, 0.3])
@@ -660,7 +645,7 @@ class TestKernelAgainstMpmath:
         for m in (2000, 2001):
             want = _phi_mp(a, a, m, x, rows)
             top = np.max(np.abs(phi_full_direct(BasisSpec(JacobiParams(a, a), "full"), m, np.linspace(-8.0, 8.0, 1601))))
-            got = phi_half(BasisSpec(JacobiParams(a, a), "half"), m, x)
+            got = phi_full(BasisSpec(JacobiParams(a, a), "half"), m, x)
             assert np.max(np.abs(got - want)) <= 1e-13 * top, m
 
 

@@ -82,14 +82,15 @@ def test_quadrature_next_to_minus_one_large_partner():
 
 
 @PROPERTY
-@given(params=QUAD_PARAMS, mode=st.sampled_from(["full", "half"]), n=st.integers(1, 200))
-def test_cached_rule_equals_fresh_rule(params, mode, n):
-    cached = transforms_mod._rule_nodes(params, mode, n)
+@given(params=QUAD_PARAMS, n=st.integers(1, 200))
+def test_cached_rule_equals_fresh_rule(params, n):
+    cached = transforms_mod._rule_nodes(params, n)
     fresh = gauss_jacobi(params, n)
     assert cached.rule.nodes.tobytes() == fresh.nodes.tobytes()
     assert cached.rule.log_weights.tobytes() == fresh.log_weights.tobytes()
-    assert cached.x.tobytes() == transforms_mod._node_set(mode, fresh.angles).x.tobytes()
-    assert transforms_mod._rule_nodes(params, mode, n) is cached
+    want = transforms_mod._node_set(fresh.angles, fresh)
+    assert cached.x.tobytes() == want.x.tobytes() and cached.scale.tobytes() == want.scale.tobytes()
+    assert transforms_mod._rule_nodes(params, n) is cached
 
 
 @PROPERTY

@@ -121,8 +121,8 @@ class TestSampleGrid:
     def test_rule_map_next_to_one(self):
         # the last node of this rule lies 2e-9 from t = 1; through t its x lost
         # 5.5e-9 relative
-        nodes = transforms_mod._rule_nodes(JacobiParams(-0.999999, -0.5), "half", 32)
-        _assert_x_within_two_ulp("half", nodes.theta[-3:], nodes.x[-3:])
+        nodes = transforms_mod._rule_nodes(JacobiParams(-0.999999, -0.999999), 32)
+        _assert_x_within_two_ulp("full", nodes.theta[-3:], nodes.x[-3:])
 
     def test_full_map(self):
         g = sample_grid("full", 8)
@@ -253,6 +253,29 @@ class TestAnalyzeHalf:
         with pytest.raises(ValueError):
             analyze_half(_half(0.5), lambda x: x, 15)
 
+    @pytest.mark.parametrize("a", [-0.9, 0.0, 2.0, 80.0, -0.5, 0.5])
+    @pytest.mark.parametrize("n", [2, 64, 300])
+    def test_is_the_full_transform(self, a, n):
+        # the half-range functions are the full-range ones of (a, a), and one
+        # transform serves both modes: the same coefficients, bit for bit
+        f = lambda x: np.exp(-((x - 0.7) ** 2))
+        assert analyze_half(_half(a), f, n).coeffs.tobytes() == analyze_full(_full(a, a), f, n).coeffs.tobytes()
+
+    @pytest.mark.parametrize("a", [-0.9, 0.0, 2.0, 80.0])
+    @pytest.mark.parametrize("mode", ["full", "half"])
+    def test_exact_parity_zeros_on_the_rule(self, a, mode):
+        # sech is even and tanh sech odd to the bit; folded onto the symmetric
+        # rule's nodes with t >= 0, the other parity's row is exactly zero
+        even, odd = (lambda x: 1.0 / np.cosh(x)), (lambda x: np.tanh(x) / np.cosh(x))
+        for n in (2, 7, 64, 301) if mode == "full" else (2, 64, 300):
+            for f, zero in ((even, 1), (odd, 0)):
+                if mode == "full":
+                    c = analyze_full(_full(a, a), f, n, method="quadrature").coeffs
+                else:
+                    c = analyze_half(_half(a), f, n).coeffs
+                assert np.all(c[zero::2] == 0.0), (n, zero)
+                assert np.any(c[1 - zero :: 2] != 0.0), (n, zero)
+
 
 class TestSynthesize:
     def test_roundtrip_value_at_origin(self):
@@ -333,11 +356,12 @@ class TestQuadratureProjection:
         # dot per row: a tolerance fixed in advance
         p = JacobiParams(a, b)
         for n in (1, 7, 64, 65, 300, 2048):
-            nodes = transforms_mod._rule_nodes(p, "full", n)
-            F = np.exp(-0.5 * nodes.x**2) / np.cosh(nodes.x - 0.3)
+            rule = gauss_jacobi(p, n)
+            x = transforms_mod._node_set(rule.angles).x  # every node, also of a symmetric rule
+            F = np.exp(-0.5 * x**2) / np.cosh(x - 0.3)
             B, e = jacobi_matrix(p, n)
-            got = project(B, e, nodes.rule.weights * F, nodes.rule.nodes, -0.5 * log_jacobi_norm(p, 0))
-            want = project_rowwise(p, nodes.rule, F)
+            got = project(B, e, rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p, 0))
+            want = project_rowwise(p, rule, F)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -380,18 +404,19 @@ class TestNodeCaches:
             analyze_full(_full(1.3, 0.2), f, 32)
         assert rule_calls == [(1.3, 0.2, 32)]
 
-    def test_two_rules_per_half_key(self, rule_calls):
+    def test_one_rule_per_half_key(self, rule_calls):
         for f in self.FUNCS:
             analyze_half(_half(1.3), f, 32)
-        assert sorted(rule_calls) == [(1.3, -0.5, 16), (1.3, 0.5, 16)]
+        assert rule_calls == [(1.3, 1.3, 32)]
 
-    def test_other_mode_size_or_pair_misses(self, rule_calls):
+    def test_size_or_pair_misses_modes_share(self, rule_calls):
         f = self.FUNCS[0]
         analyze_full(_full(1.3, -0.5), f, 16)
-        analyze_half(_half(1.3), f, 32)  # (1.3, -1/2) at 16 nodes again, but half mode
+        analyze_half(_half(1.3), f, 32)
+        analyze_full(_full(1.3, 1.3), f, 32)  # the half key's rule
         analyze_full(_full(1.3, -0.5), f, 24)
         analyze_full(_full(-0.5, 1.3), f, 16)
-        assert rule_calls == [(1.3, -0.5, 16), (1.3, -0.5, 16), (1.3, 0.5, 16), (1.3, -0.5, 24), (-0.5, 1.3, 16)]
+        assert rule_calls == [(1.3, -0.5, 16), (1.3, 1.3, 32), (1.3, -0.5, 24), (-0.5, 1.3, 16)]
 
     @pytest.mark.parametrize("spec", [_full(1.3, 0.2), _half(1.3), _full(0.5, -0.5), _half(-0.5)],
                              ids=["full-quad", "half-quad", "full-fast", "half-fast"])
@@ -415,8 +440,8 @@ class TestNodeCaches:
         with pytest.raises(ValueError, match="read-only"):
             sample_grid("half", 16).theta[0] = 0.0
         assert analyze_full(spec, f, 16).coeffs.tobytes() == before.tobytes()
-        grid = transforms_mod._grid("full", 16)
-        rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), "full", 16)
+        grid = transforms_mod._grid(16)
+        rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), 16)
         arrays = [*grid[:3], *rule[:3], rule.rule.nodes, rule.rule.log_weights, rule.rule.angles]
         assert len(arrays) == 9
         assert not any(a.flags.writeable for a in arrays)
