@@ -30,7 +30,7 @@ from .operators import (
     mult_op,
     solve_first_order,
 )
-from .special import JacobiParams, log_gamma_complex
+from .special import JacobiParams
 from .transforms import SampleGrid, analyze_full, analyze_half, analyze_unweighted, dct, sample_grid, synthesize
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "fourier_transform",
     "g_weight",
     "gauss_jacobi",
-    "log_gamma_complex",
     "measure_density",
     "mult_op",
     "normalisation_constant",

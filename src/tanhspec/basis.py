@@ -143,7 +143,7 @@ def _full_sum(params: JacobiParams, coeffs: np.ndarray, x):
     pts, scalar = _as_points(x)
     v = np.array(coeffs, dtype=float)
     v[1::2] *= -1.0
-    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
+    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
     vals = forward_sum(*jacobi_matrix(params, v.size), v, np.tanh(pts), log_start)
     return float(vals[0]) if scalar else vals
 

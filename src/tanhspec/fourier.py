@@ -10,7 +10,8 @@ an N-term expansion is
 where g(xi) = C * Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2), the
 constant C > 0 normalises |g|^2 dxi to unit mass, and the p_m are the
 orthonormal polynomials of that measure.  C underflows once a and b near
-300, so ln C is carried and added inside every exponent.  The p_m,
+300, so g is the exponential of ln g, one closed form whose large terms
+cancel in algebra (_log_weight).  The p_m,
 generalised Carlitz polynomials, satisfy xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}
 (b_m the differentiation couplings), summed by jacobi.forward_sum.
 (The i^m phase, rather than (-i)^m, is forced jointly by F[f'] = i xi F[f]
@@ -26,7 +27,7 @@ import numpy as np
 
 from .basis import Expansion
 from .jacobi import couplings, forward_sum
-from .special import JacobiParams, log_gamma_complex
+from .special import _LN2, _STIRLING_FROM, JacobiParams, _stirling_tail
 
 __all__ = [
     "FourierRep",
@@ -49,19 +50,57 @@ class FourierRep:
 
 def _clamp_xi(xi) -> np.ndarray:
     # the weight is exactly 0.0 from |xi| = 1e300 on, where it and xi / b_0
-    # are still finite; a non-finite xi is left for log_gamma_complex to reject
+    # are still finite; a non-finite xi is left for _log_weight to reject
     xi = np.asarray(xi, dtype=float)
     return np.where(np.isfinite(xi), np.clip(xi, -1e300, 1e300), xi)
 
 
-def _log_gamma_pair(params: JacobiParams, xi) -> np.ndarray:
-    # ln Gamma((a+1)/2 + i xi/2) + ln Gamma((b+1)/2 - i xi/2), elementwise
-    xi = _clamp_xi(xi)
-    half = np.zeros(xi.shape, dtype=complex)
-    half.imag = 0.5 * xi  # 0.5j * xi would make a nan real part from an infinite xi
-    return log_gamma_complex(0.5 * (params.alpha + 1.0) + half) + log_gamma_complex(
-        0.5 * (params.beta + 1.0) - half
-    )
+def _log1p_i(u):
+    # log1p(iu) = L + iA for real u, L = ln sqrt(1 + u^2) with u^2 finite at every clamped u
+    big = np.maximum(np.abs(u), 1e150)
+    return 0.5 * np.log1p(np.square(np.minimum(np.abs(u), 1e150))) + np.log(big / 1e150), np.arctan(u)
+
+
+def _log_weight(params: JacobiParams, xi) -> np.ndarray:
+    """ln g(xi), 1-d over the clamped xi: with p = (a+1)/2, q = (b+1)/2 and y = xi/2, Barnes' lemma gives
+    ln g = -ln sqrt(4 pi) - ln sqrt(B(a+1, b+1)) + ln B(p + iy, q - iy).  Lifting p, q by k, l steps to
+    P, Q >= 8 (DLMF 5.5.1), Stirling's series (DLMF 5.11.1, mu its remainder) for its six ln Gamma cancels
+    the large terms in algebra, as log_jacobi_norm does for ln g_0:
+    ln g = 1/4 ln((P+Q) / (4 pi P Q)) + iy ln(P/Q) + (P - 1/2 + iy) log1p(iy/P) + (Q - 1/2 - iy) log1p(-iy/Q)
+           + mu(P+iy) + mu(Q-iy) - mu(P+Q) - [mu(2P) + mu(2Q) - mu(2P+2Q)] / 2 + lift terms.
+    Raises ValueError if any xi is not finite."""
+    # 1-d even for a scalar: numpy rounds complex products on 0-d arrays differently from its 1-d loop
+    y = 0.5 * _clamp_xi(xi).ravel()
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"xi must be finite (got {2.0 * y[~np.isfinite(y)][0]})")
+    p, q = 0.5 * (params.alpha + 1.0), 0.5 * (params.beta + 1.0)
+    k, l = max(0, math.ceil(_STIRLING_FROM - p)), max(0, math.ceil(_STIRLING_FROM - q))
+    P, Q = p + k, q + l
+    # the lift's constant, sum_{j<2k} ln sqrt(2p+j) + sum_{j<2l} ln sqrt(2q+j) - sum_{j<2k+2l} ln sqrt(2s+j)
+    # + sum_{j<k+l} ln(s+j), s = p+q, whose terms pair up: ln(s+j) - ln sqrt((2s+2j)(2s+2j+1)) is
+    # -ln 2 - log1p(1 / (2s+2j)) / 2
+    const = math.fsum([0.25 * math.log((P + Q) / (4.0 * math.pi * P * Q)), -_stirling_tail(P + Q),
+                       0.5 * (_stirling_tail(2.0 * P + 2.0 * Q) - _stirling_tail(2.0 * P) - _stirling_tail(2.0 * Q)),
+                       *(0.5 * math.log(2.0 * p + j) for j in range(2 * k)),
+                       *(0.5 * math.log(2.0 * q + j) for j in range(2 * l)),
+                       *(-_LN2 - 0.5 * math.log1p(0.5 / (p + q + j)) for j in range(k + l))])
+    lp, ap = _log1p_i(y / P)
+    lq, aq = _log1p_i(y / Q)
+    # ln(P/Q) + ln|1 + iy/P| - ln|1 + iy/Q| = ln|P + iy| - ln|Q + iy| = +-ln sqrt(1 + |P^2 - Q^2| / h^2), h the
+    # smaller modulus, formed without cancelling
+    h = np.hypot(min(P, Q), y)
+    re = const + (P - 0.5) * lp + (Q - 0.5) * lq - y * (ap + aq)
+    im = math.copysign(0.5, P - Q) * y * np.log1p(abs(P - Q) / h * ((P + Q) / h)) + (P - 0.5) * ap - (Q - 0.5) * aq
+    # the lift's part per point, -sum ln(p + j + iy) - sum ln(q + j - iy), a p-step and a q-step at a time
+    for j in range(max(k, l)):
+        lift_re = lift_im = 0.0
+        if j < k:
+            lift_re, lift_im = np.log(np.hypot(p + j, y)), -np.arctan2(y, p + j)
+        if j < l:
+            lift_re, lift_im = lift_re + np.log(np.hypot(q + j, y)), lift_im + np.arctan2(y, q + j)
+        re -= lift_re
+        im += lift_im
+    return (re + 1j * im) + (_stirling_tail(P + 1j * y) + _stirling_tail(Q - 1j * y))
 
 
 def _decay_cutoff(params: JacobiParams) -> float:
@@ -88,7 +127,7 @@ def normalisation_constant(params: JacobiParams) -> float:
     return -0.5 * log_mass
 
 
-def _panel_mass(params: JacobiParams, log_c: float) -> float:
+def _panel_mass(params: JacobiParams) -> float:
     # independent check of the unit mass: fixed Gauss-Legendre panels, graded
     # geometrically toward the peak at xi = 0, whose width shrinks to
     # min(a, b) + 1 as a or b approaches -1
@@ -98,25 +137,24 @@ def _panel_mass(params: JacobiParams, log_c: float) -> float:
     edges = np.concatenate(([0.0], np.geomspace(1e-3 * width, uniform[1], 24), uniform[2:]))
     lo, hi = edges[:-1, None], edges[1:, None]
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    density = np.exp(2.0 * (log_c + _log_gamma_pair(params, xs).real))
+    density = np.exp(2.0 * _log_weight(params, xs).real).reshape(xs.shape)
     return 2.0 * float(np.sum((0.5 * (hi - lo) * density) @ weights))
 
 
 @lru_cache(maxsize=32)
 def _checked_normalisation(params: JacobiParams) -> float:
-    log_c = normalisation_constant(params)
-    mass = _panel_mass(params, log_c)
+    mass = _panel_mass(params)
     if not abs(mass - 1.0) <= 1e-10:  # a NaN mass fails too
         raise RuntimeError(f"Fourier measure mass check failed: got {mass!r}, expected 1")
-    return log_c
+    return normalisation_constant(params)
 
 
 def fourier_rep(params: JacobiParams) -> FourierRep:
     """Fourier-space representation of one parameter pair.
 
     The normalisation depends only on (alpha, beta) and is cached on them.
-    Its unit-mass invariant is verified once per pair, with a quadrature
-    independent of the closed form that computed the constant.
+    The unit mass of the weight is verified once per pair, with a quadrature
+    independent of the closed form that computes it.
     """
     return FourierRep(params=params, log_normalisation=_checked_normalisation(params))
 
@@ -127,8 +165,8 @@ def g_weight(rep: FourierRep, xi):
     Has even real part and odd imaginary part in xi; real and even when
     alpha = beta.  Raises ValueError if any xi is not finite.
     """
-    out = np.exp(rep.log_normalisation + _log_gamma_pair(rep.params, xi))
-    return complex(out) if np.ndim(xi) == 0 else out
+    out = np.exp(_log_weight(rep.params, xi)).reshape(np.shape(xi))
+    return complex(out) if out.ndim == 0 else out
 
 
 def measure_density(rep: FourierRep, xi):
@@ -136,8 +174,8 @@ def measure_density(rep: FourierRep, xi):
 
     Raises ValueError if any xi is not finite.
     """
-    out = np.exp(2.0 * (rep.log_normalisation + _log_gamma_pair(rep.params, xi).real))
-    return float(out) if np.ndim(xi) == 0 else out
+    out = np.exp(2.0 * _log_weight(rep.params, xi).real).reshape(np.shape(xi))
+    return float(out) if out.ndim == 0 else out
 
 
 def carlitz_eval(rep: FourierRep, m: int, xi):
@@ -163,8 +201,9 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     is not finite.
     """
     n, params = len(e), e.spec.params
+    fourier_rep(params)  # the mass check, once per pair
     xi = _clamp_xi(np.atleast_1d(xi_points))
-    log_g = fourier_rep(params).log_normalisation + _log_gamma_pair(params, xi)
+    log_g = _log_weight(params, xi)
     b = couplings(params, n)
     growth = np.sum(np.maximum(0.0, np.log1p(np.concatenate(([0.0], b))[: n - 1]) - np.log(b[: n - 1])))
     keep = log_g.real + np.log1p(np.sum(np.abs(e.coeffs))) + growth + (n - 1) * np.log1p(np.abs(xi)) >= -745.0

@@ -63,12 +63,15 @@ def couplings(params: JacobiParams, count: int) -> np.ndarray:
     The factor (a+b+m+1)/(a+b+2m+1) equals 1 identically at m = 0, which
     resolves the removable 0/0 at a+b = -1 and yields
     b_0 = sqrt((a+1)(b+1)/(a+b+3)) there (e.g. b_0 = sqrt(2)/4 for the
-    Chebyshev-T pair, where the naive closed form breaks down).
+    Chebyshev-T pair, where the naive closed form breaks down).  Raises
+    OverflowError where a+b is past the float range.
     """
     if count < 1:
         raise ValueError(f"count must be positive (got {count})")
     a, b = params.alpha, params.beta
     s = a + b
+    if math.isinf(s):
+        raise OverflowError(f"alpha + beta is past the float range at {params}")
     m = np.arange(count, dtype=float)
     factor = np.empty(count)
     factor[0] = 1.0
@@ -211,7 +214,7 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
     """q_{n-1}(t), q_n(t) in units of one scale per point, log weights -2 log scale - ln sum_{m<n} p_m(t)^2
     = -ln sum q_m^2 from one orthonormal_blocks pass, finite where sum q_m^2 is not, and if count the sign
     changes in p_0(t), ..., p_n(t), the nodes above t (Sturm: s_m > 0, rescales are powers of 2), else 0."""
-    unit = -0.5 * log_jacobi_norm(params, 0)
+    unit = -0.5 * log_jacobi_norm(params)
     total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
     pick = np.eye(2, n + 1, n - 1)  # the rows of q_{n-1} and q_n
     changes, neg = 0, False

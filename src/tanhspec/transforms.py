@@ -147,7 +147,7 @@ def _node_set(theta: np.ndarray, rule: QuadratureRule | None = None) -> _Nodes:
         scale = _SQRT_PI * 0.5 / np.sqrt(sin_h) * cos_h**-0.5
     else:
         a, b = rule.params.alpha, rule.params.beta
-        scale = (rule.log_weights[rule.nodes.size - theta.size :] - 0.5 * log_jacobi_norm(rule.params, 0)
+        scale = (rule.log_weights[rule.nodes.size - theta.size :] - 0.5 * log_jacobi_norm(rule.params)
                  - (a + 1.0) * np.log(_SQRT_2 * sin_h) - (b + 1.0) * np.log(_SQRT_2 * cos_h))
         if fold and rule.nodes.size % 2:
             scale[0] -= math.log(2.0)
@@ -170,22 +170,12 @@ def _rule_nodes(params: JacobiParams, n: int) -> _Nodes:
     return _node_set(rule.angles, rule)
 
 
-def sample_grid(mode: str, n: int) -> SampleGrid:
-    """The sampling grid used by the fast paths (no endpoint samples); read-only arrays.
-
-    Full mode: the N-point grid.  Half mode: the x > 0 half of the 2N-point
-    grid, whose angles are half these, so tanh x = sqrt((1 + cos theta) / 2).
-    """
+def sample_grid(n: int) -> SampleGrid:
+    """The N-point grid that the fast paths of both modes sample (no endpoint samples); read-only arrays."""
     if n < 1:
         raise ValueError(f"grid size must be positive (got {n})")
-    if mode not in ("full", "half"):
-        raise ValueError(f"mode must be 'full' or 'half' (got {mode!r})")
-    if mode == "full":
-        g = _grid(n)
-        return SampleGrid(theta=g.theta, x=g.x, size=n)
-    theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
-    theta.flags.writeable = False
-    return SampleGrid(theta=theta, x=_node_set(0.5 * theta).x, size=n)
+    g = _grid(n)
+    return SampleGrid(theta=g.theta, x=g.x, size=n)
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:

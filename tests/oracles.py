@@ -7,13 +7,14 @@ the routes under test never check themselves.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from tanhspec.basis import _LN2, _as_points, _log_weight_full, diff_coeffs
-from tanhspec.fourier import _clamp_xi, _log_gamma_pair, fourier_rep
+from tanhspec.fourier import _clamp_xi
 from tanhspec.jacobi import QuadratureRule, _blocking, _factors, _fill, jacobi_matrix
 from tanhspec.special import JacobiParams, log_jacobi_norm
 
@@ -119,7 +120,7 @@ def jacobi_eval_batch(params, m_max: int, points) -> np.ndarray:
 
 def orthonormal_eval_batch(params, m_max: int, points) -> np.ndarray:
     """Rows of jacobi_eval_batch scaled to unit weighted L2 norm."""
-    scale = np.exp([-0.5 * log_jacobi_norm(params, m) for m in range(m_max + 1)])
+    scale = np.exp([-0.5 * log_norm(params, m) for m in range(m_max + 1)])
     return jacobi_eval_batch(params, m_max, points) * scale[:, None]
 
 
@@ -128,7 +129,7 @@ def phi_full_direct(spec, m: int, x):
     with the weight and the norm joined in one exponent."""
     pts, scalar = _as_points(x)
     poly = jacobi_eval(spec.params, m, np.tanh(pts))
-    vals = (-1.0) ** m * poly * np.exp(_log_weight_full(spec.params, pts) - 0.5 * log_jacobi_norm(spec.params, m))
+    vals = (-1.0) ** m * poly * np.exp(_log_weight_full(spec.params, pts) - 0.5 * log_norm(spec.params, m))
     return float(vals[0]) if scalar else vals
 
 
@@ -150,18 +151,29 @@ def phi_half_direct(spec, m: int, x):
     k = m // 2
     if m % 2 == 0:
         par = JacobiParams(a, -0.5)
-        log_amp = (0.25 * (2.0 * a + 1.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
+        log_amp = (0.25 * (2.0 * a + 1.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_norm(par, k)
         vals = jacobi_eval(par, k, u) * np.exp(log_amp)
     else:
         par = JacobiParams(a, 0.5)
-        log_amp = (0.25 * (2.0 * a + 3.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_jacobi_norm(par, k)
+        log_amp = (0.25 * (2.0 * a + 3.0)) * _LN2 + (1.0 + a) * ls - 0.5 * log_norm(par, k)
         vals = -np.tanh(pts) * jacobi_eval(par, k, u) * np.exp(log_amp)
     return float(vals[0]) if scalar else vals
 
 
+def log_norm(params, m: int) -> float:
+    """ln g_m from math.lgamma, g_m = 2^{1+a+b} Gamma(1+a+m) Gamma(1+b+m) / [m! (1+a+b+2m) Gamma(1+a+b+m)];
+    the library holds ln g_0 alone (special.log_jacobi_norm), which serves m = 0."""
+    if m == 0:
+        return log_jacobi_norm(params)
+    a, b = params.alpha, params.beta
+    s = a + b
+    return ((s + 1.0) * _LN2 + math.lgamma(a + m + 1.0) + math.lgamma(b + m + 1.0) - math.lgamma(m + 1.0)
+            - math.log(s + 2.0 * m + 1.0) - math.lgamma(s + m + 1.0))
+
+
 def jacobi_norm(params, m: int) -> float:
     """Squared weighted L2 norm g_m of the degree-m Jacobi polynomial."""
-    return math.exp(log_jacobi_norm(params, m))
+    return math.exp(log_norm(params, m))
 
 
 def norm_ratio(params, m: int, delta: int) -> float:
@@ -385,7 +397,7 @@ def orthonormal_rows(B, e, count: int, points, log_start):
 
 
 def _jacobi_rows(params, count: int, points):
-    return orthonormal_rows(*jacobi_matrix(params, count), count, points, -0.5 * log_jacobi_norm(params, 0))
+    return orthonormal_rows(*jacobi_matrix(params, count), count, points, -0.5 * log_jacobi_norm(params))
 
 
 def gauss_weights_rowwise(params, nodes):
@@ -394,7 +406,7 @@ def gauss_weights_rowwise(params, nodes):
     As in the library, the sum is kept in units of exp(2 log_scale), carried into new units at a rescale;
     weights past the float range are inf or 0, their logs finite.
     """
-    total, unit = 0.0, -0.5 * log_jacobi_norm(params, 0)
+    total, unit = 0.0, -0.5 * log_jacobi_norm(params)
     for s, p, log_scale in _jacobi_rows(params, len(nodes), nodes):
         if log_scale is not unit:
             total, unit = total * np.exp(2.0 * (unit - log_scale)), log_scale
@@ -405,7 +417,7 @@ def gauss_weights_rowwise(params, nodes):
 
 def sweep_rowwise(params, n: int, t):
     """q_{n-1}(t), q_n(t) in units of the last row's scale and -ln sum_{m<n} q_m(t)^2, one row at a time."""
-    total, unit = 0.0, -0.5 * log_jacobi_norm(params, 0)
+    total, unit = 0.0, -0.5 * log_jacobi_norm(params)
     rows = list(_jacobi_rows(params, n + 1, t))
     for s, p, log_scale in rows[:n]:
         if log_scale is not unit:
@@ -434,7 +446,7 @@ def clenshaw_rowwise(e, x):
     B, off = jacobi_matrix(params, len(e))
     t = np.tanh(pts)
     k = _rescaled_recurrence(B, off, len(e), t)[2]
-    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params, 0)
+    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
     rows = list(orthonormal_rows(B, off, len(e), t, log_start))
     v = e.coeffs * (-1.0) ** np.arange(len(e))
     acc, unit = 0.0, log_start
@@ -472,7 +484,6 @@ def carlitz_rowwise(rep, m: int, xi):
 def fourier_backward(e, xi_points) -> np.ndarray:
     """F[f](xi) = g(xi) sum_m i^m c_m p_m(xi) by backward Clenshaw on the couplings."""
     n = len(e)
-    rep = fourier_rep(e.spec.params)
     b = diff_coeffs(e.spec.params, n).b
     xi = _clamp_xi(np.atleast_1d(xi_points))  # the recurrence's xi / b_k needs it too
     d = (1j) ** np.arange(n) * e.coeffs
@@ -497,8 +508,21 @@ def fourier_backward(e, xi_points) -> np.ndarray:
             exponent[big] += np.log(s)
         u2 = u1
         u1 = u
-    out = np.exp(rep.log_normalisation + _log_gamma_pair(rep.params, xi) + exponent) * u1
+    log_g = _log_weight_mp(e.spec.params.alpha, e.spec.params.beta, xi.tobytes())
+    out = np.exp(log_g + exponent) * u1
     return complex(out[0]) if np.ndim(xi_points) == 0 else out
+
+
+@lru_cache(maxsize=8)
+def _log_weight_mp(a: float, b: float, xi_bytes: bytes) -> np.ndarray:
+    """ln g(xi) = ln C + ln Gamma((a+1)/2 + i xi/2) + ln Gamma((b+1)/2 - i xi/2) at 30 digits, with ln C from
+    Barnes' lemma: C^-2 = 4 pi Gamma(a+1) Gamma(b+1) Gamma((a+b)/2+1)^2 / Gamma(a+b+2)."""
+    with mpmath.workdps(30):
+        p, q = (mpmath.mpf(a) + 1) / 2, (mpmath.mpf(b) + 1) / 2
+        lg = mpmath.loggamma
+        log_c = -(mpmath.log(4 * mpmath.pi) + lg(2 * p) + lg(2 * q) - lg(2 * p + 2 * q)) / 2 - lg(p + q)
+        return np.array([complex(log_c + lg(mpmath.mpc(p, x / 2)) + lg(mpmath.mpc(q, -x / 2)))
+                         for x in np.frombuffer(xi_bytes)])
 
 
 def _jacobi_matrix_mp(a: float, b: float, count: int):

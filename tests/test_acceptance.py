@@ -214,10 +214,8 @@ def test_criterion_6_fourier_transform():
             total = gauss_panels(sq, -60.0, 60.0, 0.5, npts=20)
             assert abs(total - float(np.sum(e.coeffs**2))) <= 1e-8, a
         # squared-Gamma transform identity at a = 1/2 by two routes
-        from tanhspec import log_gamma_complex
-
         def gamma_sq(s):
-            return math.exp(2.0 * log_gamma_complex(complex(0.5, s)).real)
+            return math.pi / math.cosh(math.pi * s)  # |Gamma(1/2 + i s)|^2, by the reflection formula
 
         for x in (0.0, 1.0, 2.4):
             lhs = gauss_panels(

@@ -250,6 +250,15 @@ class TestParameterScan:
                     bad.append((cell, argv[0], code, stderr))
         assert not bad
 
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--alpha", "1.7e308", "--beta", "0", "--m-list", "0,1", "--points", "0,1"],  # math.lgamma of ln g_0
+        ["expand", "--alpha", "1e308", "--beta", "1e308", "--n", "4", "--fn", "sech"],  # a + b = inf
+    ], ids=["basis", "expand"])
+    def test_overflow_at_the_top_of_the_float_range(self, argv, capsys):
+        code = run(*argv)
+        stderr = capsys.readouterr().err
+        assert code == 3 and stderr.startswith("error: overflow") and stderr.count("\n") == 1
+
     def test_weights_past_the_top_of_the_float_range(self, tmp_path, monkeypatch):
         # the weights of the (1e6, 0) rule sum to 2^(1e6+1) / (1e6+1); their logs are finite, but lie
         # near ln g_0 = 6.9e5, whose ulp, 1.2e-10, is a relative error in a weight: 9.1e-11 is measured

@@ -17,7 +17,6 @@ from tanhspec import (
     fourier_rep,
     fourier_transform,
     g_weight,
-    log_gamma_complex,
     measure_density,
     normalisation_constant,
     analyze_full,
@@ -30,6 +29,15 @@ from oracles import carlitz_rowwise, direct_fourier, fourier_backward, gauss_pan
 
 def _rep(a, b):
     return fourier_rep(JacobiParams(a, b))
+
+
+#: (a, b) from next to -1 to 1e8, where ln C and each ln Gamma reach 1e9 but ln g stays O(1)
+WEIGHT_PAIRS = [
+    (math.nextafter(-1.0, 0.0), 10.0), (-0.999, -0.999), (-0.5, -0.5), (0.5, -0.5), (0.0, 0.0), (1.3, 0.2),
+    (5.0, 3.0), (14.0, 15.0), (15.0, 15.0), (80.0, 80.0), (200.0, 200.0), (1e3, 1e3), (1e5, 0.0), (0.0, 1e5),
+    (1e5, 1e5), (1e5, 3.0), (1e6, 3.0), (1e6, 1e6), (0.0, 1e6), (1e8, 1e8),
+]
+WEIGHT_XI = np.array([0.0, 0.3, 1.0, 5.0, 20.0, 100.0, -7.5, 1e3])
 
 
 class TestWeight:
@@ -62,6 +70,33 @@ class TestWeight:
             minus = g_weight(rep, -xi)
             assert plus.real == minus.real
             assert plus.imag == -minus.imag
+
+    @pytest.mark.parametrize("a,b", WEIGHT_PAIRS)
+    def test_against_mpmath_40_digits(self, a, b):
+        # ln g = ln C + ln Gamma(p + i xi/2) + ln Gamma(q - i xi/2), p, q = (a+1)/2, (b+1)/2, the branch of the
+        # principal ln Gamma; compared where Re ln g > -745, so that g is a normal float or a subnormal
+        got = fourier_mod._log_weight(JacobiParams(a, b), WEIGHT_XI)
+        with mpmath.workdps(40):
+            p, q = (mpmath.mpf(a) + 1) / 2, (mpmath.mpf(b) + 1) / 2
+            lg = mpmath.loggamma
+            log_c = -(mpmath.log(4 * mpmath.pi) + lg(2 * p) + lg(2 * q) - lg(2 * p + 2 * q)) / 2 - lg(p + q)
+            for x, g in zip(WEIGHT_XI, got):
+                ref = log_c + lg(mpmath.mpc(p, x / 2)) + lg(mpmath.mpc(q, -x / 2))
+                if ref.real > -745:
+                    assert abs(g.real - float(ref.real)) <= 1e-13, x
+                    assert abs(g.imag - float(ref.imag)) <= 1e-13 * max(1.0, abs(float(ref.imag))), x
+
+    @pytest.mark.parametrize("a,b", WEIGHT_PAIRS)
+    def test_symmetries_bitwise(self, a, b):
+        # g(-xi) = conj g(xi); g is real at a = b; an array gives the values of scalar calls
+        rep = _rep(a, b)
+        xi = np.concatenate([WEIGHT_XI, [1e-300, 3e4, 1e150, 1e300, 1e308]])
+        got = g_weight(rep, xi)
+        assert np.array_equal(g_weight(rep, -xi), got.conj())
+        assert got.tobytes() == np.array([g_weight(rep, float(x)) for x in xi]).tobytes()
+        assert measure_density(rep, xi).tobytes() == np.array([measure_density(rep, float(x)) for x in xi]).tobytes()
+        if a == b:
+            assert np.all(got.imag == 0.0)
 
     def test_sech_profile(self):
         # |g_{0,0}|^2 is proportional to sech^2(pi xi / 2)
@@ -123,6 +158,11 @@ class TestWeight:
                 assert g_weight(rep, xi) == 0.0
                 assert measure_density(rep, xi) == 0.0
             assert np.all(g_weight(rep, np.array([1e308, -1e308])) == 0.0)
+            xi = np.concatenate([-np.geomspace(1e-3, 1e308, 200), np.geomspace(1e-3, 1e308, 200)])
+            for a, b in WEIGHT_PAIRS:
+                other = _rep(a, b)
+                assert np.all(np.isfinite(g_weight(other, xi))) and np.all(np.isfinite(measure_density(other, xi)))
+                assert g_weight(other, 1e300) == 0.0
         for bad in (math.inf, -math.inf, math.nan):
             for f in (g_weight, measure_density):
                 with pytest.raises(ValueError, match="finite"):
@@ -172,7 +212,12 @@ class TestNormalisation:
         # the runtime unit-mass check (tolerance 1e-10) must resolve the peak
         # at xi = 0, which narrows to width min(a, b) + 1 near a, b = -1
         rep = _rep(a, b)
-        assert abs(fourier_mod._panel_mass(rep.params, rep.log_normalisation) - 1.0) <= 1e-13
+        assert abs(fourier_mod._panel_mass(rep.params) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("a,b", [(1e5, 0.0), (0.0, 1e5), (1e5, 1e5), (1e5, 3.0), (1e6, 3.0), (1e6, 1e6), (0.0, 1e6)])
+    def test_mass_check_at_large_pairs(self, a, b):
+        # each ln Gamma of the weight is near 1e6 here, but ln g is formed without them
+        assert abs(fourier_mod._panel_mass(JacobiParams(a, b)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("a", [200.0, 400.0])
     def test_large_pair_weight_finite_with_unit_mass(self, a):
@@ -182,7 +227,7 @@ class TestNormalisation:
         xi = np.array([0.0, 1.0, -30.0, 200.0])
         assert np.all(np.isfinite(g_weight(rep, xi))) and g_weight(rep, 0.0).real > 0.0
         assert np.all(np.isfinite(measure_density(rep, xi)))
-        assert abs(fourier_mod._panel_mass(rep.params, rep.log_normalisation) - 1.0) <= 1e-10
+        assert abs(fourier_mod._panel_mass(rep.params) - 1.0) <= 1e-10
         vals = fourier_transform(Expansion(BasisSpec(rep.params), [1.0, 0.5, 0.25]), xi)
         assert np.all(np.isfinite(vals))
 
@@ -317,7 +362,7 @@ class TestFourierTransform:
         # equivalently the transform of sech(x/2) follows the squared-Gamma
         # profile; both sides are evaluated by independent routes here
         def gamma_sq(xi):
-            return math.exp(2.0 * log_gamma_complex(complex(0.5, xi)).real)
+            return math.pi / math.cosh(math.pi * xi)  # |Gamma(1/2 + i xi)|^2, by the reflection formula
 
         for x in (0.0, 0.8, 2.0):
             lhs = gauss_panels(

@@ -96,25 +96,23 @@ class TestTrigKernels:
             dct(kind, [1.0, 2.0])
 
 
-def _assert_x_within_two_ulp(mode, theta, x):
-    """x at the float angles theta within 2 ulp of 40-digit asinh(cot theta) (full) or asinh(cot(theta/2)) (half)."""
+def _assert_x_within_two_ulp(theta, x):
+    """x at the float angles theta within 2 ulp of 40-digit asinh(cot theta)."""
     with mpmath.workdps(40):
-        div = 1 if mode == "full" else 2
-        want = np.array([float(mpmath.asinh(mpmath.cot(mpmath.mpf(float(th)) / div))) for th in theta])
+        want = np.array([float(mpmath.asinh(mpmath.cot(mpmath.mpf(float(th))))) for th in theta])
     assert np.all(np.abs(x - want) <= 2.0 * np.spacing(np.abs(want))), np.max(np.abs(x / want - 1.0))
 
 
 class TestSampleGrid:
-    @pytest.mark.parametrize("mode", ["full", "half"])
     @pytest.mark.parametrize("n", [2**10 + 1, 2**14, 2**20])
-    def test_map_to_x_within_two_ulp(self, mode, n):
+    def test_map_to_x_within_two_ulp(self, n):
         # next to both ends and in the middle (x = 0 at the odd grid's middle
-        # node in full mode); through t = cos theta the end nodes lost up to
-        # 2.3e-5 relative at n = 2^20
-        g = sample_grid(mode, n)
+        # node); through t = cos theta the end nodes lost up to 2.3e-5
+        # relative at n = 2^20
+        g = sample_grid(n)
         try:
             at = [0, 1, 2, n // 2 - 2, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 2, n - 1]
-            _assert_x_within_two_ulp(mode, g.theta[at], g.x[at])
+            _assert_x_within_two_ulp(g.theta[at], g.x[at])
         finally:
             transforms_mod._grid.cache_clear()  # a 2^20 grid holds 32 MB
 
@@ -122,18 +120,20 @@ class TestSampleGrid:
         # the last node of this rule lies 2e-9 from t = 1; through t its x lost
         # 5.5e-9 relative
         nodes = transforms_mod._rule_nodes(JacobiParams(-0.999999, -0.999999), 32)
-        _assert_x_within_two_ulp("full", nodes.theta[-3:], nodes.x[-3:])
+        _assert_x_within_two_ulp(nodes.theta[-3:], nodes.x[-3:])
 
     def test_full_map(self):
-        g = sample_grid("full", 8)
+        g = sample_grid(8)
         assert np.all(np.diff(g.theta) > 0)
         assert np.allclose(np.tanh(g.x), np.cos(g.theta), atol=1e-15)
         assert np.all(np.isfinite(g.x))
 
     def test_half_map(self):
-        g = sample_grid("half", 8)
-        assert np.allclose(np.tanh(g.x), np.sqrt((1 + np.cos(g.theta)) / 2), atol=1e-15)
-        assert np.all(g.x > 0)
+        # half mode at (+-1/2, +-1/2) runs the full-range transform of its pair: it samples the N-point grid
+        for a in (-0.5, 0.5):
+            seen = []
+            analyze_half(_half(a), lambda x: seen.append(x.copy()) or np.exp(-x * x), 8)
+            assert len(seen) == 1 and seen[0].tobytes() == sample_grid(8).x.tobytes()
 
 
 class TestAnalyzeFull:
@@ -360,7 +360,7 @@ class TestQuadratureProjection:
             x = transforms_mod._node_set(rule.angles).x  # every node, also of a symmetric rule
             F = np.exp(-0.5 * x**2) / np.cosh(x - 0.3)
             B, e = jacobi_matrix(p, n)
-            got = project(B, e, rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p, 0))
+            got = project(B, e, rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p))
             want = project_rowwise(p, rule, F)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -436,9 +436,9 @@ class TestNodeCaches:
         f = self.FUNCS[1]
         before = analyze_full(spec, f, 16).coeffs
         with pytest.raises(ValueError, match="read-only"):
-            sample_grid("full", 16).x[:] = 0.0
+            sample_grid(16).x[:] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            sample_grid("half", 16).theta[0] = 0.0
+            sample_grid(16).theta[0] = 0.0
         assert analyze_full(spec, f, 16).coeffs.tobytes() == before.tobytes()
         grid = transforms_mod._grid(16)
         rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), 16)
