@@ -9,15 +9,7 @@ transforms evaluated through Gamma-product weights.
 """
 
 from .basis import BasisSpec, DiffOp, Expansion, clenshaw_eval, derivative_pointwise, diff_coeffs, phi_full
-from .fourier import (
-    FourierRep,
-    carlitz_eval,
-    fourier_rep,
-    fourier_transform,
-    g_weight,
-    measure_density,
-    normalisation_constant,
-)
+from .fourier import carlitz_eval, fourier_transform, g_weight, measure_density, normalisation_constant
 from .jacobi import QuadratureRule, gauss_jacobi
 from .operators import (
     BandedMatrix,
@@ -40,7 +32,6 @@ __all__ = [
     "BasisSpec",
     "DiffOp",
     "Expansion",
-    "FourierRep",
     "JacobiParams",
     "MultOp",
     "QuadratureRule",
@@ -58,7 +49,6 @@ __all__ = [
     "diff_apply",
     "diff_coeffs",
     "diff_squared_apply",
-    "fourier_rep",
     "fourier_transform",
     "g_weight",
     "gauss_jacobi",

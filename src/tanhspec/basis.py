@@ -42,28 +42,13 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _softplus(u: np.ndarray) -> np.ndarray:
-    # log(1 + e^u) without overflow
-    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-
-
-def _log_one_minus_tanh(x: np.ndarray) -> np.ndarray:
-    # 1 - tanh x = 2 / (1 + e^{2x}); tanh saturates in floats near |x| ~ 19,
-    # this form stays exact to full precision for all x.
-    return _LN2 - _softplus(2.0 * x)
-
-
-def _log_one_plus_tanh(x: np.ndarray) -> np.ndarray:
-    return _LN2 - _softplus(-2.0 * x)
-
-
 def _log_weight_full(params: JacobiParams, x: np.ndarray) -> np.ndarray:
-    # the weight is exactly 0.0 from |x| = 1e300 for every a, b > -1, so the
-    # clamp is exact and keeps 2x finite at the top of the float range
+    # ln (1 -+ tanh x) = ln 2 - ln(1 + e^{+-2x}), exact where tanh saturates; the weight is exactly 0.0 from
+    # |x| = 1e300 for every a, b > -1, so the clamp is exact and keeps 2x finite at the top of the float range
     x = np.clip(x, -1e300, 1e300)
-    return 0.5 * (params.alpha + 1.0) * _log_one_minus_tanh(x) + 0.5 * (
-        params.beta + 1.0
-    ) * _log_one_plus_tanh(x)
+    return 0.5 * (params.alpha + 1.0) * (_LN2 - np.logaddexp(0.0, 2.0 * x)) + 0.5 * (params.beta + 1.0) * (
+        _LN2 - np.logaddexp(0.0, -2.0 * x)
+    )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ where g(xi) = C * Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2), the
 constant C > 0 normalises |g|^2 dxi to unit mass, and the p_m are the
 orthonormal polynomials of that measure.  C underflows once a and b near
 300, so g is the exponential of ln g, one closed form whose large terms
-cancel in algebra (_log_weight).  The p_m,
+cancel in algebra (_log_weight).  Each function takes the JacobiParams of
+its pair; all but normalisation_constant first check, once per pair, that
+|g|^2 dxi has unit mass by a quadrature independent of that closed form.
+The p_m,
 generalised Carlitz polynomials, satisfy xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}
 (b_m the differentiation couplings), summed by jacobi.forward_sum.
 (The i^m phase, rather than (-i)^m, is forced jointly by F[f'] = i xi F[f]
@@ -20,32 +23,21 @@ belongs to the opposite exponent sign with g conjugated.)
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import Expansion
 from .jacobi import couplings, forward_sum
-from .special import _LN2, _STIRLING_FROM, JacobiParams, _stirling_tail
+from .special import _LN2, _STIRLING_FROM, JacobiParams, _stirling_tail, log_jacobi_norm
 
 __all__ = [
-    "FourierRep",
-    "fourier_rep",
     "normalisation_constant",
     "g_weight",
     "measure_density",
     "carlitz_eval",
     "fourier_transform",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class FourierRep:
-    """Normalised Fourier-space weight data for one parameter pair."""
-
-    params: JacobiParams
-    log_normalisation: float  # ln C
 
 
 def _clamp_xi(xi) -> np.ndarray:
@@ -114,17 +106,13 @@ def normalisation_constant(params: JacobiParams) -> float:
 
     Barnes' first lemma (DLMF 5.13.3) gives the unnormalised mass
     int |Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2)|^2 dxi
-        = 4 pi Gamma(a+1) Gamma(b+1) Gamma((a+b)/2+1)^2 / Gamma(a+b+2).
+        = 4 pi Gamma(a+1) Gamma(b+1) Gamma((a+b)/2+1)^2 / Gamma(a+b+2)
+        = 4 pi Gamma((a+b)/2+1)^2 2^{-(a+b+1)} g_0,
+    g_0 the Jacobi mass of special.log_jacobi_norm.
     """
     a, b = params.alpha, params.beta
-    log_mass = (
-        math.log(4.0 * math.pi)
-        + math.lgamma(a + 1.0)
-        + math.lgamma(b + 1.0)
-        + 2.0 * math.lgamma(0.5 * (a + b) + 1.0)
-        - math.lgamma(a + b + 2.0)
-    )
-    return -0.5 * log_mass
+    return (0.5 * (a + b + 1.0) * _LN2 - 0.5 * math.log(4.0 * math.pi) - 0.5 * log_jacobi_norm(params)
+            - math.lgamma(0.5 * (a + b) + 1.0))
 
 
 def _panel_mass(params: JacobiParams) -> float:
@@ -142,48 +130,45 @@ def _panel_mass(params: JacobiParams) -> float:
 
 
 @lru_cache(maxsize=32)
-def _checked_normalisation(params: JacobiParams) -> float:
-    mass = _panel_mass(params)
+def _mass(params: JacobiParams) -> float:
+    return _panel_mass(params)  # cached also where the check fails, which then raises again without a quadrature
+
+
+def _check_mass(params: JacobiParams) -> None:
+    """Raise RuntimeError unless the panel quadrature of |g|^2, run once per pair, is within 1e-10 of 1."""
+    mass = _mass(params)
     if not abs(mass - 1.0) <= 1e-10:  # a NaN mass fails too
         raise RuntimeError(f"Fourier measure mass check failed: got {mass!r}, expected 1")
-    return normalisation_constant(params)
 
 
-def fourier_rep(params: JacobiParams) -> FourierRep:
-    """Fourier-space representation of one parameter pair.
-
-    The normalisation depends only on (alpha, beta) and is cached on them.
-    The unit mass of the weight is verified once per pair, with a quadrature
-    independent of the closed form that computes it.
-    """
-    return FourierRep(params=params, log_normalisation=_checked_normalisation(params))
-
-
-def g_weight(rep: FourierRep, xi):
+def g_weight(params: JacobiParams, xi):
     """Complex weight g(xi) = C Gamma((a+1)/2 + i xi/2) Gamma((b+1)/2 - i xi/2).
 
     Has even real part and odd imaginary part in xi; real and even when
     alpha = beta.  Raises ValueError if any xi is not finite.
     """
-    out = np.exp(_log_weight(rep.params, xi)).reshape(np.shape(xi))
+    _check_mass(params)
+    out = np.exp(_log_weight(params, xi)).reshape(np.shape(xi))
     return complex(out) if out.ndim == 0 else out
 
 
-def measure_density(rep: FourierRep, xi):
+def measure_density(params: JacobiParams, xi):
     """|g(xi)|^2, the density of the unit-mass orthogonality measure.
 
     Raises ValueError if any xi is not finite.
     """
-    out = np.exp(2.0 * _log_weight(rep.params, xi).real).reshape(np.shape(xi))
+    _check_mass(params)
+    out = np.exp(2.0 * _log_weight(params, xi).real).reshape(np.shape(xi))
     return float(out) if out.ndim == 0 else out
 
 
-def carlitz_eval(rep: FourierRep, m: int, xi):
+def carlitz_eval(params: JacobiParams, m: int, xi):
     """Orthonormal polynomial p_m of the measure |g|^2 dxi: the jacobi.forward_sum of the
     unit vector e_m over xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1."""
+    _check_mass(params)
     if m < 0:
         raise ValueError(f"degree must be nonnegative (got {m})")
-    out = forward_sum(np.zeros(m + 1), couplings(rep.params, m + 1), np.eye(1, m + 1, m)[0], np.atleast_1d(xi), 0.0)
+    out = forward_sum(np.zeros(m + 1), couplings(params, m + 1), np.eye(1, m + 1, m)[0], np.atleast_1d(xi), 0.0)
     return float(out[0]) if np.ndim(xi) == 0 else out
 
 
@@ -201,7 +186,7 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     is not finite.
     """
     n, params = len(e), e.spec.params
-    fourier_rep(params)  # the mass check, once per pair
+    _check_mass(params)
     xi = _clamp_xi(np.atleast_1d(xi_points))
     log_g = _log_weight(params, xi)
     b = couplings(params, n)

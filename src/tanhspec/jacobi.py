@@ -158,25 +158,23 @@ def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_sca
     t = np.asarray(points, dtype=float)
     s, C, F = _factors(B, e, count, t)
     k, every = _blocking(C[:, 0], B[: count - 1], t)
-    # rows[0], rows[1] carry p_{lo-2}, p_{lo-1} into the block of degrees
-    # lo..lo+size-1, which lives in rows[2:] = buf: the caller may overwrite it
-    carry = np.zeros((2, t.size))  # p_{-2} (unused), p_{-1} = 0
-    buf = np.empty((k, t.size))
-    rows = [*carry, *buf]
-    buf[0] = 1.0
+    # buf[0], buf[1] carry p_{lo-2}, p_{lo-1} into the block of degrees lo..lo+size-1 in buf[2:], copied
+    # before the block is yielded, since the caller may overwrite it
+    buf = np.zeros((k + 2, t.size))  # p_{-2} (unused), p_{-1} = 0
+    buf[2] = 1.0
+    steps = [(buf[i], buf[i - 1], buf[i - 2]) for i in range(2, k + 2)]  # (p_m, p_{m-1}, p_{m-2})
     for lo in range(0, count, k):
         size = min(k, count - lo)
-        if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(carry), axis=None) > 2.0**128:
+        if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(buf[:2]), axis=None) > 2.0**128:
             shift = np.where(big > 2.0**128, np.frexp(big)[1], 0).max(axis=0)
-            np.ldexp(carry, -shift, out=carry)
+            np.ldexp(buf[:2], -shift, out=buf[:2])
             log_scale = log_scale + (shift * math.log(2.0)).reshape(t.shape)
-        _fill(C, F, lo, buf[:size])
-        for i in range(3 if lo == 0 else 2, size + 2):
-            rows[i] *= rows[i - 1]
-            rows[i] -= rows[i - 2]
-        carry[0] = rows[size]
-        carry[1] = rows[size + 1]
-        yield s[lo : lo + size], buf[:size].reshape(size, *t.shape), log_scale
+        _fill(C, F, lo, buf[2 : size + 2])
+        for p, p1, p2 in steps[1 if lo == 0 else 0 : size]:
+            p *= p1
+            p -= p2
+        buf[:2] = buf[size : size + 2]
+        yield s[lo : lo + size], buf[2 : size + 2].reshape(size, *t.shape), log_scale
 
 
 def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_start) -> np.ndarray:

@@ -261,8 +261,7 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs):
     applied to the rest of the block and to b.  The rows below the panel
     carry into the next block; the panel's rows are finished rows of R,
     kept for a back-substitution that solves one panel's triangle at a
-    time.  Returns the solution and the projected residual norm
-    |Q^T b|_tail.
+    time.  Returns the solution.
 
     Raises
     ------
@@ -305,8 +304,7 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs):
     for j, r, c in reversed(panels):
         e = j + len(r)
         x[j:e] = np.linalg.solve(r, b[j:e] - c @ x[e : e + ubw])
-    tail = b[n:]
-    return x[:n], math.sqrt(float(tail @ tail))
+    return x[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,6 +334,6 @@ def solve_first_order(d: DiffOp, mult: MultOp, rhs: Expansion, n: int) -> SolveR
     b = np.zeros(mat.rows)
     take = min(len(rhs), mat.rows)
     b[:take] = rhs.coeffs[:take]
-    x, _ = banded_qr_lstsq(mat, b)
+    x = banded_qr_lstsq(mat, b)
     residual = float(np.linalg.norm(mat.matvec(x) - b))
     return SolveResult(expansion=Expansion(spec=rhs.spec, coeffs=x), residual=residual)

@@ -465,11 +465,11 @@ def clenshaw_rowwise(e, x):
 # Clenshaw sum of a transform with its own 1e150 rescale.
 
 
-def carlitz_rowwise(rep, m: int, xi):
+def carlitz_rowwise(params, m: int, xi):
     """Orthonormal polynomial p_m of the measure |g|^2 dxi, by the forward
     recurrence p_{m+1} = (xi/b_m) p_m - (b_{m-1}/b_m) p_{m-1}, p_0 = 1."""
     x = np.atleast_1d(np.asarray(xi, dtype=float))
-    b = diff_coeffs(rep.params, max(m, 1)).b
+    b = diff_coeffs(params, max(m, 1)).b
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
     for k in range(m):

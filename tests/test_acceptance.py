@@ -21,12 +21,12 @@ from tanhspec import (
     diff_apply,
     diff_coeffs,
     diff_squared_apply,
-    fourier_rep,
     fourier_transform,
     g_weight,
     gauss_jacobi,
     measure_density,
     mult_op,
+    normalisation_constant,
     phi_full,
     solve_first_order,
     synthesize,
@@ -161,22 +161,23 @@ def test_criterion_4_half_equals_full():
 
 def test_criterion_5_fourier_space_closed_forms():
     with _Criterion(5, "Fourier-space weight closed forms and unit mass"):
-        rep00 = fourier_rep(JacobiParams(0.0, 0.0))
+        params = JacobiParams(0.0, 0.0)
         xi = np.linspace(-10.0, 10.0, 81)
-        dens = measure_density(rep00, xi)
+        dens = measure_density(params, xi)
         scaled = dens * np.cosh(math.pi * xi / 2.0) ** 2
         assert np.max(np.abs(scaled / scaled[40] - 1.0)) <= 1e-11
         for a in (0.3, 0.7):
-            rep = fourier_rep(JacobiParams(a, -a))
+            params = JacobiParams(a, -a)
             xg = np.linspace(-8.0, 8.0, 33)
-            got = measure_density(rep, xg)
-            want = 2.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation) / (np.cosh(math.pi * xg) + math.cos(math.pi * a))
+            got = measure_density(params, xg)
+            c2 = math.exp(2.0 * normalisation_constant(params))
+            want = 2.0 * math.pi**2 * c2 / (np.cosh(math.pi * xg) + math.cos(math.pi * a))
             assert np.max(np.abs(got / want - 1.0)) <= 1e-10, a
         for a in (0, 1, 2, 3):
-            rep = fourier_rep(JacobiParams(float(a), float(a)))
-            C = math.exp(rep.log_normalisation)
+            params = JacobiParams(float(a), float(a))
+            C = math.exp(normalisation_constant(params))
             for x in np.linspace(0.5, 9.5, 10):
-                g = g_weight(rep, float(x))
+                g = g_weight(params, float(x))
                 if a % 2 == 0:
                     n = a // 2
                     prod = math.prod(((j + 0.5) ** 2 + x * x / 4.0) for j in range(n))
@@ -187,10 +188,10 @@ def test_criterion_5_fourier_space_closed_forms():
                     want = 0.5 * math.pi * C * x * prod / math.sinh(math.pi * x / 2.0)
                 assert abs(g.real / want - 1.0) <= 1e-11, (a, x)
         for a, b in [(0.0, 0.0), (0.5, 0.5), (1.3, 0.2)]:
-            rep = fourier_rep(JacobiParams(a, b))
+            params = JacobiParams(a, b)
             cut = 45.0 + 12.0 * max(0.0, a + b)
             mass = 2.0 * gauss_panels(
-                lambda s: np.array([measure_density(rep, float(v)) for v in np.atleast_1d(s)]),
+                lambda s: np.array([measure_density(params, float(v)) for v in np.atleast_1d(s)]),
                 0.0, cut, 0.5, npts=20,
             )
             assert abs(mass - 1.0) <= 1e-10, (a, b)

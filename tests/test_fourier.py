@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from functools import lru_cache
 from unittest import mock
 
 import mpmath
@@ -14,7 +15,6 @@ from tanhspec import (
     JacobiParams,
     carlitz_eval,
     diff_coeffs,
-    fourier_rep,
     fourier_transform,
     g_weight,
     measure_density,
@@ -25,10 +25,6 @@ from tanhspec import (
 from tanhspec import fourier as fourier_mod
 
 from oracles import carlitz_rowwise, direct_fourier, fourier_backward, gauss_panels
-
-
-def _rep(a, b):
-    return fourier_rep(JacobiParams(a, b))
 
 
 #: (a, b) from next to -1 to 1e8, where ln C and each ln Gamma reach 1e9 but ln g stays O(1)
@@ -42,9 +38,9 @@ WEIGHT_XI = np.array([0.0, 0.3, 1.0, 5.0, 20.0, 100.0, -7.5, 1e3])
 
 class TestWeight:
     def test_symmetric_pair_is_real(self):
-        rep = _rep(0.5, 0.5)
+        params = JacobiParams(0.5, 0.5)
         for xi in (0.0, 0.7, 3.3):
-            val = g_weight(rep, xi)
+            val = g_weight(params, xi)
             assert abs(val.imag) <= 1e-15 * abs(val)
             assert val.real > 0.0
 
@@ -53,7 +49,7 @@ class TestWeight:
         # 30-digit C Gamma Gamma, with C from Barnes' lemma (checked against
         # quadrature in TestNormalisation)
         xi = np.array([0.0, 0.3, -1.7, 5.0, -20.0, 60.0])
-        got = g_weight(_rep(a, b), xi)
+        got = g_weight(JacobiParams(a, b), xi)
         with mpmath.workdps(30):
             p, q = (mpmath.mpf(a) + 1) / 2, (mpmath.mpf(b) + 1) / 2
             mass = 4 * mpmath.pi * mpmath.gamma(2 * p) * mpmath.gamma(2 * q) * mpmath.gamma(p + q) ** 2
@@ -64,10 +60,10 @@ class TestWeight:
                 assert abs(g - ref) <= 1e-12 * abs(ref)
 
     def test_parity(self):
-        rep = _rep(1.3, 0.2)
+        params = JacobiParams(1.3, 0.2)
         for xi in (0.4, 1.9, 6.0):
-            plus = g_weight(rep, xi)
-            minus = g_weight(rep, -xi)
+            plus = g_weight(params, xi)
+            minus = g_weight(params, -xi)
             assert plus.real == minus.real
             assert plus.imag == -minus.imag
 
@@ -89,47 +85,49 @@ class TestWeight:
     @pytest.mark.parametrize("a,b", WEIGHT_PAIRS)
     def test_symmetries_bitwise(self, a, b):
         # g(-xi) = conj g(xi); g is real at a = b; an array gives the values of scalar calls
-        rep = _rep(a, b)
+        params = JacobiParams(a, b)
         xi = np.concatenate([WEIGHT_XI, [1e-300, 3e4, 1e150, 1e300, 1e308]])
-        got = g_weight(rep, xi)
-        assert np.array_equal(g_weight(rep, -xi), got.conj())
-        assert got.tobytes() == np.array([g_weight(rep, float(x)) for x in xi]).tobytes()
-        assert measure_density(rep, xi).tobytes() == np.array([measure_density(rep, float(x)) for x in xi]).tobytes()
+        got = g_weight(params, xi)
+        assert np.array_equal(g_weight(params, -xi), got.conj())
+        assert got.tobytes() == np.array([g_weight(params, float(x)) for x in xi]).tobytes()
+        dens = np.array([measure_density(params, float(x)) for x in xi])
+        assert measure_density(params, xi).tobytes() == dens.tobytes()
         if a == b:
             assert np.all(got.imag == 0.0)
 
     def test_sech_profile(self):
         # |g_{0,0}|^2 is proportional to sech^2(pi xi / 2)
-        rep = _rep(0.0, 0.0)
+        params = JacobiParams(0.0, 0.0)
         xi = np.linspace(-10.0, 10.0, 41)
-        dens = measure_density(rep, xi)
+        dens = measure_density(params, xi)
         ratio = dens * np.cosh(math.pi * xi / 2.0) ** 2
         assert np.max(np.abs(ratio / ratio[20] - 1.0)) <= 1e-11
 
     @pytest.mark.parametrize("a", [0.3, 0.7])
     def test_carlitz_profile(self, a):
         # beta = -alpha collapses to 2 pi^2 C^2 / (cosh pi xi + cos pi a)
-        rep = _rep(a, -a)
+        params = JacobiParams(a, -a)
         xi = np.linspace(-8.0, 8.0, 33)
-        dens = measure_density(rep, xi)
-        want = 2.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation) / (np.cosh(math.pi * xi) + math.cos(math.pi * a))
+        dens = measure_density(params, xi)
+        c2 = math.exp(2.0 * normalisation_constant(params))
+        want = 2.0 * math.pi**2 * c2 / (np.cosh(math.pi * xi) + math.cos(math.pi * a))
         assert np.max(np.abs(dens / want - 1.0)) <= 1e-10
 
     def test_carlitz_point_value(self):
-        rep = _rep(0.5, -0.5)
-        want = 2.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation) / math.cosh(3.0 * math.pi)
-        assert math.isclose(measure_density(rep, 3.0), want, rel_tol=1e-10)
+        params = JacobiParams(0.5, -0.5)
+        want = 2.0 * math.pi**2 * math.exp(2.0 * normalisation_constant(params)) / math.cosh(3.0 * math.pi)
+        assert math.isclose(measure_density(params, 3.0), want, rel_tol=1e-10)
 
     @pytest.mark.parametrize("a", [0, 1, 2, 3])
     def test_integer_closed_forms(self, a):
         # even a: g ~ pi C prod_{j<n} [(j+1/2)^2 + xi^2/4] / cosh(pi xi/2)
         # odd  a: g ~ (pi/2) C xi prod_{j=1..n} [j^2 + xi^2/4] / sinh(pi xi/2)
-        rep = _rep(float(a), float(a))
-        C = math.exp(rep.log_normalisation)
+        params = JacobiParams(float(a), float(a))
+        C = math.exp(normalisation_constant(params))
         for xi in np.linspace(-10.0, 10.0, 21):
             if xi == 0.0 and a % 2:
                 continue
-            g = g_weight(rep, float(xi))
+            g = g_weight(params, float(xi))
             if a % 2 == 0:
                 n = a // 2
                 prod = np.prod([(j + 0.5) ** 2 + xi**2 / 4.0 for j in range(n)]) if n else 1.0
@@ -142,31 +140,31 @@ class TestWeight:
             assert abs(g.imag) <= 1e-13 * abs(want)
 
     def test_exponential_tail(self):
-        rep = _rep(0.4, 1.1)
-        s = rep.params.alpha + rep.params.beta
+        params = JacobiParams(0.4, 1.1)
+        s = params.alpha + params.beta
         xi = np.linspace(20.0, 40.0, 9)
-        scaled = measure_density(rep, xi) * np.exp(math.pi * xi) * (xi / 2.0) ** (-s)
-        limit = 4.0 * math.pi**2 * math.exp(2.0 * rep.log_normalisation)
+        scaled = measure_density(params, xi) * np.exp(math.pi * xi) * (xi / 2.0) ** (-s)
+        limit = 4.0 * math.pi**2 * math.exp(2.0 * normalisation_constant(params))
         assert np.max(np.abs(scaled / limit - 1.0)) <= 0.05
 
     def test_top_of_the_float_range(self):
         # the weight is exactly 0.0 from |xi| = 1e300 on; the CLI's
         # floating-point errors raise, and a non-finite xi is still rejected
-        rep = _rep(1.3, 0.2)
+        params = JacobiParams(1.3, 0.2)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for xi in (1e308, -1e308):
-                assert g_weight(rep, xi) == 0.0
-                assert measure_density(rep, xi) == 0.0
-            assert np.all(g_weight(rep, np.array([1e308, -1e308])) == 0.0)
+                assert g_weight(params, xi) == 0.0
+                assert measure_density(params, xi) == 0.0
+            assert np.all(g_weight(params, np.array([1e308, -1e308])) == 0.0)
             xi = np.concatenate([-np.geomspace(1e-3, 1e308, 200), np.geomspace(1e-3, 1e308, 200)])
             for a, b in WEIGHT_PAIRS:
-                other = _rep(a, b)
+                other = JacobiParams(a, b)
                 assert np.all(np.isfinite(g_weight(other, xi))) and np.all(np.isfinite(measure_density(other, xi)))
                 assert g_weight(other, 1e300) == 0.0
         for bad in (math.inf, -math.inf, math.nan):
             for f in (g_weight, measure_density):
                 with pytest.raises(ValueError, match="finite"):
-                    f(rep, bad)
+                    f(params, bad)
 
 
 class TestNormalisation:
@@ -184,9 +182,9 @@ class TestNormalisation:
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.3, 0.2), (-0.5, 0.5)])
     def test_unit_mass(self, a, b):
-        rep = _rep(a, b)
+        params = JacobiParams(a, b)
         mass = 2.0 * gauss_panels(
-            lambda xi: np.array([measure_density(rep, float(x)) for x in np.atleast_1d(xi)]),
+            lambda xi: np.array([measure_density(params, float(x)) for x in np.atleast_1d(xi)]),
             0.0,
             _tail_cut(a + b),
             0.5,
@@ -207,12 +205,26 @@ class TestNormalisation:
             want = float(1 / mpmath.sqrt(mass))
         assert math.isclose(math.exp(normalisation_constant(JacobiParams(a, b))), want, rel_tol=1e-13)
 
+    def test_against_mpmath_40_digits(self):
+        # ln C from ln g_0 against Barnes' lemma in 40 digits, next to -1 and out to 1e6, where ln C reaches 1e7
+        alphas = [math.nextafter(-1.0, 0.0), -0.999, -0.5, 0.0, 0.5, 1.3, 3.0, 7.5, 15.0, 80.0, 1e3, 1e5, 1e6]
+        betas = [math.nextafter(-1.0, 0.0), -0.5, 0.0, 2.0, 10.0, 300.0, 1e4, 1e6]
+        lg = mpmath.loggamma
+        with mpmath.workdps(40):
+            for a in alphas:
+                for b in betas:
+                    ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+                    ref = -(mpmath.log(4 * mpmath.pi) + lg(ma + 1) + lg(mb + 1) + 2 * lg((ma + mb) / 2 + 1)
+                            - lg(ma + mb + 2)) / 2
+                    got = normalisation_constant(JacobiParams(a, b))
+                    assert abs(got - float(ref)) <= 1.2e-15 * max(1.0, abs(float(ref))), (a, b)
+
     @pytest.mark.parametrize("a,b", [(-0.9, -0.9), (-0.99, -0.99), (-0.999, -0.999), (80.0, 80.0)])
     def test_mass_check_near_pole_and_large(self, a, b):
         # the runtime unit-mass check (tolerance 1e-10) must resolve the peak
         # at xi = 0, which narrows to width min(a, b) + 1 near a, b = -1
-        rep = _rep(a, b)
-        assert abs(fourier_mod._panel_mass(rep.params) - 1.0) <= 1e-13
+        params = JacobiParams(a, b)
+        assert abs(fourier_mod._panel_mass(params) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("a,b", [(1e5, 0.0), (0.0, 1e5), (1e5, 1e5), (1e5, 3.0), (1e6, 3.0), (1e6, 1e6), (0.0, 1e6)])
     def test_mass_check_at_large_pairs(self, a, b):
@@ -222,13 +234,13 @@ class TestNormalisation:
     @pytest.mark.parametrize("a", [200.0, 400.0])
     def test_large_pair_weight_finite_with_unit_mass(self, a):
         # C itself underflows (2.3e-315 at a = b = 200, 0.0 from about 300)
-        rep = _rep(a, a)
-        assert normalisation_constant(rep.params) < -700.0
+        params = JacobiParams(a, a)
+        assert normalisation_constant(params) < -700.0
         xi = np.array([0.0, 1.0, -30.0, 200.0])
-        assert np.all(np.isfinite(g_weight(rep, xi))) and g_weight(rep, 0.0).real > 0.0
-        assert np.all(np.isfinite(measure_density(rep, xi)))
-        assert abs(fourier_mod._panel_mass(rep.params) - 1.0) <= 1e-10
-        vals = fourier_transform(Expansion(BasisSpec(rep.params), [1.0, 0.5, 0.25]), xi)
+        assert np.all(np.isfinite(g_weight(params, xi))) and g_weight(params, 0.0).real > 0.0
+        assert np.all(np.isfinite(measure_density(params, xi)))
+        assert abs(fourier_mod._panel_mass(params) - 1.0) <= 1e-10
+        vals = fourier_transform(Expansion(BasisSpec(params), [1.0, 0.5, 0.25]), xi)
         assert np.all(np.isfinite(vals))
 
     def test_cache_keyed_on_params(self, monkeypatch):
@@ -240,7 +252,29 @@ class TestNormalisation:
         for n in range(1, 21):
             vals = fourier_transform(Expansion(spec, np.ones(n)), [0.0, 1.5])
             assert np.all(np.isfinite(vals))
-        assert norm.call_count == 1 and mass.call_count == 1
+        # ln C is not on the transform's path; the weight's unit mass is checked once
+        assert norm.call_count == 0 and mass.call_count == 1
+
+    def test_failed_mass_check_raises_everywhere(self, monkeypatch):
+        # a mass 2e-10 off fails the check in each function that reads the weight or its polynomials, from
+        # one quadrature per pair; a fresh cache for the test, so no failed mass outlives it
+        mass = mock.Mock(return_value=1.0 + 2e-10)
+        monkeypatch.setattr(fourier_mod, "_panel_mass", mass)
+        monkeypatch.setattr(fourier_mod, "_mass", lru_cache(maxsize=32)(fourier_mod._mass.__wrapped__))
+        pairs = [JacobiParams(0.0, 0.0), JacobiParams(1.3, 0.2)]
+        want = f"Fourier measure mass check failed: got {1.0 + 2e-10!r}, expected 1"
+        for params in pairs:
+            calls = [
+                lambda: g_weight(params, 0.5),
+                lambda: measure_density(params, [0.0, 1.0]),
+                lambda: carlitz_eval(params, 3, 0.5),
+                lambda: fourier_transform(Expansion(BasisSpec(params), [1.0, 0.5]), 0.5),
+            ]
+            for call in calls:
+                with pytest.raises(RuntimeError) as err:
+                    call()
+                assert str(err.value) == want
+        assert mass.call_count == len(pairs)
 
 
 def _tail_cut(s):
@@ -249,24 +283,24 @@ def _tail_cut(s):
 
 class TestCarlitzPolynomials:
     def test_degree_zero_and_one(self):
-        rep = _rep(0.5, 0.5)
-        b0 = diff_coeffs(rep.params, 1).b[0]
-        assert carlitz_eval(rep, 0, 1.7) == 1.0
-        assert math.isclose(carlitz_eval(rep, 1, 1.7), 1.7 / b0, rel_tol=1e-15)
+        params = JacobiParams(0.5, 0.5)
+        b0 = diff_coeffs(params, 1).b[0]
+        assert carlitz_eval(params, 0, 1.7) == 1.0
+        assert math.isclose(carlitz_eval(params, 1, 1.7), 1.7 / b0, rel_tol=1e-15)
 
     def test_orthonormality_quadrature(self):
-        rep = _rep(0.5, 0.5)
+        params = JacobiParams(0.5, 0.5)
         # the integrand takes the density of a whole panel in one array call;
         # the scalar path must give the same values bit for bit
         xi = np.linspace(-40.0, 40.0, 2001)
-        assert np.array_equal(measure_density(rep, xi), [measure_density(rep, float(x)) for x in xi])
+        assert np.array_equal(measure_density(params, xi), [measure_density(params, float(x)) for x in xi])
         cut = _tail_cut(1.0)
         for i in range(0, 11, 2):
             for j in range(i, 11, 3):
 
                 def integrand(xi):
                     xi = np.atleast_1d(xi)
-                    return carlitz_eval(rep, i, xi) * carlitz_eval(rep, j, xi) * measure_density(rep, xi)
+                    return carlitz_eval(params, i, xi) * carlitz_eval(params, j, xi) * measure_density(params, xi)
 
                 val = gauss_panels(integrand, -cut, cut, 0.5, npts=20)
                 want = 1.0 if i == j else 0.0
@@ -295,11 +329,11 @@ class TestAgainstRowwiseLoops:
 
     @pytest.mark.parametrize("a,b", ORACLE_PAIRS)
     def test_carlitz_matches_forward_loop(self, a, b):
-        rep = _rep(a, b)
+        params = JacobiParams(a, b)
         xi = ORACLE_XI[:997]
         for m in (0, 1, 5, 50, 300):
-            want = carlitz_rowwise(rep, m, xi)
-            assert np.max(np.abs(carlitz_eval(rep, m, xi) - want)) <= 1e-13 * np.max(np.abs(want))
+            want = carlitz_rowwise(params, m, xi)
+            assert np.max(np.abs(carlitz_eval(params, m, xi) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestFourierTransform:
