@@ -43,6 +43,7 @@ _LN2 = math.log(2.0)
 
 
 def _log_weight_full(params: JacobiParams, x: np.ndarray) -> np.ndarray:
+    # the one boundary-weight formula: synthesis and analysis (transforms._node_set) take it at the same x.
     # ln (1 -+ tanh x) = ln 2 - ln(1 + e^{+-2x}), exact where tanh saturates; the weight is exactly 0.0 from
     # |x| = 1e300 for every a, b > -1, so the clamp is exact and keeps 2x finite at the top of the float range
     x = np.clip(x, -1e300, 1e300)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSpec, Expansion, clenshaw_eval
+from .basis import BasisSpec, Expansion, _log_weight_full, clenshaw_eval
 from .jacobi import QuadratureRule, gauss_jacobi, jacobi_matrix, project
 from .special import JacobiParams, log_jacobi_norm
 
@@ -42,7 +42,7 @@ __all__ = [
 #:   DST-II: y_m = sum_n x_n sin(pi (m+1)(2n+1) / (2N))
 #:   DST-IV: y_m = sum_n x_n sin(pi (2m+1)(2n+1) / (4N))
 _KINDS = ("DCT-II", "DCT-IV", "DST-II", "DST-IV")
-_SQRT_PI, _SQRT_2, _SQRT_HALF = math.sqrt(math.pi), math.sqrt(2.0), math.sqrt(0.5)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @lru_cache(maxsize=64)
@@ -129,26 +129,24 @@ class _Nodes(NamedTuple):
 def _node_set(theta: np.ndarray, rule: QuadratureRule | None = None) -> _Nodes:
     """The node set of the angles theta in (0, pi), read-only: every caller of the caches shares it.
 
-    With t = cos theta = tanh x, x = asinh(cot theta).  The coefficients of f
-    are those of F = f / [(1-t)^{(a+1)/2} (1+t)^{(b+1)/2}], with 1 - t =
-    2 sin_h^2 and 1 + t = 2 cos_h^2 (sin_h = sin(theta/2), cos_h =
-    cos(theta/2)) exact where 1 -+ t is not.  A rule's scale is the log start
-    ln w_k - ln sqrt(g_0) - ln divisor_k, so only w_k F_k q_m(t_k) is formed;
-    of a symmetric rule (a = b) only the nodes with t >= 0 are kept, onto
-    which _coefficients folds f, and the node at t = 0 of an odd one, its own
-    mirror, counts half.  The grid's scale is sqrt(pi) 2^{(a+b)/2} times the
-    kernels' premultiplier sin_h^(a+1/2) cos_h^(b+1/2) over the divisor.
+    With t = cos theta = tanh x, x = asinh(cot theta) is where f is sampled,
+    and the coefficients of f are those of F = f / W(x), W the boundary
+    weight of basis._log_weight_full, which synthesis forms at x too.  A rule's
+    scale is the log start ln w_k - ln sqrt(g_0) - ln W(x_k), so only
+    w_k F_k q_m(t_k) is formed; of a symmetric rule (a = b) only the nodes
+    with t >= 0 are kept, onto which _coefficients folds f, and the node at
+    t = 0 of an odd one, its own mirror, counts half.  The grid's scale is
+    sqrt(pi/2) cosh^{1/2} x, sqrt(pi) 2^{(a+b)/2} times the kernels'
+    premultiplier sin(theta/2)^{a+1/2} cos(theta/2)^{b+1/2} over W.
     """
     fold = rule is not None and rule.params.alpha == rule.params.beta
     theta = theta[theta.size // 2 :] if fold else theta
-    sin_h, cos_h = np.sin(0.5 * theta), np.cos(0.5 * theta)
     x = np.arcsinh(np.cos(theta) / np.sin(theta))
     if rule is None:
-        scale = _SQRT_PI * 0.5 / np.sqrt(sin_h) * cos_h**-0.5
+        scale = math.sqrt(0.5 * math.pi) * np.sqrt(np.cosh(x))
     else:
-        a, b = rule.params.alpha, rule.params.beta
         scale = (rule.log_weights[rule.nodes.size - theta.size :] - 0.5 * log_jacobi_norm(rule.params)
-                 - (a + 1.0) * np.log(_SQRT_2 * sin_h) - (b + 1.0) * np.log(_SQRT_2 * cos_h))
+                 - _log_weight_full(rule.params, x))
         if fold and rule.nodes.size % 2:
             scale[0] -= math.log(2.0)
     nodes = _Nodes(x, theta, scale, rule)

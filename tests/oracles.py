@@ -13,12 +13,13 @@ import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from tanhspec.basis import _LN2, _as_points, _log_weight_full, diff_coeffs
+from tanhspec.basis import _as_points, diff_coeffs
 from tanhspec.fourier import _clamp_xi
 from tanhspec.jacobi import QuadratureRule, _blocking, _factors, _fill, jacobi_matrix
 from tanhspec.special import JacobiParams, log_jacobi_norm
 
 TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 
 
 def naive_trig_transform(kind: str, x) -> np.ndarray:
@@ -124,12 +125,26 @@ def orthonormal_eval_batch(params, m_max: int, points) -> np.ndarray:
     return jacobi_eval_batch(params, m_max, points) * scale[:, None]
 
 
+def log_weight_full(params, x: np.ndarray) -> np.ndarray:
+    """ln (1-tanh x)^{(a+1)/2} (1+tanh x)^{(b+1)/2}, with 1 -+ tanh x = 2 / (1 + e^{+-2x}).
+
+    Written apart from the library's basis._log_weight_full, which the kernel
+    checks below compare bitwise, in the same operations: ln 2 - ln(1 + e^{+-2x})
+    by np.logaddexp, and |x| clamped at 1e300, where the weight is exactly 0.0,
+    so that 2x stays finite.
+    """
+    x = np.clip(x, -1e300, 1e300)
+    return 0.5 * (params.alpha + 1.0) * (_LN2 - np.logaddexp(0.0, 2.0 * x)) + 0.5 * (params.beta + 1.0) * (
+        _LN2 - np.logaddexp(0.0, -2.0 * x)
+    )
+
+
 def phi_full_direct(spec, m: int, x):
     """phi_m of a full-mode basis by jacobi_eval: (-1)^m P_m(tanh x) w^{1/2}(x) g_m^{-1/2},
     with the weight and the norm joined in one exponent."""
     pts, scalar = _as_points(x)
     poly = jacobi_eval(spec.params, m, np.tanh(pts))
-    vals = (-1.0) ** m * poly * np.exp(_log_weight_full(spec.params, pts) - 0.5 * log_norm(spec.params, m))
+    vals = (-1.0) ** m * poly * np.exp(log_weight_full(spec.params, pts) - 0.5 * log_norm(spec.params, m))
     return float(vals[0]) if scalar else vals
 
 
@@ -446,7 +461,7 @@ def clenshaw_rowwise(e, x):
     B, off = jacobi_matrix(params, len(e))
     t = np.tanh(pts)
     k = _rescaled_recurrence(B, off, len(e), t)[2]
-    log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
+    log_start = log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
     rows = list(orthonormal_rows(B, off, len(e), t, log_start))
     v = e.coeffs * (-1.0) ** np.arange(len(e))
     acc, unit = 0.0, log_start

@@ -503,21 +503,30 @@ class TestGaussJacobi:
         # n <= 16, and (80, -0.99) at n = 256), the sum with float recurrence
         # coefficients errs as much at the 40-digit nodes, so the rule must be
         # as close to the 40-digit weights as Golub-Welsch is, to 8 n^2 eps.
+        # Two roundings of a weight add to that where they pass it: half an
+        # ulp of ln w (5.7e-14 relative near e^700), and a node one ulp off,
+        # which moves ln w by d ln w/dt = (b+1)/(1+t) - (a+1)/(1-t) per unit
+        # of t (Jacobi's equation at a node)
         p = JacobiParams(a, b)
         for n in sizes:
             with monkeypatch.context() as m:
                 m.setitem(sys.modules, "scipy", None)
                 rule = gauss_jacobi(p, n)
             want = golub_welsch(p, n)
+            t = rule.nodes
+            slack = 0.5 * np.spacing(np.abs(rule.log_weights)) + np.abs(
+                (b + 1.0) / (1.0 + t) - (a + 1.0) / (1.0 - t)
+            ) * np.spacing(np.abs(t))
             bound = 8.0 * n * n * np.finfo(float).eps
+            bound = bound + np.where(slack > bound, slack, 0.0)
             assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14, n
             _assert_angles_give_nodes(rule)
             assert np.all(rule.weights >= 0.0) and np.all(np.isfinite(rule.weights)), n
             normal = want.weights >= np.finfo(float).tiny
-            if np.max(np.abs(rule.weights[normal] / want.weights[normal] - 1.0)) > bound:
+            if np.any(np.abs(rule.weights[normal] / want.weights[normal] - 1.0) > bound[normal]):
                 exact = np.array([float(w) for w in gauss_jacobi_mp(a, b, rule.nodes)[1]])
-                err, err_gw = (np.max(np.abs(w / exact - 1.0)) for w in (rule.weights, want.weights))
-                assert err <= err_gw + bound, (n, err, err_gw)
+                err, err_gw = (np.abs(w / exact - 1.0) for w in (rule.weights, want.weights))
+                assert np.all(err <= err_gw.max() + bound), (n, err.max(), err_gw.max())
 
     @pytest.mark.parametrize("a,b,n", [(1000.0, 1000.0, 7), (1000.0, 1000.0, 16), (1000.0, 1000.0, 300), (-0.9, 1000.0, 10)])
     def test_large_parameters_raise_nothing(self, a, b, n):

@@ -297,8 +297,10 @@ class TestSynthesize:
 
 
 class TestRoundTripAndParseval:
-    @pytest.mark.parametrize("a,b", CHEB_PAIRS + [(1.3, 0.2)])
+    @pytest.mark.parametrize("a,b", CHEB_PAIRS + [(1.3, 0.2), (1e6, 1e6), (1e8, 1e8)])
     def test_roundtrip(self, a, b):
+        # at (1e6, 1e6) and (1e8, 1e8) the round trip holds only where analysis
+        # divides the samples by the boundary weight, rounded as synthesis has it
         spec = _full(a, b)
         rng = np.random.default_rng(77)
         for n in (16, 256):
