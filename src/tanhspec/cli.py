@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, RuntimeError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
-    except OverflowError as exc:  # math.lgamma's message is only "math range error"
+    except OverflowError as exc:  # the math module's message is only "math range error"
         print(f"error: overflow: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
     except (ValueError, OSError) as exc:

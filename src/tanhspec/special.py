@@ -1,13 +1,14 @@
 """Jacobi parameters, the Jacobi mass g_0 and Stirling's series.
 
 Everything that can overflow for large weight exponents is carried in log
-space and exponentiated as late as possible.  Real log-Gamma values come
-from math.lgamma, or from Stirling's series where its large terms cancel
-in algebra; the Fourier weight's complex ones are written out in fourier.
+space and exponentiated as late as possible.  ln g_0 comes from Stirling's
+series on lifted arguments, whose large terms cancel in algebra; the
+Fourier weight's complex log-Gamma values are written out in fourier.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "JacobiParams",
@@ -51,21 +52,28 @@ def _stirling_tail(z):
     return r * series
 
 
+@lru_cache(maxsize=64)
 def log_jacobi_norm(params: JacobiParams) -> float:
     """ln g_0, the weight's mass: ln of 2^{1+a+b} Gamma(1+a) Gamma(1+b) / Gamma(2+a+b), the squared norm
     of the degree-0 Jacobi polynomial.
 
-    Where p = a+1 and q = b+1 are both at least 8, Stirling's series for
-    each ln Gamma (mu its remainder) cancels the large terms in algebra, as
-    betaln does (DiDonato & Morris, ACM TOMS 18, 1992).
+    Lifting p = a+1 and q = b+1 by k, l steps to P, Q >= 8 (DLMF 5.5.1),
+    Stirling's series for each ln Gamma (mu its remainder) cancels the large
+    terms in algebra, as betaln does (DiDonato & Morris, ACM TOMS 18, 1992).
+    Raises OverflowError where ln g_0 is past the float range.
     """
-    a, b = params.alpha, params.beta
-    p, q = a + 1.0, b + 1.0
-    if min(p, q) >= _STIRLING_FROM:
-        # (p - 1/2) ln(2p / (p+q)) + (q - 1/2) ln(2q / (p+q)), whose two terms cancel for x near 0
-        x = (p - q) / (p + q)
-        head = ([(p + q - 1.0) / 2.0 * math.log1p(-x * x), (p - q) * math.atanh(x)] if abs(x) < 0.5 else
-                [(p - 0.5) * math.log(2.0 * p / (p + q)), (q - 0.5) * math.log(2.0 * q / (p + q))])
-        return math.fsum(head + [-0.5 * math.log(p + q), _HALF_LOG_2PI, _stirling_tail(p), _stirling_tail(q),
-                                 -_stirling_tail(p + q)])
-    return (a + b + 1.0) * _LN2 + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    p, q = params.alpha + 1.0, params.beta + 1.0
+    k, l = max(0, math.ceil(_STIRLING_FROM - p)), max(0, math.ceil(_STIRLING_FROM - q))
+    P, Q = p + k, q + l
+    # (P - 1/2) ln(2P / (P+Q)) + (Q - 1/2) ln(2Q / (P+Q)), whose two terms cancel for x near 0
+    x = (P - Q) / (P + Q)
+    head = ([(P + Q - 1.0) / 2.0 * math.log1p(-x * x), (P - Q) * math.atanh(x)] if abs(x) < 0.5 else
+            [(P - 0.5) * math.log(2.0 * P / (P + Q)), (Q - 0.5) * math.log(2.0 * Q / (P + Q))])
+    # the lift, -sum_{j<k} ln(p+j) - sum_{j<l} ln(q+j) + sum_{j<k+l} ln(p+q+j), less the k+l twos the head's
+    # 2^{P+Q-1} has beyond 2^{p+q-1}
+    out = math.fsum(head + [-0.5 * math.log(P + Q), _HALF_LOG_2PI, _stirling_tail(P), _stirling_tail(Q),
+                            -_stirling_tail(P + Q), *(-math.log(p + j) for j in range(k)),
+                            *(-math.log(q + j) for j in range(l)), *(math.log(0.5 * (p + q + j)) for j in range(k + l))])
+    if not math.isfinite(out):
+        raise OverflowError(f"ln g_0 is past the float range at {params}")
+    return out

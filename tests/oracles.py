@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from tanhspec.basis import _as_points, diff_coeffs
-from tanhspec.fourier import _clamp_xi
+from tanhspec.fourier import _clamp_xi, measure_density
 from tanhspec.jacobi import QuadratureRule, _blocking, _factors, _fill, jacobi_matrix
 from tanhspec.special import JacobiParams, log_jacobi_norm
 
@@ -293,6 +293,52 @@ def direct_fourier(f, xi: float, halfwidth: float = 42.0) -> complex:
     return complex(val) / math.sqrt(TWO_PI)
 
 
+def panel_mass(params) -> float:
+    """int |g|^2 dxi by fixed Gauss-Legendre panels, graded geometrically toward the peak at xi = 0, whose
+    width shrinks to min(a, b) + 1 as a or b approaches -1; the density ~ 4 pi^2 |xi/2|^{a+b} e^{-pi |xi|}
+    is cut where its tail is far below double precision."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    uniform = np.linspace(0.0, 45.0 + 12.0 * max(0.0, params.alpha + params.beta), 64)
+    width = min(params.alpha, params.beta) + 1.0
+    edges = np.concatenate(([0.0], np.geomspace(1e-3 * width, uniform[1], 24), uniform[2:]))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    density = measure_density(params, xs)
+    return 2.0 * float(np.sum((0.5 * (hi - lo) * density) @ weights))
+
+
+def trapezoid_mass(params, half: int = 2048) -> float:
+    """int |g|^2 dxi by the trapezoid rule on 2 half + 1 points over [-L, L], L the first power of two at
+    which ln |g|^2 has fallen 80 below its peak at xi = 0: scaled to the density's width, which grows as
+    sqrt(a + b) for large pairs, where panel_mass's fixed panels stop at 45 + 12 (a + b).  The step L / half
+    is exact, as it must be: linspace's xs[1] - xs[0] at L = 2^20 is off by 1.1e-13 relative."""
+    peak = math.log(measure_density(params, 0.0))
+    L = 1.0
+    while math.log(measure_density(params, L)) > peak - 80.0:
+        L *= 2.0
+    return float(np.sum(measure_density(params, np.arange(-half, half + 1) * (L / half))) * (L / half))
+
+
+def fourier_transform_mp(a: float, b: float, coeffs, xi_points, dps: int = 60) -> np.ndarray:
+    """F[f](xi) = g(xi) sum_m i^m c_m p_m(xi) in `dps` digits: ln g from mpmath.loggamma (_log_c_mp), and the p_m
+    by xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1} on couplings from their closed form (_coupling_mp)."""
+    with mpmath.workdps(dps):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        p, q = (ma + 1) / 2, (mb + 1) / 2
+        lg = mpmath.loggamma
+        log_c = _log_c_mp(p, q)
+        cb = [_coupling_mp(ma, mb, m) for m in range(len(coeffs))]
+        out = []
+        for x in np.atleast_1d(xi_points):
+            x = mpmath.mpf(float(x))
+            prev, cur, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpc(0)
+            for m, c in enumerate(coeffs):
+                total += mpmath.mpc(0, 1) ** m * c * cur
+                prev, cur = cur, (x * cur - (cb[m - 1] * prev if m else 0)) / cb[m]
+            out.append(complex(mpmath.exp(log_c + lg(mpmath.mpc(p, x / 2)) + lg(mpmath.mpc(q, -x / 2))) * total))
+        return np.array(out)
+
+
 def mult_op_dense(a, rows: int, cols: int, params=JacobiParams(-0.5, -0.5)) -> np.ndarray:
     """Dense rows x cols window of multiplication by a_0/sqrt 2 + sum a_k T_k(tanh x)
     in the basis of `params`: the Chebyshev Clenshaw recurrence in
@@ -528,14 +574,30 @@ def fourier_backward(e, xi_points) -> np.ndarray:
     return complex(out[0]) if np.ndim(xi_points) == 0 else out
 
 
+def _log_c_mp(p, q):
+    """ln C at the working precision, p, q = (a+1)/2, (b+1)/2, from Barnes' lemma:
+    C^-2 = 4 pi Gamma(a+1) Gamma(b+1) Gamma((a+b)/2+1)^2 / Gamma(a+b+2)."""
+    lg = mpmath.loggamma
+    return -(mpmath.log(4 * mpmath.pi) + lg(2 * p) + lg(2 * q) - lg(2 * p + 2 * q)) / 2 - lg(p + q)
+
+
+def _coupling_mp(a, b, m):
+    """The differentiation coupling b_m of the mpf pair (a, b) at the working precision, its square with the
+    m = 0 factor (s+m+1)/(s+2m+1) = 1 cancelled (s = a + b)."""
+    s = a + b
+    bm2 = (m + 1) * (a + m + 1) * (b + m + 1) / (s + 2 * m + 3)
+    if m:
+        bm2 *= (s + m + 1) / (s + 2 * m + 1)
+    return mpmath.sqrt(bm2)
+
+
 @lru_cache(maxsize=8)
 def _log_weight_mp(a: float, b: float, xi_bytes: bytes) -> np.ndarray:
-    """ln g(xi) = ln C + ln Gamma((a+1)/2 + i xi/2) + ln Gamma((b+1)/2 - i xi/2) at 30 digits, with ln C from
-    Barnes' lemma: C^-2 = 4 pi Gamma(a+1) Gamma(b+1) Gamma((a+b)/2+1)^2 / Gamma(a+b+2)."""
+    """ln g(xi) = ln C + ln Gamma((a+1)/2 + i xi/2) + ln Gamma((b+1)/2 - i xi/2) at 30 digits (_log_c_mp)."""
     with mpmath.workdps(30):
         p, q = (mpmath.mpf(a) + 1) / 2, (mpmath.mpf(b) + 1) / 2
         lg = mpmath.loggamma
-        log_c = -(mpmath.log(4 * mpmath.pi) + lg(2 * p) + lg(2 * q) - lg(2 * p + 2 * q)) / 2 - lg(p + q)
+        log_c = _log_c_mp(p, q)
         return np.array([complex(log_c + lg(mpmath.mpc(p, x / 2)) + lg(mpmath.mpc(q, -x / 2)))
                          for x in np.frombuffer(xi_bytes)])
 
@@ -552,11 +614,7 @@ def _jacobi_matrix_mp(a: float, b: float, count: int):
         return (b - a) / (s + 2) if m == 0 else (b * b - a * a) / ((s + 2 * m) * (s + 2 * m + 2))
 
     def off(m):
-        # b_m^2 with the m = 0 factor (s+m+1)/(s+2m+1) = 1 cancelled
-        bm2 = (m + 1) * (a + m + 1) * (b + m + 1) / (s + 2 * m + 3)
-        if m:
-            bm2 *= (s + m + 1) / (s + 2 * m + 1)
-        return 2 * mpmath.sqrt(bm2) / (s + 2 * m + 2)
+        return 2 * _coupling_mp(a, b, m) / (s + 2 * m + 2)
 
     g0 = 2 ** (s + 1) * mpmath.gamma(a + 1) * mpmath.gamma(b + 1) / mpmath.gamma(s + 2)
     return [diag(m) for m in range(count)], [off(m) for m in range(count)], g0

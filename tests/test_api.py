@@ -24,10 +24,8 @@ def test_package_exports_exactly_its_imports():
 
 
 def test_fixed_settings_take_no_parameter():
-    from tanhspec.fourier import _check_mass
     from tanhspec.operators import banded_qr_lstsq
     from tanhspec.transforms import analyze_unweighted
 
-    assert list(inspect.signature(_check_mass).parameters) == ["params"]
     assert list(inspect.signature(analyze_unweighted).parameters) == ["f", "m_max"]
     assert list(inspect.signature(banded_qr_lstsq).parameters) == ["mat", "rhs"]

@@ -296,3 +296,13 @@ class TestClenshaw:
         e = Expansion(spec_h, coeffs)
         naive = sum(coeffs[m] * phi_half_direct(spec_h, m, 0.37) for m in range(12))
         assert math.isclose(clenshaw_eval(e, 0.37), naive, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phi_full(BasisSpec(JacobiParams(0.0, 0.0)), -1, 0.0),
+    lambda: derivative_pointwise(BasisSpec(JacobiParams(0.0, 0.0)), -1, 0.0),
+], ids=["phi_full", "derivative_pointwise"])
+def test_error_paths(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value).startswith("degree must be nonnegative (got -1)")

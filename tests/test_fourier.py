@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from functools import lru_cache
 from unittest import mock
 
 import mpmath
@@ -24,7 +23,15 @@ from tanhspec import (
 )
 from tanhspec import fourier as fourier_mod
 
-from oracles import carlitz_rowwise, direct_fourier, fourier_backward, gauss_panels
+from oracles import (
+    carlitz_rowwise,
+    direct_fourier,
+    fourier_backward,
+    fourier_transform_mp,
+    gauss_panels,
+    panel_mass,
+    trapezoid_mass,
+)
 
 
 #: (a, b) from next to -1 to 1e8, where ln C and each ln Gamma reach 1e9 but ln g stays O(1)
@@ -221,15 +228,21 @@ class TestNormalisation:
 
     @pytest.mark.parametrize("a,b", [(-0.9, -0.9), (-0.99, -0.99), (-0.999, -0.999), (80.0, 80.0)])
     def test_mass_check_near_pole_and_large(self, a, b):
-        # the runtime unit-mass check (tolerance 1e-10) must resolve the peak
-        # at xi = 0, which narrows to width min(a, b) + 1 near a, b = -1
+        # the graded panels resolve the peak at xi = 0, which narrows to
+        # width min(a, b) + 1 near a, b = -1
         params = JacobiParams(a, b)
-        assert abs(fourier_mod._panel_mass(params) - 1.0) <= 1e-13
+        assert abs(panel_mass(params) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("a,b", [(1e5, 0.0), (0.0, 1e5), (1e5, 1e5), (1e5, 3.0), (1e6, 3.0), (1e6, 1e6), (0.0, 1e6)])
     def test_mass_check_at_large_pairs(self, a, b):
         # each ln Gamma of the weight is near 1e6 here, but ln g is formed without them
-        assert abs(fourier_mod._panel_mass(JacobiParams(a, b)) - 1.0) <= 1e-12
+        assert abs(panel_mass(JacobiParams(a, b)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("a", [1e10, 1e12, 1e15])
+    def test_unit_mass_at_huge_pairs(self, a):
+        # the density's width grows as sqrt(a), past the fixed panels' reach (a 0.98 mass at 1e10, 0.0 at
+        # 1e15), so the rule is scaled to it
+        assert abs(trapezoid_mass(JacobiParams(a, a)) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("a", [200.0, 400.0])
     def test_large_pair_weight_finite_with_unit_mass(self, a):
@@ -239,42 +252,19 @@ class TestNormalisation:
         xi = np.array([0.0, 1.0, -30.0, 200.0])
         assert np.all(np.isfinite(g_weight(params, xi))) and g_weight(params, 0.0).real > 0.0
         assert np.all(np.isfinite(measure_density(params, xi)))
-        assert abs(fourier_mod._panel_mass(params) - 1.0) <= 1e-10
+        assert abs(panel_mass(params) - 1.0) <= 1e-10
         vals = fourier_transform(Expansion(BasisSpec(params), [1.0, 0.5, 0.25]), xi)
         assert np.all(np.isfinite(vals))
 
     def test_cache_keyed_on_params(self, monkeypatch):
         norm = mock.Mock(wraps=fourier_mod.normalisation_constant)
-        mass = mock.Mock(wraps=fourier_mod._panel_mass)
         monkeypatch.setattr(fourier_mod, "normalisation_constant", norm)
-        monkeypatch.setattr(fourier_mod, "_panel_mass", mass)
         spec = BasisSpec(JacobiParams(0.37, 1.91))  # a pair no other test uses
         for n in range(1, 21):
             vals = fourier_transform(Expansion(spec, np.ones(n)), [0.0, 1.5])
             assert np.all(np.isfinite(vals))
-        # ln C is not on the transform's path; the weight's unit mass is checked once
-        assert norm.call_count == 0 and mass.call_count == 1
-
-    def test_failed_mass_check_raises_everywhere(self, monkeypatch):
-        # a mass 2e-10 off fails the check in each function that reads the weight or its polynomials, from
-        # one quadrature per pair; a fresh cache for the test, so no failed mass outlives it
-        mass = mock.Mock(return_value=1.0 + 2e-10)
-        monkeypatch.setattr(fourier_mod, "_panel_mass", mass)
-        monkeypatch.setattr(fourier_mod, "_mass", lru_cache(maxsize=32)(fourier_mod._mass.__wrapped__))
-        pairs = [JacobiParams(0.0, 0.0), JacobiParams(1.3, 0.2)]
-        want = f"Fourier measure mass check failed: got {1.0 + 2e-10!r}, expected 1"
-        for params in pairs:
-            calls = [
-                lambda: g_weight(params, 0.5),
-                lambda: measure_density(params, [0.0, 1.0]),
-                lambda: carlitz_eval(params, 3, 0.5),
-                lambda: fourier_transform(Expansion(BasisSpec(params), [1.0, 0.5]), 0.5),
-            ]
-            for call in calls:
-                with pytest.raises(RuntimeError) as err:
-                    call()
-                assert str(err.value) == want
-        assert mass.call_count == len(pairs)
+        # ln C is not on the transform's path
+        assert norm.call_count == 0
 
 
 def _tail_cut(s):
@@ -438,6 +428,16 @@ class TestFourierTransform:
         with pytest.raises(TypeError):
             fourier_transform(e, [0.0], count=5)
 
+    @pytest.mark.parametrize("a", [1e10, 1e12, 1e15])
+    def test_huge_pairs_against_mpmath(self, a):
+        # no term of ln g grows with a, and the p_m are polynomials in xi / sqrt(a): a 4-term expansion against
+        # 60 digits, out to several widths sqrt(a) of the weight
+        c = [0.9, 0.1, -0.3, 0.05]
+        xi = np.concatenate(([1.0, 1e3, 1e6], math.sqrt(a) * np.array([0.0, 0.3, -1.0, 2.0, 4.0])))
+        got = fourier_transform(Expansion(BasisSpec(JacobiParams(a, a)), c), xi)
+        want = fourier_transform_mp(a, a, c, xi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("a", [0.5, 2.0, -0.9])
     def test_half_mode_equals_full(self, a):
         # the half-mode functions are the full-mode ones of the (a, a) pair
@@ -446,3 +446,12 @@ class TestFourierTransform:
         half = fourier_transform(Expansion(BasisSpec(JacobiParams(a, a), "half"), c), xi)
         full = fourier_transform(Expansion(BasisSpec(JacobiParams(a, a), "full"), c), xi)
         assert half.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("call,start", [
+    (lambda: carlitz_eval(JacobiParams(0.0, 0.0), -1, 0.5), "degree must be nonnegative (got -1)"),
+], ids=["carlitz_eval-degree"])
+def test_error_paths(call, start):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value).startswith(start)

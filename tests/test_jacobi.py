@@ -506,7 +506,10 @@ class TestGaussJacobi:
         # Two roundings of a weight add to that where they pass it: half an
         # ulp of ln w (5.7e-14 relative near e^700), and a node one ulp off,
         # which moves ln w by d ln w/dt = (b+1)/(1+t) - (a+1)/(1-t) per unit
-        # of t (Jacobi's equation at a node)
+        # of t (Jacobi's equation at a node).  Both rules start from the
+        # library's ln g_0, whose error moves every log weight alike, so the
+        # 40-digit weights are compared in units of that g_0: a shared error
+        # cannot hide a rule's own
         p = JacobiParams(a, b)
         for n in sizes:
             with monkeypatch.context() as m:
@@ -524,7 +527,10 @@ class TestGaussJacobi:
             assert np.all(rule.weights >= 0.0) and np.all(np.isfinite(rule.weights)), n
             normal = want.weights >= np.finfo(float).tiny
             if np.any(np.abs(rule.weights[normal] / want.weights[normal] - 1.0) > bound[normal]):
-                exact = np.array([float(w) for w in gauss_jacobi_mp(a, b, rule.nodes)[1]])
+                with mpmath.workdps(40):
+                    ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+                    shared = log_jacobi_norm(p) - (ma + mb + 1) * mpmath.log(2) - mpmath.log(mpmath.beta(ma + 1, mb + 1))
+                    exact = np.array([float(w * mpmath.exp(shared)) for w in gauss_jacobi_mp(a, b, rule.nodes)[1]])
                 err, err_gw = (np.abs(w / exact - 1.0) for w in (rule.weights, want.weights))
                 assert np.all(err <= err_gw.max() + bound), (n, err.max(), err_gw.max())
 
@@ -669,3 +675,13 @@ def _phi_mp(a, b, m, x, rows):
             w = (1 - th) ** ((ma + 1) / 2) * (1 + th) ** ((mb + 1) / 2)
             want.append(float((-1) ** m * w * rows[m][j]))
     return np.array(want)
+
+
+@pytest.mark.parametrize("call,start", [
+    (lambda: couplings(JacobiParams(0.0, 0.0), 0), "count must be positive (got 0)"),
+    (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 0), "rule size must be positive (got 0)"),
+], ids=["couplings-0", "gauss_jacobi-0"])
+def test_error_paths(call, start):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value).startswith(start)

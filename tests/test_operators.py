@@ -19,7 +19,7 @@ from tanhspec import (
     solve_first_order,
     synthesize,
 )
-from tanhspec.operators import BandedMatrix, banded_qr_lstsq
+from tanhspec.operators import BandedMatrix, MultOp, banded_qr_lstsq
 
 from oracles import (
     band_get,
@@ -443,3 +443,45 @@ class TestSolveFirstOrder:
         want, *_ = np.linalg.lstsq(mat.to_dense(), b, rcond=None)
         assert np.max(np.abs(result.expansion.coeffs - want)) <= 1e-10
         assert math.isclose(result.residual, np.linalg.norm(mat.to_dense() @ want - b), rel_tol=1e-10)
+
+
+#: (id, call, start of its ValueError message) for each input check of the module
+ERROR_PATHS = [
+    ("diff_apply-short", lambda: diff_apply(diff_coeffs(T_PAIR, 2), np.ones(3)),
+     "DiffOp holds 2 couplings, need at least 3"),
+    ("dense_diff-short", lambda: dense_diff(diff_coeffs(T_PAIR, 2), 4),
+     "DiffOp holds 2 couplings, need at least 3"),
+    ("MultOp-empty", lambda: MultOp([], 4), "coefficient sequence must be nonempty and 1-d"),
+    ("MultOp-2d", lambda: MultOp(np.ones((2, 2)), 4), "coefficient sequence must be nonempty and 1-d"),
+    ("MultOp-nonfinite", lambda: MultOp([1.0, math.inf], 4), "coefficients must be finite"),
+    ("MultOp-size", lambda: MultOp([1.0], 0), "size must be positive (got 0)"),
+    ("mult_op-negative-bandwidth", lambda: mult_op([1.0], -1, 4), "bandwidth must be nonnegative (got -1)"),
+    ("mult_op-past-bandwidth", lambda: mult_op([1.0, 0.0, 0.5], 1, 4),
+     "nonzero coefficients beyond the declared bandwidth"),
+    ("zeros-rows", lambda: BandedMatrix.zeros(0, 3, 1, 1), "matrix dimensions must be positive"),
+    ("matvec-length", lambda: BandedMatrix.zeros(3, 3, 1, 1).matvec(np.ones(2)),
+     "vector length 2 does not match 3 columns"),
+    ("assemble-n", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 0),
+     "truncation size must be positive (got 0)"),
+    ("assemble-short", lambda: assemble_first_order(diff_coeffs(T_PAIR, 4), mult_op([1.0, 0.5], 1, 8), 4),
+     "DiffOp holds 4 couplings, need at least 5"),
+    ("qr-wide", lambda: banded_qr_lstsq(BandedMatrix.zeros(2, 3, 1, 1), np.ones(2)),
+     "system must have at least as many rows as columns"),
+    ("qr-rhs-length", lambda: banded_qr_lstsq(BandedMatrix.zeros(3, 2, 1, 1), np.ones(2)),
+     "rhs length 2 does not match 3 rows"),
+]
+
+
+@pytest.mark.parametrize("call,start", [p[1:] for p in ERROR_PATHS], ids=[p[0] for p in ERROR_PATHS])
+def test_error_paths(call, start):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value).startswith(start)
+
+
+def test_empty_input_and_zero_tail():
+    # an empty window maps to an empty one; zero coefficients past the bandwidth are dropped
+    d = diff_coeffs(T_PAIR, 4)
+    assert diff_apply(d, []).shape == (0,) and diff_squared_apply(d, []).shape == (0,)
+    op = mult_op([1.0, 0.5, 0.0, 0.0], 1, 8)
+    assert op.bandwidth == 1 and op.a_coeffs.tolist() == [1.0, 0.5]

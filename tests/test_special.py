@@ -74,11 +74,13 @@ class TestJacobiNorm:
     @pytest.mark.parametrize("a,b", [
         (7.0, 7.0), (7.0, 12.0), (30.0, 7.5), (7.0, 30.0), (80.0, 80.0), (80.0, 1e3), (20.0, 1e3), (1e3, 1e3),
         (1e3, 1.1e3), (4914.9, 4622.8), (1e4, 1e4), (1e4, 7.0), (7.0, 1e4), (1e5, 1e5), (1e5, 7.0), (1e5, 3e4),
-        (7.0, 1e6), (1e6, 1e6), (1e6, 7.5), (1e6, 3e5),
+        (7.0, 1e6), (1e6, 1e6), (1e6, 7.5), (1e6, 3e5), (6.9, 7.5), (6.0, 6.0), (6.9, 1e12), (1e12, 3.0),
+        (-0.9, 1e8), (1e300, 0.0),
     ])
     def test_mass_against_mpmath(self, a, b):
-        # ln g_0 = (a+b+1) ln 2 + ln B(a+1, b+1) where both a+1, b+1 >= 8 (Stirling's form; below, lgamma's):
-        # the lgamma terms of (1e4, 1e4) are 8e4 and cancel to -4, which cost 7.2e-12; 40-digit closed form
+        # ln g_0 = (a+b+1) ln 2 + ln B(a+1, b+1), Stirling's form on arguments lifted to 8: lgamma's terms of
+        # (1e4, 1e4) are 8e4 and cancel to -4, which cost 7.2e-12, and those of (1e12, 3) 2.7e13, which cost
+        # 2.7e-3 absolute; 40-digit closed form
         with mpmath.workdps(40):
             ma, mb = mpmath.mpf(a), mpmath.mpf(b)
             want = (ma + mb + 1) * mpmath.log(2) + mpmath.log(mpmath.beta(ma + 1, mb + 1))

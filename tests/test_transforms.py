@@ -447,3 +447,39 @@ class TestNodeCaches:
         arrays = [*grid[:3], *rule[:3], rule.rule.nodes, rule.rule.log_weights, rule.rule.angles]
         assert len(arrays) == 9
         assert not any(a.flags.writeable for a in arrays)
+
+
+def _sech(x):
+    return 1.0 / np.cosh(x)
+
+
+#: (id, call, start of its ValueError message) for each input check of the module
+ERROR_PATHS = [
+    ("dct-empty", lambda: dct("DCT-II", []), "data must be a nonempty 1-d sequence"),
+    ("dct-2d", lambda: dct("DCT-II", np.ones((2, 2))), "data must be a nonempty 1-d sequence"),
+    ("sample_grid-0", lambda: sample_grid(0), "grid size must be positive (got 0)"),
+    ("analyze_full-n", lambda: analyze_full(_full(0.0, 0.0), _sech, 0),
+     "coefficient count must be positive (got 0)"),
+    ("analyze_full-method", lambda: analyze_full(_full(0.0, 0.0), _sech, 4, "exact"),
+     "unknown method 'exact'"),
+    ("analyze_half-full-spec", lambda: analyze_half(_full(0.0, 0.0), _sech, 4),
+     "analyze_half requires a half-mode basis spec"),
+    ("analyze_unweighted-m", lambda: analyze_unweighted(_sech, -1), "m_max must be nonnegative (got -1)"),
+]
+
+
+@pytest.mark.parametrize("call,start", [p[1:] for p in ERROR_PATHS], ids=[p[0] for p in ERROR_PATHS])
+def test_error_paths(call, start):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value).startswith(start)
+
+
+@pytest.mark.parametrize("a,b", [(-0.5, -0.5), (1.3, 0.2)])
+def test_wrong_shape_output_sampled_pointwise(a, b):
+    # a callable that returns one value for an array is sampled point by point, on both paths
+    def first_only(x):
+        return _sech(x) if np.ndim(x) == 0 else _sech(x)[:1]
+
+    got = analyze_full(_full(a, b), first_only, 16).coeffs
+    assert got.tobytes() == analyze_full(_full(a, b), _sech, 16).coeffs.tobytes()
