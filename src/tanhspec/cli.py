@@ -237,7 +237,10 @@ def parse_points(spec: str) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) != 4:
             raise ValueError(f"bad points spec {spec!r}; expected lin:LO:HI:COUNT")
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        try:
+            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ValueError(f"bad points spec {spec!r}: {exc}") from exc
         if count < 1:
             raise ValueError("point count must be positive")
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -363,8 +366,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so that main prints it as one `error:` line; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tanhspec", description=__doc__)
+    parser = _Parser(prog="tanhspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="expansion coefficients of a function")
@@ -429,9 +439,8 @@ def _glue_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = build_parser().parse_args(_glue_signed_values(sys.argv[1:] if argv is None else list(argv)))
         # an overflow or NaN anywhere is a numerical failure, not NaN output
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.fn_cmd(args)

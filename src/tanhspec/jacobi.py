@@ -112,65 +112,65 @@ def _blocking(g: np.ndarray, B: np.ndarray, t: np.ndarray) -> tuple[int, int]:
     return k, max(1, int(250.0 / max(k * most, 1.0)))
 
 
-def _factors(B: np.ndarray, e: np.ndarray, count: int, t: np.ndarray):
-    """s_m = 1/sigma_m, m < count, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}, and for the
-    block products coefficients C, [g_m, -g_m B_m] in row m < count - 1, g_m = sigma_{m+1} / (sigma_m e_m), and
-    features F, [t; 1] on the points: C[m] @ F = g_m (t - B_m)."""
-    sigma = np.ones(count + 1)
+def _factors(B: np.ndarray, e: np.ndarray, t: np.ndarray):
+    """s_m = 1/sigma_m, m < len(B), sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}, and for the
+    block products coefficients C, 0 in row 0 and [g_{m-1}, -g_{m-1} B_{m-1}] in row m > 0, g_m = sigma_{m+1} /
+    (sigma_m e_m), and features F, [t; 1] on the points: C[m] @ F is the factor of row m, g_{m-1} (t - B_{m-1})."""
+    sigma = np.ones(len(B) + 1)
     ratio = e[1:] / e[:-1]
     sigma[2::2] = np.cumprod(ratio[0::2])
     sigma[3::2] = np.cumprod(ratio[1::2])
-    C = np.empty((count - 1, 2))
-    C[:, 0] = sigma[1:count] / (sigma[: count - 1] * e[: count - 1])
-    C[:, 1] = -C[:, 0] * B[: count - 1]
-    return 1.0 / sigma[:count], C, np.stack([t.ravel(), np.ones(t.size)])
+    C = np.zeros((len(B), 2))
+    C[1:, 0] = sigma[1:-1] / (sigma[:-2] * e[:-1])
+    C[1:, 1] = -C[1:, 0] * B[:-1]
+    return 1.0 / sigma[:-1], C, np.array([t.ravel(), np.ones(t.size)])
 
 
 def _fill(C: np.ndarray, F: np.ndarray, lo: int, out: np.ndarray) -> None:
-    """Write the factors g_{m-1} (t - B_{m-1}) of the rows m = lo, lo+1, ... of one block into out (row 0,
-    p_0 = 1, is set) by one BLAS product.  BLAS rounds a product with one row or one column by another
-    path, so such a dimension runs doubled: a factor does not depend on the block's shape."""
-    j = 1 if lo == 0 else 0
-    rows = C[lo + j - 1 : lo + len(out) - 1]
+    """Write the factors C[m] @ F of the rows m = lo, lo+1, ... of one block into out by one BLAS product.
+    BLAS rounds a product with one row or one column by another path, so such a dimension runs doubled: a
+    factor does not depend on the block's shape."""
+    rows = C[lo : lo + len(out)]
     if len(rows) != 1 and F.shape[1] != 1:
-        np.matmul(rows, F, out=out[j:])
+        np.matmul(rows, F, out=out)
     else:  # r, c: 2 for a dimension of one
         r, c = 1 + (len(rows) == 1), 1 + (F.shape[1] == 1)
-        out[j:] = (np.repeat(rows, r, axis=0) @ (F if c == 1 else np.repeat(F, 2, axis=1)))[::r, ::c]
+        out[:] = (np.repeat(rows, r, axis=0) @ (F if c == 1 else np.repeat(F, 2, axis=1)))[::r, ::c]
 
 
-def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_scale):
-    """Yield q_0(t), ..., q_{count-1}(t) at `points` as blocks (s, P, log_scale): q_m = s_m P_m e^log_scale.
+def orthonormal_blocks(B: np.ndarray, e: np.ndarray, points, log_scale):
+    """Yield q_0(t), ..., q_{len(B)-1}(t) at `points` as blocks (s, P, log_scale): q_m = s_m P_m e^log_scale.
 
     The q_m are orthonormal for t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}
-    (B, e of length count), q_0 = exp(log_scale), one value or one per point.
-    The rows run p_{m+1} = g_m (t - B_m) p_m - p_{m-1} from p_0 = 1, with
-    g_m and s = 1 / sigma from _factors.  One BLAS product per block of K
-    rows writes the factors g_m (t - B_m) into the rows they produce (_fill),
-    rounded as fl(fl(g t) - g B), possibly fused, where a subtraction first
-    gives fl(g fl(t - B)); for B = 0 both are fl(g t).  P is a (K, points)
-    view of one reused buffer, the caller's to overwrite until the next
-    block; the last block may be shorter.  Every few blocks (_blocking) a
-    point whose carry rows pass 2^128 has them divided by a power of two,
-    whose log joins a new log_scale array (until then, the argument); rows
-    stay below 2^128 e^250, so their squares are finite.
+    (B, e of one length), q_0 = exp(log_scale), one value or one per point.
+    The rows run p_{m+1} = g_m (t - B_m) p_m - p_{m-1}, g_m and s = 1 / sigma
+    from _factors, from the carries (p_{-2}, p_{-1}) = (-1, 0): row 0's factor
+    is 0, so the first step gives p_0 = 1.  One BLAS product per block of
+    K <= len(B) rows writes the factors into their rows (_fill), rounded as
+    fl(fl(g t) - g B), possibly fused, where a subtraction first gives
+    fl(g fl(t - B)); for B = 0 both are fl(g t).  P is a (K, points) view of
+    one reused buffer, the caller's to overwrite until the next block; the
+    last block may be shorter.  Every few blocks (_blocking) a point whose carry
+    rows pass 2^128 has them divided by a power of two, whose log joins a new
+    log_scale array (until then, the argument); rows stay below 2^128 e^250,
+    so their squares are finite.
     """
     t = np.asarray(points, dtype=float)
-    s, C, F = _factors(B, e, count, t)
-    k, every = _blocking(C[:, 0], B[: count - 1], t)
-    # buf[0], buf[1] carry p_{lo-2}, p_{lo-1} into the block of degrees lo..lo+size-1 in buf[2:], copied
-    # before the block is yielded, since the caller may overwrite it
-    buf = np.zeros((k + 2, t.size))  # p_{-2} (unused), p_{-1} = 0
-    buf[2] = 1.0
+    s, C, F = _factors(B, e, t)
+    k, every = _blocking(C[1:, 0], B[:-1], t)
+    k = min(k, len(B))
+    # buf[:2] carry p_{lo-2}, p_{lo-1} into the rows lo.. in buf[2:], copied before a yield (the caller may write)
+    buf = np.zeros((k + 2, t.size))
+    buf[0] = -1.0  # (p_{-2}, p_{-1}) = (-1, 0)
     steps = [(buf[i], buf[i - 1], buf[i - 2]) for i in range(2, k + 2)]  # (p_m, p_{m-1}, p_{m-2})
-    for lo in range(0, count, k):
-        size = min(k, count - lo)
+    for lo in range(0, len(B), k):
+        size = min(k, len(B) - lo)
         if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(buf[:2]), axis=None) > 2.0**128:
             shift = np.where(big > 2.0**128, np.frexp(big)[1], 0).max(axis=0)
             np.ldexp(buf[:2], -shift, out=buf[:2])
             log_scale = log_scale + (shift * math.log(2.0)).reshape(t.shape)
         _fill(C, F, lo, buf[2 : size + 2])
-        for p, p1, p2 in steps[1 if lo == 0 else 0 : size]:
+        for p, p1, p2 in steps[:size]:
             p *= p1
             p -= p2
         buf[:2] = buf[size : size + 2]
@@ -180,7 +180,7 @@ def orthonormal_blocks(B: np.ndarray, e: np.ndarray, count: int, points, log_sca
 def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_start) -> np.ndarray:
     """sum_m coeffs[..., m] q_m(points) over the q_m of orthonormal_blocks, one product per block."""
     acc, unit, m = np.zeros(coeffs.shape[:-1] + np.shape(points)), log_start, 0  # acc in units of exp(unit)
-    for s, P, log_scale in orthonormal_blocks(B, e, coeffs.shape[-1], points, log_start):
+    for s, P, log_scale in orthonormal_blocks(B, e, points, log_start):
         if log_scale is not unit:
             acc, unit = acc * np.exp(unit - log_scale), log_scale
         acc += (coeffs[..., m : m + len(s)] * s) @ P
@@ -192,7 +192,7 @@ def project(B: np.ndarray, e: np.ndarray, values: np.ndarray, points, log_start)
     """sum_k values[..., k] q_m(points[k]), m < len(B), over the q_m of orthonormal_blocks: the transpose of
     forward_sum, one product per block."""
     scaled, out = values * np.exp(log_start), []  # values in units of exp(-log_scale): q_m = s_m P_m exp(log_scale)
-    for s, P, log_scale in orthonormal_blocks(B, e, len(B), points, log_start):
+    for s, P, log_scale in orthonormal_blocks(B, e, points, log_start):
         if log_scale is not log_start:
             scaled, log_start = values * np.exp(log_scale), log_scale
         out.append(s * (P @ scaled[..., None])[..., 0])
@@ -216,7 +216,7 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
     total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
     pick = np.eye(2, n + 1, n - 1)  # the rows of q_{n-1} and q_n
     changes, neg = 0, False
-    for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, n + 1), n + 1, t, unit):
+    for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, n + 1), t, unit):
         if log_scale is not unit:  # total in units of exp(2 unit), last of exp(unit)
             total, last, unit = total * np.exp(2.0 * (unit - log_scale)), last * np.exp(unit - log_scale), log_scale
         if count:  # neg: the sign bits of the last row so far

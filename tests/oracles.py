@@ -405,8 +405,9 @@ def band_get(mat, i: int, j: int) -> float:
 
 # Row-at-a-time forms of the recurrence kernel (jacobi.orthonormal_blocks).
 # The library runs the same arithmetic in place over blocks of rows; these
-# loops are the references it is checked against.  Like the kernel they
-# start from p_0 = 1 with q_0 in the log scale, and they rescale the rows
+# loops are the references it is checked against.  They start from p_0 = 1,
+# the kernel's first step from its carries (p_{-2}, p_{-1}) = (-1, 0), with
+# q_0 in the log scale, and like the kernel they rescale the rows
 # before the same rows by the same powers of two (jacobi._blocking gives
 # the kernel's block length and blocks between checks).  The factors
 # g_m (t - B_m) come from the kernel's own block product (jacobi._fill)
@@ -437,7 +438,7 @@ def orthonormal_rows(B, e, count: int, points, log_start):
     """
     t = np.asarray(points, dtype=float)
     sigma, g, k, every = _rescaled_recurrence(B, e, count, t)
-    C, F = _factors(B, e, count, t)[1:]
+    C, F = _factors(B[:count], e[:count], t)[1:]
     s = 1.0 / sigma
     log_scale = log_start
     prev, p = np.zeros(t.size), np.ones(t.size)

@@ -354,6 +354,26 @@ def test_points_spec_naming_no_point_rejected(tmp_path, capsys, command, points)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "expand --alpha 0 --beta 0 --n x --fn sech",
+    "expand --alpha 0 --beta 0 --fn sech",
+    "eval --alpha 0 --beta 0 --in c.csv --points 0 --bogus 1",
+    "",
+    "frobnicate",
+    "diff --alpha 0 --beta 0 --in c.csv --points 0 --format xml",
+], ids=["bad-int", "missing-option", "unknown-option", "no-command", "unknown-command", "bad-choice"])
+def test_argparse_usage_error_is_one_error_line(capsys, argv):
+    assert run(*argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--help")
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: tanhspec")
+
+
 @pytest.mark.parametrize("command", ["eval", "diff", "basis", "ft"])
 def test_points_at_the_top_of_the_float_range(tmp_path, command):
     # the weight is exactly 0.0 from |x| = 1e300 (|xi| = 1e300 for ft), so
@@ -744,6 +764,9 @@ class TestTablesAndDeterminism:
         assert np.allclose(parse_points("1,2.5,-3"), [1.0, 2.5, -3.0])
         with pytest.raises(ValueError):
             parse_points("lin:0:1")
+        for spec in ("lin:0:1:1e3", "lin:a:1:3"):
+            with pytest.raises(ValueError, match=f"^bad points spec '{spec}': "):
+                parse_points(spec)
 
 
 # every command that takes a table file, with the bad table in the slot it reads

@@ -34,6 +34,7 @@ from oracles import (
     norm_ratio,
     orthonormal_eval_batch,
     orthonormal_mp,
+    orthonormal_rows,
     phi_full_direct,
     recurrence_coefficients,
     sweep_rowwise,
@@ -41,7 +42,7 @@ from oracles import (
 
 def _blocks(p, count, t):
     """The kernel's blocks of q_0..q_{count-1} for the Jacobi pair p, started at q_0 = g_0^{-1/2}."""
-    return orthonormal_blocks(*jacobi_matrix(p, count), count, t, -0.5 * log_jacobi_norm(p))
+    return orthonormal_blocks(*jacobi_matrix(p, count), t, -0.5 * log_jacobi_norm(p))
 
 
 def _sweep_kinds(monkeypatch):
@@ -110,9 +111,9 @@ class TestOrthonormalRecurrence:
     def test_fill_is_the_factor_to_rounding(self):
         # the block product writes fl(fl(g t) - g B), or its fused form: within
         # 2 eps g (|t| + |B|) of g_m (t - B_m) in exact arithmetic, over the
-        # kernel's blocks, among them one-row first (count 2) and last (count
-        # K + 1) blocks, partial last blocks and one point, on two pairs; with
-        # B = 0 it is fl(g t) exactly
+        # kernel's blocks, among them two-row first (count 2) and one-row last
+        # (count K + 1) blocks, partial last blocks and one point, on two pairs;
+        # with B = 0 it is fl(g t) exactly; row 0 is the zero factor
         eps = np.finfo(float).eps
         rng = np.random.default_rng(3)
         for p in (JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)):
@@ -122,13 +123,14 @@ class TestOrthonormalRecurrence:
                     B, e = jacobi_matrix(p, 200)
                     if zero_b:
                         B = np.zeros_like(B)
-                    C, F = jacobi_mod._factors(B, e, 200, t)[1:]
-                    g = C[:, 0]
+                    C, F = jacobi_mod._factors(B, e, t)[1:]
+                    g = C[1:, 0]
                     k = jacobi_mod._blocking(g, B[:-1], t)[0]
                     for count in (2, 3, k, k + 1, k + 5, 2 * k + 3):
                         for lo in range(0, count, k):
                             out = np.full((min(k, count - lo), P), np.nan)
                             jacobi_mod._fill(C, F, lo, out)
+                            assert lo or not np.any(out[0]), (p, P, count)
                             for i in range(1 if lo == 0 else 0, len(out)):
                                 m = lo + i - 1  # row lo + i carries the factor of degree lo + i - 1
                                 if zero_b:
@@ -144,7 +146,7 @@ class TestOrthonormalRecurrence:
         # fill runs those doubled, so a factor has the same bits in every block
         B, e = jacobi_matrix(JacobiParams(-0.999, 3.0), 40)
         t = np.random.default_rng(5).uniform(-1.0, 1.0, 9)
-        C, F = jacobi_mod._factors(B, e, 40, t)[1:]
+        C, F = jacobi_mod._factors(B, e, t)[1:]
         whole = np.empty((39, 9))
         jacobi_mod._fill(C, F, 1, whole)
         for lo in range(1, 40):
@@ -152,11 +154,40 @@ class TestOrthonormalRecurrence:
             jacobi_mod._fill(C, F, lo, one_row)
             assert np.array_equal(one_row[0], whole[lo - 1])
         for j in range(9):
-            Cj, Fj = jacobi_mod._factors(B, e, 40, t[j : j + 1])[1:]
+            Cj, Fj = jacobi_mod._factors(B, e, t[j : j + 1])[1:]
             for rows in (1, 39):
                 one_point = np.empty((rows, 1))
                 jacobi_mod._fill(Cj, Fj, 1, one_point)
                 assert np.array_equal(one_point[:, 0], whole[:rows, j])
+
+    @pytest.mark.parametrize("size", [1, 2, 300])
+    def test_short_calls_match_rowwise(self, size):
+        # every call starts from the carries (p_{-2}, p_{-1}) = (-1, 0), whose
+        # first step gives p_0 = 1: calls of 1, 2, 3 and K - 1 rows (one block)
+        # give the rows of the row-at-a-time recurrence bit for bit, on two
+        # Jacobi pairs and on the Fourier side (B = 0, e = b_m); one row or one
+        # point runs _fill's doubled path with the zero factor of row 0
+        t = np.cos(np.linspace(0.1, 3.0, size))
+        xi = np.linspace(-40.0, 40.0, size)
+        for p in (JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)):
+            for fourier in (False, True):
+                points, log_start = (xi, 0.0) if fourier else (t, -0.5 * log_jacobi_norm(p))
+
+                def recurrence(count):
+                    return (np.zeros(count), couplings(p, count)) if fourier else jacobi_matrix(p, count)
+
+                B, e = recurrence(64)
+                k = jacobi_mod._blocking(jacobi_mod._factors(B, e, points)[1][1:, 0], B[:-1], points)[0]
+                for count in (1, 2, 3, k - 1):
+                    B, e = recurrence(count)
+                    got = [(s_m, row.copy(), ls) for s, P, ls in orthonormal_blocks(B, e, points, log_start)
+                           for s_m, row in zip(s, P)]
+                    want = list(orthonormal_rows(B, e, count, points, log_start))
+                    assert len(got) == len(want) == count, (p, fourier, count)
+                    for (s_got, p_got, ls_got), (s_want, p_want, ls_want) in zip(got, want):
+                        assert s_got == s_want and np.array_equal(ls_got, ls_want), (p, fourier, count)
+                        assert np.array_equal(p_got, p_want), (p, fourier, count)
+                    assert np.all(got[0][1] == 1.0)
 
     def test_project_is_the_transpose_of_forward_sum(self):
         # c . project(W) = W . forward_sum(c), relative to the size of the terms
@@ -171,7 +202,7 @@ class TestOrthonormalRecurrence:
         b = couplings(JacobiParams(1.3, 0.2), 200)
         xi = np.array([1e30, -3e29, 2.5])
         log_xi = -np.sum(np.log1p(np.abs(xi)[:, None] / b[:-1]), axis=1)
-        rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(np.zeros(200), b, 200, xi, log_xi)]
+        rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(np.zeros(200), b, xi, log_xi)]
         assert any(rescaled)
         cases.append((np.zeros(200), b, xi, log_xi))
         for B, e, points, log_start in cases:
@@ -190,7 +221,7 @@ class TestOrthonormalRecurrence:
         count, xi = 200, np.array([1e30, -3e29, 2.5])
         b = couplings(JacobiParams(1.3, 0.2), count)
         with np.errstate(over="raise", invalid="raise"):
-            got = [(s[:, None] * P, ls) for s, P, ls in orthonormal_blocks(np.zeros(count), b, count, xi, 0.0)]
+            got = [(s[:, None] * P, ls) for s, P, ls in orthonormal_blocks(np.zeros(count), b, xi, 0.0)]
         with mpmath.workdps(30):
             prev, q = [mpmath.mpf(0)] * xi.size, [mpmath.mpf(1)] * xi.size
             want = [q]
@@ -361,7 +392,7 @@ class TestGaussJacobi:
         checked = set()
         for n in range(1, 200):
             B, e = jacobi_matrix(p, n + 1)
-            g = jacobi_mod._factors(B, e, n + 1, t)[1][:, 0]
+            g = jacobi_mod._factors(B, e, t)[1][1:, 0]
             k = jacobi_mod._blocking(g, B[:n], t)[0]
             if n % k not in (0, k - 2, k - 1) or n >= 3 * k:
                 continue
