@@ -15,10 +15,10 @@ form of the (a, a) pair.
 Differentiation acts tridiagonally: phi_m' = -b_{m-1} phi_{m-1} + b_m phi_{m+1}
 with a positive coupling sequence b_m shared by every module downstream.
 
-Every pointwise value is one jacobi.forward_sum in t = tanh x of a
-coefficient vector: clenshaw_eval sums the expansion's coefficients,
-phi_full the unit vector e_m, derivative_pointwise
-b_m e_{m+1} - b_{m-1} e_{m-1}.
+Every pointwise value is one jacobi.forward_sum over the pair's cached
+Jacobi table in t = tanh x, shaped like x, of a coefficient vector:
+clenshaw_eval sums the expansion's coefficients, phi_full the unit vector
+e_m, derivative_pointwise b_m e_{m+1} - b_{m-1} e_{m-1}.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import couplings, forward_sum, jacobi_matrix
+from .jacobi import couplings, forward_sum, recurrence
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
@@ -107,10 +107,10 @@ def diff_coeffs(params: JacobiParams, count: int) -> DiffOp:
     return DiffOp(b=couplings(params, count), params=params)
 
 
-def _as_points(x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    return arr, scalar
+def _shaped(values: np.ndarray, x):
+    """The values at the flattened x, shaped like x: a Python number for a scalar x."""
+    values = values.reshape(np.shape(x))
+    return values.item() if values.ndim == 0 else values
 
 
 def _degree(m: int) -> int:
@@ -120,18 +120,14 @@ def _degree(m: int) -> int:
 
 
 def _full_sum(params: JacobiParams, coeffs: np.ndarray, x):
-    """sum_m coeffs[m] phi_m(x) over the full-range functions of params.
-
-    One jacobi.forward_sum in t = tanh x of (-1)^m coeffs[m] (coeffs is not
-    modified), whose log scale starts at the boundary weight: each block of
-    rows p_m adds one matrix-vector product.
-    """
-    pts, scalar = _as_points(x)
+    """sum_m coeffs[m] phi_m(x) over the full-range functions of params, shaped like x: one jacobi.forward_sum
+    in t = tanh x of (-1)^m coeffs[m] (coeffs is not modified) on the flattened points, whose log scale starts
+    at the boundary weight: each block of rows p_m adds one matrix-vector product."""
+    pts = np.asarray(x, dtype=float).ravel()
     v = np.array(coeffs, dtype=float)
     v[1::2] *= -1.0
     log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
-    vals = forward_sum(*jacobi_matrix(params, v.size), v, np.tanh(pts), log_start)
-    return float(vals[0]) if scalar else vals
+    return _shaped(forward_sum(recurrence(params, "jacobi", v.size), v, np.tanh(pts), log_start), x)
 
 
 def phi_full(spec: BasisSpec, m: int, x):

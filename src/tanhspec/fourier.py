@@ -14,9 +14,9 @@ orthonormal polynomials of that measure.  C underflows once a and b near
 cancel in algebra (_log_weight).  Each function takes the JacobiParams of
 its pair and evaluates only that closed form: Barnes' first lemma makes the
 unit mass of |g|^2 dxi an identity of it, which the tests check by
-quadrature.  The p_m,
-generalised Carlitz polynomials, satisfy xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}
-(b_m the differentiation couplings), summed by jacobi.forward_sum.
+quadrature.  The p_m, generalised Carlitz polynomials, satisfy
+xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1} (b_m the differentiation couplings),
+the pair's cached Carlitz table, summed by jacobi.forward_sum and shaped like xi.
 (The i^m phase, rather than (-i)^m, is forced jointly by F[f'] = i xi F[f]
 and the positive-leading three-term recurrence of the p_m; the (-i)^m form
 belongs to the opposite exponent sign with g conjugated.)
@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from .basis import Expansion
-from .jacobi import couplings, forward_sum
+from .basis import Expansion, _degree, _shaped
+from .jacobi import forward_sum, recurrence
 from .special import _LN2, _STIRLING_FROM, JacobiParams, _stirling_tail, log_jacobi_norm
 
 __all__ = [
@@ -39,11 +39,12 @@ __all__ = [
 ]
 
 
-def _clamp_xi(xi) -> np.ndarray:
-    # the weight is exactly 0.0 from |xi| = 1e300 on, where it and xi / b_0
-    # are still finite; a non-finite xi is left for _log_weight to reject
-    xi = np.asarray(xi, dtype=float)
-    return np.where(np.isfinite(xi), np.clip(xi, -1e300, 1e300), xi)
+def _finite_xi(xi) -> np.ndarray:
+    """xi as a flat float array; raises ValueError if any xi is not finite."""
+    xi = np.asarray(xi, dtype=float).ravel()
+    if not np.all(np.isfinite(xi)):
+        raise ValueError(f"xi must be finite (got {xi[~np.isfinite(xi)][0]})")
+    return xi
 
 
 def _log1p_i(u):
@@ -60,10 +61,9 @@ def _log_weight(params: JacobiParams, xi) -> np.ndarray:
     ln g = 1/4 ln((P+Q) / (4 pi P Q)) + iy ln(P/Q) + (P - 1/2 + iy) log1p(iy/P) + (Q - 1/2 - iy) log1p(-iy/Q)
            + mu(P+iy) + mu(Q-iy) - mu(P+Q) - [mu(2P) + mu(2Q) - mu(2P+2Q)] / 2 + lift terms.
     Raises ValueError if any xi is not finite."""
-    # 1-d even for a scalar: numpy rounds complex products on 0-d arrays differently from its 1-d loop
-    y = 0.5 * _clamp_xi(xi).ravel()
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"xi must be finite (got {2.0 * y[~np.isfinite(y)][0]})")
+    # 1-d even for a scalar: numpy rounds complex products on 0-d arrays differently from its 1-d loop; the
+    # weight is exactly 0.0 from |xi| = 1e300 on, where it and xi / b_0 are still finite
+    y = 0.5 * np.clip(_finite_xi(xi), -1e300, 1e300)
     p, q = 0.5 * (params.alpha + 1.0), 0.5 * (params.beta + 1.0)
     k, l = max(0, math.ceil(_STIRLING_FROM - p)), max(0, math.ceil(_STIRLING_FROM - q))
     P, Q = p + k, q + l
@@ -114,8 +114,7 @@ def g_weight(params: JacobiParams, xi):
     Has even real part and odd imaginary part in xi; real and even when
     alpha = beta.  Raises ValueError if any xi is not finite.
     """
-    out = np.exp(_log_weight(params, xi)).reshape(np.shape(xi))
-    return complex(out) if out.ndim == 0 else out
+    return _shaped(np.exp(_log_weight(params, xi)), xi)
 
 
 def measure_density(params: JacobiParams, xi):
@@ -123,25 +122,23 @@ def measure_density(params: JacobiParams, xi):
 
     Raises ValueError if any xi is not finite.
     """
-    out = np.exp(2.0 * _log_weight(params, xi).real).reshape(np.shape(xi))
-    return float(out) if out.ndim == 0 else out
+    return _shaped(np.exp(2.0 * _log_weight(params, xi).real), xi)
 
 
 def carlitz_eval(params: JacobiParams, m: int, xi):
-    """Orthonormal polynomial p_m of the measure |g|^2 dxi: the jacobi.forward_sum of the
-    unit vector e_m over xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1."""
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative (got {m})")
-    out = forward_sum(np.zeros(m + 1), couplings(params, m + 1), np.eye(1, m + 1, m)[0], np.atleast_1d(xi), 0.0)
-    return float(out[0]) if np.ndim(xi) == 0 else out
+    """Orthonormal polynomial p_m of the measure |g|^2 dxi, shaped like xi: the jacobi.forward_sum of the unit
+    vector e_m over the Carlitz recurrence xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1.  Raises ValueError
+    if any xi is not finite."""
+    return _shaped(forward_sum(recurrence(params, "carlitz", _degree(m) + 1), np.eye(1, m + 1, m)[0],
+                               _finite_xi(xi), 0.0), xi)
 
 
 def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
-    """F[f](xi) = g(xi) sum_m i^m c_m p_m(xi) of the expansion, under the e^{-i x xi} convention.
+    """F[f](xi) = g(xi) sum_m i^m c_m p_m(xi) of the expansion under the e^{-i x xi} convention, shaped like xi.
 
-    One jacobi.forward_sum over the rows of the p_m, started at Re ln g(xi)
-    so that rows may pass the float range where |g| underflows, times the
-    phase of g.  |F| <= |g(xi)| (1 + sum_m |c_m|) prod_{k<n-1} (1 + |xi|) max(1, (1 + b_{k-1}) / b_k)
+    One jacobi.forward_sum over the Carlitz rows of the p_m, started at
+    Re ln g(xi) so that rows may pass the float range where |g| underflows,
+    times the phase of g.  |F| <= |g(xi)| (1 + sum_m |c_m|) prod_{k<n-1} (1 + |xi|) max(1, (1 + b_{k-1}) / b_k)
     for every (alpha, beta), since p_0 = 1 and |p_{k+1}| <= (|xi| + b_{k-1}) / b_k max(|p_k|, |p_{k-1}|)
     with b_{-1} = 0; where this bound is below e^-745, F is 0.0 without a
     sweep, as at |xi| = 1e300, where one step would multiply by xi / b_0.
@@ -150,13 +147,12 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     is not finite.
     """
     n, params = len(e), e.spec.params
-    xi = _clamp_xi(np.atleast_1d(xi_points))
-    log_g = _log_weight(params, xi)
-    b = couplings(params, n)
+    xi, table = _finite_xi(xi_points), recurrence(params, "carlitz", n)
+    log_g, b = _log_weight(params, xi), table.e
     growth = np.sum(np.maximum(0.0, np.log1p(np.concatenate(([0.0], b))[: n - 1]) - np.log(b[: n - 1])))
     keep = log_g.real + np.log1p(np.sum(np.abs(e.coeffs))) + growth + (n - 1) * np.log1p(np.abs(xi)) >= -745.0
     c = np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4] * e.coeffs  # i^m c_m, exactly
-    re, im = forward_sum(np.zeros(n), b, np.stack([c.real, c.imag]), xi[keep], log_g.real[keep])
+    re, im = forward_sum(table, np.stack([c.real, c.imag]), xi[keep], log_g.real[keep])
     out = np.zeros(xi.size, dtype=complex)
     out[keep] = np.exp(1j * log_g.imag[keep]) * (re + 1j * im)
-    return complex(out[0]) if np.ndim(xi_points) == 0 else out
+    return _shaped(out, xi_points)

@@ -1,27 +1,25 @@
 """Jacobi polynomial evaluation and Gauss-Jacobi quadrature.
 
-One recurrence kernel, orthonormal_blocks, streams the orthonormal
-polynomials of a three-term recurrence (B, e), the Jacobi matrix on t or
-B = 0, e = b_m in Fourier space, in blocks of rescaled rows (one BLAS
-product per block, then one multiply and one subtract per degree and
-point), with a log scale per point.  The Gauss weights, the sums
+Each three-term recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}
+is built once per (pair, family, length) into a read-only table
+(recurrence: the Jacobi matrix in t, or B = 0, e = b_m in Fourier space),
+the one place that knows its layout.  One kernel, orthonormal_blocks,
+streams the orthonormal polynomials of a table in blocks of rescaled rows
+(one BLAS product per block, then one multiply and one subtract per degree
+and point), with a log scale per point.  The Gauss weights, the sums
 (forward_sum: every pointwise value of basis and fourier) and their
 transpose, the quadrature projections of transforms (project), reduce a
 block with one product.  Gauss-Jacobi rules come from the same kernel:
-Newton's method in theta = arccos t, started from O(n) asymptotic angles,
-finds the nodes in about two sweeps (at a = b only those up to pi/2, then
-mirrored), and the sweep that finishes a node gives its weight as a log,
-finite for every a, b; the rule keeps the angles of its nodes.  Where
-Newton fails (an angle leaves (0, pi), a node stays unfinished, or the nodes
-come out of order), the same loop switches per-node brackets on: it starts
-again, and its sweeps take Sturm counts of sign changes in the rows and
-bisect where a Newton step would leave its bracket; a bracketed rule that
-fails raises RuntimeError naming the cause.  The quadrature rules double as
-the slow, fully general transform path and the fast paths' oracle.
+Newton sweeps in theta = arccos t from O(n) asymptotic angles, inside
+per-node Sturm brackets where Newton fails (gauss_jacobi), each weight a
+log from the sweep that finishes its node.  The rules double as the slow,
+fully general transform path and the fast paths' oracle.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .special import JacobiParams, log_jacobi_norm
 __all__ = [
     "QuadratureRule",
     "couplings",
-    "jacobi_matrix",
+    "recurrence",
     "orthonormal_blocks",
     "forward_sum",
     "project",
@@ -79,23 +77,50 @@ def couplings(params: JacobiParams, count: int) -> np.ndarray:
     return np.sqrt((m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor)
 
 
-def jacobi_matrix(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal B_m and off-diagonal e_m, m < count, of the orthonormal Jacobi matrix.
+class Recurrence(NamedTuple):
+    """The table of one three-term recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}, m < n (_table)."""
 
-    The orthonormal polynomials satisfy t q_m = e_{m-1} q_{m-1} + B_m q_m
-    + e_m q_{m+1} with e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2),
-    b_m the differentiation couplings.  B_0 = (b-a)/(a+b+2) is the cancelled
-    form of B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), which is 0/0 at m = 0 when
-    a+b = 0.
-    """
+    B: np.ndarray
+    e: np.ndarray
+    s: np.ndarray  # s_m = 1 / sigma_m, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}
+    C: np.ndarray  # 0 in row 0, [g_{m-1}, -g_{m-1} B_{m-1}] in row m > 0, g_m = sigma_{m+1} / (sigma_m e_m)
+    g_max: float  # the growth maxima of _blocking: max g_m and max |B_m| over m < n - 1, 0 if none
+    B_max: float
+
+
+def _table(B: np.ndarray, e: np.ndarray) -> Recurrence:
+    """The Recurrence of (B, e), one length: C[m] @ [t; 1] is g_{m-1} (t - B_{m-1}), the factor of row m."""
+    sigma = np.ones(len(B) + 1)
+    ratio = e[1:] / e[:-1]
+    sigma[2::2] = np.cumprod(ratio[0::2])
+    sigma[3::2] = np.cumprod(ratio[1::2])
+    C = np.zeros((len(B), 2))
+    C[1:, 0] = sigma[1:-1] / (sigma[:-2] * e[:-1])
+    C[1:, 1] = -C[1:, 0] * B[:-1]
+    return Recurrence(B, e, 1.0 / sigma[:-1], C, C[1:, 0].max(initial=0.0), np.abs(B[:-1]).max(initial=0.0))
+
+
+@lru_cache(maxsize=16)
+def recurrence(params: JacobiParams, family: str, n: int) -> Recurrence:
+    """The read-only table of the first n rows of the pair's recurrence, built once per (params, family, n).
+
+    'jacobi' is the orthonormal Jacobi matrix in t: e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2), b_m the
+    couplings, and B_0 = (b-a)/(a+b+2) the cancelled form of B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), 0/0 at m = 0
+    when a+b = 0; 'carlitz' is the Fourier side, xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}: B = 0, e = b.  A
+    table holds 40 n bytes, 16 of them 2.6 MB at n = 4096: analysis, synthesis and a derivative at N read N and
+    N + 1 rows, so 16 keep 8 (pair, N) at once, where the hits of such a mix stop rising with the bound."""
+    if family not in ("jacobi", "carlitz"):
+        raise ValueError(f"unknown recurrence family {family!r}")
     a, b = params.alpha, params.beta
-    s = a + b
-    m = np.arange(count, dtype=float)
-    e = 2.0 * couplings(params, count) / (s + 2.0 * m + 2.0)
-    B = np.empty(count)
-    B[0] = (b - a) / (s + 2.0)
-    B[1:] = (b - a) * (b + a) / ((s + 2.0 * m[1:]) * (s + 2.0 * m[1:] + 2.0))
-    return B, e
+    e, B, m = couplings(params, n), np.zeros(n), np.arange(n, dtype=float)
+    if family == "jacobi":
+        e = 2.0 * e / (a + b + 2.0 * m + 2.0)
+        B[0] = (b - a) / (a + b + 2.0)
+        B[1:] = (b - a) * (b + a) / ((a + b + 2.0 * m[1:]) * (a + b + 2.0 * m[1:] + 2.0))
+    table = _table(B, e)
+    for arr in table[:4]:
+        arr.flags.writeable = False
+    return table
 
 
 #: Byte budget of one K-row block of orthonormal_blocks; K is clamped to
@@ -104,26 +129,12 @@ def jacobi_matrix(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndar
 _BLOCK_BYTES = 256 * 1024
 
 
-def _blocking(g: np.ndarray, B: np.ndarray, t: np.ndarray) -> tuple[int, int]:
-    """Rows K per block (within _BLOCK_BYTES) and blocks between carry checks, so that the rows g, B make
-    at t grow by at most e^250 between checks: |p_{m+1}| <= (1 + max g max|t - B|) max(|p_m|, |p_{m-1}|)."""
-    most = math.log1p(g.max(initial=0.0) * (np.fmax.reduce(np.abs(t), None, initial=0.0) + np.abs(B).max(initial=0.0)))
+def _blocking(table: Recurrence, t: np.ndarray) -> tuple[int, int]:
+    """Rows K per block (within _BLOCK_BYTES) and blocks between carry checks, so that the table's rows at t
+    grow by at most e^250 between checks: |p_{m+1}| <= (1 + max g max|t - B|) max(|p_m|, |p_{m-1}|)."""
+    most = math.log1p(table.g_max * (np.fmax.reduce(np.abs(t), None, initial=0.0) + table.B_max))
     k = min(64, max(8, _BLOCK_BYTES // (8 * max(t.size, 1)) - 1), max(1, int(250.0 / max(most, 1.0))))
     return k, max(1, int(250.0 / max(k * most, 1.0)))
-
-
-def _factors(B: np.ndarray, e: np.ndarray, t: np.ndarray):
-    """s_m = 1/sigma_m, m < len(B), sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}, and for the
-    block products coefficients C, 0 in row 0 and [g_{m-1}, -g_{m-1} B_{m-1}] in row m > 0, g_m = sigma_{m+1} /
-    (sigma_m e_m), and features F, [t; 1] on the points: C[m] @ F is the factor of row m, g_{m-1} (t - B_{m-1})."""
-    sigma = np.ones(len(B) + 1)
-    ratio = e[1:] / e[:-1]
-    sigma[2::2] = np.cumprod(ratio[0::2])
-    sigma[3::2] = np.cumprod(ratio[1::2])
-    C = np.zeros((len(B), 2))
-    C[1:, 0] = sigma[1:-1] / (sigma[:-2] * e[:-1])
-    C[1:, 1] = -C[1:, 0] * B[:-1]
-    return 1.0 / sigma[:-1], C, np.array([t.ravel(), np.ones(t.size)])
 
 
 def _fill(C: np.ndarray, F: np.ndarray, lo: int, out: np.ndarray) -> None:
@@ -138,49 +149,50 @@ def _fill(C: np.ndarray, F: np.ndarray, lo: int, out: np.ndarray) -> None:
         out[:] = (np.repeat(rows, r, axis=0) @ (F if c == 1 else np.repeat(F, 2, axis=1)))[::r, ::c]
 
 
-def orthonormal_blocks(B: np.ndarray, e: np.ndarray, points, log_scale):
-    """Yield q_0(t), ..., q_{len(B)-1}(t) at `points` as blocks (s, P, log_scale): q_m = s_m P_m e^log_scale.
+def orthonormal_blocks(table: Recurrence, points: np.ndarray, log_scale):
+    """Yield q_0(t), ..., q_{n-1}(t) at the 1-d `points` as blocks (s, P, log_scale): q_m = s_m P_m e^log_scale.
 
-    The q_m are orthonormal for t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}
-    (B, e of one length), q_0 = exp(log_scale), one value or one per point.
-    The rows run p_{m+1} = g_m (t - B_m) p_m - p_{m-1}, g_m and s = 1 / sigma
-    from _factors, from the carries (p_{-2}, p_{-1}) = (-1, 0): row 0's factor
-    is 0, so the first step gives p_0 = 1.  One BLAS product per block of
-    K <= len(B) rows writes the factors into their rows (_fill), rounded as
-    fl(fl(g t) - g B), possibly fused, where a subtraction first gives
-    fl(g fl(t - B)); for B = 0 both are fl(g t).  P is a (K, points) view of
-    one reused buffer, the caller's to overwrite until the next block; the
-    last block may be shorter.  Every few blocks (_blocking) a point whose carry
-    rows pass 2^128 has them divided by a power of two, whose log joins a new
-    log_scale array (until then, the argument); rows stay below 2^128 e^250,
-    so their squares are finite.
+    The q_m are orthonormal for the recurrence of the table (recurrence, or
+    _table of any (B, e)), q_0 = exp(log_scale), one value or one per point.
+    The rows run p_{m+1} = g_m (t - B_m) p_m - p_{m-1} from the carries
+    (p_{-2}, p_{-1}) = (-1, 0): row 0's factor is 0, so the first step gives
+    p_0 = 1.  One BLAS product per block of K <= n rows writes the factors
+    into their rows (_fill), rounded as fl(fl(g t) - g B), possibly fused,
+    where a subtraction first gives fl(g fl(t - B)); for B = 0 both are
+    fl(g t).  P is a (K, points) view of one reused buffer, the caller's to
+    overwrite until the next block; the last block may be shorter.  Every few
+    blocks (_blocking) a point whose carry rows pass 2^128 has them divided by
+    a power of two, whose log joins a new log_scale array (until then, the
+    argument); rows stay below 2^128 e^250, so their squares are finite.
     """
     t = np.asarray(points, dtype=float)
-    s, C, F = _factors(B, e, t)
-    k, every = _blocking(C[1:, 0], B[:-1], t)
-    k = min(k, len(B))
+    if t.ndim != 1:
+        raise ValueError(f"points must be 1-d (got shape {t.shape})")
+    s, C, F = table.s, table.C, np.array([t, np.ones(t.size)])
+    k, every = _blocking(table, t)
+    k = min(k, len(s))
     # buf[:2] carry p_{lo-2}, p_{lo-1} into the rows lo.. in buf[2:], copied before a yield (the caller may write)
     buf = np.zeros((k + 2, t.size))
     buf[0] = -1.0  # (p_{-2}, p_{-1}) = (-1, 0)
     steps = [(buf[i], buf[i - 1], buf[i - 2]) for i in range(2, k + 2)]  # (p_m, p_{m-1}, p_{m-2})
-    for lo in range(0, len(B), k):
-        size = min(k, len(B) - lo)
+    for lo in range(0, len(s), k):
+        size = min(k, len(s) - lo)
         if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(buf[:2]), axis=None) > 2.0**128:
             shift = np.where(big > 2.0**128, np.frexp(big)[1], 0).max(axis=0)
             np.ldexp(buf[:2], -shift, out=buf[:2])
-            log_scale = log_scale + (shift * math.log(2.0)).reshape(t.shape)
+            log_scale = log_scale + shift * math.log(2.0)
         _fill(C, F, lo, buf[2 : size + 2])
         for p, p1, p2 in steps[:size]:
             p *= p1
             p -= p2
         buf[:2] = buf[size : size + 2]
-        yield s[lo : lo + size], buf[2 : size + 2].reshape(size, *t.shape), log_scale
+        yield s[lo : lo + size], buf[2 : size + 2], log_scale
 
 
-def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_start) -> np.ndarray:
+def forward_sum(table: Recurrence, coeffs: np.ndarray, points: np.ndarray, log_start) -> np.ndarray:
     """sum_m coeffs[..., m] q_m(points) over the q_m of orthonormal_blocks, one product per block."""
     acc, unit, m = np.zeros(coeffs.shape[:-1] + np.shape(points)), log_start, 0  # acc in units of exp(unit)
-    for s, P, log_scale in orthonormal_blocks(B, e, points, log_start):
+    for s, P, log_scale in orthonormal_blocks(table, points, log_start):
         if log_scale is not unit:
             acc, unit = acc * np.exp(unit - log_scale), log_scale
         acc += (coeffs[..., m : m + len(s)] * s) @ P
@@ -188,11 +200,11 @@ def forward_sum(B: np.ndarray, e: np.ndarray, coeffs: np.ndarray, points, log_st
     return acc * np.exp(unit)
 
 
-def project(B: np.ndarray, e: np.ndarray, values: np.ndarray, points, log_start) -> np.ndarray:
-    """sum_k values[..., k] q_m(points[k]), m < len(B), over the q_m of orthonormal_blocks: the transpose of
+def project(table: Recurrence, values: np.ndarray, points: np.ndarray, log_start) -> np.ndarray:
+    """sum_k values[..., k] q_m(points[k]), m < n, over the q_m of orthonormal_blocks: the transpose of
     forward_sum, one product per block."""
     scaled, out = values * np.exp(log_start), []  # values in units of exp(-log_scale): q_m = s_m P_m exp(log_scale)
-    for s, P, log_scale in orthonormal_blocks(B, e, points, log_start):
+    for s, P, log_scale in orthonormal_blocks(table, points, log_start):
         if log_scale is not log_start:
             scaled, log_start = values * np.exp(log_scale), log_scale
         out.append(s * (P @ scaled[..., None])[..., 0])
@@ -216,7 +228,7 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
     total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
     pick = np.eye(2, n + 1, n - 1)  # the rows of q_{n-1} and q_n
     changes, neg = 0, False
-    for s, P, log_scale in orthonormal_blocks(*jacobi_matrix(params, n + 1), t, unit):
+    for s, P, log_scale in orthonormal_blocks(recurrence(params, "jacobi", n + 1), t, unit):
         if log_scale is not unit:  # total in units of exp(2 unit), last of exp(unit)
             total, last, unit = total * np.exp(2.0 * (unit - log_scale)), last * np.exp(unit - log_scale), log_scale
         if count:  # neg: the sign bits of the last row so far

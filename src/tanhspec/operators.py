@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import DiffOp, Expansion
-from .jacobi import jacobi_matrix
+from .jacobi import recurrence
 from .special import JacobiParams
 
 __all__ = [
@@ -129,7 +129,7 @@ class MultOp:
         """
         a = self.a_coeffs
         m = a.size - 1
-        B, e = jacobi_matrix(params, max(rows, cols) + m)
+        B, e = recurrence(params, "jacobi", max(rows, cols) + m)[:2]
 
         def views(B, e):  # [s, j] -> B_{j+s-1} and e_{j+s-2}, 0 at index -1
             return (sliding_window_view(np.concatenate(([0.0], B)), cols),

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import BasisSpec, Expansion, _log_weight_full, clenshaw_eval
-from .jacobi import QuadratureRule, gauss_jacobi, jacobi_matrix, project
+from .jacobi import QuadratureRule, gauss_jacobi, project, recurrence
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
@@ -224,10 +224,10 @@ def _coefficients(params: JacobiParams, f, n: int, quadrature: bool = False) -> 
         nodes = _rule_nodes(params, n)
         fx, t = _sample(f, nodes.x), nodes.rule.nodes[n - nodes.x.size :]  # a = b: the nodes with t >= 0
         if params.alpha != params.beta:
-            c = project(*jacobi_matrix(params, n), fx, t, nodes.scale)
+            c = project(recurrence(params, "jacobi", n), fx, t, nodes.scale)
         else:
             fy = _sample(f, -nodes.x)
-            c, odd = project(*jacobi_matrix(params, n), np.stack([fx + fy, fx - fy]), t, nodes.scale)
+            c, odd = project(recurrence(params, "jacobi", n), np.stack([fx + fy, fx - fy]), t, nodes.scale)
             c[1::2] = odd[1::2]
     c[1::2] *= -1.0
     return c
@@ -276,6 +276,5 @@ def analyze_unweighted(f, m_max: int) -> np.ndarray:
 
 
 def synthesize(e: Expansion, points) -> np.ndarray:
-    """Evaluate the expansion at the given points (basis.clenshaw_eval)."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    return np.asarray(clenshaw_eval(e, pts))
+    """Evaluate the expansion at the given points (basis.clenshaw_eval), shaped like them but at least 1-d."""
+    return clenshaw_eval(e, np.atleast_1d(np.asarray(points, dtype=float)))

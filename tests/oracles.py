@@ -13,13 +13,18 @@ import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from tanhspec.basis import _as_points, diff_coeffs
-from tanhspec.fourier import _clamp_xi, measure_density
-from tanhspec.jacobi import QuadratureRule, _blocking, _factors, _fill, jacobi_matrix
+from tanhspec.basis import diff_coeffs
+from tanhspec.fourier import _finite_xi, measure_density
+from tanhspec.jacobi import QuadratureRule, _blocking, _fill, _table, recurrence
 from tanhspec.special import JacobiParams, log_jacobi_norm
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
+
+
+def _as_points(x):
+    """The points as a 1-d float array, and whether x is a scalar."""
+    return np.atleast_1d(np.asarray(x, dtype=float)), np.ndim(x) == 0
 
 
 def naive_trig_transform(kind: str, x) -> np.ndarray:
@@ -353,7 +358,7 @@ def mult_op_dense(a, rows: int, cols: int, params=JacobiParams(-0.5, -0.5)) -> n
     a = np.asarray(a, dtype=float)
     m = a.size - 1
     size = max(rows, cols) + m
-    B, e = jacobi_matrix(params, size)
+    B, e = recurrence(params, "jacobi", size)[:2]
     diag = np.arange(size)
 
     def jt_times(B, e, x):
@@ -417,13 +422,12 @@ def band_get(mat, i: int, j: int) -> float:
 
 
 def _rescaled_recurrence(B, e, count: int, t):
-    """sigma_m and g_m, and the kernel's K and blocks between checks."""
+    """sigma_m, and the kernel's table, K and blocks between checks."""
     sigma = [1.0, 1.0]
     for m in range(1, count - 1):
         sigma.append(sigma[m - 1] * (e[m] / e[m - 1]))
-    sigma = np.array(sigma)
-    g = sigma[1:] / (sigma[:-1] * e[: count - 1])
-    return sigma, g, *_blocking(g, B[: count - 1], t)
+    table = _table(B[:count], e[:count])
+    return np.array(sigma), table, *_blocking(table, t)
 
 
 def orthonormal_rows(B, e, count: int, points, log_start):
@@ -437,8 +441,8 @@ def orthonormal_rows(B, e, count: int, points, log_start):
     size, and j ln 2 added to its log scale.
     """
     t = np.asarray(points, dtype=float)
-    sigma, g, k, every = _rescaled_recurrence(B, e, count, t)
-    C, F = _factors(B[:count], e[:count], t)[1:]
+    sigma, table, k, every = _rescaled_recurrence(B, e, count, t)
+    C, F = table.C, np.array([t.ravel(), np.ones(t.size)])
     s = 1.0 / sigma
     log_scale = log_start
     prev, p = np.zeros(t.size), np.ones(t.size)
@@ -459,7 +463,7 @@ def orthonormal_rows(B, e, count: int, points, log_start):
 
 
 def _jacobi_rows(params, count: int, points):
-    return orthonormal_rows(*jacobi_matrix(params, count), count, points, -0.5 * log_jacobi_norm(params))
+    return orthonormal_rows(*recurrence(params, "jacobi", count)[:2], count, points, -0.5 * log_jacobi_norm(params))
 
 
 def gauss_weights_rowwise(params, nodes):
@@ -505,7 +509,7 @@ def clenshaw_rowwise(e, x):
     """
     params = e.spec.params
     pts, scalar = _as_points(x)
-    B, off = jacobi_matrix(params, len(e))
+    B, off = recurrence(params, "jacobi", len(e))[:2]
     t = np.tanh(pts)
     k = _rescaled_recurrence(B, off, len(e), t)[2]
     log_start = log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
@@ -547,7 +551,7 @@ def fourier_backward(e, xi_points) -> np.ndarray:
     """F[f](xi) = g(xi) sum_m i^m c_m p_m(xi) by backward Clenshaw on the couplings."""
     n = len(e)
     b = diff_coeffs(e.spec.params, n).b
-    xi = _clamp_xi(np.atleast_1d(xi_points))  # the recurrence's xi / b_k needs it too
+    xi = np.clip(_finite_xi(xi_points), -1e300, 1e300)  # the recurrence's xi / b_k needs it too
     d = (1j) ** np.arange(n) * e.coeffs
     u1 = np.zeros(xi.size, dtype=complex)
     u2 = np.zeros(xi.size, dtype=complex)
@@ -678,7 +682,7 @@ def golub_welsch(params, n: int):
     first eigenvector components of the QL rotations lose several digits;
     the rule holds their logs, finite where the weights leave the float range.
     """
-    B, e = jacobi_matrix(params, n)
+    B, e = recurrence(params, "jacobi", n)[:2]
     nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
     log_weights = gauss_weights_rowwise(params, nodes)[1]
     return QuadratureRule(nodes=nodes, log_weights=log_weights, params=params, angles=np.arccos(nodes))

@@ -278,6 +278,18 @@ class TestCarlitzPolynomials:
         assert carlitz_eval(params, 0, 1.7) == 1.0
         assert math.isclose(carlitz_eval(params, 1, 1.7), 1.7 / b0, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_rejects_non_finite_xi(self, m, bad):
+        # the error fourier_transform raises, for a scalar and inside an array
+        params = JacobiParams(1.3, 0.2)
+        with pytest.raises(ValueError) as want:
+            fourier_transform(Expansion(BasisSpec(params), np.ones(m + 1)), bad)
+        for xi in (bad, np.array([[0.5, bad], [2.0, -1.0]])):
+            with pytest.raises(ValueError) as err:
+                carlitz_eval(params, m, xi)
+            assert str(err.value) == str(want.value) == f"xi must be finite (got {bad})"
+
     def test_orthonormality_quadrature(self):
         params = JacobiParams(0.5, 0.5)
         # the integrand takes the density of a whole panel in one array call;

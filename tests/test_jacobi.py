@@ -14,12 +14,17 @@ from tanhspec import (
     BasisSpec,
     Expansion,
     JacobiParams,
+    analyze_full,
     clenshaw_eval,
+    diff_apply,
+    diff_coeffs,
     gauss_jacobi,
     phi_full,
+    synthesize,
 )
 from tanhspec import jacobi as jacobi_mod
-from tanhspec.jacobi import couplings, forward_sum, jacobi_matrix, orthonormal_blocks, project
+from tanhspec import transforms as transforms_mod
+from tanhspec.jacobi import couplings, forward_sum, orthonormal_blocks, project, recurrence
 from tanhspec.special import log_jacobi_norm
 
 from oracles import (
@@ -40,9 +45,13 @@ from oracles import (
     sweep_rowwise,
 )
 
+#: A recurrence with B = 0, so that its growth bound is 0 at t = 0, where _blocking gives the byte budget's rows.
+_FLAT = jacobi_mod._table(np.zeros(2), np.ones(2))
+
+
 def _blocks(p, count, t):
     """The kernel's blocks of q_0..q_{count-1} for the Jacobi pair p, started at q_0 = g_0^{-1/2}."""
-    return orthonormal_blocks(*jacobi_matrix(p, count), t, -0.5 * log_jacobi_norm(p))
+    return orthonormal_blocks(recurrence(p, "jacobi", count), t, -0.5 * log_jacobi_norm(p))
 
 
 def _sweep_kinds(monkeypatch):
@@ -84,7 +93,7 @@ class TestOrthonormalRecurrence:
     def test_off_diagonal_against_norm_ratio(self, a, b):
         # closed form 2 b_m / (a+b+2m+2) against C_m sqrt(g_{m+1}/g_m)
         p = JacobiParams(a, b)
-        B, off = jacobi_matrix(p, 3000)
+        B, off = recurrence(p, "jacobi", 3000)[:2]
         rec = recurrence_coefficients(p, 3000)
         want = np.array([rec.C[m] * norm_ratio(p, m, +1) for m in range(3000)])
         assert np.array_equal(B, rec.B)
@@ -95,7 +104,7 @@ class TestOrthonormalRecurrence:
         # counts on both sides of the block boundaries K, 2K at 41 points
         p = JacobiParams(a, b)
         t = np.linspace(-0.999, 0.999, 41)
-        k = jacobi_mod._blocking(np.zeros(0), np.zeros(0), t)[0]
+        k = jacobi_mod._blocking(_FLAT, np.zeros(t.size))[0]
         for count in (1, 2, k - 1, k, k + 1, 2 * k, 2 * k + 1):
             Q = orthonormal_eval_batch(p, count - 1, t)
             blocks = [s[:, None] * P * np.exp(ls) for s, P, ls in _blocks(p, count, t)]  # P: one reused buffer
@@ -106,7 +115,7 @@ class TestOrthonormalRecurrence:
 
     def test_block_rows_fit_the_budget(self):
         for size, k in ((1, 64), (300, 64), (2048, 15), (4096, 8), (10**6, 8)):
-            assert jacobi_mod._blocking(np.zeros(0), np.zeros(0), np.zeros(size))[0] == k
+            assert jacobi_mod._blocking(_FLAT, np.zeros(size))[0] == k
 
     def test_fill_is_the_factor_to_rounding(self):
         # the block product writes fl(fl(g t) - g B), or its fused form: within
@@ -120,12 +129,11 @@ class TestOrthonormalRecurrence:
             for P in (1, 7, 5):
                 t = rng.uniform(-1.0, 1.0, P)
                 for zero_b in (False, True):
-                    B, e = jacobi_matrix(p, 200)
-                    if zero_b:
-                        B = np.zeros_like(B)
-                    C, F = jacobi_mod._factors(B, e, t)[1:]
+                    B, e = recurrence(p, "jacobi", 200)[:2]
+                    table = jacobi_mod._table(np.zeros_like(B) if zero_b else B, e)
+                    B, C, F = table.B, table.C, np.array([t, np.ones(P)])
                     g = C[1:, 0]
-                    k = jacobi_mod._blocking(g, B[:-1], t)[0]
+                    k = jacobi_mod._blocking(table, t)[0]
                     for count in (2, 3, k, k + 1, k + 5, 2 * k + 3):
                         for lo in range(0, count, k):
                             out = np.full((min(k, count - lo), P), np.nan)
@@ -144,9 +152,9 @@ class TestOrthonormalRecurrence:
     def test_fill_does_not_depend_on_the_shape(self):
         # BLAS rounds a product with one row or one column by another path; the
         # fill runs those doubled, so a factor has the same bits in every block
-        B, e = jacobi_matrix(JacobiParams(-0.999, 3.0), 40)
+        C = recurrence(JacobiParams(-0.999, 3.0), "jacobi", 40).C
         t = np.random.default_rng(5).uniform(-1.0, 1.0, 9)
-        C, F = jacobi_mod._factors(B, e, t)[1:]
+        F = np.array([t, np.ones(9)])
         whole = np.empty((39, 9))
         jacobi_mod._fill(C, F, 1, whole)
         for lo in range(1, 40):
@@ -154,10 +162,10 @@ class TestOrthonormalRecurrence:
             jacobi_mod._fill(C, F, lo, one_row)
             assert np.array_equal(one_row[0], whole[lo - 1])
         for j in range(9):
-            Cj, Fj = jacobi_mod._factors(B, e, t[j : j + 1])[1:]
+            Fj = np.array([t[j : j + 1], np.ones(1)])
             for rows in (1, 39):
                 one_point = np.empty((rows, 1))
-                jacobi_mod._fill(Cj, Fj, 1, one_point)
+                jacobi_mod._fill(C, Fj, 1, one_point)
                 assert np.array_equal(one_point[:, 0], whole[:rows, j])
 
     @pytest.mark.parametrize("size", [1, 2, 300])
@@ -172,17 +180,13 @@ class TestOrthonormalRecurrence:
         for p in (JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)):
             for fourier in (False, True):
                 points, log_start = (xi, 0.0) if fourier else (t, -0.5 * log_jacobi_norm(p))
-
-                def recurrence(count):
-                    return (np.zeros(count), couplings(p, count)) if fourier else jacobi_matrix(p, count)
-
-                B, e = recurrence(64)
-                k = jacobi_mod._blocking(jacobi_mod._factors(B, e, points)[1][1:, 0], B[:-1], points)[0]
+                family = "carlitz" if fourier else "jacobi"
+                k = jacobi_mod._blocking(recurrence(p, family, 64), points)[0]
                 for count in (1, 2, 3, k - 1):
-                    B, e = recurrence(count)
-                    got = [(s_m, row.copy(), ls) for s, P, ls in orthonormal_blocks(B, e, points, log_start)
+                    table = recurrence(p, family, count)
+                    got = [(s_m, row.copy(), ls) for s, P, ls in orthonormal_blocks(table, points, log_start)
                            for s_m, row in zip(s, P)]
-                    want = list(orthonormal_rows(B, e, count, points, log_start))
+                    want = list(orthonormal_rows(table.B, table.e, count, points, log_start))
                     assert len(got) == len(want) == count, (p, fourier, count)
                     for (s_got, p_got, ls_got), (s_want, p_want, ls_want) in zip(got, want):
                         assert s_got == s_want and np.array_equal(ls_got, ls_want), (p, fourier, count)
@@ -198,18 +202,18 @@ class TestOrthonormalRecurrence:
         cases = []
         for p, t in ((JacobiParams(1.3, -0.5), np.linspace(-0.999, 0.999, 41)),
                      (JacobiParams(-0.999, 3.0), np.cos(np.linspace(0.01, 3.13, 41)))):
-            cases.append((*jacobi_matrix(p, 150), t, -0.5 * log_jacobi_norm(p)))
-        b = couplings(JacobiParams(1.3, 0.2), 200)
+            cases.append((recurrence(p, "jacobi", 150), t, -0.5 * log_jacobi_norm(p)))
+        carlitz = recurrence(JacobiParams(1.3, 0.2), "carlitz", 200)
         xi = np.array([1e30, -3e29, 2.5])
-        log_xi = -np.sum(np.log1p(np.abs(xi)[:, None] / b[:-1]), axis=1)
-        rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(np.zeros(200), b, xi, log_xi)]
+        log_xi = -np.sum(np.log1p(np.abs(xi)[:, None] / carlitz.e[:-1]), axis=1)
+        rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(carlitz, xi, log_xi)]
         assert any(rescaled)
-        cases.append((np.zeros(200), b, xi, log_xi))
-        for B, e, points, log_start in cases:
+        cases.append((carlitz, xi, log_xi))
+        for table, points, log_start in cases:
             W = rng.standard_normal((3, points.size))
-            c = rng.standard_normal((3, B.size))
-            terms = W * forward_sum(B, e, c, points, log_start)
-            lhs = np.sum(c * project(B, e, W, points, log_start), axis=-1)
+            c = rng.standard_normal((3, table.s.size))
+            terms = W * forward_sum(table, c, points, log_start)
+            lhs = np.sum(c * project(table, W, points, log_start), axis=-1)
             size = np.sum(np.abs(terms), axis=-1)
             assert np.all(np.isfinite(size)) and np.all(size > 0.0)
             assert np.max(np.abs(lhs - np.sum(terms, axis=-1)) / size) <= 1e-13
@@ -221,7 +225,8 @@ class TestOrthonormalRecurrence:
         count, xi = 200, np.array([1e30, -3e29, 2.5])
         b = couplings(JacobiParams(1.3, 0.2), count)
         with np.errstate(over="raise", invalid="raise"):
-            got = [(s[:, None] * P, ls) for s, P, ls in orthonormal_blocks(np.zeros(count), b, xi, 0.0)]
+            got = [(s[:, None] * P, ls) for s, P, ls in
+                   orthonormal_blocks(recurrence(JacobiParams(1.3, 0.2), "carlitz", count), xi, 0.0)]
         with mpmath.workdps(30):
             prev, q = [mpmath.mpf(0)] * xi.size, [mpmath.mpf(1)] * xi.size
             want = [q]
@@ -235,6 +240,35 @@ class TestOrthonormalRecurrence:
         scales = np.concatenate([np.broadcast_to(ls, r.shape) for r, ls in got])
         assert logs[-1, 0] > 1e4  # q_199(1e30) is about e^13000
         assert np.max(np.abs(rows * np.exp(scales - logs) - signs)) <= 1e-10
+
+
+class TestRecurrenceTable:
+    def test_built_once_per_pair_family_and_length(self, monkeypatch):
+        # analyze_full at n = 64 sweeps its rule on 65 rows and projects on 64; synthesis reads the 64 rows
+        # and the derivative's 65 coefficients the 65: two tables, each built once, and every later call hits
+        builds, table = [], jacobi_mod._table
+        monkeypatch.setattr(jacobi_mod, "_table", lambda B, e: builds.append(len(B)) or table(B, e))
+        jacobi_mod.recurrence.cache_clear()
+        transforms_mod._rule_nodes.cache_clear()
+        spec, x = BasisSpec(JacobiParams(1.3, 0.2)), np.linspace(-6.0, 6.0, 300)
+
+        def run():
+            e = analyze_full(spec, lambda x: np.exp(-x * x), 64)
+            de = Expansion(spec, diff_apply(diff_coeffs(spec.params, 65), np.append(e.coeffs, 0.0)))
+            return e.coeffs, synthesize(e, x), synthesize(de, x)
+
+        first, info = run(), jacobi_mod.recurrence.cache_info()
+        assert sorted(builds) == [64, 65] and info.misses == info.currsize == 2
+        second, again = run(), jacobi_mod.recurrence.cache_info()
+        assert sorted(builds) == [64, 65] and again.misses == 2 and again.hits >= info.hits + 3
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_cached_arrays_are_read_only(self):
+        for family in ("jacobi", "carlitz"):
+            table = recurrence(JacobiParams(1.3, 0.2), family, 64)
+            for arr in (table.B, table.e, table.s, table.C):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
 
 
 class TestJacobiEval:
@@ -391,9 +425,7 @@ class TestGaussJacobi:
         t = np.array([-0.9999, -0.999, -0.5, 0.0, 0.3, 0.999, 0.9999])
         checked = set()
         for n in range(1, 200):
-            B, e = jacobi_matrix(p, n + 1)
-            g = jacobi_mod._factors(B, e, t)[1][1:, 0]
-            k = jacobi_mod._blocking(g, B[:n], t)[0]
+            k = jacobi_mod._blocking(recurrence(p, "jacobi", n + 1), t)[0]
             if n % k not in (0, k - 2, k - 1) or n >= 3 * k:
                 continue
             checked.add(n % k)
@@ -708,10 +740,19 @@ def _phi_mp(a, b, m, x, rows):
     return np.array(want)
 
 
+_TABLE = recurrence(JacobiParams(1.3, 0.2), "jacobi", 4)
+
+
 @pytest.mark.parametrize("call,start", [
     (lambda: couplings(JacobiParams(0.0, 0.0), 0), "count must be positive (got 0)"),
     (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 0), "rule size must be positive (got 0)"),
-], ids=["couplings-0", "gauss_jacobi-0"])
+    (lambda: recurrence(JacobiParams(0.0, 0.0), "hermite", 4), "unknown recurrence family 'hermite'"),
+    (lambda: next(orthonormal_blocks(_TABLE, 0.5, 0.0)), "points must be 1-d (got shape ())"),
+    (lambda: forward_sum(_TABLE, np.ones(4), 0.5, 0.0), "points must be 1-d (got shape ())"),
+    (lambda: forward_sum(_TABLE, np.ones(4), np.zeros((2, 3)), 0.0), "points must be 1-d (got shape (2, 3))"),
+    (lambda: project(_TABLE, np.ones((2, 3)), np.zeros((2, 3)), 0.0), "points must be 1-d (got shape (2, 3))"),
+], ids=["couplings-0", "gauss_jacobi-0", "recurrence-family", "blocks-scalar", "forward_sum-scalar",
+        "forward_sum-2d", "project-2d"])
 def test_error_paths(call, start):
     with pytest.raises(ValueError) as err:
         call()

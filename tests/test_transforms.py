@@ -20,7 +20,7 @@ from tanhspec import (
     synthesize,
 )
 from tanhspec import transforms as transforms_mod
-from tanhspec.jacobi import jacobi_matrix, project
+from tanhspec.jacobi import project, recurrence
 from tanhspec.special import log_jacobi_norm
 
 from oracles import naive_trig_transform, phi_full_direct, phi_half_direct, project_rowwise
@@ -361,8 +361,7 @@ class TestQuadratureProjection:
             rule = gauss_jacobi(p, n)
             x = transforms_mod._node_set(rule.angles).x  # every node, also of a symmetric rule
             F = np.exp(-0.5 * x**2) / np.cosh(x - 0.3)
-            B, e = jacobi_matrix(p, n)
-            got = project(B, e, rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p))
+            got = project(recurrence(p, "jacobi", n), rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p))
             want = project_rowwise(p, rule, F)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
