@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import couplings, forward_sum, recurrence
+from .jacobi import forward_sum, recurrence
 from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
@@ -92,8 +92,8 @@ class Expansion:
 
 @dataclass(frozen=True, eq=False)
 class DiffOp:
-    """The coupling sequence b_0, b_1, ... of the skew-symmetric tridiagonal
-    differentiation matrix for one parameter pair."""
+    """The coupling sequence b_0, b_1, ... of the skew-symmetric tridiagonal differentiation
+    matrix for one parameter pair; diff_coeffs gives a read-only view of the cached couplings."""
 
     b: np.ndarray
     params: JacobiParams
@@ -103,8 +103,8 @@ class DiffOp:
 
 
 def diff_coeffs(params: JacobiParams, count: int) -> DiffOp:
-    """First `count` differentiation couplings (closed form: jacobi.couplings)."""
-    return DiffOp(b=couplings(params, count), params=params)
+    """First `count` differentiation couplings: b is a read-only view of the b of the pair's cached 'jacobi' table."""
+    return DiffOp(b=recurrence(params, "jacobi", count).b, params=params)
 
 
 def _shaped(values: np.ndarray, x):

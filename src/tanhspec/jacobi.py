@@ -18,7 +18,6 @@ fully general transform path and the fast paths' oracle.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,6 @@ from .special import JacobiParams, log_jacobi_norm
 
 __all__ = [
     "QuadratureRule",
-    "couplings",
     "recurrence",
     "orthonormal_blocks",
     "forward_sum",
@@ -53,30 +51,6 @@ class QuadratureRule:
         return np.exp(self.log_weights)
 
 
-def couplings(params: JacobiParams, count: int) -> np.ndarray:
-    """First `count` differentiation couplings b_0, b_1, ...
-
-    b_m = sqrt[(m+1)(a+m+1)(b+m+1)(a+b+m+1) / ((a+b+2m+1)(a+b+2m+3))].
-
-    The factor (a+b+m+1)/(a+b+2m+1) equals 1 identically at m = 0, which
-    resolves the removable 0/0 at a+b = -1 and yields
-    b_0 = sqrt((a+1)(b+1)/(a+b+3)) there (e.g. b_0 = sqrt(2)/4 for the
-    Chebyshev-T pair, where the naive closed form breaks down).  Raises
-    OverflowError where a+b is past the float range.
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive (got {count})")
-    a, b = params.alpha, params.beta
-    s = a + b
-    if math.isinf(s):
-        raise OverflowError(f"alpha + beta is past the float range at {params}")
-    m = np.arange(count, dtype=float)
-    factor = np.empty(count)
-    factor[0] = 1.0
-    factor[1:] = (s + m[1:] + 1.0) / (s + 2.0 * m[1:] + 1.0)
-    return np.sqrt((m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor)
-
-
 class Recurrence(NamedTuple):
     """The table of one three-term recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}, m < n (_table)."""
 
@@ -84,6 +58,7 @@ class Recurrence(NamedTuple):
     e: np.ndarray
     s: np.ndarray  # s_m = 1 / sigma_m, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}
     C: np.ndarray  # 0 in row 0, [g_{m-1}, -g_{m-1} B_{m-1}] in row m > 0, g_m = sigma_{m+1} / (sigma_m e_m)
+    b: np.ndarray  # the couplings b_m that recurrence builds e from (e itself in 'carlitz' and in a _table)
     g_max: float  # the growth maxima of _blocking: max g_m and max |B_m| over m < n - 1, 0 if none
     B_max: float
 
@@ -97,30 +72,54 @@ def _table(B: np.ndarray, e: np.ndarray) -> Recurrence:
     C = np.zeros((len(B), 2))
     C[1:, 0] = sigma[1:-1] / (sigma[:-2] * e[:-1])
     C[1:, 1] = -C[1:, 0] * B[:-1]
-    return Recurrence(B, e, 1.0 / sigma[:-1], C, C[1:, 0].max(initial=0.0), np.abs(B[:-1]).max(initial=0.0))
+    return _rows(B, e, 1.0 / sigma[:-1], C, e)
 
 
-@lru_cache(maxsize=16)
+def _rows(B: np.ndarray, e: np.ndarray, s: np.ndarray, C: np.ndarray, b: np.ndarray) -> Recurrence:
+    """The Recurrence of rows of one length, with the growth maxima over them."""
+    return Recurrence(B, e, s, C, b, C[1:, 0].max(initial=0.0), np.abs(B[:-1]).max(initial=0.0))
+
+
+_TABLES: dict = {}  # recurrence's cache
+
+
 def recurrence(params: JacobiParams, family: str, n: int) -> Recurrence:
-    """The read-only table of the first n rows of the pair's recurrence, built once per (params, family, n).
+    """The read-only table of the first n rows of the pair's recurrence: a prefix of one table per (params, family).
 
-    'jacobi' is the orthonormal Jacobi matrix in t: e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2), b_m the
-    couplings, and B_0 = (b-a)/(a+b+2) the cancelled form of B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), 0/0 at m = 0
-    when a+b = 0; 'carlitz' is the Fourier side, xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}: B = 0, e = b.  A
-    table holds 40 n bytes, 16 of them 2.6 MB at n = 4096: analysis, synthesis and a derivative at N read N and
-    N + 1 rows, so 16 keep 8 (pair, N) at once, where the hits of such a mix stop rising with the bound."""
+    Here alone the differentiation couplings b_m = sqrt[(m+1)(a+m+1)(b+m+1)(a+b+m+1) / ((a+b+2m+1)(a+b+2m+3))]
+    are computed, into the table's b (diff_coeffs and the Newton step read the 'jacobi' one); their factor
+    (a+b+m+1)/(a+b+2m+1) is 1 at m = 0, which resolves the removable 0/0 at a+b = -1.  'jacobi' is the
+    orthonormal Jacobi matrix in t: e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2), and B_0 = (b-a)/(a+b+2)
+    the cancelled form of B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), 0/0 at m = 0 when a+b = 0; 'carlitz' is the
+    Fourier side, xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}: B = 0, e = b.  Each array is elementwise in m or a
+    running product over m, so n rows of a longer table, with the maxima over them, are the n-row table bit for
+    bit: a request within the pair's longest table returns views of its first n rows, a longer one rebuilds it
+    once at n rows.  16 (params, family) entries are kept, the least recently used leaving first, of 48 n bytes
+    (3.1 MB at n = 4096).  Raises OverflowError where a+b is past the float range."""
     if family not in ("jacobi", "carlitz"):
         raise ValueError(f"unknown recurrence family {family!r}")
-    a, b = params.alpha, params.beta
-    e, B, m = couplings(params, n), np.zeros(n), np.arange(n, dtype=float)
-    if family == "jacobi":
-        e = 2.0 * e / (a + b + 2.0 * m + 2.0)
-        B[0] = (b - a) / (a + b + 2.0)
-        B[1:] = (b - a) * (b + a) / ((a + b + 2.0 * m[1:]) * (a + b + 2.0 * m[1:] + 2.0))
-    table = _table(B, e)
-    for arr in table[:4]:
-        arr.flags.writeable = False
-    return table
+    if n < 1:
+        raise ValueError(f"count must be positive (got {n})")
+    table = _TABLES.pop((params, family), None)
+    if table is None or len(table.s) < n:
+        a, b = params.alpha, params.beta
+        s = a + b
+        if math.isinf(s):
+            raise OverflowError(f"alpha + beta is past the float range at {params}")
+        m, B = np.arange(n, dtype=float), np.zeros(n)
+        factor = np.divide(s + m + 1.0, s + 2.0 * m + 1.0, out=np.ones(n), where=m > 0.0)
+        e = couplings = np.sqrt((m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor)
+        if family == "jacobi":
+            e = 2.0 * couplings / (a + b + 2.0 * m + 2.0)
+            B[0] = (b - a) / (a + b + 2.0)
+            B[1:] = (b - a) * (b + a) / ((a + b + 2.0 * m[1:]) * (a + b + 2.0 * m[1:] + 2.0))
+        table = _table(B, e)._replace(b=couplings)
+        for arr in table[:5]:
+            arr.flags.writeable = False
+    _TABLES[params, family] = table
+    if len(_TABLES) > 16:
+        del _TABLES[next(iter(_TABLES))]
+    return table if n == len(table.s) else _rows(*(arr[:n] for arr in table[:5]))
 
 
 #: Byte budget of one K-row block of orthonormal_blocks; K is clamped to
@@ -139,14 +138,13 @@ def _blocking(table: Recurrence, t: np.ndarray) -> tuple[int, int]:
 
 def _fill(C: np.ndarray, F: np.ndarray, lo: int, out: np.ndarray) -> None:
     """Write the factors C[m] @ F of the rows m = lo, lo+1, ... of one block into out by one BLAS product.
-    BLAS rounds a product with one row or one column by another path, so such a dimension runs doubled: a
-    factor does not depend on the block's shape."""
+    BLAS rounds a product with one row or one column by another path, so a one-row block runs doubled and F
+    has two columns (orthonormal_blocks runs one point as two): a factor does not depend on the block's shape."""
     rows = C[lo : lo + len(out)]
-    if len(rows) != 1 and F.shape[1] != 1:
+    if len(rows) != 1:
         np.matmul(rows, F, out=out)
-    else:  # r, c: 2 for a dimension of one
-        r, c = 1 + (len(rows) == 1), 1 + (F.shape[1] == 1)
-        out[:] = (np.repeat(rows, r, axis=0) @ (F if c == 1 else np.repeat(F, 2, axis=1)))[::r, ::c]
+    else:
+        out[:] = (np.repeat(rows, 2, axis=0) @ F)[:1]
 
 
 def orthonormal_blocks(table: Recurrence, points: np.ndarray, log_scale):
@@ -159,25 +157,28 @@ def orthonormal_blocks(table: Recurrence, points: np.ndarray, log_scale):
     p_0 = 1.  One BLAS product per block of K <= n rows writes the factors
     into their rows (_fill), rounded as fl(fl(g t) - g B), possibly fused,
     where a subtraction first gives fl(g fl(t - B)); for B = 0 both are
-    fl(g t).  P is a (K, points) view of one reused buffer, the caller's to
-    overwrite until the next block; the last block may be shorter.  Every few
-    blocks (_blocking) a point whose carry rows pass 2^128 has them divided by
-    a power of two, whose log joins a new log_scale array (until then, the
-    argument); rows stay below 2^128 e^250, so their squares are finite.
+    fl(g t).  P is a contiguous (K, points) view of one reused buffer (one
+    point runs as two equal columns, at half the cost per row, and P copies
+    the first), the caller's to overwrite until the next block; the last block
+    may be shorter.  Every few blocks (_blocking) a point whose carry rows pass
+    2^128 has them divided by a power of two, whose log joins a new log_scale
+    array (until then, the argument); rows stay below 2^128 e^250, so their
+    squares are finite.
     """
     t = np.asarray(points, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"points must be 1-d (got shape {t.shape})")
-    s, C, F = table.s, table.C, np.array([t, np.ones(t.size)])
+    u = np.repeat(t, 2) if t.size == 1 else t
+    s, C, F = table.s, table.C, np.array([u, np.ones(u.size)])
     k, every = _blocking(table, t)
     k = min(k, len(s))
     # buf[:2] carry p_{lo-2}, p_{lo-1} into the rows lo.. in buf[2:], copied before a yield (the caller may write)
-    buf = np.zeros((k + 2, t.size))
+    buf = np.zeros((k + 2, u.size))
     buf[0] = -1.0  # (p_{-2}, p_{-1}) = (-1, 0)
     steps = [(buf[i], buf[i - 1], buf[i - 2]) for i in range(2, k + 2)]  # (p_m, p_{m-1}, p_{m-2})
     for lo in range(0, len(s), k):
         size = min(k, len(s) - lo)
-        if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(buf[:2]), axis=None) > 2.0**128:
+        if lo and lo % (k * every) == 0 and np.fmax.reduce(big := np.abs(buf[:2, : t.size]), axis=None) > 2.0**128:
             shift = np.where(big > 2.0**128, np.frexp(big)[1], 0).max(axis=0)
             np.ldexp(buf[:2], -shift, out=buf[:2])
             log_scale = log_scale + shift * math.log(2.0)
@@ -186,7 +187,7 @@ def orthonormal_blocks(table: Recurrence, points: np.ndarray, log_scale):
             p *= p1
             p -= p2
         buf[:2] = buf[size : size + 2]
-        yield s[lo : lo + size], buf[2 : size + 2], log_scale
+        yield s[lo : lo + size], np.ascontiguousarray(buf[2 : size + 2, : t.size]), log_scale
 
 
 def forward_sum(table: Recurrence, coeffs: np.ndarray, points: np.ndarray, log_start) -> np.ndarray:
@@ -226,7 +227,6 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
     changes in p_0(t), ..., p_n(t), the nodes above t (Sturm: s_m > 0, rescales are powers of 2), else 0."""
     unit = -0.5 * log_jacobi_norm(params)
     total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
-    pick = np.eye(2, n + 1, n - 1)  # the rows of q_{n-1} and q_n
     changes, neg = 0, False
     for s, P, log_scale in orthonormal_blocks(recurrence(params, "jacobi", n + 1), t, unit):
         if log_scale is not unit:  # total in units of exp(2 unit), last of exp(unit)
@@ -234,8 +234,8 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
         if count:  # neg: the sign bits of the last row so far
             signs = np.signbit(P)
             changes, neg = changes + np.count_nonzero(np.diff(signs, axis=0, prepend=neg), axis=0), signs[-1:]
-        if lo + len(s) >= n:  # the buffer is reused by the next block; the weights sum rows m < n
-            last += (pick[:, lo : lo + len(s)] * s) @ P
+        if lo + len(s) >= n:  # the rows of q_{n-1} and q_n; the buffer is reused, and the weights sum rows m < n
+            last += (np.eye(2, len(s), n - 1 - lo) * s) @ P
             s, P = s[: n - lo], P[: n - lo]
         total += (s * s) @ np.square(P, out=P)
         lo += len(s)
@@ -270,7 +270,7 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: 
     q_prev, q_n, w, count = _sweep(params, n, t, bracket is not None)
     # (1 - t^2) q_n' = (c - n t) q_n + D q_{n-1}, with D = (2n+a+b+1) e_{n-1}
     c = n * (a - b) / (2.0 * n + s)
-    D = 2.0 * couplings(params, n)[-1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
+    D = 2.0 * recurrence(params, "jacobi", n + 1).b[n - 1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
     sin_h, cos_h = np.sin(0.5 * th), np.cos(0.5 * th)
     sin_t = 2.0 * sin_h * cos_h
     # d = -u/u', where u'/u = dlog - (1 - t^2) q_n' / (sin(theta) q_n) and

@@ -87,6 +87,17 @@ def recurrence_coefficients(params: JacobiParams, count: int) -> Recurrence:
     return Recurrence(A=A, B=B, C=C, params=params)
 
 
+def couplings_closed_form(params: JacobiParams, count: int) -> np.ndarray:
+    """b_0, ..., b_{count-1} in float arithmetic, as the library once computed them for each call:
+    b_m = sqrt[(m+1)(a+m+1)(b+m+1)/(s+2m+3) f_m], f_0 = 1, f_m = (s+m+1)/(s+2m+1), s = a + b."""
+    a, b = params.alpha, params.beta
+    s = a + b
+    m = np.arange(count, dtype=float)
+    factor = np.ones(count)
+    factor[1:] = (s + m[1:] + 1.0) / (s + 2.0 * m[1:] + 1.0)
+    return np.sqrt((m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor)
+
+
 def jacobi_eval(params: JacobiParams, m: int, t):
     """P_m^(alpha,beta)(t) by forward recurrence (stable on [-1, 1]).
 
@@ -442,7 +453,8 @@ def orthonormal_rows(B, e, count: int, points, log_start):
     """
     t = np.asarray(points, dtype=float)
     sigma, table, k, every = _rescaled_recurrence(B, e, count, t)
-    C, F = table.C, np.array([t.ravel(), np.ones(t.size)])
+    u = np.repeat(t.ravel(), 2) if t.size == 1 else t.ravel()  # as in the kernel, one point runs as two
+    C, F = table.C, np.array([u, np.ones(u.size)])
     s = 1.0 / sigma
     log_scale = log_start
     prev, p = np.zeros(t.size), np.ones(t.size)
@@ -450,8 +462,9 @@ def orthonormal_rows(B, e, count: int, points, log_start):
     for m in range(count - 1):
         lo = (m + 1) // k * k  # the kernel's block of row m + 1
         if m == 0 or lo == m + 1:
-            factors = np.empty((min(k, count - lo), t.size))
+            factors = np.empty((min(k, count - lo), u.size))
             _fill(C, F, lo, factors)
+            factors = factors[:, : t.size]
         if (m + 1) % (k * every) == 0:
             size = np.maximum(np.abs(prev), np.abs(p))
             if np.any(size > 2.0**128):

@@ -24,11 +24,12 @@ from tanhspec import (
 )
 from tanhspec import jacobi as jacobi_mod
 from tanhspec import transforms as transforms_mod
-from tanhspec.jacobi import couplings, forward_sum, orthonormal_blocks, project, recurrence
+from tanhspec.jacobi import forward_sum, orthonormal_blocks, project, recurrence
 from tanhspec.special import log_jacobi_norm
 
 from oracles import (
     chebyshev_eval,
+    couplings_closed_form,
     gauss_jacobi_mp,
     gauss_weights_rowwise,
     golub_welsch,
@@ -121,8 +122,9 @@ class TestOrthonormalRecurrence:
         # the block product writes fl(fl(g t) - g B), or its fused form: within
         # 2 eps g (|t| + |B|) of g_m (t - B_m) in exact arithmetic, over the
         # kernel's blocks, among them two-row first (count 2) and one-row last
-        # (count K + 1) blocks, partial last blocks and one point, on two pairs;
-        # with B = 0 it is fl(g t) exactly; row 0 is the zero factor
+        # (count K + 1) blocks, partial last blocks and one point (run as two
+        # equal columns, as the kernel runs it), on two pairs; with B = 0 it is
+        # fl(g t) exactly; row 0 is the zero factor
         eps = np.finfo(float).eps
         rng = np.random.default_rng(3)
         for p in (JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)):
@@ -131,18 +133,19 @@ class TestOrthonormalRecurrence:
                 for zero_b in (False, True):
                     B, e = recurrence(p, "jacobi", 200)[:2]
                     table = jacobi_mod._table(np.zeros_like(B) if zero_b else B, e)
-                    B, C, F = table.B, table.C, np.array([t, np.ones(P)])
+                    u = np.repeat(t, 2) if P == 1 else t
+                    B, C, F = table.B, table.C, np.array([u, np.ones(u.size)])
                     g = C[1:, 0]
                     k = jacobi_mod._blocking(table, t)[0]
                     for count in (2, 3, k, k + 1, k + 5, 2 * k + 3):
                         for lo in range(0, count, k):
-                            out = np.full((min(k, count - lo), P), np.nan)
+                            out = np.full((min(k, count - lo), u.size), np.nan)
                             jacobi_mod._fill(C, F, lo, out)
                             assert lo or not np.any(out[0]), (p, P, count)
                             for i in range(1 if lo == 0 else 0, len(out)):
                                 m = lo + i - 1  # row lo + i carries the factor of degree lo + i - 1
                                 if zero_b:
-                                    assert np.array_equal(out[i], g[m] * t), (p, P, count, m)
+                                    assert np.array_equal(out[i, :P], g[m] * t), (p, P, count, m)
                                     continue
                                 for j in range(P):
                                     exact = Fraction(g[m]) * (Fraction(t[j]) - Fraction(B[m]))
@@ -150,8 +153,8 @@ class TestOrthonormalRecurrence:
                                     assert err <= 2.0 * eps * g[m] * (abs(t[j]) + abs(B[m])), (p, P, count, m)
 
     def test_fill_does_not_depend_on_the_shape(self):
-        # BLAS rounds a product with one row or one column by another path; the
-        # fill runs those doubled, so a factor has the same bits in every block
+        # BLAS rounds a product with one row by another path; the fill runs
+        # such a block doubled, so a factor has the same bits in every block
         C = recurrence(JacobiParams(-0.999, 3.0), "jacobi", 40).C
         t = np.random.default_rng(5).uniform(-1.0, 1.0, 9)
         F = np.array([t, np.ones(9)])
@@ -161,12 +164,30 @@ class TestOrthonormalRecurrence:
             one_row = np.empty((1, 9))
             jacobi_mod._fill(C, F, lo, one_row)
             assert np.array_equal(one_row[0], whole[lo - 1])
-        for j in range(9):
-            Fj = np.array([t[j : j + 1], np.ones(1)])
-            for rows in (1, 39):
-                one_point = np.empty((rows, 1))
-                jacobi_mod._fill(C, Fj, 1, one_point)
-                assert np.array_equal(one_point[:, 0], whole[:rows, j])
+
+    def test_one_point_is_the_first_column_of_two(self):
+        # the kernel runs one point as two equal columns and yields the first
+        # as a contiguous block: its rows and log scales are those of the
+        # point's column in a call on the point and its negative, on both
+        # families, at points whose rows rescale (xi ~ 1e30) and points whose
+        # rows do not; on the Jacobi side also those of its column of nine
+        for family, t in (("jacobi", np.random.default_rng(5).uniform(-1.0, 1.0, 9)),
+                          ("carlitz", np.array([1e30, -3e29, 2.5, 0.0, 40.0, -1e3]))):
+            table = recurrence(JacobiParams(-0.999, 3.0), family, 400)
+            many = np.concatenate([P.copy() for _, P, _ in orthonormal_blocks(table, t, 0.0)])
+            last = []
+            for j, tj in enumerate(t):
+                one = [(s, P.copy(), ls) for s, P, ls in orthonormal_blocks(table, t[j : j + 1], np.zeros(1))]
+                two = [(s, P.copy(), ls) for s, P, ls in orthonormal_blocks(table, np.array([tj, -tj]), np.zeros(2))]
+                assert len(one) == len(two), (family, j)
+                for (s1, P1, ls1), (s2, P2, ls2) in zip(one, two):
+                    assert P1.shape == (len(s1), 1) and P1.flags.c_contiguous, (family, j)
+                    assert np.array_equal(s1, s2) and np.array_equal(P1[:, 0], P2[:, 0]), (family, j)
+                    assert ls1.shape == (1,) and ls1[0] == ls2[0], (family, j)
+                if family == "jacobi":
+                    assert np.array_equal(np.concatenate([P for _, P, _ in one])[:, 0], many[:, j]), j
+                last.append(one[-1][2][0])
+            assert family == "jacobi" or max(last) > 1e4  # q_399(1e30) is about e^26000
 
     @pytest.mark.parametrize("size", [1, 2, 300])
     def test_short_calls_match_rowwise(self, size):
@@ -223,7 +244,7 @@ class TestOrthonormalRecurrence:
         # about e^69 a row: the blocks must be cut short and the rows carried
         # in the log scale.  Against the recurrence in 30-digit arithmetic.
         count, xi = 200, np.array([1e30, -3e29, 2.5])
-        b = couplings(JacobiParams(1.3, 0.2), count)
+        b = couplings_closed_form(JacobiParams(1.3, 0.2), count)
         with np.errstate(over="raise", invalid="raise"):
             got = [(s[:, None] * P, ls) for s, P, ls in
                    orthonormal_blocks(recurrence(JacobiParams(1.3, 0.2), "carlitz", count), xi, 0.0)]
@@ -243,30 +264,68 @@ class TestOrthonormalRecurrence:
 
 
 class TestRecurrenceTable:
-    def test_built_once_per_pair_family_and_length(self, monkeypatch):
-        # analyze_full at n = 64 sweeps its rule on 65 rows and projects on 64; synthesis reads the 64 rows
-        # and the derivative's 65 coefficients the 65: two tables, each built once, and every later call hits
+    def test_built_once_per_pair_and_family(self, monkeypatch):
+        # analyze_full at n = 64 sweeps its rule on 65 rows and reads b_63 from them; its projection and
+        # synthesis read 64 rows, the derivative 65 couplings and 65 rows: one 65-row Jacobi build, no Carlitz
+        # build, and every later call, a repeat of the whole included, reads that table
         builds, table = [], jacobi_mod._table
         monkeypatch.setattr(jacobi_mod, "_table", lambda B, e: builds.append(len(B)) or table(B, e))
-        jacobi_mod.recurrence.cache_clear()
+        monkeypatch.setattr(jacobi_mod, "_TABLES", {})
         transforms_mod._rule_nodes.cache_clear()
         spec, x = BasisSpec(JacobiParams(1.3, 0.2)), np.linspace(-6.0, 6.0, 300)
 
         def run():
             e = analyze_full(spec, lambda x: np.exp(-x * x), 64)
+            values = synthesize(e, x)
             de = Expansion(spec, diff_apply(diff_coeffs(spec.params, 65), np.append(e.coeffs, 0.0)))
-            return e.coeffs, synthesize(e, x), synthesize(de, x)
+            return e.coeffs, values, synthesize(de, x)
 
-        first, info = run(), jacobi_mod.recurrence.cache_info()
-        assert sorted(builds) == [64, 65] and info.misses == info.currsize == 2
-        second, again = run(), jacobi_mod.recurrence.cache_info()
-        assert sorted(builds) == [64, 65] and again.misses == 2 and again.hits >= info.hits + 3
+        first = run()
+        assert builds == [65] and list(jacobi_mod._TABLES) == [(spec.params, "jacobi")]
+        second = run()
+        assert builds == [65] and list(jacobi_mod._TABLES) == [(spec.params, "jacobi")]
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("family", ["jacobi", "carlitz"])
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (80.0, 80.0), (-0.999, 3.0), (0.0, 1500.0)])
+    def test_prefix_is_a_fresh_build(self, monkeypatch, family, a, b):
+        # after a K-row build, n in {1, 2, K - 1, K} rows are views of its first n rows and K + 1 rebuilds it once;
+        # each is the table a fresh build of n rows gives, bit for bit, maxima included, and so are the kernel's
+        # blocks on it at points whose rows rescale (t next to +-1 at (80, 80), xi = 1e30); its couplings b,
+        # and diff_coeffs(p, n).b, are read-only and bitwise the closed form
+        p, K = JacobiParams(a, b), 300
+        builds, build = [], jacobi_mod._table
+        monkeypatch.setattr(jacobi_mod, "_table", lambda B, e: builds.append(len(B)) or build(B, e))
+        monkeypatch.setattr(jacobi_mod, "_TABLES", {})
+        points = np.array([-1.0 + 2.0**-40, 1.0 - 2.0**-40, 0.3] if family == "jacobi" else [1e30, -2.5, 40.0])
+        recurrence(p, family, K)
+        rescaled = False
+        for n in (1, 2, K - 1, K, K + 1):
+            del builds[:]
+            got = recurrence(p, family, n)
+            assert builds == ([n] if n > K else []), n
+            for b_m in (got.b, diff_coeffs(p, n).b) if family == "jacobi" else (got.b, got.e):
+                assert not b_m.flags.writeable and b_m.tobytes() == couplings_closed_form(p, n).tobytes(), n
+            cache = jacobi_mod._TABLES
+            monkeypatch.setattr(jacobi_mod, "_TABLES", {})
+            fresh = recurrence(p, family, n)
+            monkeypatch.setattr(jacobi_mod, "_TABLES", cache)
+            for x, y in zip(got, fresh):
+                assert np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes(), n
+            assert not any(arr.flags.writeable for arr in got[:5]), n
+            blocks = [[(s.copy(), P.copy(), ls) for s, P, ls in orthonormal_blocks(table, points, 0.0)]
+                      for table in (got, fresh)]
+            assert len(blocks[0]) == len(blocks[1]), n
+            for (s1, P1, ls1), (s2, P2, ls2) in zip(*blocks):
+                assert s1.tobytes() == s2.tobytes() and P1.tobytes() == P2.tobytes(), n
+                assert np.asarray(ls1).tobytes() == np.asarray(ls2).tobytes(), n
+                rescaled |= bool(np.any(np.asarray(ls1) != 0.0))
+        assert rescaled or family == "jacobi" and (a, b) != (80.0, 80.0)
 
     def test_cached_arrays_are_read_only(self):
         for family in ("jacobi", "carlitz"):
             table = recurrence(JacobiParams(1.3, 0.2), family, 64)
-            for arr in (table.B, table.e, table.s, table.C):
+            for arr in (table.B, table.e, table.s, table.C, table.b):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1.0
 
@@ -744,14 +803,14 @@ _TABLE = recurrence(JacobiParams(1.3, 0.2), "jacobi", 4)
 
 
 @pytest.mark.parametrize("call,start", [
-    (lambda: couplings(JacobiParams(0.0, 0.0), 0), "count must be positive (got 0)"),
+    (lambda: recurrence(JacobiParams(0.0, 0.0), "jacobi", 0), "count must be positive (got 0)"),
     (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 0), "rule size must be positive (got 0)"),
     (lambda: recurrence(JacobiParams(0.0, 0.0), "hermite", 4), "unknown recurrence family 'hermite'"),
     (lambda: next(orthonormal_blocks(_TABLE, 0.5, 0.0)), "points must be 1-d (got shape ())"),
     (lambda: forward_sum(_TABLE, np.ones(4), 0.5, 0.0), "points must be 1-d (got shape ())"),
     (lambda: forward_sum(_TABLE, np.ones(4), np.zeros((2, 3)), 0.0), "points must be 1-d (got shape (2, 3))"),
     (lambda: project(_TABLE, np.ones((2, 3)), np.zeros((2, 3)), 0.0), "points must be 1-d (got shape (2, 3))"),
-], ids=["couplings-0", "gauss_jacobi-0", "recurrence-family", "blocks-scalar", "forward_sum-scalar",
+], ids=["recurrence-0", "gauss_jacobi-0", "recurrence-family", "blocks-scalar", "forward_sum-scalar",
         "forward_sum-2d", "project-2d"])
 def test_error_paths(call, start):
     with pytest.raises(ValueError) as err:
