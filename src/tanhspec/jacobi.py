@@ -10,9 +10,9 @@ and point), with a log scale per point.  The Gauss weights, the sums
 (forward_sum: every pointwise value of basis and fourier) and their
 transpose, the quadrature projections of transforms (project), reduce a
 block with one product.  Gauss-Jacobi rules come from the same kernel:
-Newton sweeps in theta = arccos t from O(n) asymptotic angles, inside
-per-node Sturm brackets where Newton fails (gauss_jacobi), each weight a
-log from the sweep that finishes its node.  The rules double as the slow,
+Newton sweeps in theta = arccos t from O(n) Liouville-Green angles
+(gauss_jacobi), each weight a log from the sweep that finishes its node, and
+a rule certified by Sturm's spacing bound.  The rules double as the slow,
 fully general transform path and the fast paths' oracle.
 """
 
@@ -214,36 +214,30 @@ def project(table: Recurrence, values: np.ndarray, points: np.ndarray, log_start
 
 #: A Newton node is finished in the sweep whose step would move t by at most this.
 _STEP_TOL = 4e-16
-#: Newton sweeps after which unfinished nodes switch the brackets on.
+#: Newton sweeps after which a rule with unfinished nodes raises.
 _MAX_SWEEPS = 8
-#: Bracketed sweeps, counted from the switch, after which unfinished nodes raise: bisection alone narrows any
-#: bracket to _STEP_TOL or one ulp in 53 sweeps.
-_MAX_BRACKETED_SWEEPS = 64
+#: The least ratio of node gap to Sturm's spacing bound (_spacing) a rule may show: 1 in exact arithmetic.
+_SPACING_SLACK = 1e-9
 
 
-def _sweep(params: JacobiParams, n: int, t: np.ndarray, count: bool = False):
-    """q_{n-1}(t), q_n(t) in units of one scale per point, log weights -2 log scale - ln sum_{m<n} p_m(t)^2
-    = -ln sum q_m^2 from one orthonormal_blocks pass, finite where sum q_m^2 is not, and if count the sign
-    changes in p_0(t), ..., p_n(t), the nodes above t (Sturm: s_m > 0, rescales are powers of 2), else 0."""
+def _sweep(params: JacobiParams, n: int, t: np.ndarray):
+    """q_{n-1}(t), q_n(t) in units of one scale per point, and log weights -2 log scale - ln sum_{m<n} p_m(t)^2
+    = -ln sum q_m^2, from one orthonormal_blocks pass, finite where sum q_m^2 is not."""
     unit = -0.5 * log_jacobi_norm(params)
     total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
-    changes, neg = 0, False
     for s, P, log_scale in orthonormal_blocks(recurrence(params, "jacobi", n + 1), t, unit):
         if log_scale is not unit:  # total in units of exp(2 unit), last of exp(unit)
             total, last, unit = total * np.exp(2.0 * (unit - log_scale)), last * np.exp(unit - log_scale), log_scale
-        if count:  # neg: the sign bits of the last row so far
-            signs = np.signbit(P)
-            changes, neg = changes + np.count_nonzero(np.diff(signs, axis=0, prepend=neg), axis=0), signs[-1:]
         if lo + len(s) >= n:  # the rows of q_{n-1} and q_n; the buffer is reused, and the weights sum rows m < n
             last += (np.eye(2, len(s), n - 1 - lo) * s) @ P
             s, P = s[: n - lo], P[: n - lo]
         total += (s * s) @ np.square(P, out=P)
         lo += len(s)
-    return *last, -2.0 * unit - np.log(total), changes
+    return *last, -2.0 * unit - np.log(total)
 
 
 def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: np.ndarray,
-                  active: np.ndarray, bracket=None) -> np.ndarray:
+                  active: np.ndarray) -> np.ndarray:
     """One Newton sweep at theta[active], in place; returns the nodes still active.
 
     The step is Newton's on u = sin(theta/2)^(a+1/2) cos(theta/2)^(b+1/2)
@@ -251,23 +245,14 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: 
     at a node, the factor 1 - Q d^2/3 removes the leading error Q d^3/3 of
     the plain step d.  A node whose step would move t by at most _STEP_TOL
     is finished: it keeps the angle it was evaluated at and takes its log
-    weight -ln sum_{m<n} q_m^2 from this sweep.
-
-    A bracket (top, bot) holds the largest and smallest angle seen with c
-    nodes above it at top[c], bot[c] (at a = b also pi - theta, which has
-    n - c nodes above it): node k lies between max top[:k+1] and
-    min bot[k+1:], alone once counts k and k+1 are seen.  A step that would
-    leave the bracket by more than 2 _STEP_TOL in t (a bracket end can be the
-    root itself), or any from outside it or in a bracket with other nodes,
-    bisects it; a node finishes once alone in it with a small step,
-    or in a bracket narrower than _STEP_TOL or too narrow to halve (near
-    theta = 2 the cosines of adjacent floats can differ by more than that).
+    weight -ln sum_{m<n} q_m^2 from this sweep.  Steps are not safeguarded:
+    two angles started in one basin show in gauss_jacobi's certificate.
     """
     a, b = params.alpha, params.beta
     s = a + b
     th = theta[active]
     t = np.cos(th)
-    q_prev, q_n, w, count = _sweep(params, n, t, bracket is not None)
+    q_prev, q_n, w = _sweep(params, n, t)
     # (1 - t^2) q_n' = (c - n t) q_n + D q_{n-1}, with D = (2n+a+b+1) e_{n-1}
     c = n * (a - b) / (2.0 * n + s)
     D = 2.0 * recurrence(params, "jacobi", n + 1).b[n - 1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
@@ -281,86 +266,108 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: 
     rho = n + 0.5 * (s + 1.0)
     Q = rho * rho + (0.25 - a * a) / (4.0 * sin_h**2) + (0.25 - b * b) / (4.0 * cos_h**2)
     step *= 1.0 - Q * step**2 / 3.0
-    if bracket is not None:
-        top, bot = bracket
-        for above, angle in ((count, th), (n - count, math.pi - th))[: 1 + (a == b)]:
-            np.maximum.at(top, above, angle)
-            np.minimum.at(bot, above, angle)
-        lo, hi = np.maximum.accumulate(top)[active], np.minimum.accumulate(bot[::-1])[::-1][active + 1]
-        alone = np.isfinite(top[active]) & np.isfinite(top[active + 1]) & (lo <= th) & (th <= hi)
-        new, slack = th + step, 2.0 * _STEP_TOL / sin_t
-        done = alone & done | (np.cos(lo) - np.cos(hi) <= _STEP_TOL) | (np.nextafter(lo, hi) >= hi)
-        step = np.where(alone & (lo - slack < new) & (new < hi + slack), step, 0.5 * (lo + hi) - th)
     log_weights[active[done]] = w[done]
     theta[active[~done]] += step[~done]
     return active[~done]
 
 
 def _start_angles(params: JacobiParams, n: int) -> np.ndarray:
-    """Gatteschi-Pittaluga's asymptotic angles of the n-point rule's nodes, increasing; poor at large a, b."""
-    a, b = params.alpha, params.beta
-    rho = n + 0.5 * (a + b + 1.0)
-    theta = (np.arange(1, n + 1) + (0.5 * a - 0.25)) * (math.pi / rho)
-    tan_h = np.tan(0.5 * theta)
-    return theta + ((0.25 - a * a) / tan_h - (0.25 - b * b) * tan_h) / (4.0 * rho * rho)
+    """Liouville-Green angles of the n-point rule's nodes, increasing (Olver, ch. 6 and 11).  Q of _newton_sweep,
+    with Langer's change 1/4 - a^2 -> -a^2, has turning points x_-, x_+ in x = cos theta = c_0 + r cos psi, and
+    node k solves Phi(psi) = rho psi - |a| atan(rho (1 - x_-) tan(psi/2) / |a|) - |b| atan(|b| tan(psi/2) /
+    (rho (1 + x_+))) = (k - 1/4 + min(a, 0)) pi, by Newton steps safeguarded by bisection.  Then come the 1/4
+    that Langer drops, cot(theta) / (8 rho^2), and the next term of McMahon's Bessel zeros at each end.  Next to
+    p < -1/2, where Phi has no root, the end node is j / kappa: j the first zero of J_p as a series in p + 1,
+    kappa^2 the constant term of Q at that end.  The angles stay where their cosines are inside (-1, 1)."""
+    a, b, m = params.alpha, params.beta, n + 0.5
+    rho = m + 0.5 * (a + b)
+    # r = (x_+ - x_-) / 2, minus = 1 - x_-, plus = 1 + x_+ and 2 sin^2, 2 cos^2 of theta/2 as sums of positive terms
+    r = math.sqrt((m + a) / rho * ((m + b) / rho)) * math.sqrt(m / rho * (max(m + a + b, 0.0) / rho))
+    minus = (m + 0.5 * a) / rho * ((rho + 0.5 * b) / rho) + (0.5 * a / rho) ** 2 + r
+    plus = (m + 0.5 * b) / rho * ((rho + 0.5 * a) / rho) + (0.5 * b / rho) ** 2 + r
+    target = (np.arange(a < -0.5, n - (b < -0.5)) + 0.75 + min(a, 0.0)) * math.pi
+    psi = target / (rho - 0.5 * (abs(a) + abs(b)))  # Phi(pi) = pi (rho - (|a| + |b|) / 2)
+    lo, hi, active = np.zeros(psi.size), np.full(psi.size, math.pi), np.arange(psi.size)
+    for _ in range(60):  # bisection alone narrows [0, pi] below 1e-17 in 60 steps
+        x = psi[active]
+        u = np.tan(0.5 * x)
+        ua, ub = rho * minus * u / abs(a), abs(b) * u / (rho * plus)
+        f = rho * x - abs(a) * np.arctan(ua) - abs(b) * np.arctan(ub) - target[active]
+        step = f / (0.5 * (1.0 + u * u) * (rho * minus / (1.0 + ua**2) + b * b / (rho * plus) / (1.0 + ub**2)) - rho)
+        lo[active], hi[active] = np.where(f < 0.0, x, lo[active]), np.where(f < 0.0, hi[active], x)
+        wild = ~((lo[active] <= x + step) & (x + step <= hi[active]))
+        psi[active] = np.where(wild, 0.5 * (lo[active] + hi[active]), x + step)
+        if not (active := active[wild | (np.abs(step) > 1e-5 * math.pi / rho)]).size:
+            break
+    sin2 = np.sin(0.5 * psi) ** 2  # 1 - x = (1 - x_+) + 2 r sin^2(psi/2), 1 - x_+ = (a / rho)^2 / minus
+    theta = 2.0 * np.arctan2(np.sqrt(0.5 * (a / rho) ** 2 / minus + r * sin2),
+                             np.sqrt(0.5 * (b / rho) ** 2 / plus + r - r * sin2))
+    edge = ((a * a / 3.0 - 31.0 / 384.0) / theta**3 - (b * b / 3.0 - 31.0 / 384.0) / (math.pi - theta) ** 3) / rho**2
+    theta += (0.125 / np.tan(theta) + edge) / rho**2
+
+    def end(p, q):  # the end angle next to p < -1/2
+        e = p + 1.0
+        j2 = e * (4.0 + e * (2.0 - e * (1.0 / 3.0 - 7.0 * e / 36.0)))
+        return math.sqrt(j2 / ((m + 0.5 * p) * (m + 0.5 * p + q) + (1.0 - p * p) / 12.0))
+
+    head = [end(a, b)] if a < -0.5 else []
+    tail = [math.pi - end(b, a)] if b < -0.5 else []
+    theta = np.concatenate([head, theta, tail])[:n]  # at n = 1 with a, b < -1/2: head alone
+    return np.clip(theta, math.acos(1.0 - 2.0**-53), math.pi - math.acos(1.0 - 2.0**-53))
+
+
+def _spacing(params: JacobiParams, angles: np.ndarray) -> float:
+    """The least gap of adjacent angles in units of pi / sqrt(max Q), Q of _newton_sweep over the gap: at least 1
+    between consecutive zeros of u (Sturm), with max Q <= rho^2 + max(0, 1/4 - a^2) / (4 sin^2(theta_k / 2))
+    + max(0, 1/4 - b^2) / (4 cos^2(theta_k+1 / 2)) over [theta_k, theta_k+1]."""
+    a, b, th = params.alpha, params.beta, angles[::-1]
+    rho = len(angles) + 0.5 * (a + b + 1.0)
+    most = (rho * rho + max(0.0, 0.25 - a * a) / (4.0 * np.sin(0.5 * th[:-1]) ** 2)
+            + max(0.0, 0.25 - b * b) / (4.0 * np.cos(0.5 * th[1:]) ** 2))
+    return float(np.min(np.diff(th) * np.sqrt(most), initial=np.inf)) / math.pi
 
 
 def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
-    """n-point Gauss-Jacobi rule: Newton's method on the recurrence kernel, inside Sturm brackets if need be.
+    """n-point Gauss-Jacobi rule: Newton's method on the recurrence kernel from Liouville-Green angles.
 
-    Nodes t_k = cos theta_k come from O(n) asymptotic angles polished by
-    Newton sweeps of orthonormal_blocks (_newton_sweep), about two sweeps in
-    all, each over the nodes not yet finished; each log weight
-    -ln sum_m q_m(t_k)^2 comes from the sweep that finished its node, and the
-    rule's angles are the theta_k (decreasing, with nodes == cos(angles)
-    bitwise).  At a = b the sweeps run on the (n + 1) // 2 angles up to pi/2,
-    and the rest are pi - theta_k with the same log weights.  The sweeps run
-    without Sturm counts until the first of: an angle outside (0, pi) before a
-    sweep, a node unfinished after _MAX_SWEEPS sweeps, or finished nodes that
-    are not strictly increasing inside (-1, 1) (for instance at large a, b,
-    where the asymptotic angles are poor) or whose log weights are not finite.  There the same loop switches brackets
-    on: the angles start again, clipped to [0, pi], every node is active
-    again, and the sweeps count sign changes into per-node brackets,
-    bisecting where a Newton step would leave its bracket, within a budget of
-    _MAX_BRACKETED_SWEEPS counted from the switch: a dozen sweeps or so.  No
-    floating-point error is raised; overflow before the switch only triggers
-    it.  The log weights are finite also where the weights are not, as at
-    (0, 1500), whose weights sum to 2^(a+b+1) B(a+1, b+1) > 1.8e308.
-
-    Raises
-    ------
-    RuntimeError
-        If the bracketed sweeps do not finish within their budget, or their
-        nodes are not strictly increasing inside (-1, 1) or their log weights
-        not finite; the message names which.
+    Nodes t_k = cos theta_k come from O(n) angles (_start_angles) polished by two or three Newton sweeps of
+    orthonormal_blocks (_newton_sweep) over the nodes not yet finished; each log weight -ln sum_m q_m(t_k)^2
+    comes from the sweep that finished its node; the angles decrease, with nodes == cos(angles) bitwise.  At a = b
+    the sweeps run on the (n + 1) // 2 angles up to pi/2, and the rest are pi - theta_k with the same log weights,
+    a swept angle moved first (by at most 3 ulps of its mirror) where that makes the mirror's cosine -t_k.  No
+    floating-point error is raised; the log weights are finite also where the weights are not (at (0, 1500) they
+    sum to 2^(a+b+1) B(a+1, b+1) > 1.8e308).  A RuntimeError names the cause unless the rule passes its
+    certificate: every node finished within _MAX_SWEEPS sweeps, finite log weights, nodes strictly increasing
+    inside (-1, 1), and no two nodes on one root (_spacing).
     """
     if n < 1:
         raise ValueError(f"rule size must be positive (got {n})")
     swept = (n + 1) // 2 if params.alpha == params.beta else n  # a = b: the angles up to pi/2, then mirrored
     with np.errstate(all="ignore"):
-        log_weights, active, bracket, sweeps = np.empty(swept), np.arange(swept), None, 0
         theta = _start_angles(params, n)[:swept]
-        while True:
-            if not active.size:
-                # the certificate is on t, not theta: the rows run in t, so distinct angles whose cosines
-                # round onto one node, or onto t = +-1 where the weight is singular, make no rule
-                angles = np.concatenate([math.pi - theta[: n - swept], theta[::-1]])
-                log_w = np.concatenate([log_weights[: n - swept], log_weights[::-1]])
-                nodes, finite = np.cos(angles), np.all(np.isfinite(log_w))
-                if finite and -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0):
-                    break
-                cause = ("has nodes that are not strictly increasing inside (-1, 1)" if finite
-                         else "has log weights that are not finite")
-            elif sweeps == (_MAX_SWEEPS if bracket is None else _MAX_BRACKETED_SWEEPS):
-                cause = f"failed after {_MAX_BRACKETED_SWEEPS} bracketed sweeps"
-            elif bracket is not None or np.all((theta > 0.0) & (theta < math.pi)):
-                active = _newton_sweep(params, n, theta, log_weights, active, bracket)
-                sweeps += 1
-                continue
-            if bracket is not None:
-                raise RuntimeError(f"Gauss-Jacobi rule at {params} {cause}")
-            # the switch; no node lies above theta = 0, all n above pi
-            bracket = np.full((2, n + 1), [[-np.inf], [np.inf]])
-            bracket[:, [0, n]] = 0.0, math.pi
-            theta, active, sweeps = np.clip(_start_angles(params, n)[:swept], 0.0, math.pi), np.arange(swept), 0
-    return QuadratureRule(nodes=nodes, log_weights=log_w, params=params, angles=angles)
+        log_weights, active = np.empty(swept), np.arange(swept)
+        for _ in range(_MAX_SWEEPS):
+            if active.size:
+                active = _newton_sweep(params, n, theta, log_weights, active)
+        mirrored, phi = theta[: n - swept], math.pi - theta[: n - swept]  # pi - (pi - phi) == phi (Sterbenz)
+        t = np.cos(mirrored)
+        for alt in (phi + ulps * np.spacing(phi) for ulps in (1, -1, 2, -2, 3, -3)):
+            move = (np.cos(phi) != -t) & (np.cos(alt) == -t) & (np.cos(math.pi - alt) == t)
+            mirrored[move], phi[move] = math.pi - alt[move], alt[move]
+        # the certificate is on t, not theta: the rows run in t, so distinct angles whose cosines
+        # round onto one node, or onto t = +-1 where the weight is singular, make no rule
+        angles = np.concatenate([phi, theta[::-1]])
+        log_w = np.concatenate([log_weights[: n - swept], log_weights[::-1]])
+        nodes = np.cos(angles)
+        if active.size:
+            cause = f"has nodes unfinished after {_MAX_SWEEPS} Newton sweeps"
+        elif not np.all(np.isfinite(log_w)):
+            cause = "has log weights that are not finite"
+        elif not (0.0 < angles[-1] <= angles[0] < math.pi and -1.0 < nodes[0] <= nodes[-1] < 1.0
+                  and np.all(np.diff(nodes) > 0.0)):
+            cause = "has nodes that are not strictly increasing inside (-1, 1)"
+        elif not (spacing := _spacing(params, angles)) >= 1.0 - _SPACING_SLACK:
+            cause = f"has two nodes {spacing:.3g} of Sturm's spacing apart: two on one root"
+        else:
+            return QuadratureRule(nodes=nodes, log_weights=log_w, params=params, angles=angles)
+    raise RuntimeError(f"Gauss-Jacobi rule at {params} {cause}")

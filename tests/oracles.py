@@ -1,4 +1,4 @@
-"""Independent oracles shared across the test modules.
+"""Independent oracles shared across the test modules, and one fault injection (one_basin).
 
 Everything here is deliberately implemented from first principles (direct
 sums, explicit formulas, panelled quadrature) or delegated to scipy, so
@@ -738,3 +738,15 @@ def barycentric_rowwise(x_samples, values, blend: int = 3):
         return out if np.ndim(x) else float(out[0])
 
     return w, f
+
+
+def one_basin(start):
+    """The start-angle function `start` of jacobi._start_angles' signature, with angle 4 moved into the basin of
+    angle 3, a thousandth of their gap above it: Newton then finishes two nodes on one root and misses one."""
+
+    def moved(params, n):
+        theta = start(params, n)
+        theta[4] = theta[3] + 1e-3 * (theta[4] - theta[3])
+        return theta
+
+    return moved

@@ -13,7 +13,7 @@ import tanhspec
 import tanhspec.cli as cli
 from tanhspec.cli import main, parse_points, read_coefficients, read_table, write_table
 
-from oracles import barycentric_rowwise, fd_derivative
+from oracles import barycentric_rowwise, fd_derivative, golub_welsch, one_basin
 
 
 def _cols(rows):
@@ -62,9 +62,25 @@ class TestExpand:
         assert code == 0
         assert np.all(np.isfinite(read_coefficients(str(out))))
 
+    def test_two_point_rule_of_a_large_pair(self, tmp_path, monkeypatch):
+        # both nodes of the (20, -1/2) rule on distinct roots: c_1 is negative, the projection onto the
+        # Golub-Welsch rule (-0.437); two nodes on one root give +0.205
+        import tanhspec.transforms as transforms_mod
+
+        coeffs = []
+        for rule in (transforms_mod.gauss_jacobi, golub_welsch):
+            monkeypatch.setattr(transforms_mod, "gauss_jacobi", rule)
+            transforms_mod._rule_nodes.cache_clear()
+            out = tmp_path / f"c{len(coeffs)}.csv"
+            assert run("expand", "--alpha", "20", "--beta", "-0.5", "--n", "2", "--fn", "sech", "--out", str(out)) == 0
+            coeffs.append(read_coefficients(str(out)))
+        transforms_mod._rule_nodes.cache_clear()
+        got, want = coeffs
+        assert got[1] < 0.0 and np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
+
     def test_half_mode_next_to_minus_one(self, tmp_path, capsys):
-        # the rule nodes next to t = 1 have angles below 1e-8, where the
-        # half-range map through t was infinite
+        # the rule nodes next to t = +-1 have angles of 1.5e-8 from the end, whose
+        # cosines lie one float inside +-1: samples and coefficients stay finite
         a = repr(math.nextafter(-1.0, 0.0))
         code, out = _expand_sech(tmp_path, mode="half", alpha=a, beta=a)
         assert code == 0, capsys.readouterr().err
@@ -198,7 +214,12 @@ _SCAN_VALUES = (_NEXT, -0.5, 0.0, 3.0, 1e3, 1e4)
 _SCAN = [("full", a, b, n) for a in _SCAN_VALUES for b in _SCAN_VALUES for n in (1, 2, 64)] + [
     ("half", a, a, n) for a in _SCAN_VALUES for n in (2, 64)
 ]
+#: Of the 21 full-mode cells whose node next to -+1 rounds onto it (40 digits), where the weight is singular, and
+#: which the rule keeps one float inside, these four (partner 1e3, n = 1, 2; the node within 2.2e-19 of the end)
+#: are held to a round trip of _NODE_ROUNDING_BOUND, about 2.6 times the 7.6e-6 measured at n = 2 (2.2e-16 at
+#: n = 1).
 _NODE_ROUNDING = {("full", a, b, n) for a, b in ((1e3, _NEXT), (_NEXT, 1e3)) for n in (1, 2)}
+_NODE_ROUNDING_BOUND = 2e-5
 
 
 def _expand_bandlimited(monkeypatch, tmp_path, mode, a, b, n):
@@ -221,17 +242,15 @@ class TestParameterScan:
     def test_scan(self, tmp_path, capsys, monkeypatch):
         # in-process, RuntimeWarnings as errors (pyproject.toml): each cell expands a band-limited function,
         # then runs eval, diff, ft and basis on its table, and solve at n = 64 in full mode.  Partners next to
-        # -1 are not held to the round trip: there the rules lose digits (test_quadrature_next_to_minus_one)
+        # -1 are not held to the round trip, there the rules lose digits (test_quadrature_next_to_minus_one),
+        # except the _NODE_ROUNDING cells, held to their own bound
         bad = []
         for cell in _SCAN:
             mode, a, b, n = cell
             code, table, err = _expand_bandlimited(monkeypatch, tmp_path, *cell)
             stderr = capsys.readouterr().err
-            if cell in _NODE_ROUNDING:
-                if code != 3 or not stderr.startswith("error:") or stderr.count("\n") != 1:
-                    bad.append((cell, "expand", code, stderr))
-                continue
-            if code != 0 or (min(a, b) >= -0.5 and err > 1e-10):
+            bound = _NODE_ROUNDING_BOUND if cell in _NODE_ROUNDING else 1e-10 if min(a, b) >= -0.5 else math.inf
+            if code != 0 or err > bound:
                 bad.append((cell, "expand", code, err, stderr))
                 continue
             common = ["--alpha", repr(a), "--beta", repr(b), "--mode", mode]
@@ -672,7 +691,7 @@ class TestScipyImportContract:
         ("expand --alpha 1000 --beta 1000 --n 600 --fn gaussian --out {out}", 0),
     ], ids=["eval", "diff", "eval-generic", "diff-generic", "basis", "ft", "usage-error", "expand-fast", "expand-quadrature", "expand-half-fast", "solve-fast",
             "expand-half-samples", "solve-a-coefficients", "solve-variable-a-half-integer", "solve-variable-a-generic",
-            "expand-bracketed", "expand-bracketed-large"])
+            "expand-large-pair", "expand-larger-pair"])
     def test_commands_without_scipy(self, tmp_path, argv, code):
         _, coeffs = _expand_sech(tmp_path)
         samples, a_coeffs = tmp_path / "samples.csv", tmp_path / "a.csv"
@@ -684,7 +703,7 @@ class TestScipyImportContract:
         assert _scipy_loaded_by(*argv, code=code) == set()
 
     def test_expand_with_scipy_unimportable(self, tmp_path):
-        # scipy unimportable: a Newton pair and two pairs where Newton fails its certificate
+        # scipy unimportable: a small pair and two large ones
         for a, n in (("1.3", "64"), ("80", "64"), ("1000", "600")):
             p = _python("-c", "import sys; sys.modules['scipy'] = None; from tanhspec.cli import main; "
                         "sys.exit(main(sys.argv[1:]))", "expand", "--fn", "gaussian", "--alpha", a, "--beta", a,
@@ -731,10 +750,24 @@ class TestTablesAndDeterminism:
     def test_unfinished_rule_exit_code(self, capsys, monkeypatch):
         import tanhspec.jacobi as jacobi_mod
 
-        monkeypatch.setattr(jacobi_mod, "_MAX_BRACKETED_SWEEPS", 1)
+        monkeypatch.setattr(jacobi_mod, "_MAX_SWEEPS", 1)
         assert run("expand", "--alpha", "81.5", "--beta", "80", "--n", "33", "--fn", "gaussian") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error:") and "unfinished" in err and err.count("\n") == 1
+
+    def test_two_nodes_on_one_root_exit_code(self, capsys, monkeypatch):
+        # start angle 4 in the basin of angle 3: the rule fails its spacing certificate
+        import tanhspec.jacobi as jacobi_mod
+        import tanhspec.transforms as transforms_mod
+
+        monkeypatch.setattr(jacobi_mod, "_start_angles", one_basin(jacobi_mod._start_angles))
+        transforms_mod._rule_nodes.cache_clear()
+        try:
+            assert run("expand", "--alpha", "1.3", "--beta", "0.2", "--n", "64", "--fn", "sech") == 3
+        finally:
+            transforms_mod._rule_nodes.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "spacing" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -38,6 +38,7 @@ from oracles import (
     jacobi_explicit_sum,
     jacobi_norm,
     norm_ratio,
+    one_basin,
     orthonormal_eval_batch,
     orthonormal_mp,
     orthonormal_rows,
@@ -55,25 +56,20 @@ def _blocks(p, count, t):
     return orthonormal_blocks(recurrence(p, "jacobi", count), t, -0.5 * log_jacobi_norm(p))
 
 
-def _sweep_kinds(monkeypatch):
-    """Wrap jacobi._sweep; the list returned gets, per sweep, whether it took Sturm counts (a bracketed sweep)."""
-    kinds, sweep = [], jacobi_mod._sweep
-
-    def wrapped(params, n, t, count=False):
-        kinds.append(count)
-        return sweep(params, n, t, count)
-
-    monkeypatch.setattr(jacobi_mod, "_sweep", wrapped)
-    return kinds
-
-
-#: The domain map of the Gauss-Jacobi rules: (a, b, sizes), every pair of the values at small n, and at n = 2048
-#: pairs where Newton fails its certificate.
+#: The domain map of the Gauss-Jacobi rules: (a, b, sizes), every pair of the values at small n, and four pairs
+#: with a parameter of 20 or more at n = 2048.
 DOMAIN = (-0.99, 0.0, 2.0, 20.0, 80.0, 1e3)
 DOMAIN_MAP = [(a, b, (1, 2, 16, 256)) for a in DOMAIN for b in DOMAIN] + [
     (a, b, (2048,)) for a, b in ((20.0, 5.0), (80.0, 80.0), (100.0, 0.0), (1000.0, 1000.0))
 ]
 GRID_PAIRS = [(-0.9, -0.9), (-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (2.0, 0.3), (7.3, -0.5), (1.3, 0.2), (-0.5, 0.5)]
+#: (a, b, n): regression inputs, rules with a parameter of 15 or more that a Newton start has got wrong (two nodes
+#: finished on one root, or at (80, 80) no convergence)
+NEWTON_REGRESSIONS = [(20.0, -0.5, 2), (15.0, 5.0, 31), (0.5, 15.0, 64), (-0.9, 15.0, 255), (15.0, 15.0, 512),
+                      (15.0, 15.0, 2048), (80.0, 80.0, 64)]
+#: The one regression cell whose Golub-Welsch weights miss 8 n^2 eps: its node next to t = 1 is 3.9e-15 off, so its
+#: weight 1.3e-10; there the weights are held to the 40-digit rule
+GOLUB_WELSCH_WEIGHTS_MISS = (-0.9, 15.0, 255)
 
 
 class TestRecurrence:
@@ -488,7 +484,7 @@ class TestGaussJacobi:
             if n % k not in (0, k - 2, k - 1) or n >= 3 * k:
                 continue
             checked.add(n % k)
-            q_prev, q_n, w, _ = jacobi_mod._sweep(p, n, t)
+            q_prev, q_n, w = jacobi_mod._sweep(p, n, t)
             want = sweep_rowwise(p, n, t)
             assert np.array_equal(q_prev, want[0]) and np.array_equal(q_n, want[1]), n
             assert np.max(np.abs(w - want[2])) <= 1e-14, n
@@ -506,20 +502,21 @@ class TestGaussJacobi:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("a,b", GRID_PAIRS)
-    def test_newton_matches_golub_welsch(self, a, b, monkeypatch):
+    @pytest.mark.parametrize("a,b,sizes", [(a, b, (1, 2, 7, 64, 300, 2048)) for a, b in GRID_PAIRS] + [
+        (a, b, (n,)) for a, b, n in NEWTON_REGRESSIONS
+    ], ids=[f"{a}-{b}" for a, b in GRID_PAIRS] + [f"{a}-{b}-n{n}" for a, b, n in NEWTON_REGRESSIONS])
+    def test_newton_matches_golub_welsch(self, a, b, sizes):
         # bounds about ten times the worst error over GRID_PAIRS: 2.9e-15 on
         # the nodes, 0.81 n^2 eps on the weights, which are evaluated at the
-        # rule's own nodes and so move with them by about n^2 times as much;
-        # no sweep switches the brackets on
+        # rule's own nodes and so move with them by about n^2 times as much
         p = JacobiParams(a, b)
-        kinds = _sweep_kinds(monkeypatch)
-        for n in (1, 2, 7, 64, 300, 2048):
-            rule = gauss_jacobi(p, n)
-            assert not any(kinds), n
-            want = golub_welsch(p, n)
+        for n in sizes:
+            rule, want = gauss_jacobi(p, n), golub_welsch(p, n)
             assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14, n
-            assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps, n
+            weights = want.weights
+            if (a, b, n) == GOLUB_WELSCH_WEIGHTS_MISS:
+                weights = np.array([float(w) for w in gauss_jacobi_mp(a, b, rule.nodes)[1]])
+            assert np.max(np.abs(rule.weights / weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps, n
 
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, 0.0)])
     def test_two_sweeps(self, a, b, monkeypatch):
@@ -538,79 +535,67 @@ class TestGaussJacobi:
             gauss_jacobi(JacobiParams(a, b), n)
             assert len(sizes) == 2 and sizes[0] == (n if a != b else (n + 1) // 2), (n, sizes)
 
-    def test_fallback_takes_golub_welsch(self, monkeypatch):
-        # at (80, 80) the asymptotic angles are too far off for Newton; the
-        # bracketed sweeps land on the Golub-Welsch rule at the bounds of
-        # test_newton_matches_golub_welsch
-        p = JacobiParams(80.0, 80.0)
-        kinds = _sweep_kinds(monkeypatch)
-        rule, want = gauss_jacobi(p, 64), golub_welsch(p, 64)
-        assert any(kinds)
-        assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
-        assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * 64 * 64 * np.finfo(float).eps
-
-    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, -0.5), (0.0, 0.5)])
-    def test_bracket_of_adjacent_floats_finishes(self, a, b, monkeypatch):
-        # near theta = 2 one node's bracket closes to two adjacent angles whose
-        # cosines still differ by more than the step tolerance; its midpoint
-        # rounds onto an end, so the node finishes there or never.  With
-        # _MAX_SWEEPS = 0 the brackets switch on before the first sweep.
-        p, n = JacobiParams(a, b), 2048
-        want = gauss_jacobi(p, n)
-        monkeypatch.setattr(jacobi_mod, "_MAX_SWEEPS", 0)
-        rule = gauss_jacobi(p, n)
-        assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
-        assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps
-
-    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, 0.0)])
-    def test_step_onto_a_bracket_end_is_taken(self, a, b, monkeypatch):
-        # a Newton step that lands on its bracket end, which is the root, is
-        # taken, not bisected away from it at one bit per sweep (27 and 28
-        # sweeps when the end was excluded); bounds as in
-        # test_bracket_of_adjacent_floats_finishes
-        p, n = JacobiParams(a, b), 2048
-        want = gauss_jacobi(p, n)
-        monkeypatch.setattr(jacobi_mod, "_MAX_SWEEPS", 0)
-        kinds = _sweep_kinds(monkeypatch)
-        rule = gauss_jacobi(p, n)
-        assert all(kinds) and len(kinds) <= 6, len(kinds)
-        assert np.max(np.abs(rule.nodes - want.nodes)) <= 3e-14
-        assert np.max(np.abs(rule.weights / want.weights - 1.0)) <= 8.0 * n * n * np.finfo(float).eps
-
-    @pytest.mark.parametrize("a,b,n,plain,counted", [
-        (15.0, 15.0, 256, 6, 7),  # Newton finishes every node, out of order
-        (80.0, 80.0, 16, 8, 10),  # nodes unfinished after _MAX_SWEEPS
-        (20.0, 5.0, 2048, 1, 7),  # an angle leaves (0, pi)
-        (100.0, 0.0, 2048, 1, 9),
+    @pytest.mark.parametrize("a,b", [
+        (80.0, 80.0), (1000.0, 1000.0), (0.0, 1500.0), (7.0, 1e6), (1e6, 1e6), (50.0, -0.5), (100.0, 0.0),
+        (15.0, 15.0), (20.0, 5.0), (0.999999, -0.999999),  # the last: the end node next to -1
     ])
-    def test_fallback_sweep_counts(self, a, b, n, plain, counted, monkeypatch):
-        # the brackets switch on in the loop at the first failure, and the
-        # counting sweeps start from Gatteschi-Pittaluga: at most as many
-        # sweeps of either kind as these
-        kinds = _sweep_kinds(monkeypatch)
-        gauss_jacobi(JacobiParams(a, b), n)
-        assert kinds == sorted(kinds) and kinds.count(False) <= plain and kinds.count(True) <= counted, kinds
-
-    def test_unfinished_bracketed_rule_raises(self, monkeypatch):
-        # one bracketed sweep finishes only some of the (80, 80) nodes; the
-        # budget counts from the switch, not from the first Newton sweep
-        monkeypatch.setattr(jacobi_mod, "_MAX_BRACKETED_SWEEPS", 1)
-        kinds = _sweep_kinds(monkeypatch)
-        with pytest.raises(RuntimeError, match="failed after 1 bracketed sweeps"):
-            gauss_jacobi(JacobiParams(80.0, 80.0), 64)
-        assert kinds.count(True) == 1
-
-    @pytest.mark.parametrize("a,b,n", [(0.0, 1500.0, 4), (1e5, 0.0, 8)])
-    def test_weights_above_the_float_range_have_logs(self, a, b, n, monkeypatch):
-        # the bracketed rule finishes well within its budget; its weights sum to
-        # 2^(a+b+1) B(a+1, b+1) > 1.8e308, and the log of that sum, formed from
-        # the log weights, is ln g_0
-        p = JacobiParams(a, b)
+    def test_sweep_budget(self, a, b, monkeypatch):
+        # Newton from the Liouville-Green angles finishes with at least one
+        # sweep of its budget to spare: at large pairs, at very unequal ones
+        # and next to -1
         sweeps = []
         sweep = jacobi_mod._newton_sweep
-        monkeypatch.setattr(jacobi_mod, "_newton_sweep", lambda *args: sweeps.append(args[-1]) or sweep(*args))
+        monkeypatch.setattr(jacobi_mod, "_newton_sweep", lambda *args: sweeps.append(args[-1].size) or sweep(*args))
+        for n in (1, 2, 3, 16, 257, 1024):
+            sweeps.clear()
+            gauss_jacobi(JacobiParams(a, b), n)
+            assert len(sweeps) <= jacobi_mod._MAX_SWEEPS - 1, (n, sweeps)
+
+    def test_unfinished_rule_raises(self, monkeypatch):
+        # one sweep finishes only some of the (80, 80) nodes
+        monkeypatch.setattr(jacobi_mod, "_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="unfinished after 1 Newton sweeps"):
+            gauss_jacobi(JacobiParams(80.0, 80.0), 64)
+
+    def test_two_nodes_on_one_root_raise(self, monkeypatch):
+        # two start angles in one basin: Newton finishes both on one root, a
+        # few ulps apart, with one node missing; only the spacing certificate
+        # sees it
+        monkeypatch.setattr(jacobi_mod, "_start_angles", one_basin(jacobi_mod._start_angles))
+        with pytest.raises(RuntimeError, match="Sturm's spacing"):
+            gauss_jacobi(JacobiParams(1.3, 0.2), 64)
+
+    @pytest.mark.parametrize("a,b,sizes", [(a, b, (1, 2, 7, 64, 300, 2048)) for a, b in GRID_PAIRS] + DOMAIN_MAP,
+                             ids=[f"{a}-{b}" for a, b in GRID_PAIRS] + [f"{a}-{b}-map" for a, b, _ in DOMAIN_MAP])
+    def test_spacing_of_valid_rules(self, a, b, sizes):
+        # Sturm's bound holds with room to spare on the library's rule and
+        # on Golub-Welsch's (measured: >= 1 - 1e-12 on both), so the
+        # certificate refuses no valid rule
+        p = JacobiParams(a, b)
+        for n in sizes:
+            for rule in (gauss_jacobi(p, n), golub_welsch(p, n)):
+                assert jacobi_mod._spacing(p, rule.angles) >= 1.0 - jacobi_mod._SPACING_SLACK, n
+
+    @pytest.mark.parametrize("a,b,end,side", [(1e3, math.nextafter(-1.0, 0.0), 0, -1.0),
+                                              (math.nextafter(-1.0, 0.0), 1e3, -1, 1.0)])
+    def test_node_that_rounds_onto_an_end_stays_one_float_inside(self, a, b, end, side):
+        # the 40-digit node next to the end at the partner of 1e3 lies within
+        # 2.2e-19 of it and rounds onto it, where the weight is singular; the
+        # rule keeps it at the last float inside, and the log weights within
+        # 3e-10 of 40 digits (measured 5.8e-11)
+        for n in (1, 2):
+            rule = gauss_jacobi(JacobiParams(a, b), n)
+            exact_nodes, exact_weights = gauss_jacobi_mp(a, b, rule.nodes)
+            assert float(exact_nodes[end]) == side and rule.nodes[end] == math.nextafter(side, 0.0), n
+            exact = np.array([float(mpmath.log(w)) for w in exact_weights])
+            assert np.max(np.abs(rule.log_weights - exact)) <= 3e-10, n
+
+    @pytest.mark.parametrize("a,b,n", [(0.0, 1500.0, 4), (1e5, 0.0, 8)])
+    def test_weights_above_the_float_range_have_logs(self, a, b, n):
+        # the weights sum to 2^(a+b+1) B(a+1, b+1) > 1.8e308, and the log of
+        # that sum, formed from the log weights, is ln g_0
+        p = JacobiParams(a, b)
         rule = gauss_jacobi(p, n)
-        assert 0 < sum(bracket is not None for bracket in sweeps) < jacobi_mod._MAX_BRACKETED_SWEEPS
         assert np.all(np.isfinite(rule.log_weights))
         top = float(rule.log_weights.max())
         total = top + math.log(math.fsum(np.exp(rule.log_weights - top)))
@@ -618,7 +603,7 @@ class TestGaussJacobi:
 
     @pytest.mark.parametrize("a,b,sizes", DOMAIN_MAP, ids=[f"{a}-{b}-n{','.join(map(str, n))}" for a, b, n in DOMAIN_MAP])
     def test_domain_map_without_scipy(self, a, b, sizes, monkeypatch):
-        # each rule, Newton or bracketed, is built with scipy unimportable and
+        # each rule is built with scipy unimportable and
         # held to the bounds of test_newton_matches_golub_welsch, on the
         # weights that are normal floats (at (1000, 1000) the smallest
         # underflow).  Where the weights miss 8 n^2 eps (a parameter 1e3 and
