@@ -59,8 +59,6 @@ class Recurrence(NamedTuple):
     s: np.ndarray  # s_m = 1 / sigma_m, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}
     C: np.ndarray  # 0 in row 0, [g_{m-1}, -g_{m-1} B_{m-1}] in row m > 0, g_m = sigma_{m+1} / (sigma_m e_m)
     b: np.ndarray  # the couplings b_m that recurrence builds e from (e itself in 'carlitz' and in a _table)
-    g_max: float  # the growth maxima of _blocking: max g_m and max |B_m| over m < n - 1, 0 if none
-    B_max: float
 
 
 def _table(B: np.ndarray, e: np.ndarray) -> Recurrence:
@@ -72,12 +70,7 @@ def _table(B: np.ndarray, e: np.ndarray) -> Recurrence:
     C = np.zeros((len(B), 2))
     C[1:, 0] = sigma[1:-1] / (sigma[:-2] * e[:-1])
     C[1:, 1] = -C[1:, 0] * B[:-1]
-    return _rows(B, e, 1.0 / sigma[:-1], C, e)
-
-
-def _rows(B: np.ndarray, e: np.ndarray, s: np.ndarray, C: np.ndarray, b: np.ndarray) -> Recurrence:
-    """The Recurrence of rows of one length, with the growth maxima over them."""
-    return Recurrence(B, e, s, C, b, C[1:, 0].max(initial=0.0), np.abs(B[:-1]).max(initial=0.0))
+    return Recurrence(B, e, 1.0 / sigma[:-1], C, e)
 
 
 _TABLES: dict = {}  # recurrence's cache
@@ -92,10 +85,10 @@ def recurrence(params: JacobiParams, family: str, n: int) -> Recurrence:
     orthonormal Jacobi matrix in t: e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2), and B_0 = (b-a)/(a+b+2)
     the cancelled form of B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), 0/0 at m = 0 when a+b = 0; 'carlitz' is the
     Fourier side, xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}: B = 0, e = b.  Each array is elementwise in m or a
-    running product over m, so n rows of a longer table, with the maxima over them, are the n-row table bit for
-    bit: a request within the pair's longest table returns views of its first n rows, a longer one rebuilds it
-    once at n rows.  16 (params, family) entries are kept, the least recently used leaving first, of 48 n bytes
-    (3.1 MB at n = 4096).  Raises OverflowError where a+b is past the float range."""
+    running product over m, so n rows of a longer table are the n-row table bit for bit: a request within the
+    pair's longest table returns views of its first n rows, a longer one rebuilds it once at n rows.  16 (params,
+    family) entries are kept, the least recently used leaving first, of 48 n bytes (3.1 MB at n = 4096).  Raises
+    OverflowError where a+b is past the float range."""
     if family not in ("jacobi", "carlitz"):
         raise ValueError(f"unknown recurrence family {family!r}")
     if n < 1:
@@ -114,12 +107,12 @@ def recurrence(params: JacobiParams, family: str, n: int) -> Recurrence:
             B[0] = (b - a) / (a + b + 2.0)
             B[1:] = (b - a) * (b + a) / ((a + b + 2.0 * m[1:]) * (a + b + 2.0 * m[1:] + 2.0))
         table = _table(B, e)._replace(b=couplings)
-        for arr in table[:5]:
+        for arr in table:
             arr.flags.writeable = False
     _TABLES[params, family] = table
     if len(_TABLES) > 16:
         del _TABLES[next(iter(_TABLES))]
-    return table if n == len(table.s) else _rows(*(arr[:n] for arr in table[:5]))
+    return table if n == len(table.s) else Recurrence(*(arr[:n] for arr in table))
 
 
 #: Byte budget of one K-row block of orthonormal_blocks; K is clamped to
@@ -129,9 +122,10 @@ _BLOCK_BYTES = 256 * 1024
 
 
 def _blocking(table: Recurrence, t: np.ndarray) -> tuple[int, int]:
-    """Rows K per block (within _BLOCK_BYTES) and blocks between carry checks, so that the table's rows at t
-    grow by at most e^250 between checks: |p_{m+1}| <= (1 + max g max|t - B|) max(|p_m|, |p_{m-1}|)."""
-    most = math.log1p(table.g_max * (np.fmax.reduce(np.abs(t), None, initial=0.0) + table.B_max))
+    """Rows K per block (within _BLOCK_BYTES) and blocks between carry checks, so that the given table's rows at t
+    grow by at most e^250 between checks: |p_{m+1}| <= (1 + max g max|t - B|) max(|p_m|, |p_{m-1}|), m < n - 1."""
+    g, B = table.C[1:, 0].max(initial=0.0), np.abs(table.B[:-1]).max(initial=0.0)
+    most = math.log1p(g * (np.fmax.reduce(np.abs(t), None, initial=0.0) + B))
     k = min(64, max(8, _BLOCK_BYTES // (8 * max(t.size, 1)) - 1), max(1, int(250.0 / max(most, 1.0))))
     return k, max(1, int(250.0 / max(k * most, 1.0)))
 

@@ -123,7 +123,7 @@ class _Nodes(NamedTuple):
     x: np.ndarray
     theta: np.ndarray
     scale: np.ndarray  # per sample: the grid's factor, a rule's log start scale of jacobi.project
-    rule: QuadratureRule | None = None
+    t: np.ndarray | None = None  # a rule's kernel points: its nodes, at a = b those with t >= 0
 
 
 def _node_set(theta: np.ndarray, rule: QuadratureRule | None = None) -> _Nodes:
@@ -143,14 +143,15 @@ def _node_set(theta: np.ndarray, rule: QuadratureRule | None = None) -> _Nodes:
     theta = theta[theta.size // 2 :] if fold else theta
     x = np.arcsinh(np.cos(theta) / np.sin(theta))
     if rule is None:
-        scale = math.sqrt(0.5 * math.pi) * np.sqrt(np.cosh(x))
+        scale, t = math.sqrt(0.5 * math.pi) * np.sqrt(np.cosh(x)), None
     else:
-        scale = (rule.log_weights[rule.nodes.size - theta.size :] - 0.5 * log_jacobi_norm(rule.params)
-                 - _log_weight_full(rule.params, x))
+        kept = slice(rule.nodes.size - theta.size, None)
+        scale = rule.log_weights[kept] - 0.5 * log_jacobi_norm(rule.params) - _log_weight_full(rule.params, x)
         if fold and rule.nodes.size % 2:
             scale[0] -= math.log(2.0)
-    nodes = _Nodes(x, theta, scale, rule)
-    for arr in (x, theta, scale, *((rule.nodes, rule.log_weights) if rule else ())):
+        t = rule.nodes[kept]
+    nodes = _Nodes(x, theta, scale, t)
+    for arr in (x, theta, scale) if t is None else nodes:
         arr.flags.writeable = False
     return nodes
 
@@ -222,33 +223,25 @@ def _coefficients(params: JacobiParams, f, n: int, quadrature: bool = False) -> 
         c = _kernel(kind, _sample(f, nodes.x) * nodes.scale)
     else:
         nodes = _rule_nodes(params, n)
-        fx, t = _sample(f, nodes.x), nodes.rule.nodes[n - nodes.x.size :]  # a = b: the nodes with t >= 0
+        fx = _sample(f, nodes.x)
         if params.alpha != params.beta:
-            c = project(recurrence(params, "jacobi", n), fx, t, nodes.scale)
+            c = project(recurrence(params, "jacobi", n), fx, nodes.t, nodes.scale)
         else:
             fy = _sample(f, -nodes.x)
-            c, odd = project(recurrence(params, "jacobi", n), np.stack([fx + fy, fx - fy]), t, nodes.scale)
+            c, odd = project(recurrence(params, "jacobi", n), np.stack([fx + fy, fx - fy]), nodes.t, nodes.scale)
             c[1::2] = odd[1::2]
     c[1::2] *= -1.0
     return c
 
 
-def analyze_full(spec: BasisSpec, f, n: int, method: str = "auto") -> Expansion:
-    """First n expansion coefficients of the callable f in a full-range basis.
-
-    method 'fast' forces the trigonometric path (half-integer parameter
-    pairs only), 'quadrature' forces the Gauss-Jacobi path, 'auto' picks
-    fast whenever available.
-    """
+def analyze_full(spec: BasisSpec, f, n: int) -> Expansion:
+    """First n expansion coefficients of the callable f in a full-range basis: by the pair's kernel of
+    _KERNEL_TABLE on the grid if it has one, else by the Gauss-Jacobi rule (_coefficients)."""
     if spec.mode != "full":
         raise ValueError("analyze_full requires a full-mode basis spec")
     if n < 1:
         raise ValueError(f"coefficient count must be positive (got {n})")
-    if method not in ("auto", "fast", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "fast" and (spec.params.alpha, spec.params.beta) not in _KERNEL_TABLE:
-        raise ValueError("fast path requires alpha, beta in {-1/2, +1/2}")
-    return Expansion(spec=spec, coeffs=_coefficients(spec.params, f, n, method == "quadrature"))
+    return Expansion(spec=spec, coeffs=_coefficients(spec.params, f, n))
 
 
 def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:

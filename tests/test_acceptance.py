@@ -31,6 +31,7 @@ from tanhspec import (
     solve_first_order,
     synthesize,
 )
+from tanhspec import transforms as transforms_mod
 from tanhspec.cli import main as cli_main, read_table
 
 from oracles import direct_fourier, fd_derivative, gauss_panels, orthonormal_eval_batch, phi_full_direct, phi_half_direct
@@ -107,8 +108,8 @@ def test_criterion_3_fast_equals_slow():
                 for _ in range(20):
                     e = _random_bandlimited(spec, n, rng)
                     f = lambda x: synthesize(e, x)
-                    fast = analyze_full(spec, f, n, method="fast").coeffs
-                    slow = analyze_full(spec, f, n, method="quadrature").coeffs
+                    fast = analyze_full(spec, f, n).coeffs
+                    slow = transforms_mod._coefficients(spec.params, f, n, quadrature=True)
                     assert np.max(np.abs(fast - slow)) <= 1e-10, (a, b, n)
 
 
@@ -118,11 +119,11 @@ def test_criterion_3b_cost_scaling():
         f = lambda x: 1.0 / np.cosh(x)
 
         def best_time(n, reps):
-            analyze_full(spec, f, n, method="fast")  # warm the plan and grid
+            analyze_full(spec, f, n)  # warm the plan and grid
             best = math.inf
             for _ in range(reps):
                 t0 = time.perf_counter()
-                analyze_full(spec, f, n, method="fast")
+                analyze_full(spec, f, n)
                 best = min(best, time.perf_counter() - t0)
             return best
 

@@ -286,7 +286,7 @@ class TestRecurrenceTable:
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (80.0, 80.0), (-0.999, 3.0), (0.0, 1500.0)])
     def test_prefix_is_a_fresh_build(self, monkeypatch, family, a, b):
         # after a K-row build, n in {1, 2, K - 1, K} rows are views of its first n rows and K + 1 rebuilds it once;
-        # each is the table a fresh build of n rows gives, bit for bit, maxima included, and so are the kernel's
+        # each is the table a fresh build of n rows gives, bit for bit, and so are the kernel's
         # blocks on it at points whose rows rescale (t next to +-1 at (80, 80), xi = 1e30); its couplings b,
         # and diff_coeffs(p, n).b, are read-only and bitwise the closed form
         p, K = JacobiParams(a, b), 300
@@ -308,7 +308,7 @@ class TestRecurrenceTable:
             monkeypatch.setattr(jacobi_mod, "_TABLES", cache)
             for x, y in zip(got, fresh):
                 assert np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes(), n
-            assert not any(arr.flags.writeable for arr in got[:5]), n
+            assert not any(arr.flags.writeable for arr in got), n
             blocks = [[(s.copy(), P.copy(), ls) for s, P, ls in orthonormal_blocks(table, points, 0.0)]
                       for table in (got, fresh)]
             assert len(blocks[0]) == len(blocks[1]), n
@@ -317,6 +317,29 @@ class TestRecurrenceTable:
                 assert np.asarray(ls1).tobytes() == np.asarray(ls2).tobytes(), n
                 rescaled |= bool(np.any(np.asarray(ls1) != 0.0))
         assert rescaled or family == "jacobi" and (a, b) != (80.0, 80.0)
+
+    @pytest.mark.parametrize("family", ["jacobi", "carlitz"])
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.9, -0.9), (0.0, 0.0), (0.0, 1500.0)])
+    def test_prefix_reads_are_views_with_their_own_growth_bound(self, monkeypatch, family, a, b):
+        # a prefix read holds views of the pair's table, and _blocking takes the growth bound from the rows it is
+        # given: on a prefix the same (K, every) as on a fresh _table of those rows
+        p = JacobiParams(a, b)
+        monkeypatch.setattr(jacobi_mod, "_TABLES", {})
+        table = recurrence(p, family, 300)
+        for n in (1, 2, 8, 299):
+            got = recurrence(p, family, n)
+            assert all(np.shares_memory(x, y) for x, y in zip(got, table)), n
+            fresh = jacobi_mod._table(table.B[:n], table.e[:n])
+            for t in ([0.3], [-1.0 + 2.0**-40, 1.0], [-2.5, 40.0, 1e30]):
+                assert jacobi_mod._blocking(got, np.array(t)) == jacobi_mod._blocking(fresh, np.array(t)), (n, t)
+
+    def test_prefix_growth_bound_below_the_tables(self):
+        # at (-0.9, -0.9) the first two rows' max g_m, 1.1, lies below the 300-row table's, 8.8 (at m = 2): the
+        # prefix checks its carries every 5 blocks of 64 rows at t = 1, the table every block
+        p, t = JacobiParams(-0.9, -0.9), np.array([1.0])
+        table, prefix = recurrence(p, "jacobi", 300), recurrence(p, "jacobi", 2)
+        assert prefix.C[1:, 0].max() < table.C[1:, 0].max()
+        assert jacobi_mod._blocking(prefix, t) == (64, 5) and jacobi_mod._blocking(table, t) == (64, 1)
 
     def test_cached_arrays_are_read_only(self):
         for family in ("jacobi", "carlitz"):

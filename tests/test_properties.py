@@ -56,7 +56,7 @@ def _parseval_gap(params, k, seed):
     # the quadrature coefficients carry the energy sum c_m^2 of f
     spec = BasisSpec(params, "full")
     e = _bandlimited(spec, k, seed)
-    got = analyze_full(spec, lambda x: synthesize(e, x), 2 * k, method="quadrature").coeffs
+    got = transforms_mod._coefficients(params, lambda x: synthesize(e, x), 2 * k, quadrature=True)
     return float(got @ got), float(e.coeffs @ e.coeffs)
 
 
@@ -86,10 +86,9 @@ def test_quadrature_next_to_minus_one_large_partner():
 def test_cached_rule_equals_fresh_rule(params, n):
     cached = transforms_mod._rule_nodes(params, n)
     fresh = gauss_jacobi(params, n)
-    assert cached.rule.nodes.tobytes() == fresh.nodes.tobytes()
-    assert cached.rule.log_weights.tobytes() == fresh.log_weights.tobytes()
-    want = transforms_mod._node_set(fresh.angles, fresh)
-    assert cached.x.tobytes() == want.x.tobytes() and cached.scale.tobytes() == want.scale.tobytes()
+    want = transforms_mod._node_set(fresh.angles, fresh)  # the kernel's points t: the rule's kept tail of nodes
+    assert want.t.tobytes() == fresh.nodes[n - want.x.size :].tobytes()
+    assert all(got.tobytes() == new.tobytes() for got, new in zip(cached, want))
     assert transforms_mod._rule_nodes(params, n) is cached
 
 
@@ -110,8 +109,8 @@ def test_fast_equals_quadrature_bandlimited(pair, n, seed):
     spec = BasisSpec(JacobiParams(*pair), "full")
     e = _bandlimited(spec, n, seed)
     f = lambda x: synthesize(e, x)
-    fast = analyze_full(spec, f, n, method="fast").coeffs
-    slow = analyze_full(spec, f, n, method="quadrature").coeffs
+    fast = analyze_full(spec, f, n).coeffs
+    slow = transforms_mod._coefficients(spec.params, f, n, quadrature=True)
     assert np.max(np.abs(fast - slow)) <= 1e-10
     assert np.max(np.abs(fast - e.coeffs)) <= 1e-10
 
