@@ -82,15 +82,9 @@ def _log_weight(params: JacobiParams, xi) -> np.ndarray:
     h = np.hypot(min(P, Q), y)
     re = const + (P - 0.5) * lp + (Q - 0.5) * lq - y * (ap + aq)
     im = math.copysign(0.5, P - Q) * y * np.log1p(abs(P - Q) / h * ((P + Q) / h)) + (P - 0.5) * ap - (Q - 0.5) * aq
-    # the lift's part per point, -sum ln(p + j + iy) - sum ln(q + j - iy), a p-step and a q-step at a time
-    for j in range(max(k, l)):
-        lift_re = lift_im = 0.0
-        if j < k:
-            lift_re, lift_im = np.log(np.hypot(p + j, y)), -np.arctan2(y, p + j)
-        if j < l:
-            lift_re, lift_im = lift_re + np.log(np.hypot(q + j, y)), lift_im + np.arctan2(y, q + j)
-        re -= lift_re
-        im += lift_im
+    # the lift per point, -sum ln(p + j + iy) - sum ln(q + j - iy), an array per step so one xi rounds as many do
+    re -= sum(np.log(np.hypot(p + j, y)) for j in range(k)) + sum(np.log(np.hypot(q + j, y)) for j in range(l))
+    im += sum(np.arctan2(y, q + j) for j in range(l)) - sum(np.arctan2(y, p + j) for j in range(k))
     return (re + 1j * im) + (_stirling_tail(P + 1j * y) + _stirling_tail(Q - 1j * y))
 
 

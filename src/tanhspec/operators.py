@@ -13,8 +13,9 @@ on every pair, J the pair's orthonormal Jacobi matrix (Olver & Townsend,
 SIAM Rev. 55(3), 2013); its band comes from the Chebyshev Clenshaw
 recurrence in J, a few whole-array products per step.
 
-Band storage is read and applied one stored diagonal at a time.  The banded
-QR hands LAPACK one dense panel of columns at a time (numpy.linalg.qr) and
+Band storage, one half-width on both sides, is read and applied one stored
+diagonal at a time.  The banded QR hands LAPACK one dense panel of columns
+with its right-hand side at a time (numpy.linalg.qr, triangle only) and
 back-substitutes panel by panel, so no Python loop runs per column.
 """
 
@@ -152,7 +153,7 @@ class MultOp:
             b1, b2, spare = spare, b1, b2
         low = jt_minus(*views(B, e), b1, b2, m + 2, spare)
         low[0] += a[0] * _SQRT1_2
-        band = BandedMatrix.zeros(rows, cols, bw, bw)
+        band = BandedMatrix.zeros(rows, cols, bw)
         band.data[bw : bw + m + 1] = low
         for d in range(1, min(m + 1, cols)):  # A[j - d, j] = A[j, j - d]
             band.data[bw - d, d:] = low[d, : cols - d]
@@ -195,32 +196,31 @@ def mult_op(a_coeffs, bandwidth: int, size: int) -> MultOp:
 
 @dataclass(eq=False)
 class BandedMatrix:
-    """Rectangular matrix in band storage: data[i - j + upper_bw, j] = A[i, j]."""
+    """Rectangular matrix in band storage, half-width bw on both sides:
+    data[i - j + bw, j] = A[i, j] (a one-sided band is stored with zeros)."""
 
     rows: int
     cols: int
-    lower_bw: int
-    upper_bw: int
+    bw: int
     data: np.ndarray
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, lower_bw: int, upper_bw: int) -> "BandedMatrix":
+    def zeros(cls, rows: int, cols: int, bw: int) -> "BandedMatrix":
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        data = np.zeros((lower_bw + upper_bw + 1, cols))
-        return cls(rows=rows, cols=cols, lower_bw=lower_bw, upper_bw=upper_bw, data=data)
+        return cls(rows=rows, cols=cols, bw=bw, data=np.zeros((2 * bw + 1, cols)))
 
     def _diagonals(self):
         """Each stored diagonal k = i - j that meets the matrix, with the
         column range lo <= j < hi where it lies inside."""
-        for k in range(max(-self.upper_bw, 1 - self.cols), min(self.lower_bw, self.rows - 1) + 1):
+        for k in range(max(-self.bw, 1 - self.cols), min(self.bw, self.rows - 1) + 1):
             yield k, max(0, -k), min(self.cols, self.rows - k)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
         for k, lo, hi in self._diagonals():
             j = np.arange(lo, hi)
-            out[j + k, j] = self.data[k + self.upper_bw, lo:hi]
+            out[j + k, j] = self.data[k + self.bw, lo:hi]
         return out
 
     def matvec(self, v) -> np.ndarray:
@@ -229,7 +229,7 @@ class BandedMatrix:
             raise ValueError(f"vector length {v.size} does not match {self.cols} columns")
         out = np.zeros(self.rows)
         for k, lo, hi in self._diagonals():
-            out[lo + k : hi + k] += self.data[k + self.upper_bw, lo:hi] * v[lo:hi]
+            out[lo + k : hi + k] += self.data[k + self.bw, lo:hi] * v[lo:hi]
         return out
 
 
@@ -256,12 +256,12 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs):
     """Least-squares solve of a banded rectangular system by blocked QR.
 
     Columns are factored _PANEL at a time: the panel's dense block (its
-    rows down to lower_bw below it, its columns out to the fill-in width
-    lower_bw + upper_bw) is factored by numpy.linalg.qr, and Q^T is
-    applied to the rest of the block and to b.  The rows below the panel
-    carry into the next block; the panel's rows are finished rows of R,
+    rows down to bw below it, its columns out to the fill-in width 2 bw)
+    is factored with b appended by one numpy.linalg.qr that forms no Q.
+    The panel's rows of the triangle are finished rows of R and of Q^T b,
     kept for a back-substitution that solves one panel's triangle at a
-    time.  Returns the solution.
+    time; the rows below, an orthogonal transform of the rows under the
+    panel, carry into the next block.  Returns the solution.
 
     Raises
     ------
@@ -274,23 +274,22 @@ def banded_qr_lstsq(mat: BandedMatrix, rhs):
     b = np.asarray(rhs, dtype=float).copy()
     if b.size != m:
         raise ValueError(f"rhs length {b.size} does not match {m} rows")
-    lb, ub = mat.lower_bw, mat.upper_bw
-    ubw = lb + ub  # upper bandwidth of R after fill-in
+    bw = mat.bw
+    ubw = 2 * bw  # upper bandwidth of R after fill-in
     data = np.pad(mat.data, ((0, 0), (0, ubw)))
-    i, k = np.ogrid[: _PANEL + lb, : _PANEL + ubw]
-    d = i - k + ub  # row in mat.data of the block entry A[j + i, j + k]
+    i, k = np.ogrid[: _PANEL + bw, : _PANEL + ubw]
+    d = i - k + bw  # row in mat.data of the block entry A[j + i, j + k]
     inband, d = (d >= 0) & (d <= ubw), np.clip(d, 0, ubw)
     panels, carry = [], np.zeros((0, ubw))
     for j in range(0, n, _PANEL):
         w = min(_PANEL, n - j)
-        h, cols = min(w + lb, m - j), w + ubw
+        h, cols = min(w + bw, m - j), w + ubw
         block = np.where(inband[:h, :cols], data[d[:h, :cols], j + k[:, :cols]], 0.0)
         block[: len(carry), :ubw] = carry
-        q, r = np.linalg.qr(block[:, :w], mode="complete")
-        rest = q.T @ np.column_stack([block[:, w:], b[j : j + h]])
-        b[j : j + h] = rest[:, -1]
-        panels.append((j, r[:w], rest[:w, :-1]))
-        carry = rest[w:, :-1]
+        r = np.linalg.qr(np.column_stack([block, b[j : j + h]]), mode="r")
+        b[j : j + h] = r[:, -1]
+        panels.append((j, r[:w, :w], r[:w, w:-1]))
+        carry = r[w:, w:-1]
 
     rdiag = np.abs(np.concatenate([np.diag(r) for _, r, _ in panels]))
     biggest = rdiag.max()

@@ -414,8 +414,8 @@ def toeplitz_hankel_parts(a, size: int, params=JacobiParams(-0.5, -0.5)):
 
 def band_get(mat, i: int, j: int) -> float:
     """A[i, j] of a BandedMatrix read from its storage, 0 off the band."""
-    if -mat.upper_bw <= i - j <= mat.lower_bw:
-        return float(mat.data[i - j + mat.upper_bw, j])
+    if abs(i - j) <= mat.bw:
+        return float(mat.data[i - j + mat.bw, j])
     return 0.0
 
 

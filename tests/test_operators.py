@@ -296,10 +296,12 @@ class TestBandedMatrix:
     @pytest.mark.parametrize("rows,cols,lb,ub", [(9, 7, 2, 1), (5, 8, 1, 3), (6, 6, 0, 0), (4, 4, 5, 5)])
     def test_to_dense_and_matvec_agree_with_get(self, rows, cols, lb, ub):
         rng = np.random.default_rng(rows * cols + lb)
-        mat = BandedMatrix.zeros(rows, cols, lb, ub)
-        # fill every stored slot, including those that fall outside the
-        # matrix, which to_dense and matvec must ignore
-        mat.data[:] = rng.standard_normal(mat.data.shape)
+        # a band lb below and ub above the diagonal, stored at the larger width:
+        # fill every slot of its diagonals, including those that fall outside
+        # the matrix, which to_dense and matvec must ignore
+        bw = max(lb, ub)
+        mat = BandedMatrix.zeros(rows, cols, bw)
+        mat.data[bw - ub : bw + lb + 1] = rng.standard_normal((lb + ub + 1, cols))
         dense = mat.to_dense()
         v = rng.standard_normal(cols)
         got = mat.matvec(v)
@@ -323,7 +325,7 @@ class TestAssemble:
         want[j + 1, j] += d.b[:n]
         want[j[1:] - 1, j[1:]] -= d.b[: n - 1]
         L = assemble_first_order(d, mult_op(a, M, n), n)
-        assert (L.lower_bw, L.upper_bw) == (bw, bw)
+        assert L.bw == bw
         assert np.array_equal(L.to_dense(), want)
 
     def test_pure_differentiation_band(self):
@@ -343,7 +345,7 @@ class TestAssemble:
         d = diff_coeffs(T_PAIR, 40)
         mo = mult_op(np.ones(5), 4, 32)
         L = assemble_first_order(d, mo, 32)
-        assert L.lower_bw == 4 and L.upper_bw == 4
+        assert L.bw == 4
         dense = L.to_dense()
         i, j = np.nonzero(dense)
         assert np.max(np.abs(i - j)) <= 4
@@ -379,10 +381,12 @@ class TestBandedQR:
     )
     def test_against_dense_lstsq(self, seed, rows, cols, lb, ub):
         rng = np.random.default_rng(seed)
-        mat = BandedMatrix.zeros(rows, cols, lb, ub)
+        # lb below and ub above the diagonal, stored at the larger width
+        bw = max(lb, ub)
+        mat = BandedMatrix.zeros(rows, cols, bw)
         for j in range(cols):
             for i in range(max(0, j - ub), min(rows, j + lb + 1)):
-                mat.data[i - j + ub, j] = rng.standard_normal() + (2.0 if i == j else 0.0)
+                mat.data[i - j + bw, j] = rng.standard_normal() + (2.0 if i == j else 0.0)
         rhs = rng.standard_normal(rows)
         x = banded_qr_lstsq(mat, rhs)
         want, *_ = np.linalg.lstsq(mat.to_dense(), rhs, rcond=None)
@@ -393,12 +397,36 @@ class TestBandedQR:
         [pytest.param(5, 4, 2, id="first-panel"), pytest.param(80, 75, 50, id="later-panel")],
     )
     def test_rank_deficiency_detected(self, rows, cols, zero):
-        mat = BandedMatrix.zeros(rows, cols, 1, 1)
+        mat = BandedMatrix.zeros(rows, cols, 1)
         for j in range(cols):
             if j != zero:
                 mat.data[1, j] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match=rf"rank-deficient system: \|R\[{zero},{zero}\]\|"):
             banded_qr_lstsq(mat, np.ones(rows))
+
+    @staticmethod
+    def _assembled(params, n, m=8):
+        rng = np.random.default_rng(12)
+        a = np.concatenate([[3.0], rng.standard_normal(m) * 0.5 ** np.arange(1, m + 1)])
+        mat = assemble_first_order(diff_coeffs(params, n + m), mult_op(a, m, n), n)
+        return mat, rng.standard_normal(mat.rows) / (1.0 + np.arange(mat.rows))
+
+    @pytest.mark.parametrize("params", [T_PAIR, JacobiParams(1.3, 0.2)], ids=["T", "1.3-0.2"])
+    def test_assembled_system_at_scale(self, params):
+        # n = 1024 against dense lstsq (1.4e-15 measured); n = 4096 by the normal equations,
+        # |L^T r| <= C |L|_F |r| (C = 3.5e-15 measured), L^T r formed one stored diagonal at a time
+        mat, rhs = self._assembled(params, 1024)
+        want, *_ = np.linalg.lstsq(mat.to_dense(), rhs, rcond=None)
+        assert np.max(np.abs(banded_qr_lstsq(mat, rhs) - want)) <= 1.5e-14
+        mat, rhs = self._assembled(params, 4096)
+        r = mat.matvec(banded_qr_lstsq(mat, rhs)) - rhs
+        lt_r, fro2 = np.zeros(mat.cols), 0.0
+        for k in range(-mat.bw, mat.bw + 1):
+            lo, hi = max(0, -k), min(mat.cols, mat.rows - k)
+            diag = mat.data[k + mat.bw, lo:hi]
+            lt_r[lo:hi] += diag * r[lo + k : hi + k]
+            fro2 += diag @ diag
+        assert np.linalg.norm(lt_r) <= 4e-14 * math.sqrt(fro2) * np.linalg.norm(r)
 
 
 class TestSolveFirstOrder:
@@ -491,16 +519,16 @@ ERROR_PATHS = [
     ("mult_op-negative-bandwidth", lambda: mult_op([1.0], -1, 4), "bandwidth must be nonnegative (got -1)"),
     ("mult_op-past-bandwidth", lambda: mult_op([1.0, 0.0, 0.5], 1, 4),
      "nonzero coefficients beyond the declared bandwidth"),
-    ("zeros-rows", lambda: BandedMatrix.zeros(0, 3, 1, 1), "matrix dimensions must be positive"),
-    ("matvec-length", lambda: BandedMatrix.zeros(3, 3, 1, 1).matvec(np.ones(2)),
+    ("zeros-rows", lambda: BandedMatrix.zeros(0, 3, 1), "matrix dimensions must be positive"),
+    ("matvec-length", lambda: BandedMatrix.zeros(3, 3, 1).matvec(np.ones(2)),
      "vector length 2 does not match 3 columns"),
     ("assemble-n", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 0),
      "truncation size must be positive (got 0)"),
     ("assemble-short", lambda: assemble_first_order(diff_coeffs(T_PAIR, 4), mult_op([1.0, 0.5], 1, 8), 4),
      "DiffOp holds 4 couplings, need at least 5"),
-    ("qr-wide", lambda: banded_qr_lstsq(BandedMatrix.zeros(2, 3, 1, 1), np.ones(2)),
+    ("qr-wide", lambda: banded_qr_lstsq(BandedMatrix.zeros(2, 3, 1), np.ones(2)),
      "system must have at least as many rows as columns"),
-    ("qr-rhs-length", lambda: banded_qr_lstsq(BandedMatrix.zeros(3, 2, 1, 1), np.ones(2)),
+    ("qr-rhs-length", lambda: banded_qr_lstsq(BandedMatrix.zeros(3, 2, 1), np.ones(2)),
      "rhs length 2 does not match 3 rows"),
 ]
 
