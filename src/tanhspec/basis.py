@@ -43,7 +43,7 @@ _LN2 = math.log(2.0)
 
 
 def _log_weight_full(params: JacobiParams, x: np.ndarray) -> np.ndarray:
-    # the one boundary-weight formula: synthesis and analysis (transforms._node_set) take it at the same x.
+    # the one boundary-weight formula: synthesis and the quadrature route (transforms._rule_nodes) take it at x.
     # ln (1 -+ tanh x) = ln 2 - ln(1 + e^{+-2x}), exact where tanh saturates; the weight is exactly 0.0 from
     # |x| = 1e300 for every a, b > -1, so the clamp is exact and keeps 2x finite at the top of the float range
     x = np.clip(x, -1e300, 1e300)
@@ -124,6 +124,8 @@ def _full_sum(params: JacobiParams, coeffs: np.ndarray, x):
     in t = tanh x of (-1)^m coeffs[m] (coeffs is not modified) on the flattened points, whose log scale starts
     at the boundary weight: each block of rows p_m adds one matrix-vector product."""
     pts = np.asarray(x, dtype=float).ravel()
+    if np.isnan(pts).any():
+        raise ValueError("x must not be NaN")
     v = np.array(coeffs, dtype=float)
     v[1::2] *= -1.0
     log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)

@@ -102,17 +102,17 @@ def _fh_weights(nodes: np.ndarray, d: int) -> np.ndarray:
     return w
 
 
-def _barycentric(x_samples: np.ndarray, values: np.ndarray, blend: int = 3):
+def _barycentric(x_samples: np.ndarray, values: np.ndarray):
     """Rational barycentric interpolant (Floater-Hormann, blend degree 3).
 
     Works directly in x, where sample grids are typically near-uniform:
     stable for arbitrary strictly increasing nodes (no spurious poles),
-    exact on polynomials of degree <= blend, locally O(h^{blend+1})
-    accurate, and constant beyond the sampled window (expansion grids reach
-    far into the tails, where decayed samples pin the interpolant).
+    exact on cubics, locally O(h^4) accurate, and constant beyond the
+    sampled window (expansion grids reach far into the tails, where decayed
+    samples pin the interpolant).
     """
     nodes = np.asarray(x_samples, dtype=float)
-    w = _fh_weights(nodes, min(blend, nodes.size - 1))
+    w = _fh_weights(nodes, min(3, nodes.size - 1))
     block = max(1, _BLOCK_ENTRIES // nodes.size)  # points per block
 
     def f(x):

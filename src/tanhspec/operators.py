@@ -161,9 +161,9 @@ class MultOp:
 
     def apply(self, c, *, params: JacobiParams = JacobiParams(-0.5, -0.5)) -> np.ndarray:
         """Banded action in the basis of `params`, exact on windows at least as
-        long as the input support plus M."""
+        long as the input support plus M; an empty window maps to an empty one."""
         c = np.asarray(c, dtype=float)
-        return self._band(c.size, c.size, self.bandwidth, params).matvec(c)
+        return self._band(c.size, c.size, self.bandwidth, params).matvec(c) if c.size else np.zeros(0)
 
     def dense(self, rows: int | None = None, cols: int | None = None, *,
               params: JacobiParams = JacobiParams(-0.5, -0.5)) -> np.ndarray:

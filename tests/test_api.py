@@ -26,11 +26,13 @@ def test_package_exports_exactly_its_imports():
 
 
 def test_fixed_settings_take_no_parameter():
+    from tanhspec.cli import _barycentric
     from tanhspec.operators import banded_qr_lstsq
     from tanhspec.transforms import analyze_unweighted
 
     assert list(inspect.signature(analyze_unweighted).parameters) == ["f", "m_max"]
     assert list(inspect.signature(banded_qr_lstsq).parameters) == ["mat", "rhs"]
+    assert list(inspect.signature(_barycentric).parameters) == ["x_samples", "values"]
 
 
 _SPEC = BasisSpec(JacobiParams(1.3, 0.2))
@@ -49,3 +51,17 @@ def test_points_of_any_shape(call, points):
     # values shaped like their points, bit for bit those of the flat call
     got, flat = call(points.reshape(2, 3)), call(points)
     assert got.shape == (2, 3) and got.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: tanhspec.phi_full(_SPEC, 2, x),
+    lambda x: tanhspec.derivative_pointwise(_SPEC, 2, x),
+    lambda x: tanhspec.clenshaw_eval(_EXPANSION, x),
+    lambda x: tanhspec.synthesize(_EXPANSION, x),
+], ids=["phi_full", "derivative_pointwise", "clenshaw_eval", "synthesize"])
+def test_nan_points_raise_infinite_points_vanish(call):
+    # a NaN x has no value; the weight makes every function exactly 0 at x = +-inf
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        call(np.array([np.nan, np.inf, -np.inf, 0.5]))
+    got = call(np.array([np.inf, -np.inf, 0.5]))
+    assert got[:2].tolist() == [0.0, 0.0] and got[2] != 0.0

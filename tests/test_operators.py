@@ -544,5 +544,6 @@ def test_empty_input_and_zero_tail():
     # an empty window maps to an empty one; zero coefficients past the bandwidth are dropped
     d = diff_coeffs(T_PAIR, 4)
     assert diff_apply(d, []).shape == (0,) and diff_squared_apply(d, []).shape == (0,)
+    assert MultOp([1.0, 0.5], 4).apply([]).shape == (0,)
     op = mult_op([1.0, 0.5, 0.0, 0.0], 1, 8)
     assert op.bandwidth == 1 and op.a_coeffs.tolist() == [1.0, 0.5]

@@ -86,7 +86,7 @@ def test_quadrature_next_to_minus_one_large_partner():
 def test_cached_rule_equals_fresh_rule(params, n):
     cached = transforms_mod._rule_nodes(params, n)
     fresh = gauss_jacobi(params, n)
-    want = transforms_mod._node_set(fresh.angles, fresh)  # the kernel's points t: the rule's kept tail of nodes
+    want = transforms_mod._rule_nodes.__wrapped__(params, n)  # the kernel's points t: the rule's kept tail of nodes
     assert want.t.tobytes() == fresh.nodes[n - want.x.size :].tobytes()
     assert all(got.tobytes() == new.tobytes() for got, new in zip(cached, want))
     assert transforms_mod._rule_nodes(params, n) is cached

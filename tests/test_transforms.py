@@ -355,7 +355,7 @@ class TestQuadratureProjection:
         p = JacobiParams(a, b)
         for n in (1, 7, 64, 65, 300, 2048):
             rule = gauss_jacobi(p, n)
-            x = transforms_mod._node_set(rule.angles).x  # every node, also of a symmetric rule
+            x = transforms_mod._mapped_x(rule.angles)  # every node, also of a symmetric rule
             F = np.exp(-0.5 * x**2) / np.cosh(x - 0.3)
             got = project(recurrence(p, "jacobi", n), rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p))
             want = project_rowwise(p, rule, F)
@@ -476,3 +476,15 @@ def test_wrong_shape_output_sampled_pointwise(a, b):
 
     got = analyze_full(_full(a, b), first_only, 16).coeffs
     assert got.tobytes() == analyze_full(_full(a, b), _sech, 16).coeffs.tobytes()
+
+
+def test_bandlimited_accuracy_script(capsys):
+    # the script is not collected; one short run keeps it working
+    import bandlimited_accuracy
+
+    bandlimited_accuracy.main(["full,half", "0,2,-0.9:1.3", "32"])
+    rows = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
+    assert [r[0] for r in rows] == ["n=32 a=0.0", "n=32 a=2.0", "n=32 a=-0.9 b=1.3"]
+    assert [r[2] for r in rows] == [rows[0][1].replace("full", "half"), rows[1][1].replace("full", "half"), "half -"]
+    errors = [float(cell.split()[1]) for r in rows for cell in r[1:] if cell != "half -"]
+    assert len(errors) == 5 and max(errors) < 1e-13
