@@ -14,7 +14,9 @@ orthonormal polynomials of that measure.  C underflows once a and b near
 cancel in algebra (_log_weight).  Each function takes the JacobiParams of
 its pair and evaluates only that closed form: Barnes' first lemma makes the
 unit mass of |g|^2 dxi an identity of it, which the tests check by
-quadrature.  The p_m, generalised Carlitz polynomials, satisfy
+quadrature.  The p_m, the paper's generalised Carlitz polynomials, are the
+continuous Hahn p_m(xi/2; P, Q, P, Q) orthonormalised, P = (a+1)/2 and
+Q = (b+1)/2 (Koekoek, Lesky & Swarttouw 2010, section 9.4), and satisfy
 xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1} (b_m the differentiation couplings),
 the pair's cached Carlitz table, summed by jacobi.forward_sum and shaped like xi.
 (The i^m phase, rather than (-i)^m, is forced jointly by F[f'] = i xi F[f]

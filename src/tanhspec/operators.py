@@ -46,6 +46,14 @@ _PANEL = 32  # columns per QR panel of banded_qr_lstsq
 _RANK_TOL = 1e-13  # smallest |R_jj| / max |R_jj| that banded_qr_lstsq accepts
 
 
+def _window(c) -> np.ndarray:
+    """c as a float array; raises ValueError unless it is 1-d."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"coefficients must form a 1-d sequence (got shape {c.shape})")
+    return c
+
+
 def diff_apply(d: DiffOp, c) -> np.ndarray:
     """Apply the differentiation operator to a coefficient window.
 
@@ -53,7 +61,7 @@ def diff_apply(d: DiffOp, c) -> np.ndarray:
     c_n = 0; pad with trailing zeros when the output must match the
     infinite operator exactly.
     """
-    c = np.asarray(c, dtype=float)
+    c = _window(c)
     n = c.size
     if n == 0:
         return np.zeros(0)
@@ -73,7 +81,7 @@ def diff_squared_apply(d: DiffOp, c) -> np.ndarray:
     restricted to the first n entries, so the window never sees truncation
     (and the quadratic form c . D^2 c = -|Dc|^2 stays nonpositive).
     """
-    c = np.asarray(c, dtype=float)
+    c = _window(c)
     n = c.size
     if n == 0:
         return np.zeros(0)
@@ -87,6 +95,8 @@ def dense_diff(d: DiffOp, n: int) -> np.ndarray:
     Sub/super diagonals hold +-b_m built from shared values, so the
     skew-symmetry D + D^T = 0 is bitwise.
     """
+    if n < 0:
+        raise ValueError(f"window size must be nonnegative (got {n})")
     if len(d) < n - 1:
         raise ValueError(f"DiffOp holds {len(d)} couplings, need at least {n - 1}")
     out = np.zeros((n, n))
@@ -162,7 +172,7 @@ class MultOp:
     def apply(self, c, *, params: JacobiParams = JacobiParams(-0.5, -0.5)) -> np.ndarray:
         """Banded action in the basis of `params`, exact on windows at least as
         long as the input support plus M; an empty window maps to an empty one."""
-        c = np.asarray(c, dtype=float)
+        c = _window(c)
         return self._band(c.size, c.size, self.bandwidth, params).matvec(c) if c.size else np.zeros(0)
 
     def dense(self, rows: int | None = None, cols: int | None = None, *,

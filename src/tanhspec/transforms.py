@@ -8,8 +8,9 @@ Gauss-Jacobi rule in O(N^2), one jacobi.project of the samples (one
 matrix-vector product per block of the recurrence kernel) started at a log
 scale per node that holds the rule's log weight; at a = b, of f folded
 onto the symmetric rule's nodes with t >= 0.  The rule itself is a few
-sweeps of the same kernel (jacobi.gauss_jacobi), cached per (params, N).
-Each route builds its own node set (_grid, _rule_nodes).  Half mode runs
+sweeps of the same kernel (jacobi.gauss_jacobi), cached per (params, N)
+as the x, t and log start it reads (_rule_nodes); the grid is cached per N
+as a SampleGrid with the kernels' factor (_grid).  Half mode runs
 the full-range transform of its (a, a) pair, whose functions it names.
 Both routes approximate the same integrals (quadrature semantics,
 no endpoint samples), so they agree to rounding on band-limited inputs.
@@ -18,7 +19,6 @@ no endpoint samples), so they agree to rounding on band-limited inputs.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,20 +110,11 @@ def dct(kind: str, data) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
-    """First-kind Chebyshev angles with their mapped real-line sample points."""
+    """First-kind Chebyshev angles with their mapped real-line sample points (read-only arrays)."""
 
     theta: np.ndarray
     x: np.ndarray
     size: int
-
-
-class _Nodes(NamedTuple):
-    """Sample nodes of one transform: the fast Chebyshev grid (_grid) or a Gauss-Jacobi rule (_rule_nodes)."""
-
-    x: np.ndarray
-    theta: np.ndarray
-    scale: np.ndarray  # per sample: the grid's factor, a rule's log start scale of jacobi.project
-    t: np.ndarray | None = None  # a rule's kernel points: its nodes, at a = b those with t >= 0
 
 
 def _mapped_x(theta: np.ndarray) -> np.ndarray:
@@ -132,42 +123,41 @@ def _mapped_x(theta: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid(n: int) -> _Nodes:
-    """The fast paths' n-point Chebyshev grid, read-only (every caller of the cache shares it): its scale sqrt(pi/2)
+def _grid(n: int) -> tuple[SampleGrid, np.ndarray]:
+    """The fast paths' n-point Chebyshev grid and its factor, read-only (all callers share them): sqrt(pi/2)
     cosh^{1/2} x is sqrt(pi) 2^{(a+b)/2} times the premultiplier sin(theta/2)^{a+1/2} cos(theta/2)^{b+1/2} over W."""
     theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
     x = _mapped_x(theta)
-    scale = math.sqrt(0.5 * math.pi) * np.sqrt(np.cosh(x))
-    for arr in (x, theta, scale):
+    factor = math.sqrt(0.5 * math.pi) * np.sqrt(np.cosh(x))
+    for arr in (x, theta, factor):
         arr.flags.writeable = False
-    return _Nodes(x, theta, scale)
+    return SampleGrid(theta, x, n), factor
 
 
 @lru_cache(maxsize=16)
-def _rule_nodes(params: JacobiParams, n: int) -> _Nodes:
-    """The n-point Gauss-Jacobi rule's node set, read-only (every caller of the cache shares it): its scale is the
-    log start ln w_k - ln sqrt(g_0) - ln W(x_k), so only w_k F_k q_m(t_k) is formed.  Of a symmetric rule (a = b)
-    only the nodes with t >= 0 are kept, onto which _coefficients folds f, and the node at t = 0 of an odd one,
-    its own mirror, counts half.  One O(n^2) rule, at most 40 n bytes, serves every function at (params, n): on
-    quad_eval's task stream (seeds 1 and 2, 6 cycles) 96 of 148 calls hit at 8, 16 or 32 entries (39-48 at 4)."""
+def _rule_nodes(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point Gauss-Jacobi rule's sample points x, kernel points t and log start ln w_k - ln sqrt(g_0) - ln W(x_k),
+    read-only (every caller of the cache shares them), so jacobi.project forms only w_k F_k q_m(t_k).  Of a symmetric
+    rule (a = b) only the nodes with t >= 0 are kept, onto which _coefficients folds f, and the node at t = 0 of an odd
+    one, its own mirror, counts half.  One O(n^2) rule, 24 n bytes (16 n at a = b), serves every function at (params,
+    n): on quad_eval's task stream (seeds 1 and 2, 6 cycles) 96 of 148 calls hit at 8, 16 or 32 entries (39-48 at 4)."""
     rule = gauss_jacobi(params, n)
     kept = slice(n // 2 if params.alpha == params.beta else 0, None)
     x = _mapped_x(rule.angles[kept])
-    scale = rule.log_weights[kept] - 0.5 * log_jacobi_norm(params) - _log_weight_full(params, x)
+    log_start = rule.log_weights[kept] - 0.5 * log_jacobi_norm(params) - _log_weight_full(params, x)
     if params.alpha == params.beta and n % 2:
-        scale[0] -= math.log(2.0)
-    nodes = _Nodes(x, rule.angles[kept], scale, rule.nodes[kept])
-    for arr in nodes:
+        log_start[0] -= math.log(2.0)
+    t = rule.nodes[kept]  # a view: all n nodes stay held
+    for arr in (x, t, log_start):
         arr.flags.writeable = False
-    return nodes
+    return x, t, log_start
 
 
 def sample_grid(n: int) -> SampleGrid:
-    """The N-point grid that the fast paths of both modes sample (no endpoint samples); read-only arrays."""
+    """The N-point grid that the fast paths of both modes sample (no endpoint samples); one cached, read-only grid."""
     if n < 1:
         raise ValueError(f"grid size must be positive (got {n})")
-    g = _grid(n)
-    return SampleGrid(theta=g.theta, x=g.x, size=n)
+    return _grid(n)[0]
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:
@@ -180,16 +170,12 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
         vals = np.array([float(f(xi)) for xi in x])
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        where = x[bad][0]
-        raise ValueError(
-            f"non-finite sample f({where!r}); the function decays too slowly "
-            "for this basis (modified integrand unbounded)"
-        )
+        raise ValueError(f"non-finite sample f({float(x[bad][0])!r}) = {float(vals[bad][0])!r}")
     return vals
 
 
 #: (a, b) -> kind: the orthonormal (a, b) coefficients of f on the N-point
-#: grid are (2/N) kind(f scale) (_kernel), scale the grid's factor (_grid)
+#: grid are (2/N) kind(f factor) (_kernel), factor the grid's (_grid)
 _KERNEL_TABLE = {(-0.5, -0.5): "DCT-II", (0.5, 0.5): "DST-II", (0.5, -0.5): "DST-IV", (-0.5, 0.5): "DCT-IV"}
 
 
@@ -212,16 +198,16 @@ def _coefficients(params: JacobiParams, f, n: int, quadrature: bool = False) -> 
     f(x) +- f(-x) at the nodes with t >= 0, the first giving the even m, the second the odd."""
     kind = None if quadrature else _KERNEL_TABLE.get((params.alpha, params.beta))
     if kind:
-        nodes = _grid(n)
-        c = _kernel(kind, _sample(f, nodes.x) * nodes.scale)
+        grid, factor = _grid(n)
+        c = _kernel(kind, _sample(f, grid.x) * factor)
     else:
-        nodes = _rule_nodes(params, n)
-        fx = _sample(f, nodes.x)
+        x, t, log_start = _rule_nodes(params, n)
+        fx = _sample(f, x)
         if params.alpha != params.beta:
-            c = project(recurrence(params, "jacobi", n), fx, nodes.t, nodes.scale)
+            c = project(recurrence(params, "jacobi", n), fx, t, log_start)
         else:
-            fy = _sample(f, -nodes.x)
-            c, odd = project(recurrence(params, "jacobi", n), np.stack([fx + fy, fx - fy]), nodes.t, nodes.scale)
+            fy = _sample(f, -x)
+            c, odd = project(recurrence(params, "jacobi", n), np.stack([fx + fy, fx - fy]), t, log_start)
             c[1::2] = odd[1::2]
     c[1::2] *= -1.0
     return c
@@ -257,8 +243,8 @@ def analyze_unweighted(f, m_max: int) -> np.ndarray:
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative (got {m_max})")
-    grid = _grid(max(32, 2 * (m_max + 1)))
-    return _kernel("DCT-II", _sample(f, grid.x))[: m_max + 1]
+    x = _grid(max(32, 2 * (m_max + 1)))[0].x
+    return _kernel("DCT-II", _sample(f, x))[: m_max + 1]
 
 
 def synthesize(e: Expansion, points) -> np.ndarray:

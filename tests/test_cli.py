@@ -278,11 +278,18 @@ class TestParameterScan:
     @pytest.mark.parametrize("argv", [
         ["basis", "--alpha", "1.7e308", "--beta", "0", "--m-list", "0,1", "--points", "0,1"],  # math.lgamma of ln g_0
         ["expand", "--alpha", "1e308", "--beta", "1e308", "--n", "4", "--fn", "sech"],  # a + b = inf
-    ], ids=["basis", "expand"])
-    def test_overflow_at_the_top_of_the_float_range(self, argv, capsys):
-        code = run(*argv)
+        ["ft", "--alpha", "1e308", "--beta", "1e308", "--in", "TABLE", "--points", "0"],
+        ["diff", "--alpha", "1e308", "--beta", "1e308", "--in", "TABLE", "--points", "0"],
+    ], ids=["basis", "expand", "ft", "diff"])
+    def test_overflow_at_the_top_of_the_float_range(self, argv, tmp_path, capsys):
+        table = tmp_path / "c.csv"
+        write_table(str(table), _cols([{"m": 0, "c": 1.0}, {"m": 1, "c": 0.5}]), "csv")
+        code = run(*(str(table) if arg == "TABLE" else arg for arg in argv))
         stderr = capsys.readouterr().err
         assert code == 3 and stderr.startswith("error: overflow") and stderr.count("\n") == 1
+        if argv[0] in ("ft", "diff"):
+            assert stderr == "error: overflow: alpha + beta is past the float range at " \
+                "JacobiParams(alpha=1e+308, beta=1e+308)\n"
 
     def test_weights_past_the_top_of_the_float_range(self, tmp_path, monkeypatch):
         # the weights of the (1e6, 0) rule sum to 2^(1e6+1) / (1e6+1); their logs are finite, but lie

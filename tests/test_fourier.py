@@ -24,6 +24,8 @@ from tanhspec import (
 from tanhspec import fourier as fourier_mod
 
 from oracles import (
+    _log_weight_mp,
+    carlitz_hahn_mp,
     carlitz_rowwise,
     direct_fourier,
     fourier_backward,
@@ -307,6 +309,38 @@ class TestCarlitzPolynomials:
                 val = gauss_panels(integrand, -cut, cut, 0.5, npts=20)
                 want = 1.0 if i == j else 0.0
                 assert abs(val - want) <= 1e-8
+
+
+#: (a, b, degrees, xi): the p_m against their continuous Hahn closed form, at the huge pairs out to 4 sqrt(a)
+HAHN_CASES = [*((a, b, (0, 1, 2, 5, 20, 60), np.array([-7.3, -1.0, 0.0, 0.4, 3.0, 11.0])) for a, b in
+                [(1.3, 0.2), (0.0, 0.0), (-0.5, -0.5), (0.5, -0.5), (-0.9, 3.0), (80.0, 80.0), (2.0, 5.0)]),
+              *((a, b, range(11), math.sqrt(max(a, b)) * np.array([0.0, 0.3, -1.0, 2.0, 4.0]))
+                for a, b in [(1e6, 1e6), (1e12, 3.0), (1e3, -0.999)])]
+
+
+class TestContinuousHahn:
+    """The p_m are continuous Hahn polynomials (KLS section 9.4), summed without a recurrence (carlitz_hahn_mp)."""
+
+    @pytest.mark.parametrize("a,b,degrees,xi", HAHN_CASES, ids=[f"{c[0]},{c[1]}" for c in HAHN_CASES])
+    def test_carlitz_eval_is_continuous_hahn(self, a, b, degrees, xi):
+        # measured: at most 3.5e-15 of max|p_m| for m <= 60, 8.8e-16 at the huge pairs for m <= 10
+        bound = 1e-15 if max(a, b) >= 1e3 else 4e-15
+        for m in degrees:
+            want = carlitz_hahn_mp(a, b, m, xi)
+            assert np.max(np.abs(carlitz_eval(JacobiParams(a, b), m, xi) - want)) <= bound * np.max(np.abs(want)), m
+
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (0.0, 0.0), (-0.5, -0.5), (-0.9, 3.0), (2.0, 5.0), (80.0, 80.0),
+                                     (1e6, 1e6), (1e12, 3.0)])
+    def test_transform_against_hahn_sum(self, a, b):
+        # g sum_m i^m c_m p_m with ln g from mpmath.loggamma and no recurrence, xi across the weight's width:
+        # measured at most 2.1e-15 of max|F|
+        n = 13 if max(a, b) < 1e3 else 11
+        c = np.random.default_rng(15).standard_normal(n) * 0.7 ** np.arange(n)
+        xi = math.sqrt(max(1.0, min(a, b))) * np.array([0.0, 0.4, -1.0, 3.0, -7.3, 11.0])
+        rows = np.array([carlitz_hahn_mp(a, b, m, xi) for m in range(n)])
+        want = np.exp(_log_weight_mp(a, b, xi.tobytes())) * ((1j ** np.arange(n) * c) @ rows)
+        got = fourier_transform(Expansion(BasisSpec(JacobiParams(a, b)), c), xi)
+        assert np.max(np.abs(got - want)) <= 3e-15 * np.max(np.abs(want))
 
 
 # Coefficients c_m = N(0, 1) / (1 + m) against the backward Clenshaw loop the

@@ -810,17 +810,23 @@ def _phi_mp(a, b, m, x, rows):
 _TABLE = recurrence(JacobiParams(1.3, 0.2), "jacobi", 4)
 
 
-@pytest.mark.parametrize("call,start", [
-    (lambda: recurrence(JacobiParams(0.0, 0.0), "jacobi", 0), "count must be positive (got 0)"),
-    (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 0), "rule size must be positive (got 0)"),
-    (lambda: recurrence(JacobiParams(0.0, 0.0), "hermite", 4), "unknown recurrence family 'hermite'"),
-    (lambda: next(orthonormal_blocks(_TABLE, 0.5, 0.0)), "points must be 1-d (got shape ())"),
-    (lambda: forward_sum(_TABLE, np.ones(4), 0.5, 0.0), "points must be 1-d (got shape ())"),
-    (lambda: forward_sum(_TABLE, np.ones(4), np.zeros((2, 3)), 0.0), "points must be 1-d (got shape (2, 3))"),
-    (lambda: project(_TABLE, np.ones((2, 3)), np.zeros((2, 3)), 0.0), "points must be 1-d (got shape (2, 3))"),
-], ids=["recurrence-0", "gauss_jacobi-0", "recurrence-family", "blocks-scalar", "forward_sum-scalar",
-        "forward_sum-2d", "project-2d"])
-def test_error_paths(call, start):
-    with pytest.raises(ValueError) as err:
+@pytest.mark.parametrize("call,error,start", [
+    (lambda: recurrence(JacobiParams(0.0, 0.0), "jacobi", 0), ValueError, "count must be positive (got 0)"),
+    (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 0), ValueError, "rule size must be positive (got 0)"),
+    (lambda: recurrence(JacobiParams(0.0, 0.0), "hermite", 4), ValueError, "unknown recurrence family 'hermite'"),
+    (lambda: recurrence(JacobiParams(1e308, 1e308), "jacobi", 4), OverflowError,
+     "alpha + beta is past the float range at JacobiParams(alpha=1e+308, beta=1e+308)"),
+    (lambda: recurrence(JacobiParams(1e308, 1e308), "carlitz", 4), OverflowError,
+     "alpha + beta is past the float range at JacobiParams(alpha=1e+308, beta=1e+308)"),
+    (lambda: next(orthonormal_blocks(_TABLE, 0.5, 0.0)), ValueError, "points must be 1-d (got shape ())"),
+    (lambda: forward_sum(_TABLE, np.ones(4), 0.5, 0.0), ValueError, "points must be 1-d (got shape ())"),
+    (lambda: forward_sum(_TABLE, np.ones(4), np.zeros((2, 3)), 0.0), ValueError,
+     "points must be 1-d (got shape (2, 3))"),
+    (lambda: project(_TABLE, np.ones((2, 3)), np.zeros((2, 3)), 0.0), ValueError,
+     "points must be 1-d (got shape (2, 3))"),
+], ids=["recurrence-0", "gauss_jacobi-0", "recurrence-family", "recurrence-overflow-jacobi",
+        "recurrence-overflow-carlitz", "blocks-scalar", "forward_sum-scalar", "forward_sum-2d", "project-2d"])
+def test_error_paths(call, error, start):
+    with pytest.raises(error) as err:
         call()
-    assert type(err.value) is ValueError and str(err.value).startswith(start)
+    assert type(err.value) is error and str(err.value).startswith(start)

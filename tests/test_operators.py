@@ -510,12 +510,19 @@ class TestSolveFirstOrder:
 ERROR_PATHS = [
     ("diff_apply-short", lambda: diff_apply(diff_coeffs(T_PAIR, 2), np.ones(3)),
      "DiffOp holds 2 couplings, need at least 3"),
+    ("diff_apply-2d", lambda: diff_apply(diff_coeffs(T_PAIR, 4), np.ones((2, 2))),
+     "coefficients must form a 1-d sequence (got shape (2, 2))"),
+    ("diff_squared_apply-2d", lambda: diff_squared_apply(diff_coeffs(T_PAIR, 4), np.ones((2, 2))),
+     "coefficients must form a 1-d sequence (got shape (2, 2))"),
     ("dense_diff-short", lambda: dense_diff(diff_coeffs(T_PAIR, 2), 4),
      "DiffOp holds 2 couplings, need at least 3"),
+    ("dense_diff-negative", lambda: dense_diff(diff_coeffs(T_PAIR, 2), -1), "window size must be nonnegative (got -1)"),
     ("MultOp-empty", lambda: MultOp([], 4), "coefficient sequence must be nonempty and 1-d"),
     ("MultOp-2d", lambda: MultOp(np.ones((2, 2)), 4), "coefficient sequence must be nonempty and 1-d"),
     ("MultOp-nonfinite", lambda: MultOp([1.0, math.inf], 4), "coefficients must be finite"),
     ("MultOp-size", lambda: MultOp([1.0], 0), "size must be positive (got 0)"),
+    ("MultOp.apply-2d", lambda: mult_op([1.0, 0.5], 1, 4).apply(np.ones((2, 2))),
+     "coefficients must form a 1-d sequence (got shape (2, 2))"),
     ("mult_op-negative-bandwidth", lambda: mult_op([1.0], -1, 4), "bandwidth must be nonnegative (got -1)"),
     ("mult_op-past-bandwidth", lambda: mult_op([1.0, 0.0, 0.5], 1, 4),
      "nonzero coefficients beyond the declared bandwidth"),

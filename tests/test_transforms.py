@@ -119,8 +119,9 @@ class TestSampleGrid:
     def test_rule_map_next_to_one(self):
         # the last node of this rule lies 2e-9 from t = 1; through t its x lost
         # 5.5e-9 relative
-        nodes = transforms_mod._rule_nodes(JacobiParams(-0.999999, -0.999999), 32)
-        _assert_x_within_two_ulp(nodes.theta[-3:], nodes.x[-3:])
+        params = JacobiParams(-0.999999, -0.999999)
+        x = transforms_mod._rule_nodes(params, 32)[0]
+        _assert_x_within_two_ulp(gauss_jacobi(params, 32).angles[-3:], x[-3:])
 
     def test_full_map(self):
         g = sample_grid(8)
@@ -188,10 +189,17 @@ class TestAnalyzeFull:
         assert np.max(np.abs(back.coeffs - e.coeffs)) <= 1e-11
 
     def test_nonfinite_sample_names_point(self):
-        spec = _full(-0.5, -0.5)
-        f = lambda x: np.where(np.abs(x) > 2.0, np.nan, 1.0)
-        with pytest.raises(ValueError, match="non-finite sample"):
-            analyze_full(spec, f, 32)
+        # the check reads f's own samples, so the message names f's value and gives no reason about the basis
+        calls = [lambda f: analyze_full(_full(-0.5, -0.5), f, 32), lambda f: analyze_full(_full(1.3, 0.2), f, 16),
+                 lambda f: analyze_unweighted(f, 15)]  # fast, quadrature, unweighted
+        for analyze in calls:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="non-finite sample") as info:
+                    analyze(lambda x: np.where(x > 1.0, bad, 1.0))
+                msg = str(info.value)
+                point = float(msg[msg.index("(") + 1 : msg.index(")")])
+                assert point > 1.0 and msg == f"non-finite sample f({point!r}) = {bad!r}"
+                assert "np.float64(" not in msg and "decays" not in msg
 
     def test_mode_guard(self):
         with pytest.raises(ValueError):
@@ -437,10 +445,11 @@ class TestNodeCaches:
         with pytest.raises(ValueError, match="read-only"):
             sample_grid(16).theta[0] = 0.0
         assert analyze_full(spec, f, 16).coeffs.tobytes() == before.tobytes()
-        grid = transforms_mod._grid(16)
+        grid, factor = transforms_mod._grid(16)
+        assert sample_grid(16) is grid
         rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), 16)
-        arrays = [*grid[:3], *rule]
-        assert len(arrays) == 7
+        arrays = [grid.theta, grid.x, factor, *rule]
+        assert len(arrays) == 6
         assert not any(a.flags.writeable for a in arrays)
 
 
