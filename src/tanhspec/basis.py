@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import forward_sum, recurrence
-from .special import JacobiParams, log_jacobi_norm
+from .special import JacobiParams, _count, log_jacobi_norm
 
 __all__ = [
     "BasisSpec",
@@ -113,12 +113,6 @@ def _shaped(values: np.ndarray, x):
     return values.item() if values.ndim == 0 else values
 
 
-def _degree(m: int) -> int:
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative (got {m})")
-    return m
-
-
 def _full_sum(params: JacobiParams, coeffs: np.ndarray, x):
     """sum_m coeffs[m] phi_m(x) over the full-range functions of params, shaped like x: one jacobi.forward_sum
     in t = tanh x of (-1)^m coeffs[m] (coeffs is not modified) on the flattened points, whose log scale starts
@@ -140,13 +134,13 @@ def phi_full(spec: BasisSpec, m: int, x):
     no intermediate product underflows before the final exponential.  A
     half-mode spec names the same functions.
     """
-    return _full_sum(spec.params, np.eye(1, _degree(m) + 1, m)[0], x)
+    return _full_sum(spec.params, np.eye(1, _count(m, "degree", least=0) + 1, m)[0], x)
 
 
 def derivative_pointwise(spec: BasisSpec, m: int, x):
     """phi_m'(x) through the tridiagonal coupling:
     -b_{m-1} phi_{m-1}(x) + b_m phi_{m+1}(x), with b_{-1} = 0, as one sum over degrees 0..m+1."""
-    b = diff_coeffs(spec.params, _degree(m) + 1).b
+    b = diff_coeffs(spec.params, _count(m, "degree", least=0) + 1).b
     v = np.zeros(m + 2)
     v[m + 1] = b[m]
     if m:

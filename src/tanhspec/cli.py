@@ -17,7 +17,7 @@ import numpy as np
 from .basis import BasisSpec, Expansion, diff_coeffs, phi_full
 from .fourier import fourier_transform
 from .operators import diff_apply, mult_op, solve_first_order
-from .special import JacobiParams
+from .special import JacobiParams, _count
 from .transforms import analyze_full, analyze_half, analyze_unweighted, synthesize
 
 __all__ = ["main", "entrypoint"]
@@ -241,8 +241,7 @@ def parse_points(spec: str) -> np.ndarray:
             lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise ValueError(f"bad points spec {spec!r}: {exc}") from exc
-        if count < 1:
-            raise ValueError("point count must be positive")
+        _count(count, "point count")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(not_finite)
         return np.linspace(lo, hi, count)
@@ -328,7 +327,7 @@ def cmd_solve(args) -> int:
         rhs = Expansion(spec, padded)
     else:
         rhs = analyze_full(spec, f, args.n)
-    d = diff_coeffs(spec.params, args.n + max(1, args.bandwidth))
+    d = diff_coeffs(spec.params, args.n)
     result = solve_first_order(d, mult, rhs, args.n)
     write_table(args.out, {"m": np.arange(args.n), "c": result.expansion.coeffs}, args.format)
     if pts is not None:
@@ -347,8 +346,8 @@ def cmd_basis(args) -> int:
         ms = [int(p) for p in args.m_list.split(",") if p.strip()]
     except ValueError as exc:
         raise ValueError(f"bad m list {args.m_list!r}: {exc}") from exc
-    if not ms or any(m < 0 for m in ms):
-        raise ValueError("m list must hold nonnegative integers")
+    if not ms:
+        raise ValueError(f"bad m list {args.m_list!r}: names no degree")
     pts = parse_points(args.points)
     write_table(args.out, {"x": pts} | {f"phi_{m}": phi_full(spec, m, pts) for m in ms}, args.format)
     return 0

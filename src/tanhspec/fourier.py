@@ -28,9 +28,9 @@ import math
 
 import numpy as np
 
-from .basis import Expansion, _degree, _shaped
+from .basis import Expansion, _shaped
 from .jacobi import forward_sum, recurrence
-from .special import _LN2, _STIRLING_FROM, JacobiParams, _stirling_tail, log_jacobi_norm
+from .special import _LN2, _STIRLING_FROM, JacobiParams, _count, _stirling_tail, log_jacobi_norm
 
 __all__ = [
     "normalisation_constant",
@@ -125,7 +125,7 @@ def carlitz_eval(params: JacobiParams, m: int, xi):
     """Orthonormal polynomial p_m of the measure |g|^2 dxi, shaped like xi: the jacobi.forward_sum of the unit
     vector e_m over the Carlitz recurrence xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1.  Raises ValueError
     if any xi is not finite."""
-    return _shaped(forward_sum(recurrence(params, "carlitz", _degree(m) + 1), np.eye(1, m + 1, m)[0],
+    return _shaped(forward_sum(recurrence(params, "carlitz", _count(m, "degree", least=0) + 1), np.eye(1, m + 1, m)[0],
                                _finite_xi(xi), 0.0), xi)
 
 

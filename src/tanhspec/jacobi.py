@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .special import JacobiParams, log_jacobi_norm
+from .special import _SIZE_LIMIT, JacobiParams, _count, log_jacobi_norm
 
 __all__ = [
     "QuadratureRule",
@@ -91,8 +91,7 @@ def recurrence(params: JacobiParams, family: str, n: int) -> Recurrence:
     OverflowError where a+b is past the float range."""
     if family not in ("jacobi", "carlitz"):
         raise ValueError(f"unknown recurrence family {family!r}")
-    if n < 1:
-        raise ValueError(f"count must be positive (got {n})")
+    _count(n, "count", most=_SIZE_LIMIT + 2)  # gauss_jacobi reads n + 1 rows, derivative_pointwise m + 2
     table = _TABLES.pop((params, family), None)
     if table is None or len(table.s) < n:
         a, b = params.alpha, params.beta
@@ -334,8 +333,7 @@ def gauss_jacobi(params: JacobiParams, n: int) -> QuadratureRule:
     certificate: every node finished within _MAX_SWEEPS sweeps, finite log weights, nodes strictly increasing
     inside (-1, 1), and no two nodes on one root (_spacing).
     """
-    if n < 1:
-        raise ValueError(f"rule size must be positive (got {n})")
+    _count(n, "rule size")
     swept = (n + 1) // 2 if params.alpha == params.beta else n  # a = b: the angles up to pi/2, then mirrored
     with np.errstate(all="ignore"):
         theta = _start_angles(params, n)[:swept]

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import DiffOp, Expansion
 from .jacobi import recurrence
-from .special import JacobiParams
+from .special import JacobiParams, _count
 
 __all__ = [
     "BandedMatrix",
@@ -58,19 +58,18 @@ def diff_apply(d: DiffOp, c) -> np.ndarray:
     """Apply the differentiation operator to a coefficient window.
 
     Length-n input produces length-n output with the one-slot lookahead
-    c_n = 0; pad with trailing zeros when the output must match the
-    infinite operator exactly.
+    c_n = 0, from the n - 1 couplings b_0..b_{n-2}; pad with trailing zeros
+    when the output must match the infinite operator exactly.
     """
     c = _window(c)
     n = c.size
     if n == 0:
         return np.zeros(0)
-    if len(d) < n:
-        raise ValueError(f"DiffOp holds {len(d)} couplings, need at least {n}")
-    b = d.b
+    b = d.b[: n - 1]
+    _count(b.size, "DiffOp coupling count", least=n - 1)
     out = np.zeros(n)
-    out[1:] += b[: n - 1] * c[: n - 1]
-    out[:-1] -= b[: n - 1] * c[1:]
+    out[1:] += b * c[: n - 1]
+    out[:-1] -= b * c[1:]
     return out
 
 
@@ -95,14 +94,13 @@ def dense_diff(d: DiffOp, n: int) -> np.ndarray:
     Sub/super diagonals hold +-b_m built from shared values, so the
     skew-symmetry D + D^T = 0 is bitwise.
     """
-    if n < 0:
-        raise ValueError(f"window size must be nonnegative (got {n})")
-    if len(d) < n - 1:
-        raise ValueError(f"DiffOp holds {len(d)} couplings, need at least {n - 1}")
+    _count(n, "window size", least=0)
+    b = d.b[: max(n - 1, 0)]
+    _count(b.size, "DiffOp coupling count", least=n - 1)
     out = np.zeros((n, n))
     idx = np.arange(n - 1)
-    out[idx + 1, idx] = d.b[: n - 1]
-    out[idx, idx + 1] = -d.b[: n - 1]
+    out[idx + 1, idx] = b
+    out[idx, idx + 1] = -b
     return out
 
 
@@ -122,11 +120,9 @@ class MultOp:
             raise ValueError("coefficient sequence must be nonempty and 1-d")
         if not np.all(np.isfinite(a)):
             raise ValueError("coefficients must be finite")
-        if size < 1:
-            raise ValueError(f"size must be positive (got {size})")
+        self.size = _count(size, "size")
         self.a_coeffs = a.copy()
         self.a_coeffs.flags.writeable = False
-        self.size = size
         self.bandwidth = a.size - 1
 
     def _band(self, rows: int, cols: int, bw: int, params: JacobiParams) -> "BandedMatrix":
@@ -138,6 +134,7 @@ class MultOp:
         (0 past the live band), row 0 the mirrored diagonal -1 that Jt reads.
         Jt of size max(rows, cols) + M keeps the window exact.
         """
+        _count((2 * bw + 1) * cols, "band size")  # the Clenshaw arrays below come before BandedMatrix.zeros
         a = self.a_coeffs
         m = a.size - 1
         B, e = recurrence(params, "jacobi", max(rows, cols) + m)[:2]
@@ -191,9 +188,7 @@ def mult_op(a_coeffs, bandwidth: int, size: int) -> MultOp:
         If bandwidth >= size, or nonzero coefficients lie beyond bandwidth.
     """
     a = np.asarray(a_coeffs, dtype=float)
-    if bandwidth < 0:
-        raise ValueError(f"bandwidth must be nonnegative (got {bandwidth})")
-    if bandwidth >= size:
+    if _count(bandwidth, "bandwidth", least=0) >= size:
         raise ValueError(f"bandwidth must be smaller than size (got M={bandwidth}, N={size})")
     if a.size > bandwidth + 1:
         if np.any(a[bandwidth + 1 :] != 0.0):
@@ -216,9 +211,8 @@ class BandedMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, bw: int) -> "BandedMatrix":
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        return cls(rows=rows, cols=cols, bw=bw, data=np.zeros((2 * bw + 1, cols)))
+        return cls(rows=_count(rows, "row count"), cols=_count(cols, "column count"),
+                   bw=_count(bw, "half-width", least=0), data=np.zeros((2 * bw + 1, cols)))
 
     def _diagonals(self):
         """Each stored diagonal k = i - j that meets the matrix, with the
@@ -248,17 +242,14 @@ def assemble_first_order(d: DiffOp, mult: MultOp, n: int) -> BandedMatrix:
 
     The truncation keeps n columns and n + bandwidth rows, so every
     equation touching the retained coefficients is present; bandwidth is
-    max(1, M) on both sides.
+    max(1, M) on both sides.  D reads the n couplings b_0..b_{n-1}.
     """
-    if n < 1:
-        raise ValueError(f"truncation size must be positive (got {n})")
+    b = d.b[: _count(n, "truncation size")]
+    _count(b.size, "DiffOp coupling count", least=n)
     bw = max(1, mult.bandwidth)
-    rows = n + bw
-    if len(d) < rows:
-        raise ValueError(f"DiffOp holds {len(d)} couplings, need at least {rows}")
-    out = mult._band(rows, n, bw, d.params)
-    out.data[bw + 1, :] += d.b[:n]  # (j + 1, j): +b_j
-    out.data[bw - 1, 1:] -= d.b[: n - 1]  # (j - 1, j): -b_{j-1}
+    out = mult._band(n + bw, n, bw, d.params)
+    out.data[bw + 1, :] += b  # (j + 1, j): +b_j
+    out.data[bw - 1, 1:] -= b[:-1]  # (j - 1, j): -b_{j-1}
     return out
 
 

@@ -1,9 +1,16 @@
-"""Jacobi parameters, the Jacobi mass g_0 and Stirling's series.
+"""Jacobi parameters, the size rule, the Jacobi mass g_0 and Stirling's series.
 
 Everything that can overflow for large weight exponents is carried in log
 space and exponentiated as late as possible.  ln g_0 comes from Stirling's
 series on lifted arguments, whose large terms cancel in algebra; the
 Fourier weight's complex log-Gamma values are written out in fourier.
+
+Every count the library takes (coefficients, points, degrees, rows, band
+entries) passes _count at its entry, before anything is allocated: below
+its least value it raises ValueError, above _SIZE_LIMIT (2^24) MemoryError,
+which the CLI reports as a numerical failure (exit 3).  At the limit a
+count's first allocations stay near or below 2.2 GB (121 B per node where a
+Gauss-Jacobi rule starts), instead of leaving the process to be killed.
 """
 
 import math
@@ -34,6 +41,20 @@ class JacobiParams:
             raise ValueError(f"alpha must exceed -1 (got {self.alpha})")
         if not (math.isfinite(self.beta) and self.beta > -1.0):
             raise ValueError(f"beta must exceed -1 (got {self.beta})")
+
+
+#: The largest count an entry takes (_count); deeper calls may read a few rows past it
+_SIZE_LIMIT = 2**24
+
+
+def _count(value: int, name: str, least: int = 1, most: int = _SIZE_LIMIT) -> int:
+    """value, a count that arrays are sized by: ValueError below least, MemoryError above most."""
+    if value < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {bound} (got {value})")
+    if value > most:
+        raise MemoryError(f"{name} {value} is past the size limit {most}")
+    return value
 
 
 #: B_2k / (2k (2k - 1)), k = 1..8: Stirling's series (DLMF 5.11.1) in 1/z

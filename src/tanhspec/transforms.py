@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import BasisSpec, Expansion, _log_weight_full, clenshaw_eval
 from .jacobi import gauss_jacobi, project, recurrence
-from .special import JacobiParams, log_jacobi_norm
+from .special import JacobiParams, _count, log_jacobi_norm
 
 __all__ = [
     "SampleGrid",
@@ -139,7 +139,7 @@ def _rule_nodes(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray, n
     """The n-point Gauss-Jacobi rule's sample points x, kernel points t and log start ln w_k - ln sqrt(g_0) - ln W(x_k),
     read-only (every caller of the cache shares them), so jacobi.project forms only w_k F_k q_m(t_k).  Of a symmetric
     rule (a = b) only the nodes with t >= 0 are kept, onto which _coefficients folds f, and the node at t = 0 of an odd
-    one, its own mirror, counts half.  One O(n^2) rule, 24 n bytes (16 n at a = b), serves every function at (params,
+    one, its own mirror, counts half.  One O(n^2) rule, 24 n bytes (12 n at a = b), serves every function at (params,
     n): on quad_eval's task stream (seeds 1 and 2, 6 cycles) 96 of 148 calls hit at 8, 16 or 32 entries (39-48 at 4)."""
     rule = gauss_jacobi(params, n)
     kept = slice(n // 2 if params.alpha == params.beta else 0, None)
@@ -147,7 +147,7 @@ def _rule_nodes(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray, n
     log_start = rule.log_weights[kept] - 0.5 * log_jacobi_norm(params) - _log_weight_full(params, x)
     if params.alpha == params.beta and n % 2:
         log_start[0] -= math.log(2.0)
-    t = rule.nodes[kept]  # a view: all n nodes stay held
+    t = rule.nodes[kept].copy()  # at a = b a view would hold all n nodes
     for arr in (x, t, log_start):
         arr.flags.writeable = False
     return x, t, log_start
@@ -155,9 +155,7 @@ def _rule_nodes(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray, n
 
 def sample_grid(n: int) -> SampleGrid:
     """The N-point grid that the fast paths of both modes sample (no endpoint samples); one cached, read-only grid."""
-    if n < 1:
-        raise ValueError(f"grid size must be positive (got {n})")
-    return _grid(n)[0]
+    return _grid(_count(n, "grid size"))[0]
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:
@@ -218,9 +216,7 @@ def analyze_full(spec: BasisSpec, f, n: int) -> Expansion:
     _KERNEL_TABLE on the grid if it has one, else by the Gauss-Jacobi rule (_coefficients)."""
     if spec.mode != "full":
         raise ValueError("analyze_full requires a full-mode basis spec")
-    if n < 1:
-        raise ValueError(f"coefficient count must be positive (got {n})")
-    return Expansion(spec=spec, coeffs=_coefficients(spec.params, f, n))
+    return Expansion(spec=spec, coeffs=_coefficients(spec.params, f, _count(n, "coefficient count")))
 
 
 def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
@@ -228,8 +224,8 @@ def analyze_half(spec: BasisSpec, f, n: int) -> Expansion:
     pair (basis), and so are its coefficients, those of analyze_full, bit for bit."""
     if spec.mode != "half":
         raise ValueError("analyze_half requires a half-mode basis spec")
-    if n < 2 or n % 2:
-        raise ValueError(f"coefficient count must be even and >= 2 (got {n})")
+    if _count(n, "coefficient count", least=2) % 2:
+        raise ValueError(f"coefficient count must be even (got {n})")
     return Expansion(spec=spec, coeffs=_coefficients(spec.params, f, n))
 
 
@@ -241,9 +237,7 @@ def analyze_unweighted(f, m_max: int) -> np.ndarray:
     as the Chebyshev-T transform, on max(32, 2 (m_max + 1)) samples, but
     without the boundary-weight division.
     """
-    if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative (got {m_max})")
-    x = _grid(max(32, 2 * (m_max + 1)))[0].x
+    x = _grid(max(32, 2 * (_count(m_max, "m_max", least=0) + 1)))[0].x
     return _kernel("DCT-II", _sample(f, x))[: m_max + 1]
 
 

@@ -312,11 +312,16 @@ class TestClenshaw:
         assert math.isclose(clenshaw_eval(e, 0.37), naive, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: phi_full(BasisSpec(JacobiParams(0.0, 0.0)), -1, 0.0),
-    lambda: derivative_pointwise(BasisSpec(JacobiParams(0.0, 0.0)), -1, 0.0),
-], ids=["phi_full", "derivative_pointwise"])
-def test_error_paths(call):
-    with pytest.raises(ValueError) as err:
+@pytest.mark.parametrize("call,error,start", [
+    (lambda: phi_full(BasisSpec(JacobiParams(0.0, 0.0)), -1, 0.0), ValueError, "degree must be nonnegative (got -1)"),
+    (lambda: derivative_pointwise(BasisSpec(JacobiParams(0.0, 0.0)), -1, 0.0), ValueError,
+     "degree must be nonnegative (got -1)"),
+    (lambda: phi_full(BasisSpec(JacobiParams(0.0, 0.0)), 2**24 + 1, 0.0), MemoryError,
+     "degree 16777217 is past the size limit 16777216"),
+    (lambda: derivative_pointwise(BasisSpec(JacobiParams(0.0, 0.0)), 2**24 + 1, 0.0), MemoryError,
+     "degree 16777217 is past the size limit 16777216"),
+], ids=["phi_full", "derivative_pointwise", "phi_full-limit", "derivative_pointwise-limit"])
+def test_error_paths(call, error, start):
+    with pytest.raises(error) as err:
         call()
-    assert type(err.value) is ValueError and str(err.value).startswith("degree must be nonnegative (got -1)")
+    assert type(err.value) is error and str(err.value).startswith(start)

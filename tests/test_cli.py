@@ -636,6 +636,15 @@ class TestSolve:
 
 
 class TestBasisCommand:
+    @pytest.mark.parametrize("m_list,message", [
+        (",", "error: bad m list ',': names no degree"),
+        ("0,-1", "error: degree must be nonnegative (got -1)"),
+    ], ids=["empty", "negative"])
+    def test_bad_m_list(self, capsys, m_list, message):
+        assert run("basis", "--alpha", "0", "--beta", "0", f"--m-list={m_list}", "--points", "0") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
+
     def test_center_values(self, tmp_path):
         out = tmp_path / "b.csv"
         code = run(
@@ -805,11 +814,34 @@ class TestTablesAndDeterminism:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
+    # a child capped at 1 GiB of address space: a size the library fails to refuse shows numpy's
+    # "Unable to allocate" text here, instead of swapping the machine
+    _CAPPED = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+               "from tanhspec.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("argv,name", [
+        ("basis --alpha 0 --beta 0 --m-list 100000000 --points 0", "degree"),
+        ("expand --alpha 0 --beta 0 --n 100000000 --fn sech", "coefficient count"),
+        ("expand --alpha 0.5 --beta -0.5 --n 100000000 --fn sech", "coefficient count"),
+        ("eval --alpha 0 --beta 0 --in c.csv --points lin:0:1:100000000", "point count"),
+        ("solve --alpha -0.5 --beta -0.5 --n 100000000 --a-fn gaussian:0 --f-fn sech", "size"),
+    ], ids=["basis", "expand-quadrature", "expand-fast", "eval", "solve"])
+    def test_size_limit_in_a_capped_child(self, tmp_path, argv, name):
+        write_table(str(tmp_path / "c.csv"), _cols([{"m": m, "c": 1.0} for m in range(3)]), "csv")
+        argv = [str(tmp_path / a) if a == "c.csv" else a for a in argv.split()]
+        proc = _python("-c", self._CAPPED, *argv)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {name} 100000000 is past the size limit 16777216\n"
+
     def test_parse_points(self):
         assert np.allclose(parse_points("lin:0:1:3"), [0.0, 0.5, 1.0])
         assert np.allclose(parse_points("1,2.5,-3"), [1.0, 2.5, -3.0])
         with pytest.raises(ValueError):
             parse_points("lin:0:1")
+        with pytest.raises(ValueError, match=r"^point count must be positive \(got 0\)$"):
+            parse_points("lin:0:1:0")
+        with pytest.raises(MemoryError, match="^point count 16777217 is past the size limit 16777216$"):
+            parse_points("lin:0:1:16777217")
         for spec in ("lin:0:1:1e3", "lin:a:1:3"):
             with pytest.raises(ValueError, match=f"^bad points spec '{spec}': "):
                 parse_points(spec)

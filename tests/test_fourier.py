@@ -494,10 +494,12 @@ class TestFourierTransform:
         assert half.tobytes() == full.tobytes()
 
 
-@pytest.mark.parametrize("call,start", [
-    (lambda: carlitz_eval(JacobiParams(0.0, 0.0), -1, 0.5), "degree must be nonnegative (got -1)"),
-], ids=["carlitz_eval-degree"])
-def test_error_paths(call, start):
-    with pytest.raises(ValueError) as err:
+@pytest.mark.parametrize("call,error,start", [
+    (lambda: carlitz_eval(JacobiParams(0.0, 0.0), -1, 0.5), ValueError, "degree must be nonnegative (got -1)"),
+    (lambda: carlitz_eval(JacobiParams(0.0, 0.0), 2**24 + 1, 0.5), MemoryError,
+     "degree 16777217 is past the size limit 16777216"),
+], ids=["carlitz_eval-degree", "carlitz_eval-limit"])
+def test_error_paths(call, error, start):
+    with pytest.raises(error) as err:
         call()
-    assert type(err.value) is ValueError and str(err.value).startswith(start)
+    assert type(err.value) is error and str(err.value).startswith(start)

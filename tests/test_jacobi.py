@@ -813,6 +813,11 @@ _TABLE = recurrence(JacobiParams(1.3, 0.2), "jacobi", 4)
 @pytest.mark.parametrize("call,error,start", [
     (lambda: recurrence(JacobiParams(0.0, 0.0), "jacobi", 0), ValueError, "count must be positive (got 0)"),
     (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 0), ValueError, "rule size must be positive (got 0)"),
+    # a table may run 2 rows past the limit: gauss_jacobi reads n + 1 rows, derivative_pointwise m + 2
+    (lambda: recurrence(JacobiParams(0.0, 0.0), "jacobi", 2**24 + 3), MemoryError,
+     "count 16777219 is past the size limit 16777218"),
+    (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 2**24 + 1), MemoryError,
+     "rule size 16777217 is past the size limit 16777216"),
     (lambda: recurrence(JacobiParams(0.0, 0.0), "hermite", 4), ValueError, "unknown recurrence family 'hermite'"),
     (lambda: recurrence(JacobiParams(1e308, 1e308), "jacobi", 4), OverflowError,
      "alpha + beta is past the float range at JacobiParams(alpha=1e+308, beta=1e+308)"),
@@ -824,7 +829,7 @@ _TABLE = recurrence(JacobiParams(1.3, 0.2), "jacobi", 4)
      "points must be 1-d (got shape (2, 3))"),
     (lambda: project(_TABLE, np.ones((2, 3)), np.zeros((2, 3)), 0.0), ValueError,
      "points must be 1-d (got shape (2, 3))"),
-], ids=["recurrence-0", "gauss_jacobi-0", "recurrence-family", "recurrence-overflow-jacobi",
+], ids=["recurrence-0", "gauss_jacobi-0", "recurrence-limit", "gauss_jacobi-limit", "recurrence-family", "recurrence-overflow-jacobi",
         "recurrence-overflow-carlitz", "blocks-scalar", "forward_sum-scalar", "forward_sum-2d", "project-2d"])
 def test_error_paths(call, error, start):
     with pytest.raises(error) as err:

@@ -7,6 +7,7 @@ import pytest
 
 from tanhspec import (
     BasisSpec,
+    DiffOp,
     Expansion,
     JacobiParams,
     analyze_full,
@@ -506,45 +507,77 @@ class TestSolveFirstOrder:
         assert math.isclose(result.residual, np.linalg.norm(mat.to_dense() @ want - b), rel_tol=1e-10)
 
 
-#: (id, call, start of its ValueError message) for each input check of the module
+#: (id, call, exception type, start of its message) for each input check of the module; each count has a row below
+#: its least value and one above the size limit 2^24, which is refused before anything is allocated
 ERROR_PATHS = [
-    ("diff_apply-short", lambda: diff_apply(diff_coeffs(T_PAIR, 2), np.ones(3)),
-     "DiffOp holds 2 couplings, need at least 3"),
-    ("diff_apply-2d", lambda: diff_apply(diff_coeffs(T_PAIR, 4), np.ones((2, 2))),
+    ("diff_apply-short", lambda: diff_apply(diff_coeffs(T_PAIR, 2), np.ones(4)), ValueError,
+     "DiffOp coupling count must be at least 3 (got 2)"),
+    # a window past the limit, as a broadcast view that allocates nothing
+    ("diff_apply-limit", lambda: diff_apply(DiffOp(np.broadcast_to(1.0, 2**24 + 1), T_PAIR),
+                                            np.broadcast_to(1.0, 2**24 + 2)), MemoryError,
+     "DiffOp coupling count 16777217 is past the size limit 16777216"),
+    ("diff_apply-2d", lambda: diff_apply(diff_coeffs(T_PAIR, 4), np.ones((2, 2))), ValueError,
      "coefficients must form a 1-d sequence (got shape (2, 2))"),
-    ("diff_squared_apply-2d", lambda: diff_squared_apply(diff_coeffs(T_PAIR, 4), np.ones((2, 2))),
+    ("diff_squared_apply-2d", lambda: diff_squared_apply(diff_coeffs(T_PAIR, 4), np.ones((2, 2))), ValueError,
      "coefficients must form a 1-d sequence (got shape (2, 2))"),
-    ("dense_diff-short", lambda: dense_diff(diff_coeffs(T_PAIR, 2), 4),
-     "DiffOp holds 2 couplings, need at least 3"),
-    ("dense_diff-negative", lambda: dense_diff(diff_coeffs(T_PAIR, 2), -1), "window size must be nonnegative (got -1)"),
-    ("MultOp-empty", lambda: MultOp([], 4), "coefficient sequence must be nonempty and 1-d"),
-    ("MultOp-2d", lambda: MultOp(np.ones((2, 2)), 4), "coefficient sequence must be nonempty and 1-d"),
-    ("MultOp-nonfinite", lambda: MultOp([1.0, math.inf], 4), "coefficients must be finite"),
-    ("MultOp-size", lambda: MultOp([1.0], 0), "size must be positive (got 0)"),
-    ("MultOp.apply-2d", lambda: mult_op([1.0, 0.5], 1, 4).apply(np.ones((2, 2))),
+    ("dense_diff-short", lambda: dense_diff(diff_coeffs(T_PAIR, 2), 4), ValueError,
+     "DiffOp coupling count must be at least 3 (got 2)"),
+    ("dense_diff-negative", lambda: dense_diff(diff_coeffs(T_PAIR, 2), -1), ValueError,
+     "window size must be nonnegative (got -1)"),
+    ("dense_diff-limit", lambda: dense_diff(diff_coeffs(T_PAIR, 2), 2**24 + 1), MemoryError,
+     "window size 16777217 is past the size limit 16777216"),
+    ("MultOp-empty", lambda: MultOp([], 4), ValueError, "coefficient sequence must be nonempty and 1-d"),
+    ("MultOp-2d", lambda: MultOp(np.ones((2, 2)), 4), ValueError, "coefficient sequence must be nonempty and 1-d"),
+    ("MultOp-nonfinite", lambda: MultOp([1.0, math.inf], 4), ValueError, "coefficients must be finite"),
+    ("MultOp-size", lambda: MultOp([1.0], 0), ValueError, "size must be positive (got 0)"),
+    ("MultOp-limit", lambda: MultOp([1.0], 2**24 + 1), MemoryError, "size 16777217 is past the size limit 16777216"),
+    ("MultOp.apply-2d", lambda: mult_op([1.0, 0.5], 1, 4).apply(np.ones((2, 2))), ValueError,
      "coefficients must form a 1-d sequence (got shape (2, 2))"),
-    ("mult_op-negative-bandwidth", lambda: mult_op([1.0], -1, 4), "bandwidth must be nonnegative (got -1)"),
-    ("mult_op-past-bandwidth", lambda: mult_op([1.0, 0.0, 0.5], 1, 4),
+    ("MultOp.dense-band", lambda: mult_op([1.0, 0.5], 1, 4).dense(4, 0), ValueError,
+     "band size must be positive (got 0)"),
+    ("MultOp.dense-limit", lambda: mult_op([1.0, 0.5], 1, 4).dense(4, 2**23), MemoryError,
+     "band size 25165824 is past the size limit 16777216"),
+    ("mult_op-negative-bandwidth", lambda: mult_op([1.0], -1, 4), ValueError,
+     "bandwidth must be nonnegative (got -1)"),
+    ("mult_op-limit", lambda: mult_op([1.0], 2**24 + 1, 4), MemoryError,
+     "bandwidth 16777217 is past the size limit 16777216"),
+    ("mult_op-past-bandwidth", lambda: mult_op([1.0, 0.0, 0.5], 1, 4), ValueError,
      "nonzero coefficients beyond the declared bandwidth"),
-    ("zeros-rows", lambda: BandedMatrix.zeros(0, 3, 1), "matrix dimensions must be positive"),
-    ("matvec-length", lambda: BandedMatrix.zeros(3, 3, 1).matvec(np.ones(2)),
+    ("zeros-rows", lambda: BandedMatrix.zeros(0, 3, 1), ValueError, "row count must be positive (got 0)"),
+    ("zeros-negative-half-width", lambda: BandedMatrix.zeros(3, 3, -1), ValueError,
+     "half-width must be nonnegative (got -1)"),
+    ("zeros-limit", lambda: BandedMatrix.zeros(3, 2**24 + 1, 1), MemoryError,
+     "column count 16777217 is past the size limit 16777216"),
+    ("matvec-length", lambda: BandedMatrix.zeros(3, 3, 1).matvec(np.ones(2)), ValueError,
      "vector length 2 does not match 3 columns"),
-    ("assemble-n", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 0),
+    ("assemble-n", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 0), ValueError,
      "truncation size must be positive (got 0)"),
-    ("assemble-short", lambda: assemble_first_order(diff_coeffs(T_PAIR, 4), mult_op([1.0, 0.5], 1, 8), 4),
-     "DiffOp holds 4 couplings, need at least 5"),
-    ("qr-wide", lambda: banded_qr_lstsq(BandedMatrix.zeros(2, 3, 1), np.ones(2)),
+    ("assemble-limit", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 2**24 + 1),
+     MemoryError, "truncation size 16777217 is past the size limit 16777216"),
+    ("assemble-short", lambda: assemble_first_order(diff_coeffs(T_PAIR, 3), mult_op([1.0, 0.5], 1, 8), 4), ValueError,
+     "DiffOp coupling count must be at least 4 (got 3)"),
+    ("qr-wide", lambda: banded_qr_lstsq(BandedMatrix.zeros(2, 3, 1), np.ones(2)), ValueError,
      "system must have at least as many rows as columns"),
-    ("qr-rhs-length", lambda: banded_qr_lstsq(BandedMatrix.zeros(3, 2, 1), np.ones(2)),
+    ("qr-rhs-length", lambda: banded_qr_lstsq(BandedMatrix.zeros(3, 2, 1), np.ones(2)), ValueError,
      "rhs length 2 does not match 3 rows"),
 ]
 
 
-@pytest.mark.parametrize("call,start", [p[1:] for p in ERROR_PATHS], ids=[p[0] for p in ERROR_PATHS])
-def test_error_paths(call, start):
-    with pytest.raises(ValueError) as err:
+@pytest.mark.parametrize("call,error,start", [p[1:] for p in ERROR_PATHS], ids=[p[0] for p in ERROR_PATHS])
+def test_error_paths(call, error, start):
+    with pytest.raises(error) as err:
         call()
-    assert type(err.value) is ValueError and str(err.value).startswith(start)
+    assert type(err.value) is error and str(err.value).startswith(start)
+
+
+def test_coupling_counts_match_reads():
+    # each call asks for the couplings it reads, and reads the same ones from a longer DiffOp
+    c = np.arange(1.0, 4.0)
+    assert diff_apply(diff_coeffs(T_PAIR, 2), c).tobytes() == diff_apply(diff_coeffs(T_PAIR, 3), c).tobytes()
+    assert dense_diff(diff_coeffs(T_PAIR, 4), 0).shape == (0, 0)
+    op = mult_op([1.0, 0.5, 0.25], 2, 8)
+    short, long = (assemble_first_order(diff_coeffs(T_PAIR, k), op, 6) for k in (6, 8))
+    assert short.data.tobytes() == long.data.tobytes()
 
 
 def test_empty_input_and_zero_tail():

@@ -448,33 +448,49 @@ class TestNodeCaches:
         grid, factor = transforms_mod._grid(16)
         assert sample_grid(16) is grid
         rule = transforms_mod._rule_nodes(JacobiParams(1.3, 0.2), 16)
-        arrays = [grid.theta, grid.x, factor, *rule]
-        assert len(arrays) == 6
+        symmetric = transforms_mod._rule_nodes(JacobiParams(2.0, 2.0), 17)
+        arrays = [grid.theta, grid.x, factor, *rule, *symmetric]
+        assert len(arrays) == 9
         assert not any(a.flags.writeable for a in arrays)
+        # no cached array is a view, which would hold its base (all n nodes of a symmetric rule) alive
+        assert all(a.base is None for a in arrays)
 
 
 def _sech(x):
     return 1.0 / np.cosh(x)
 
 
-#: (id, call, start of its ValueError message) for each input check of the module
+#: (id, call, exception type, start of its message) for each input check of the module; each count has a row below
+#: its least value and one above the size limit 2^24, which is refused before anything is allocated
 ERROR_PATHS = [
-    ("dct-empty", lambda: dct("DCT-II", []), "data must be a nonempty 1-d sequence"),
-    ("dct-2d", lambda: dct("DCT-II", np.ones((2, 2))), "data must be a nonempty 1-d sequence"),
-    ("sample_grid-0", lambda: sample_grid(0), "grid size must be positive (got 0)"),
-    ("analyze_full-n", lambda: analyze_full(_full(0.0, 0.0), _sech, 0),
+    ("dct-empty", lambda: dct("DCT-II", []), ValueError, "data must be a nonempty 1-d sequence"),
+    ("dct-2d", lambda: dct("DCT-II", np.ones((2, 2))), ValueError, "data must be a nonempty 1-d sequence"),
+    ("sample_grid-0", lambda: sample_grid(0), ValueError, "grid size must be positive (got 0)"),
+    ("sample_grid-limit", lambda: sample_grid(2**24 + 1), MemoryError,
+     "grid size 16777217 is past the size limit 16777216"),
+    ("analyze_full-n", lambda: analyze_full(_full(0.0, 0.0), _sech, 0), ValueError,
      "coefficient count must be positive (got 0)"),
-    ("analyze_half-full-spec", lambda: analyze_half(_full(0.0, 0.0), _sech, 4),
+    ("analyze_full-limit", lambda: analyze_full(_full(0.0, 0.0), _sech, 2**24 + 1), MemoryError,
+     "coefficient count 16777217 is past the size limit 16777216"),
+    ("analyze_half-full-spec", lambda: analyze_half(_full(0.0, 0.0), _sech, 4), ValueError,
      "analyze_half requires a half-mode basis spec"),
-    ("analyze_unweighted-m", lambda: analyze_unweighted(_sech, -1), "m_max must be nonnegative (got -1)"),
+    ("analyze_half-n", lambda: analyze_half(_half(0.0), _sech, 0), ValueError,
+     "coefficient count must be at least 2 (got 0)"),
+    ("analyze_half-odd", lambda: analyze_half(_half(0.0), _sech, 3), ValueError,
+     "coefficient count must be even (got 3)"),
+    ("analyze_half-limit", lambda: analyze_half(_half(0.0), _sech, 2**24 + 2), MemoryError,
+     "coefficient count 16777218 is past the size limit 16777216"),
+    ("analyze_unweighted-m", lambda: analyze_unweighted(_sech, -1), ValueError, "m_max must be nonnegative (got -1)"),
+    ("analyze_unweighted-limit", lambda: analyze_unweighted(_sech, 2**24 + 1), MemoryError,
+     "m_max 16777217 is past the size limit 16777216"),
 ]
 
 
-@pytest.mark.parametrize("call,start", [p[1:] for p in ERROR_PATHS], ids=[p[0] for p in ERROR_PATHS])
-def test_error_paths(call, start):
-    with pytest.raises(ValueError) as err:
+@pytest.mark.parametrize("call,error,start", [p[1:] for p in ERROR_PATHS], ids=[p[0] for p in ERROR_PATHS])
+def test_error_paths(call, error, start):
+    with pytest.raises(error) as err:
         call()
-    assert type(err.value) is ValueError and str(err.value).startswith(start)
+    assert type(err.value) is error and str(err.value).startswith(start)
 
 
 @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (1.3, 0.2)])
