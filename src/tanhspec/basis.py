@@ -104,7 +104,7 @@ class DiffOp:
 
 def diff_coeffs(params: JacobiParams, count: int) -> DiffOp:
     """First `count` differentiation couplings: b is a read-only view of the b of the pair's cached 'jacobi' table."""
-    return DiffOp(b=recurrence(params, "jacobi", count).b, params=params)
+    return DiffOp(b=recurrence(params, count).b, params=params)
 
 
 def _shaped(values: np.ndarray, x):
@@ -123,7 +123,7 @@ def _full_sum(params: JacobiParams, coeffs: np.ndarray, x):
     v = np.array(coeffs, dtype=float)
     v[1::2] *= -1.0
     log_start = _log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
-    return _shaped(forward_sum(recurrence(params, "jacobi", v.size), v, np.tanh(pts), log_start), x)
+    return _shaped(forward_sum(recurrence(params, v.size), v, np.tanh(pts), log_start), x)
 
 
 def phi_full(spec: BasisSpec, m: int, x):

@@ -17,8 +17,9 @@ unit mass of |g|^2 dxi an identity of it, which the tests check by
 quadrature.  The p_m, the paper's generalised Carlitz polynomials, are the
 continuous Hahn p_m(xi/2; P, Q, P, Q) orthonormalised, P = (a+1)/2 and
 Q = (b+1)/2 (Koekoek, Lesky & Swarttouw 2010, section 9.4), and satisfy
-xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1} (b_m the differentiation couplings),
-the pair's cached Carlitz table, summed by jacobi.forward_sum and shaped like xi.
+xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1} (b_m the differentiation couplings):
+rows built per call from the couplings of the pair's cached Jacobi table,
+summed by jacobi.forward_sum and shaped like xi.
 (The i^m phase, rather than (-i)^m, is forced jointly by F[f'] = i xi F[f]
 and the positive-leading three-term recurrence of the p_m; the (-i)^m form
 belongs to the opposite exponent sign with g conjugated.)
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from .basis import Expansion, _shaped
-from .jacobi import forward_sum, recurrence
+from .jacobi import _table, forward_sum, recurrence
 from .special import _LN2, _STIRLING_FROM, JacobiParams, _count, _stirling_tail, log_jacobi_norm
 
 __all__ = [
@@ -125,8 +126,8 @@ def carlitz_eval(params: JacobiParams, m: int, xi):
     """Orthonormal polynomial p_m of the measure |g|^2 dxi, shaped like xi: the jacobi.forward_sum of the unit
     vector e_m over the Carlitz recurrence xi p_k = b_{k-1} p_{k-1} + b_k p_{k+1}, p_0 = 1.  Raises ValueError
     if any xi is not finite."""
-    return _shaped(forward_sum(recurrence(params, "carlitz", _count(m, "degree", least=0) + 1), np.eye(1, m + 1, m)[0],
-                               _finite_xi(xi), 0.0), xi)
+    b = recurrence(params, _count(m, "degree", least=0) + 1).b
+    return _shaped(forward_sum(_table(np.zeros(m + 1), b), np.eye(1, m + 1, m)[0], _finite_xi(xi), 0.0), xi)
 
 
 def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
@@ -143,12 +144,12 @@ def fourier_transform(e: Expansion, xi_points) -> np.ndarray:
     is not finite.
     """
     n, params = len(e), e.spec.params
-    xi, table = _finite_xi(xi_points), recurrence(params, "carlitz", n)
-    log_g, b = _log_weight(params, xi), table.e
+    xi, b = _finite_xi(xi_points), recurrence(params, n).b
+    log_g = _log_weight(params, xi)
     growth = np.sum(np.maximum(0.0, np.log1p(np.concatenate(([0.0], b))[: n - 1]) - np.log(b[: n - 1])))
     keep = log_g.real + np.log1p(np.sum(np.abs(e.coeffs))) + growth + (n - 1) * np.log1p(np.abs(xi)) >= -745.0
     c = np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4] * e.coeffs  # i^m c_m, exactly
-    re, im = forward_sum(table, np.stack([c.real, c.imag]), xi[keep], log_g.real[keep])
+    re, im = forward_sum(_table(np.zeros(n), b), np.stack([c.real, c.imag]), xi[keep], log_g.real[keep])
     out = np.zeros(xi.size, dtype=complex)
     out[keep] = np.exp(1j * log_g.imag[keep]) * (re + 1j * im)
     return _shaped(out, xi_points)

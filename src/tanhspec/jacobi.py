@@ -1,9 +1,9 @@
 """Jacobi polynomial evaluation and Gauss-Jacobi quadrature.
 
-Each three-term recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}
-is built once per (pair, family, length) into a read-only table
-(recurrence: the Jacobi matrix in t, or B = 0, e = b_m in Fourier space),
-the one place that knows its layout.  One kernel, orthonormal_blocks,
+A three-term recurrence t q_m = e_{m-1} q_{m-1} + B_m q_m + e_m q_{m+1}
+becomes a table (_table), the one place that knows its layout; each pair's
+Jacobi matrix in t, with its couplings b_m, is built once per pair and
+length into a read-only table (recurrence).  One kernel, orthonormal_blocks,
 streams the orthonormal polynomials of a table in blocks of rescaled rows
 (one BLAS product per block, then one multiply and one subtract per degree
 and point), with a log scale per point.  The Gauss weights, the sums
@@ -58,7 +58,7 @@ class Recurrence(NamedTuple):
     e: np.ndarray
     s: np.ndarray  # s_m = 1 / sigma_m, sigma_0 = sigma_1 = 1, sigma_{m+1} = sigma_{m-1} e_m / e_{m-1}
     C: np.ndarray  # 0 in row 0, [g_{m-1}, -g_{m-1} B_{m-1}] in row m > 0, g_m = sigma_{m+1} / (sigma_m e_m)
-    b: np.ndarray  # the couplings b_m that recurrence builds e from (e itself in 'carlitz' and in a _table)
+    b: np.ndarray  # the couplings b_m that recurrence builds e from (e itself in a _table)
 
 
 def _table(B: np.ndarray, e: np.ndarray) -> Recurrence:
@@ -76,23 +76,20 @@ def _table(B: np.ndarray, e: np.ndarray) -> Recurrence:
 _TABLES: dict = {}  # recurrence's cache
 
 
-def recurrence(params: JacobiParams, family: str, n: int) -> Recurrence:
-    """The read-only table of the first n rows of the pair's recurrence: a prefix of one table per (params, family).
+def recurrence(params: JacobiParams, n: int) -> Recurrence:
+    """The read-only first n rows of the pair's orthonormal Jacobi matrix in t: a prefix of one table per pair.
 
     Here alone the differentiation couplings b_m = sqrt[(m+1)(a+m+1)(b+m+1)(a+b+m+1) / ((a+b+2m+1)(a+b+2m+3))]
-    are computed, into the table's b (diff_coeffs and the Newton step read the 'jacobi' one); their factor
-    (a+b+m+1)/(a+b+2m+1) is 1 at m = 0, which resolves the removable 0/0 at a+b = -1.  'jacobi' is the
-    orthonormal Jacobi matrix in t: e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2), and B_0 = (b-a)/(a+b+2)
-    the cancelled form of B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), 0/0 at m = 0 when a+b = 0; 'carlitz' is the
-    Fourier side, xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1}: B = 0, e = b.  Each array is elementwise in m or a
-    running product over m, so n rows of a longer table are the n-row table bit for bit: a request within the
-    pair's longest table returns views of its first n rows, a longer one rebuilds it once at n rows.  16 (params,
-    family) entries are kept, the least recently used leaving first, of 48 n bytes (3.1 MB at n = 4096).  Raises
-    OverflowError where a+b is past the float range."""
-    if family not in ("jacobi", "carlitz"):
-        raise ValueError(f"unknown recurrence family {family!r}")
+    are computed, into the table's b (diff_coeffs, the Newton step and fourier's rows read it); their factor
+    (a+b+m+1)/(a+b+2m+1) is 1 at m = 0, which resolves the removable 0/0 at a+b = -1.  The table holds
+    e_m = C_m sqrt(g_{m+1}/g_m) = 2 b_m / (a+b+2m+2), and B_0 = (b-a)/(a+b+2) the cancelled form of
+    B_m = (b^2-a^2)/((a+b+2m)(a+b+2m+2)), 0/0 at m = 0 when a+b = 0.  Each array is elementwise in m or a running
+    product over m, so n rows of a longer table are the n-row table bit for bit: a request within the pair's
+    longest table returns views of its first n rows, a longer one rebuilds it once at n rows.  16 pairs are kept,
+    the least recently used leaving first, each of 48 n bytes (3.1 MB for 16 at n = 4096).  Raises OverflowError
+    where a+b is past the float range."""
     _count(n, "count", most=_SIZE_LIMIT + 2)  # gauss_jacobi reads n + 1 rows, derivative_pointwise m + 2
-    table = _TABLES.pop((params, family), None)
+    table = _TABLES.pop(params, None)
     if table is None or len(table.s) < n:
         a, b = params.alpha, params.beta
         s = a + b
@@ -100,15 +97,13 @@ def recurrence(params: JacobiParams, family: str, n: int) -> Recurrence:
             raise OverflowError(f"alpha + beta is past the float range at {params}")
         m, B = np.arange(n, dtype=float), np.zeros(n)
         factor = np.divide(s + m + 1.0, s + 2.0 * m + 1.0, out=np.ones(n), where=m > 0.0)
-        e = couplings = np.sqrt((m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor)
-        if family == "jacobi":
-            e = 2.0 * couplings / (a + b + 2.0 * m + 2.0)
-            B[0] = (b - a) / (a + b + 2.0)
-            B[1:] = (b - a) * (b + a) / ((a + b + 2.0 * m[1:]) * (a + b + 2.0 * m[1:] + 2.0))
-        table = _table(B, e)._replace(b=couplings)
+        couplings = np.sqrt((m + 1.0) * (a + m + 1.0) * (b + m + 1.0) / (s + 2.0 * m + 3.0) * factor)
+        B[0] = (b - a) / (a + b + 2.0)
+        B[1:] = (b - a) * (b + a) / ((a + b + 2.0 * m[1:]) * (a + b + 2.0 * m[1:] + 2.0))
+        table = _table(B, 2.0 * couplings / (a + b + 2.0 * m + 2.0))._replace(b=couplings)
         for arr in table:
             arr.flags.writeable = False
-    _TABLES[params, family] = table
+    _TABLES[params] = table
     if len(_TABLES) > 16:
         del _TABLES[next(iter(_TABLES))]
     return table if n == len(table.s) else Recurrence(*(arr[:n] for arr in table))
@@ -218,7 +213,7 @@ def _sweep(params: JacobiParams, n: int, t: np.ndarray):
     = -ln sum q_m^2, from one orthonormal_blocks pass, finite where sum q_m^2 is not."""
     unit = -0.5 * log_jacobi_norm(params)
     total, last, lo = np.zeros(t.size), np.zeros((2, t.size)), 0
-    for s, P, log_scale in orthonormal_blocks(recurrence(params, "jacobi", n + 1), t, unit):
+    for s, P, log_scale in orthonormal_blocks(recurrence(params, n + 1), t, unit):
         if log_scale is not unit:  # total in units of exp(2 unit), last of exp(unit)
             total, last, unit = total * np.exp(2.0 * (unit - log_scale)), last * np.exp(unit - log_scale), log_scale
         if lo + len(s) >= n:  # the rows of q_{n-1} and q_n; the buffer is reused, and the weights sum rows m < n
@@ -248,7 +243,7 @@ def _newton_sweep(params: JacobiParams, n: int, theta: np.ndarray, log_weights: 
     q_prev, q_n, w = _sweep(params, n, t)
     # (1 - t^2) q_n' = (c - n t) q_n + D q_{n-1}, with D = (2n+a+b+1) e_{n-1}
     c = n * (a - b) / (2.0 * n + s)
-    D = 2.0 * recurrence(params, "jacobi", n + 1).b[n - 1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
+    D = 2.0 * recurrence(params, n + 1).b[n - 1] * (2.0 * n + s + 1.0) / (2.0 * n + s)
     sin_h, cos_h = np.sin(0.5 * th), np.cos(0.5 * th)
     sin_t = 2.0 * sin_h * cos_h
     # d = -u/u', where u'/u = dlog - (1 - t^2) q_n' / (sin(theta) q_n) and

@@ -137,7 +137,7 @@ class MultOp:
         _count((2 * bw + 1) * cols, "band size")  # the Clenshaw arrays below come before BandedMatrix.zeros
         a = self.a_coeffs
         m = a.size - 1
-        B, e = recurrence(params, "jacobi", max(rows, cols) + m)[:2]
+        B, e = recurrence(params, max(rows, cols) + m)[:2]
 
         def views(B, e):  # [s, j] -> B_{j+s-1} and e_{j+s-2}, 0 at index -1
             return (sliding_window_view(np.concatenate(([0.0], B)), cols),
@@ -188,7 +188,7 @@ def mult_op(a_coeffs, bandwidth: int, size: int) -> MultOp:
         If bandwidth >= size, or nonzero coefficients lie beyond bandwidth.
     """
     a = np.asarray(a_coeffs, dtype=float)
-    if _count(bandwidth, "bandwidth", least=0) >= size:
+    if _count(bandwidth, "bandwidth", least=0) >= _count(size, "size"):
         raise ValueError(f"bandwidth must be smaller than size (got M={bandwidth}, N={size})")
     if a.size > bandwidth + 1:
         if np.any(a[bandwidth + 1 :] != 0.0):

@@ -202,10 +202,10 @@ def _coefficients(params: JacobiParams, f, n: int, quadrature: bool = False) -> 
         x, t, log_start = _rule_nodes(params, n)
         fx = _sample(f, x)
         if params.alpha != params.beta:
-            c = project(recurrence(params, "jacobi", n), fx, t, log_start)
+            c = project(recurrence(params, n), fx, t, log_start)
         else:
             fy = _sample(f, -x)
-            c, odd = project(recurrence(params, "jacobi", n), np.stack([fx + fy, fx - fy]), t, log_start)
+            c, odd = project(recurrence(params, n), np.stack([fx + fy, fx - fy]), t, log_start)
             c[1::2] = odd[1::2]
     c[1::2] *= -1.0
     return c

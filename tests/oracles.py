@@ -401,7 +401,7 @@ def mult_op_dense(a, rows: int, cols: int, params=JacobiParams(-0.5, -0.5)) -> n
     a = np.asarray(a, dtype=float)
     m = a.size - 1
     size = max(rows, cols) + m
-    B, e = recurrence(params, "jacobi", size)[:2]
+    B, e = recurrence(params, size)[:2]
     diag = np.arange(size)
 
     def jt_times(B, e, x):
@@ -508,7 +508,7 @@ def orthonormal_rows(B, e, count: int, points, log_start):
 
 
 def _jacobi_rows(params, count: int, points):
-    return orthonormal_rows(*recurrence(params, "jacobi", count)[:2], count, points, -0.5 * log_jacobi_norm(params))
+    return orthonormal_rows(*recurrence(params, count)[:2], count, points, -0.5 * log_jacobi_norm(params))
 
 
 def gauss_weights_rowwise(params, nodes):
@@ -554,7 +554,7 @@ def clenshaw_rowwise(e, x):
     """
     params = e.spec.params
     pts, scalar = _as_points(x)
-    B, off = recurrence(params, "jacobi", len(e))[:2]
+    B, off = recurrence(params, len(e))[:2]
     t = np.tanh(pts)
     k = _rescaled_recurrence(B, off, len(e), t)[2]
     log_start = log_weight_full(params, pts) - 0.5 * log_jacobi_norm(params)
@@ -727,7 +727,7 @@ def golub_welsch(params, n: int):
     first eigenvector components of the QL rotations lose several digits;
     the rule holds their logs, finite where the weights leave the float range.
     """
-    B, e = recurrence(params, "jacobi", n)[:2]
+    B, e = recurrence(params, n)[:2]
     nodes = eigh_tridiagonal(B, e[:-1], eigvals_only=True, lapack_driver="stev")
     log_weights = gauss_weights_rowwise(params, nodes)[1]
     return QuadratureRule(nodes=nodes, log_weights=log_weights, params=params, angles=np.arccos(nodes))

@@ -27,12 +27,14 @@ def test_package_exports_exactly_its_imports():
 
 def test_fixed_settings_take_no_parameter():
     from tanhspec.cli import _barycentric
+    from tanhspec.jacobi import recurrence
     from tanhspec.operators import banded_qr_lstsq
     from tanhspec.transforms import analyze_unweighted
 
     assert list(inspect.signature(analyze_unweighted).parameters) == ["f", "m_max"]
     assert list(inspect.signature(banded_qr_lstsq).parameters) == ["mat", "rhs"]
     assert list(inspect.signature(_barycentric).parameters) == ["x_samples", "values"]
+    assert list(inspect.signature(recurrence).parameters) == ["params", "n"]
 
 
 _SPEC = BasisSpec(JacobiParams(1.3, 0.2))

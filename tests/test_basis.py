@@ -320,7 +320,12 @@ class TestClenshaw:
      "degree 16777217 is past the size limit 16777216"),
     (lambda: derivative_pointwise(BasisSpec(JacobiParams(0.0, 0.0)), 2**24 + 1, 0.0), MemoryError,
      "degree 16777217 is past the size limit 16777216"),
-], ids=["phi_full", "derivative_pointwise", "phi_full-limit", "derivative_pointwise-limit"])
+    (lambda: phi_full(BasisSpec(JacobiParams(1.3, 0.2)), 2.0, 0.0), TypeError, "degree must be an integer (got 2.0)"),
+    (lambda: derivative_pointwise(BasisSpec(JacobiParams(1.3, 0.2)), 2.0, 0.0), TypeError,
+     "degree must be an integer (got 2.0)"),
+    (lambda: diff_coeffs(JacobiParams(1.3, 0.2), 3.5), TypeError, "count must be an integer (got 3.5)"),
+], ids=["phi_full", "derivative_pointwise", "phi_full-limit", "derivative_pointwise-limit", "phi_full-float",
+        "derivative_pointwise-float", "diff_coeffs-float"])
 def test_error_paths(call, error, start):
     with pytest.raises(error) as err:
         call()

@@ -22,6 +22,8 @@ from tanhspec import (
     synthesize,
 )
 from tanhspec import fourier as fourier_mod
+from tanhspec import jacobi as jacobi_mod
+from tanhspec.jacobi import recurrence
 
 from oracles import (
     _log_weight_mp,
@@ -292,6 +294,30 @@ class TestCarlitzPolynomials:
                 carlitz_eval(params, m, xi)
             assert str(err.value) == str(want.value) == f"xi must be finite (got {bad})"
 
+    @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.999, 3.0), (0.0, 1500.0), (80.0, 80.0)])
+    def test_rows_do_not_depend_on_the_cached_table(self, monkeypatch, a, b):
+        # the rows are built per call from the couplings of the pair's Jacobi table: the same bytes on a cold
+        # cache, after a longer table of the pair was built (the rows read a prefix of it) and after a shorter
+        # one (rebuilt at their length); the rows rescale at |xi| = 300 (swept by the transform too except at
+        # (80, 80)), 1e3 and 1e30, and p_63(1e30) passes the float range
+        p, n = JacobiParams(a, b), 64
+        xi = np.array([0.0, 2.5, -40.0, 300.0, -300.0, 1e3, -3e3, 1e30])
+        e = Expansion(BasisSpec(p), np.random.default_rng(7).standard_normal(n))
+
+        def run():
+            with np.errstate(over="ignore"):
+                values = [carlitz_eval(p, m, xi) for m in (0, 1, 5, n - 1)]
+            return [v.tobytes() for v in values] + [fourier_transform(e, xi).tobytes()]
+
+        runs = []
+        for before in (None, 4 * n, 2):
+            monkeypatch.setattr(jacobi_mod, "_TABLES", {})
+            if before:
+                recurrence(p, before)
+            runs.append(run())
+            assert list(jacobi_mod._TABLES) == [p]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_orthonormality_quadrature(self):
         params = JacobiParams(0.5, 0.5)
         # the integrand takes the density of a whole panel in one array call;
@@ -498,7 +524,10 @@ class TestFourierTransform:
     (lambda: carlitz_eval(JacobiParams(0.0, 0.0), -1, 0.5), ValueError, "degree must be nonnegative (got -1)"),
     (lambda: carlitz_eval(JacobiParams(0.0, 0.0), 2**24 + 1, 0.5), MemoryError,
      "degree 16777217 is past the size limit 16777216"),
-], ids=["carlitz_eval-degree", "carlitz_eval-limit"])
+    (lambda: carlitz_eval(JacobiParams(1.3, 0.2), 2.0, 0.0), TypeError, "degree must be an integer (got 2.0)"),
+    (lambda: carlitz_eval(JacobiParams(1e308, 1e308), 3, 0.5), OverflowError,
+     "alpha + beta is past the float range at JacobiParams(alpha=1e+308, beta=1e+308)"),
+], ids=["carlitz_eval-degree", "carlitz_eval-limit", "carlitz_eval-float", "carlitz_eval-overflow"])
 def test_error_paths(call, error, start):
     with pytest.raises(error) as err:
         call()

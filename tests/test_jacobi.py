@@ -18,6 +18,7 @@ from tanhspec import (
     clenshaw_eval,
     diff_apply,
     diff_coeffs,
+    fourier_transform,
     gauss_jacobi,
     phi_full,
     synthesize,
@@ -53,7 +54,12 @@ _FLAT = jacobi_mod._table(np.zeros(2), np.ones(2))
 
 def _blocks(p, count, t):
     """The kernel's blocks of q_0..q_{count-1} for the Jacobi pair p, started at q_0 = g_0^{-1/2}."""
-    return orthonormal_blocks(recurrence(p, "jacobi", count), t, -0.5 * log_jacobi_norm(p))
+    return orthonormal_blocks(recurrence(p, count), t, -0.5 * log_jacobi_norm(p))
+
+
+def _fourier_rows(p, count):
+    """The pair's Fourier-side table, xi p_m = b_{m-1} p_{m-1} + b_m p_{m+1} (B = 0, e = b), as fourier builds it."""
+    return jacobi_mod._table(np.zeros(count), recurrence(p, count).b)
 
 
 #: The domain map of the Gauss-Jacobi rules: (a, b, sizes), every pair of the values at small n, and four pairs
@@ -90,7 +96,7 @@ class TestOrthonormalRecurrence:
     def test_off_diagonal_against_norm_ratio(self, a, b):
         # closed form 2 b_m / (a+b+2m+2) against C_m sqrt(g_{m+1}/g_m)
         p = JacobiParams(a, b)
-        B, off = recurrence(p, "jacobi", 3000)[:2]
+        B, off = recurrence(p, 3000)[:2]
         rec = recurrence_coefficients(p, 3000)
         want = np.array([rec.C[m] * norm_ratio(p, m, +1) for m in range(3000)])
         assert np.array_equal(B, rec.B)
@@ -127,7 +133,7 @@ class TestOrthonormalRecurrence:
             for P in (1, 7, 5):
                 t = rng.uniform(-1.0, 1.0, P)
                 for zero_b in (False, True):
-                    B, e = recurrence(p, "jacobi", 200)[:2]
+                    B, e = recurrence(p, 200)[:2]
                     table = jacobi_mod._table(np.zeros_like(B) if zero_b else B, e)
                     u = np.repeat(t, 2) if P == 1 else t
                     B, C, F = table.B, table.C, np.array([u, np.ones(u.size)])
@@ -151,7 +157,7 @@ class TestOrthonormalRecurrence:
     def test_fill_does_not_depend_on_the_shape(self):
         # BLAS rounds a product with one row by another path; the fill runs
         # such a block doubled, so a factor has the same bits in every block
-        C = recurrence(JacobiParams(-0.999, 3.0), "jacobi", 40).C
+        C = recurrence(JacobiParams(-0.999, 3.0), 40).C
         t = np.random.default_rng(5).uniform(-1.0, 1.0, 9)
         F = np.array([t, np.ones(9)])
         whole = np.empty((39, 9))
@@ -164,12 +170,13 @@ class TestOrthonormalRecurrence:
     def test_one_point_is_the_first_column_of_two(self):
         # the kernel runs one point as two equal columns and yields the first
         # as a contiguous block: its rows and log scales are those of the
-        # point's column in a call on the point and its negative, on both
-        # families, at points whose rows rescale (xi ~ 1e30) and points whose
-        # rows do not; on the Jacobi side also those of its column of nine
-        for family, t in (("jacobi", np.random.default_rng(5).uniform(-1.0, 1.0, 9)),
-                          ("carlitz", np.array([1e30, -3e29, 2.5, 0.0, 40.0, -1e3]))):
-            table = recurrence(JacobiParams(-0.999, 3.0), family, 400)
+        # point's column in a call on the point and its negative, on the
+        # Jacobi and the Fourier-side rows, at points whose rows rescale
+        # (xi ~ 1e30) and points whose rows do not; on the Jacobi side also
+        # those of its column of nine
+        p = JacobiParams(-0.999, 3.0)
+        for family, table, t in (("jacobi", recurrence(p, 400), np.random.default_rng(5).uniform(-1.0, 1.0, 9)),
+                                 ("fourier", _fourier_rows(p, 400), np.array([1e30, -3e29, 2.5, 0.0, 40.0, -1e3]))):
             many = np.concatenate([P.copy() for _, P, _ in orthonormal_blocks(table, t, 0.0)])
             last = []
             for j, tj in enumerate(t):
@@ -197,10 +204,10 @@ class TestOrthonormalRecurrence:
         for p in (JacobiParams(1.3, 0.2), JacobiParams(-0.999, 3.0)):
             for fourier in (False, True):
                 points, log_start = (xi, 0.0) if fourier else (t, -0.5 * log_jacobi_norm(p))
-                family = "carlitz" if fourier else "jacobi"
-                k = jacobi_mod._blocking(recurrence(p, family, 64), points)[0]
+                rows = _fourier_rows if fourier else recurrence
+                k = jacobi_mod._blocking(rows(p, 64), points)[0]
                 for count in (1, 2, 3, k - 1):
-                    table = recurrence(p, family, count)
+                    table = rows(p, count)
                     got = [(s_m, row.copy(), ls) for s, P, ls in orthonormal_blocks(table, points, log_start)
                            for s_m, row in zip(s, P)]
                     want = list(orthonormal_rows(table.B, table.e, count, points, log_start))
@@ -219,13 +226,13 @@ class TestOrthonormalRecurrence:
         cases = []
         for p, t in ((JacobiParams(1.3, -0.5), np.linspace(-0.999, 0.999, 41)),
                      (JacobiParams(-0.999, 3.0), np.cos(np.linspace(0.01, 3.13, 41)))):
-            cases.append((recurrence(p, "jacobi", 150), t, -0.5 * log_jacobi_norm(p)))
-        carlitz = recurrence(JacobiParams(1.3, 0.2), "carlitz", 200)
+            cases.append((recurrence(p, 150), t, -0.5 * log_jacobi_norm(p)))
+        fourier = _fourier_rows(JacobiParams(1.3, 0.2), 200)
         xi = np.array([1e30, -3e29, 2.5])
-        log_xi = -np.sum(np.log1p(np.abs(xi)[:, None] / carlitz.e[:-1]), axis=1)
-        rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(carlitz, xi, log_xi)]
+        log_xi = -np.sum(np.log1p(np.abs(xi)[:, None] / fourier.e[:-1]), axis=1)
+        rescaled = [ls is not log_xi for _, _, ls in orthonormal_blocks(fourier, xi, log_xi)]
         assert any(rescaled)
-        cases.append((carlitz, xi, log_xi))
+        cases.append((fourier, xi, log_xi))
         for table, points, log_start in cases:
             W = rng.standard_normal((3, points.size))
             c = rng.standard_normal((3, table.s.size))
@@ -243,7 +250,7 @@ class TestOrthonormalRecurrence:
         b = couplings_closed_form(JacobiParams(1.3, 0.2), count)
         with np.errstate(over="raise", invalid="raise"):
             got = [(s[:, None] * P, ls) for s, P, ls in
-                   orthonormal_blocks(recurrence(JacobiParams(1.3, 0.2), "carlitz", count), xi, 0.0)]
+                   orthonormal_blocks(_fourier_rows(JacobiParams(1.3, 0.2), count), xi, 0.0)]
         with mpmath.workdps(30):
             prev, q = [mpmath.mpf(0)] * xi.size, [mpmath.mpf(1)] * xi.size
             want = [q]
@@ -260,55 +267,59 @@ class TestOrthonormalRecurrence:
 
 
 class TestRecurrenceTable:
-    def test_built_once_per_pair_and_family(self, monkeypatch):
+    def test_built_once_per_pair(self, monkeypatch):
         # analyze_full at n = 64 sweeps its rule on 65 rows and reads b_63 from them; its projection and
-        # synthesis read 64 rows, the derivative 65 couplings and 65 rows: one 65-row Jacobi build, no Carlitz
-        # build, and every later call, a repeat of the whole included, reads that table
+        # synthesis read 64 rows, the derivative 65 couplings and 65 rows, and fourier_transform its rows' 64
+        # couplings: one 65-row build, the pair the cache's one key, and every later call, a repeat of the whole
+        # included, reads that table
         builds, table = [], jacobi_mod._table
         monkeypatch.setattr(jacobi_mod, "_table", lambda B, e: builds.append(len(B)) or table(B, e))
         monkeypatch.setattr(jacobi_mod, "_TABLES", {})
         transforms_mod._rule_nodes.cache_clear()
-        spec, x = BasisSpec(JacobiParams(1.3, 0.2)), np.linspace(-6.0, 6.0, 300)
+        spec, x, xi = BasisSpec(JacobiParams(1.3, 0.2)), np.linspace(-6.0, 6.0, 300), np.linspace(-20.0, 20.0, 41)
 
         def run():
             e = analyze_full(spec, lambda x: np.exp(-x * x), 64)
             values = synthesize(e, x)
             de = Expansion(spec, diff_apply(diff_coeffs(spec.params, 65), np.append(e.coeffs, 0.0)))
-            return e.coeffs, values, synthesize(de, x)
+            return e.coeffs, values, synthesize(de, x), fourier_transform(e, xi)
 
         first = run()
-        assert builds == [65] and list(jacobi_mod._TABLES) == [(spec.params, "jacobi")]
+        assert builds == [65] and list(jacobi_mod._TABLES) == [spec.params]
         second = run()
-        assert builds == [65] and list(jacobi_mod._TABLES) == [(spec.params, "jacobi")]
+        assert builds == [65] and list(jacobi_mod._TABLES) == [spec.params]
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("family", ["jacobi", "carlitz"])
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (80.0, 80.0), (-0.999, 3.0), (0.0, 1500.0)])
     def test_prefix_is_a_fresh_build(self, monkeypatch, family, a, b):
         # after a K-row build, n in {1, 2, K - 1, K} rows are views of its first n rows and K + 1 rebuilds it once;
-        # each is the table a fresh build of n rows gives, bit for bit, and so are the kernel's
-        # blocks on it at points whose rows rescale (t next to +-1 at (80, 80), xi = 1e30); its couplings b,
-        # and diff_coeffs(p, n).b, are read-only and bitwise the closed form
+        # each is the read-only table a fresh build of n rows gives, bit for bit, and so are the rows the kernel
+        # runs ('jacobi' the table, 'carlitz' the Fourier-side rows built from its couplings) and its blocks on
+        # them at points whose rows rescale (t next to +-1 at (80, 80), xi = 1e30); its couplings b, and
+        # diff_coeffs(p, n).b, are bitwise the closed form
         p, K = JacobiParams(a, b), 300
         builds, build = [], jacobi_mod._table
         monkeypatch.setattr(jacobi_mod, "_table", lambda B, e: builds.append(len(B)) or build(B, e))
         monkeypatch.setattr(jacobi_mod, "_TABLES", {})
         points = np.array([-1.0 + 2.0**-40, 1.0 - 2.0**-40, 0.3] if family == "jacobi" else [1e30, -2.5, 40.0])
-        recurrence(p, family, K)
+        recurrence(p, K)
         rescaled = False
         for n in (1, 2, K - 1, K, K + 1):
             del builds[:]
-            got = recurrence(p, family, n)
+            got = recurrence(p, n)
             assert builds == ([n] if n > K else []), n
-            for b_m in (got.b, diff_coeffs(p, n).b) if family == "jacobi" else (got.b, got.e):
+            for b_m in (got.b, diff_coeffs(p, n).b):
                 assert not b_m.flags.writeable and b_m.tobytes() == couplings_closed_form(p, n).tobytes(), n
             cache = jacobi_mod._TABLES
             monkeypatch.setattr(jacobi_mod, "_TABLES", {})
-            fresh = recurrence(p, family, n)
+            fresh = recurrence(p, n)
             monkeypatch.setattr(jacobi_mod, "_TABLES", cache)
+            assert not any(arr.flags.writeable for arr in got), n
+            if family == "carlitz":
+                got, fresh = _fourier_rows(p, n), jacobi_mod._table(np.zeros(n), fresh.b)
             for x, y in zip(got, fresh):
                 assert np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes(), n
-            assert not any(arr.flags.writeable for arr in got), n
             blocks = [[(s.copy(), P.copy(), ls) for s, P, ls in orthonormal_blocks(table, points, 0.0)]
                       for table in (got, fresh)]
             assert len(blocks[0]) == len(blocks[1]), n
@@ -318,16 +329,15 @@ class TestRecurrenceTable:
                 rescaled |= bool(np.any(np.asarray(ls1) != 0.0))
         assert rescaled or family == "jacobi" and (a, b) != (80.0, 80.0)
 
-    @pytest.mark.parametrize("family", ["jacobi", "carlitz"])
     @pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.9, -0.9), (0.0, 0.0), (0.0, 1500.0)])
-    def test_prefix_reads_are_views_with_their_own_growth_bound(self, monkeypatch, family, a, b):
+    def test_prefix_reads_are_views_with_their_own_growth_bound(self, monkeypatch, a, b):
         # a prefix read holds views of the pair's table, and _blocking takes the growth bound from the rows it is
         # given: on a prefix the same (K, every) as on a fresh _table of those rows
         p = JacobiParams(a, b)
         monkeypatch.setattr(jacobi_mod, "_TABLES", {})
-        table = recurrence(p, family, 300)
+        table = recurrence(p, 300)
         for n in (1, 2, 8, 299):
-            got = recurrence(p, family, n)
+            got = recurrence(p, n)
             assert all(np.shares_memory(x, y) for x, y in zip(got, table)), n
             fresh = jacobi_mod._table(table.B[:n], table.e[:n])
             for t in ([0.3], [-1.0 + 2.0**-40, 1.0], [-2.5, 40.0, 1e30]):
@@ -337,16 +347,15 @@ class TestRecurrenceTable:
         # at (-0.9, -0.9) the first two rows' max g_m, 1.1, lies below the 300-row table's, 8.8 (at m = 2): the
         # prefix checks its carries every 5 blocks of 64 rows at t = 1, the table every block
         p, t = JacobiParams(-0.9, -0.9), np.array([1.0])
-        table, prefix = recurrence(p, "jacobi", 300), recurrence(p, "jacobi", 2)
+        table, prefix = recurrence(p, 300), recurrence(p, 2)
         assert prefix.C[1:, 0].max() < table.C[1:, 0].max()
         assert jacobi_mod._blocking(prefix, t) == (64, 5) and jacobi_mod._blocking(table, t) == (64, 1)
 
     def test_cached_arrays_are_read_only(self):
-        for family in ("jacobi", "carlitz"):
-            table = recurrence(JacobiParams(1.3, 0.2), family, 64)
-            for arr in (table.B, table.e, table.s, table.C, table.b):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0] = 1.0
+        table = recurrence(JacobiParams(1.3, 0.2), 64)
+        for arr in (table.B, table.e, table.s, table.C, table.b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestJacobiEval:
@@ -503,7 +512,7 @@ class TestGaussJacobi:
         t = np.array([-0.9999, -0.999, -0.5, 0.0, 0.3, 0.999, 0.9999])
         checked = set()
         for n in range(1, 200):
-            k = jacobi_mod._blocking(recurrence(p, "jacobi", n + 1), t)[0]
+            k = jacobi_mod._blocking(recurrence(p, n + 1), t)[0]
             if n % k not in (0, k - 2, k - 1) or n >= 3 * k:
                 continue
             checked.add(n % k)
@@ -807,21 +816,20 @@ def _phi_mp(a, b, m, x, rows):
     return np.array(want)
 
 
-_TABLE = recurrence(JacobiParams(1.3, 0.2), "jacobi", 4)
+_TABLE = recurrence(JacobiParams(1.3, 0.2), 4)
 
 
 @pytest.mark.parametrize("call,error,start", [
-    (lambda: recurrence(JacobiParams(0.0, 0.0), "jacobi", 0), ValueError, "count must be positive (got 0)"),
+    (lambda: recurrence(JacobiParams(0.0, 0.0), 0), ValueError, "count must be positive (got 0)"),
     (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 0), ValueError, "rule size must be positive (got 0)"),
     # a table may run 2 rows past the limit: gauss_jacobi reads n + 1 rows, derivative_pointwise m + 2
-    (lambda: recurrence(JacobiParams(0.0, 0.0), "jacobi", 2**24 + 3), MemoryError,
+    (lambda: recurrence(JacobiParams(0.0, 0.0), 2**24 + 3), MemoryError,
      "count 16777219 is past the size limit 16777218"),
     (lambda: gauss_jacobi(JacobiParams(0.0, 0.0), 2**24 + 1), MemoryError,
      "rule size 16777217 is past the size limit 16777216"),
-    (lambda: recurrence(JacobiParams(0.0, 0.0), "hermite", 4), ValueError, "unknown recurrence family 'hermite'"),
-    (lambda: recurrence(JacobiParams(1e308, 1e308), "jacobi", 4), OverflowError,
-     "alpha + beta is past the float range at JacobiParams(alpha=1e+308, beta=1e+308)"),
-    (lambda: recurrence(JacobiParams(1e308, 1e308), "carlitz", 4), OverflowError,
+    (lambda: recurrence(JacobiParams(0.0, 0.0), 4.0), TypeError, "count must be an integer (got 4.0)"),
+    (lambda: gauss_jacobi(JacobiParams(1.3, 0.2), 4.0), TypeError, "rule size must be an integer (got 4.0)"),
+    (lambda: recurrence(JacobiParams(1e308, 1e308), 4), OverflowError,
      "alpha + beta is past the float range at JacobiParams(alpha=1e+308, beta=1e+308)"),
     (lambda: next(orthonormal_blocks(_TABLE, 0.5, 0.0)), ValueError, "points must be 1-d (got shape ())"),
     (lambda: forward_sum(_TABLE, np.ones(4), 0.5, 0.0), ValueError, "points must be 1-d (got shape ())"),
@@ -829,8 +837,9 @@ _TABLE = recurrence(JacobiParams(1.3, 0.2), "jacobi", 4)
      "points must be 1-d (got shape (2, 3))"),
     (lambda: project(_TABLE, np.ones((2, 3)), np.zeros((2, 3)), 0.0), ValueError,
      "points must be 1-d (got shape (2, 3))"),
-], ids=["recurrence-0", "gauss_jacobi-0", "recurrence-limit", "gauss_jacobi-limit", "recurrence-family", "recurrence-overflow-jacobi",
-        "recurrence-overflow-carlitz", "blocks-scalar", "forward_sum-scalar", "forward_sum-2d", "project-2d"])
+], ids=["recurrence-0", "gauss_jacobi-0", "recurrence-limit", "gauss_jacobi-limit", "recurrence-float",
+        "gauss_jacobi-float", "recurrence-overflow-jacobi", "blocks-scalar", "forward_sum-scalar", "forward_sum-2d",
+        "project-2d"])
 def test_error_paths(call, error, start):
     with pytest.raises(error) as err:
         call()

@@ -508,7 +508,8 @@ class TestSolveFirstOrder:
 
 
 #: (id, call, exception type, start of its message) for each input check of the module; each count has a row below
-#: its least value and one above the size limit 2^24, which is refused before anything is allocated
+#: its least value, one above the size limit 2^24, which is refused before anything is allocated, and one that is
+#: not an integer
 ERROR_PATHS = [
     ("diff_apply-short", lambda: diff_apply(diff_coeffs(T_PAIR, 2), np.ones(4)), ValueError,
      "DiffOp coupling count must be at least 3 (got 2)"),
@@ -526,21 +527,31 @@ ERROR_PATHS = [
      "window size must be nonnegative (got -1)"),
     ("dense_diff-limit", lambda: dense_diff(diff_coeffs(T_PAIR, 2), 2**24 + 1), MemoryError,
      "window size 16777217 is past the size limit 16777216"),
+    ("dense_diff-float", lambda: dense_diff(diff_coeffs(T_PAIR, 4), 3.0), TypeError,
+     "window size must be an integer (got 3.0)"),
     ("MultOp-empty", lambda: MultOp([], 4), ValueError, "coefficient sequence must be nonempty and 1-d"),
     ("MultOp-2d", lambda: MultOp(np.ones((2, 2)), 4), ValueError, "coefficient sequence must be nonempty and 1-d"),
     ("MultOp-nonfinite", lambda: MultOp([1.0, math.inf], 4), ValueError, "coefficients must be finite"),
     ("MultOp-size", lambda: MultOp([1.0], 0), ValueError, "size must be positive (got 0)"),
     ("MultOp-limit", lambda: MultOp([1.0], 2**24 + 1), MemoryError, "size 16777217 is past the size limit 16777216"),
+    ("MultOp-float", lambda: MultOp([1.0], 3.0), TypeError, "size must be an integer (got 3.0)"),
     ("MultOp.apply-2d", lambda: mult_op([1.0, 0.5], 1, 4).apply(np.ones((2, 2))), ValueError,
      "coefficients must form a 1-d sequence (got shape (2, 2))"),
     ("MultOp.dense-band", lambda: mult_op([1.0, 0.5], 1, 4).dense(4, 0), ValueError,
      "band size must be positive (got 0)"),
     ("MultOp.dense-limit", lambda: mult_op([1.0, 0.5], 1, 4).dense(4, 2**23), MemoryError,
      "band size 25165824 is past the size limit 16777216"),
+    ("MultOp.dense-float", lambda: mult_op([1.0, 0.5], 1, 4).dense(4, 3.0), TypeError,
+     "band size must be an integer (got 9.0)"),
     ("mult_op-negative-bandwidth", lambda: mult_op([1.0], -1, 4), ValueError,
      "bandwidth must be nonnegative (got -1)"),
     ("mult_op-limit", lambda: mult_op([1.0], 2**24 + 1, 4), MemoryError,
      "bandwidth 16777217 is past the size limit 16777216"),
+    ("mult_op-float", lambda: mult_op([1.0], 1.0, 4), TypeError, "bandwidth must be an integer (got 1.0)"),
+    ("mult_op-size", lambda: mult_op([1.0], 0, 0), ValueError, "size must be positive (got 0)"),
+    ("mult_op-size-limit", lambda: mult_op([1.0], 0, 2**24 + 1), MemoryError,
+     "size 16777217 is past the size limit 16777216"),
+    ("mult_op-size-float", lambda: mult_op([1.0], 0, 3.0), TypeError, "size must be an integer (got 3.0)"),
     ("mult_op-past-bandwidth", lambda: mult_op([1.0, 0.0, 0.5], 1, 4), ValueError,
      "nonzero coefficients beyond the declared bandwidth"),
     ("zeros-rows", lambda: BandedMatrix.zeros(0, 3, 1), ValueError, "row count must be positive (got 0)"),
@@ -548,12 +559,15 @@ ERROR_PATHS = [
      "half-width must be nonnegative (got -1)"),
     ("zeros-limit", lambda: BandedMatrix.zeros(3, 2**24 + 1, 1), MemoryError,
      "column count 16777217 is past the size limit 16777216"),
+    ("zeros-float", lambda: BandedMatrix.zeros(2.0, 2, 1), TypeError, "row count must be an integer (got 2.0)"),
     ("matvec-length", lambda: BandedMatrix.zeros(3, 3, 1).matvec(np.ones(2)), ValueError,
      "vector length 2 does not match 3 columns"),
     ("assemble-n", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 0), ValueError,
      "truncation size must be positive (got 0)"),
     ("assemble-limit", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 2**24 + 1),
      MemoryError, "truncation size 16777217 is past the size limit 16777216"),
+    ("assemble-float", lambda: assemble_first_order(diff_coeffs(T_PAIR, 8), mult_op([1.0], 0, 8), 4.0), TypeError,
+     "truncation size must be an integer (got 4.0)"),
     ("assemble-short", lambda: assemble_first_order(diff_coeffs(T_PAIR, 3), mult_op([1.0, 0.5], 1, 8), 4), ValueError,
      "DiffOp coupling count must be at least 4 (got 3)"),
     ("qr-wide", lambda: banded_qr_lstsq(BandedMatrix.zeros(2, 3, 1), np.ones(2)), ValueError,

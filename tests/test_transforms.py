@@ -365,7 +365,7 @@ class TestQuadratureProjection:
             rule = gauss_jacobi(p, n)
             x = transforms_mod._mapped_x(rule.angles)  # every node, also of a symmetric rule
             F = np.exp(-0.5 * x**2) / np.cosh(x - 0.3)
-            got = project(recurrence(p, "jacobi", n), rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p))
+            got = project(recurrence(p, n), rule.weights * F, rule.nodes, -0.5 * log_jacobi_norm(p))
             want = project_rowwise(p, rule, F)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -461,17 +461,24 @@ def _sech(x):
 
 
 #: (id, call, exception type, start of its message) for each input check of the module; each count has a row below
-#: its least value and one above the size limit 2^24, which is refused before anything is allocated
+#: its least value, one above the size limit 2^24, which is refused before anything is allocated, and one that is
+#: not an integer
 ERROR_PATHS = [
     ("dct-empty", lambda: dct("DCT-II", []), ValueError, "data must be a nonempty 1-d sequence"),
     ("dct-2d", lambda: dct("DCT-II", np.ones((2, 2))), ValueError, "data must be a nonempty 1-d sequence"),
     ("sample_grid-0", lambda: sample_grid(0), ValueError, "grid size must be positive (got 0)"),
     ("sample_grid-limit", lambda: sample_grid(2**24 + 1), MemoryError,
      "grid size 16777217 is past the size limit 16777216"),
+    ("sample_grid-float", lambda: sample_grid(4.0), TypeError, "grid size must be an integer (got 4.0)"),
     ("analyze_full-n", lambda: analyze_full(_full(0.0, 0.0), _sech, 0), ValueError,
      "coefficient count must be positive (got 0)"),
     ("analyze_full-limit", lambda: analyze_full(_full(0.0, 0.0), _sech, 2**24 + 1), MemoryError,
      "coefficient count 16777217 is past the size limit 16777216"),
+    # both routes: the fast one took a float count, the quadrature one failed inside numpy
+    ("analyze_full-float-fast", lambda: analyze_full(_full(-0.5, -0.5), _sech, 4.0), TypeError,
+     "coefficient count must be an integer (got 4.0)"),
+    ("analyze_full-float-quadrature", lambda: analyze_full(_full(1.3, 0.2), np.cosh, 4.0), TypeError,
+     "coefficient count must be an integer (got 4.0)"),
     ("analyze_half-full-spec", lambda: analyze_half(_full(0.0, 0.0), _sech, 4), ValueError,
      "analyze_half requires a half-mode basis spec"),
     ("analyze_half-n", lambda: analyze_half(_half(0.0), _sech, 0), ValueError,
@@ -480,9 +487,13 @@ ERROR_PATHS = [
      "coefficient count must be even (got 3)"),
     ("analyze_half-limit", lambda: analyze_half(_half(0.0), _sech, 2**24 + 2), MemoryError,
      "coefficient count 16777218 is past the size limit 16777216"),
+    ("analyze_half-float", lambda: analyze_half(_half(0.0), _sech, 4.0), TypeError,
+     "coefficient count must be an integer (got 4.0)"),
     ("analyze_unweighted-m", lambda: analyze_unweighted(_sech, -1), ValueError, "m_max must be nonnegative (got -1)"),
     ("analyze_unweighted-limit", lambda: analyze_unweighted(_sech, 2**24 + 1), MemoryError,
      "m_max 16777217 is past the size limit 16777216"),
+    ("analyze_unweighted-float", lambda: analyze_unweighted(_sech, 3.0), TypeError,
+     "m_max must be an integer (got 3.0)"),
 ]
 
 
